@@ -17,9 +17,7 @@ from . import comparison, convexity, domains, reporting, spaces
 from .errors import GeometryError
 
 
-def _emit(path, envelope, fmt="json"):
-    if fmt != "json":
-        raise click.UsageError("reports are JSON; use 'plot emit' for CSV series")
+def _emit(path, envelope):
     if path is None:
         click.echo(reporting.dump_canonical(envelope), nl=False)
     else:
@@ -150,6 +148,15 @@ def _load_space(path):
     return spaces.DiscreteLengthSpace.load(path)
 
 
+def _load_graph(path, **vertex_ids):
+    """Load a length-space JSON file and check the named vertex ids against it."""
+    sp = spaces.DiscreteLengthSpace.load(path)
+    for name, v in vertex_ids.items():
+        if v is not None and not 0 <= v < sp.n_vertices:
+            raise GeometryError(f"--{name} {v} is not a vertex id in [0, {sp.n_vertices})")
+    return sp
+
+
 # ---------------------------------------------------------------------------
 # scans
 
@@ -173,8 +180,8 @@ def space():
 def space_scan(path, kappa, samples, subset, exhaustive, min_defect_tol, seed,
                output, no_timestamp):
     """Scan quadruples for the curvature condition; estimate kappa_max."""
-    sp = _load_space(path)
     try:
+        sp = _load_space(path)
         rep = spaces.scan_quadruples(sp, kappa, samples=samples, seed=seed,
                                      subset=subset, tol=min_defect_tol,
                                      exhaustive=exhaustive)
@@ -202,10 +209,8 @@ def space_scan(path, kappa, samples, subset, exhaustive, min_defect_tol, seed,
 def space_local_check(path, center, radius, kappa, samples, h_angle, seed,
                       output, no_timestamp):
     """Check the two local comparison conditions inside a ball."""
-    sp = _load_space(path)
-    if not isinstance(sp, spaces.DiscreteLengthSpace):
-        raise click.UsageError("local checks need a length-space JSON input")
     try:
+        sp = _load_graph(path, center=center)
         rep = spaces.local_kappa_domain_check(sp, center, radius, kappa,
                                               samples=samples, h_angle=h_angle,
                                               seed=seed)
@@ -249,8 +254,8 @@ def convexity_group():
 def convexity_estimate(path, kind, p_id, q_id, s_id, step, slack, samples,
                        emit_samples, seed, output, no_timestamp):
     """Estimate the connectable fraction along a geodesic or over the domain."""
-    sp = spaces.DiscreteLengthSpace.load(path)
     try:
+        sp = _load_graph(path, p=p_id, q=q_id, s=s_id)
         if kind == "prob":
             if q_id is None or s_id is None:
                 raise click.UsageError("prob estimate needs --q and --s")
@@ -284,8 +289,8 @@ def convexity_estimate(path, kind, p_id, q_id, s_id, step, slack, samples,
 def convexity_search(path, p_id, q_id, s_id, epsilon, candidates, step, slack,
                      seed, output, no_timestamp):
     """Maximize the connectable fraction over perturbed triples."""
-    sp = spaces.DiscreteLengthSpace.load(path)
     try:
+        sp = _load_graph(path, p=p_id, q=q_id, s=s_id)
         rep = convexity.weak_lambda_search(sp, p_id, q_id, s_id, epsilon,
                                            candidates=candidates, step=step,
                                            slack=slack, seed=seed)
@@ -318,8 +323,8 @@ def completion():
 @click.option("--no-timestamp", is_flag=True, default=False)
 def completion_compare_cmd(path, pairs, epsilon, seed, output, no_timestamp):
     """Compare completion distances to in-domain distances after perturbation."""
-    sp = spaces.DiscreteLengthSpace.load(path)
     try:
+        sp = _load_graph(path)
         rep = domains.completion_compare(sp, pairs=pairs, epsilon=epsilon, seed=seed)
     except GeometryError as exc:
         raise click.UsageError(str(exc))
@@ -340,16 +345,15 @@ def area():
 @area.command("estimate")
 @click.option("--delta", required=True, type=float)
 @click.option("--segments", "num_segments", default=200, show_default=True, type=int)
-@click.option("--h", "resolution", default=0.02, show_default=True, type=float)
 @click.option("--samples", default=100_000, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 @click.option("--no-timestamp", is_flag=True, default=False)
-def area_estimate_cmd(delta, num_segments, resolution, samples, seed, output,
-                      no_timestamp):
+def area_estimate_cmd(delta, num_segments, samples, seed, output, no_timestamp):
     """Monte Carlo area of the thin segment cover."""
     try:
-        spec = domains.DomainSpec(kind="dense_square", resolution=resolution,
+        # the estimate works on the continuum cover and never reads the mesh size
+        spec = domains.DomainSpec(kind="dense_square", resolution=1.0,
                                   delta=delta, num_segments=num_segments)
         rep = domains.area_estimate(spec, samples=samples, seed=seed)
     except GeometryError as exc:

@@ -81,19 +81,16 @@ def connectable(space: DiscreteLengthSpace, p: int, x: int, slack: float | None 
     """
     if slack is None:
         slack = _default_slack(space)
-    if not (space.in_U[p] and space.in_U[x]):
-        return False
-    if p == x:
-        return True
-    d_rest = float(space.distance_field(p, restrict_to_U=True)[x])
-    d_full = float(space.distance_field(p)[x])
-    return _connectable_from_fields(d_rest, d_full, slack)
+    return bool(_connectable_mask(space, p, np.array([x]), slack)[0])
 
 
-def _connectable_from_fields(d_rest: float, d_full: float, slack: float) -> bool:
-    if not math.isfinite(d_rest):
-        return False
-    return d_rest <= d_full * (1.0 + slack) + 1e-12
+def _connectable_mask(space: DiscreteLengthSpace, p: int, xs: np.ndarray,
+                      slack: float) -> np.ndarray:
+    """Elementwise :func:`connectable` of the vertices ``xs`` to p."""
+    d_rest = space.distance_field(p, restrict_to_U=True)[xs]
+    d_full = space.distance_field(p)[xs]
+    reached = np.isfinite(d_rest) & (d_rest <= d_full * (1.0 + slack) + 1e-12)
+    return space.in_U[p] & space.in_U[xs] & ((xs == p) | reached)
 
 
 def prob_convexity(
@@ -124,21 +121,12 @@ def prob_convexity(
     length = path.length
     n_ticks = max(2, int(math.ceil(length / step)) + 1)
     ticks = np.linspace(0.0, length, n_ticks)
-    d_rest = space.distance_field(p, restrict_to_U=True)
-    d_full = space.distance_field(p)
-    flags = []
-    arcs = []
-    for t in ticks:
-        x = path.vertex_at_arc(float(t))
-        ok = bool(space.in_U[p]) and bool(space.in_U[x]) and (
-            x == p or _connectable_from_fields(float(d_rest[x]), float(d_full[x]), slack)
-        )
-        flags.append(ok)
-        arcs.append(float(t))
+    xs = np.array([path.vertex_at_arc(float(t)) for t in ticks])
+    flags = _connectable_mask(space, p, xs, slack)
     prob = float(np.mean(flags))
     series = {}
     if keep_series:
-        series = {"arc_length": arcs, "connectable": [int(b) for b in flags]}
+        series = {"arc_length": ticks.tolist(), "connectable": flags.astype(int).tolist()}
     return ConvexityReport(
         probability=prob,
         samples=n_ticks,
@@ -258,13 +246,7 @@ def ae_convexity_estimate(
     ids = np.flatnonzero(space.in_U)
     if len(ids) > samples:
         ids = np.sort(rng.choice(ids, size=samples, replace=False))
-    d_rest = space.distance_field(p, restrict_to_U=True)
-    d_full = space.distance_field(p)
-    flags = [
-        x == p or _connectable_from_fields(float(d_rest[x]), float(d_full[x]), slack)
-        for x in ids
-    ]
-    prob = float(np.mean(flags))
+    prob = float(np.mean(_connectable_mask(space, p, ids, slack)))
     n = len(ids)
     return ConvexityReport(
         probability=prob,

@@ -35,7 +35,7 @@ TUBE_CUTOFF_CELLS = 0.75
 class DomainSpec:
     """Parameters of a generated domain.
 
-    kind is one of cap, dense_square, punctured, custom.  ``resolution`` is
+    kind is one of cap, dense_square, punctured.  ``resolution`` is
     the target mesh size h (arc length on the sphere, grid spacing on the
     square).
     """
@@ -49,7 +49,6 @@ class DomainSpec:
     removed_segments: tuple = ()
     side: float = 1.0
     stencil_radius: int = 2
-    custom_path: str = ""
 
     def __post_init__(self):
         if self.resolution <= 0.0:
@@ -64,9 +63,6 @@ class DomainSpec:
                 raise GeometryError("need at least one segment")
         elif self.kind == "punctured":
             pass
-        elif self.kind == "custom":
-            if not self.custom_path:
-                raise GeometryError("custom kind needs a path")
         else:
             raise GeometryError(f"unknown domain kind {self.kind!r}")
         if self.side <= 0.0:
@@ -85,7 +81,6 @@ class DomainSpec:
             "removed_segments": [list(s) for s in self.removed_segments],
             "side": self.side,
             "stencil_radius": self.stencil_radius,
-            "custom_path": self.custom_path,
         }
 
     @classmethod
@@ -100,7 +95,6 @@ class DomainSpec:
             removed_segments=tuple(tuple(s) for s in data.get("removed_segments", [])),
             side=float(data.get("side", 1.0)),
             stencil_radius=int(data.get("stencil_radius", 2)),
-            custom_path=data.get("custom_path", ""),
         )
 
 
@@ -526,7 +520,7 @@ def _estimate_cap_distortion(space: DiscreteLengthSpace, r: float, seed: int) ->
     sources = rng.choice(u_ids, size=min(24, len(u_ids)), replace=False)
     cos_r = math.cos(r)
     worst = 0.0
-    fields = space.distance_fields(sources)
+    fields = space.distance_field(sources)
     for row, src in enumerate(sources):
         targets = rng.choice(u_ids, size=min(60, len(u_ids)), replace=False)
         a = space.coords[src]
@@ -560,8 +554,6 @@ def generate(spec: DomainSpec, seed: int = 0) -> DiscreteLengthSpace:
         return _generate_dense_square(spec, seed)
     if spec.kind == "punctured":
         return _generate_punctured(spec, seed)
-    if spec.kind == "custom":
-        return DiscreteLengthSpace.load(spec.custom_path)
     raise GeometryError(f"unknown domain kind {spec.kind!r}")
 
 

@@ -35,6 +35,14 @@ _PATH_TOL = 1e-9
 # metric carriers
 
 
+def _symmetric_csr(edges: np.ndarray, weights: np.ndarray, n: int) -> csr_matrix:
+    """n-by-n CSR matrix holding each weighted edge in both directions."""
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    vals = np.concatenate([weights, weights])
+    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
 class FiniteMetricSpace:
     """Symmetric nonnegative distance matrix validated as a metric."""
 
@@ -76,7 +84,11 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_csv(cls, path) -> "FiniteMetricSpace":
-        return cls(np.loadtxt(path, delimiter=",", ndmin=2))
+        try:
+            dist = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise GeometryError(f"malformed distance-matrix CSV: {exc}") from exc
+        return cls(dist)
 
 
 class SpherePointSet:
@@ -138,9 +150,6 @@ class GeodesicPath:
         after = self.arc_lengths[i] - t
         return self.vertices[i - 1] if before <= after else self.vertices[i]
 
-    def arc_of_index(self, i: int) -> float:
-        return float(self.arc_lengths[i])
-
 
 class DiscreteLengthSpace:
     """Weighted graph over embedded vertices modeling an incomplete domain.
@@ -159,18 +168,11 @@ class DiscreteLengthSpace:
         self.meta = dict(meta or {})
         n = self.in_U.shape[0]
         self._n = n
-        rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        vals = np.concatenate([self.weights, self.weights])
-        self._graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
+        if self.edges.max(initial=-1) >= n or self.edges.min(initial=0) < 0:
+            raise GeometryError("edge endpoint out of range")
+        self._graph = _symmetric_csr(self.edges, self.weights, n)
         keep = self.in_U[self.edges[:, 0]] & self.in_U[self.edges[:, 1]]
-        er = self.edges[keep]
-        wr = self.weights[keep]
-        rows = np.concatenate([er[:, 0], er[:, 1]])
-        cols = np.concatenate([er[:, 1], er[:, 0]])
-        vals = np.concatenate([wr, wr])
-        self._graph_u = csr_matrix((vals, (rows, cols)), shape=(n, n))
-        self._adj: list[list[tuple[int, float]]] | None = None
+        self._graph_u = _symmetric_csr(self.edges[keep], self.weights[keep], n)
         if validate:
             self.validate()
 
@@ -193,8 +195,10 @@ class DiscreteLengthSpace:
             raise GeometryError("empty vertex set")
         if np.any(self.weights <= 0.0) or not np.all(np.isfinite(self.weights)):
             raise GeometryError("edge weights must be positive and finite")
-        if self.edges.max(initial=-1) >= self._n or self.edges.min(initial=0) < 0:
-            raise GeometryError("edge endpoint out of range")
+        # the CSR build sums repeated entries, so a duplicate edge or a
+        # self-loop shows up as a stored entry count short of two per edge
+        if self._graph.nnz != 2 * len(self.edges):
+            raise GeometryError("duplicate edges or self-loops in the edge list")
         ncomp, _ = connected_components(self._graph, directed=False)
         if ncomp != 1:
             raise GeometryError(f"completion graph must be connected, got {ncomp} components")
@@ -212,35 +216,29 @@ class DiscreteLengthSpace:
                 if np.any(self.weights < seg - 1e-9):
                     raise GeometryError("arc weights shorter than chords")
 
-    def _adjacency(self) -> list[list[tuple[int, float]]]:
-        if self._adj is None:
-            adj: list[list[tuple[int, float]]] = [[] for _ in range(self._n)]
-            for (i, j), w in zip(self.edges, self.weights):
-                adj[int(i)].append((int(j), float(w)))
-                adj[int(j)].append((int(i), float(w)))
-            for lst in adj:
-                lst.sort()
-            self._adj = adj
-        return self._adj
-
     # -- metric queries
 
-    def distance_field(self, source: int, restrict_to_U: bool = False,
+    def distance_field(self, sources, restrict_to_U: bool = False,
                        limit: float = np.inf) -> np.ndarray:
-        g = self._graph_u if restrict_to_U else self._graph
-        return dijkstra(g, directed=False, indices=source, limit=limit)
+        """Graph distances from one source (1-D) or a sequence of sources (2-D).
 
-    def distance_fields(self, sources, restrict_to_U: bool = False) -> np.ndarray:
+        Both stored matrices are symmetric, so the directed search gives
+        the undirected distances without scipy's transposed copy.
+        """
         g = self._graph_u if restrict_to_U else self._graph
-        return np.atleast_2d(dijkstra(g, directed=False, indices=sources))
+        return dijkstra(g, directed=True, indices=sources, limit=limit)
 
     def shortest_path(self, src: int, dst: int, restrict_to_U: bool = False) -> GeodesicPath:
         """Deterministic minimal path from src to dst.
 
-        Walks the shortest-path DAG from the source, preferring at each
-        step the neighbor nearest the straight chord between the endpoint
-        embeddings (ties and coordinate-free spaces fall back to the lowest
-        vertex index).  Raises :class:`UnreachableError` when the requested
+        Walks the shortest-path DAG from the source over the CSR matrix of
+        the requested graph (the restricted matrix holds exactly the U-U
+        edges), preferring at each step the neighbor nearest the straight
+        chord between the endpoint embeddings; ties and coordinate-free
+        spaces fall back to the lowest vertex index.  The chord key is
+        computed with ``np.dot``, so which of two exactly tied neighbors
+        wins is decided by its rounding and may differ between BLAS kernels
+        and CPUs.  Raises :class:`UnreachableError` when the requested
         subgraph separates the endpoints.
         """
         if restrict_to_U and not (self.in_U[src] and self.in_U[dst]):
@@ -249,8 +247,8 @@ class DiscreteLengthSpace:
         total = float(dist_to[src])
         if not math.isfinite(total):
             raise UnreachableError(f"no path from {src} to {dst} in the requested subgraph")
-        adj = self._adjacency()
-        allowed = self.in_U if restrict_to_U else None
+        g = self._graph_u if restrict_to_U else self._graph
+        indptr, indices, data = g.indptr, g.indices, g.data
         chord = None
         if self.coords is not None and src != dst:
             p0 = self.coords[src]
@@ -268,30 +266,25 @@ class DiscreteLengthSpace:
         # accumulates into a genuinely longer walk
         tol = 1e-12 * (1.0 + total)
         while u != dst:
-            best = None
-            best_key = None
-            for v, w in adj[u]:
-                if allowed is not None and not allowed[v]:
-                    continue
-                dv = dist_to[v]
-                if not math.isfinite(dv):
-                    continue
-                if abs((w + dv) - dist_to[u]) > tol or dv >= dist_to[u]:
-                    continue
+            lo, hi = indptr[u], indptr[u + 1]
+            nbrs = indices[lo:hi]
+            ws = data[lo:hi]
+            dv = dist_to[nbrs]
+            du = dist_to[u]
+            on_dag = np.isfinite(dv) & (np.abs((ws + dv) - du) <= tol) & (dv < du)
+            candidates = []
+            for v, w in zip(nbrs[on_dag].tolist(), ws[on_dag].tolist()):
+                key = 0.0
                 if chord is not None:
                     off = self.coords[v] - chord[0]
                     perp = off - np.dot(off, chord[1]) * chord[1]
-                    key = (float(np.dot(perp, perp)), v)
-                else:
-                    key = (0.0, v)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (v, w)
-            if best is None:
+                    key = float(np.dot(perp, perp))
+                candidates.append((key, v, w))
+            if not candidates:
                 raise UnreachableError(
                     f"shortest-path walk stalled at vertex {u}; inconsistent field"
                 )
-            v, w = best
+            _, v, w = min(candidates)
             walked += w
             verts.append(v)
             arcs.append(walked)
@@ -333,8 +326,14 @@ class DiscreteLengthSpace:
 
     @classmethod
     def load(cls, path) -> "DiscreteLengthSpace":
+        """Read a length-space JSON file; malformed content is a GeometryError."""
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                return cls.from_json_dict(json.load(fh))
+            except GeometryError:
+                raise
+            except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
+                raise GeometryError(f"malformed length-space JSON: {exc!r}") from exc
 
     def nearest_vertex(self, point, require_in_U: bool = False) -> int:
         if self.coords is None:
@@ -444,7 +443,7 @@ def _scan_distances(space, subset: int, seed: int, samples: int):
             pts = space.coords[idx]
             dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
         else:
-            fields = space.distance_fields(idx)
+            fields = space.distance_field(idx)
             dist = fields[:, idx]
             dist = 0.5 * (dist + dist.T)
     else:

@@ -199,6 +199,40 @@ def test_completion_and_area(runner, tmp_path):
     assert rep["result"]["estimate"] <= 0.2
 
 
+_DUPLICATE_EDGE = ('{"vertices": [{"in_U": true}, {"in_U": true}], '
+                   '"edges": [[0, 1, 1.0], [1, 0, 1.0]]}')
+
+
+@pytest.mark.parametrize("argv, name, content", [
+    (["convexity", "estimate", "--kind", "ae", "--p", "999999"], None, None),
+    (["convexity", "estimate", "--kind", "ae", "--p", "-1"], None, None),
+    (["convexity", "estimate", "--p", "0", "--q", "1", "--s", "999999"], None, None),
+    (["convexity", "search", "--p", "0", "--q", "-3", "--s", "1", "--epsilon", "0.3"],
+     None, None),
+    (["space", "local-check", "--center", "99999999", "--radius", "1", "--kappa", "0"],
+     None, None),
+    (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", ""),
+    (["convexity", "search", "--p", "0", "--q", "1", "--s", "2", "--epsilon", "0.3"],
+     "bad.json", "{"),
+    (["space", "local-check", "--center", "0", "--radius", "1", "--kappa", "0"],
+     "bad.json", "[]"),
+    (["completion", "compare"], "bad.json", '{"vertices": [{"xy": [0, 0]}]}'),
+    (["space", "scan", "--kappa", "1"], "bad.json", '{"vertices": [], "edges": []}'),
+    (["space", "scan", "--kappa", "1"], "bad.csv", "0,x\n1"),
+    (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _DUPLICATE_EDGE),
+], ids=["p-past-end", "p-negative", "s-past-end", "q-negative", "center-past-end",
+        "empty-json", "truncated-json", "json-list", "vertex-without-flag", "no-vertices",
+        "malformed-csv", "duplicate-edge"])
+def test_bad_vertex_ids_and_input_files_exit_2(runner, tmp_path, cap_file, argv, name,
+                                                content):
+    path = cap_file
+    if name is not None:
+        path = tmp_path / name
+        path.write_text(content)
+    res = _run(runner, argv + ["--input", str(path)])
+    assert res.exit_code == 2, res.output
+
+
 # ---------------------------------------------------------------------------
 # reproducibility
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from alexkit.domains import DomainSpec, generate, unit_sphere_points
 from alexkit.errors import GeometryError, UnreachableError
@@ -113,6 +115,92 @@ def test_unreachable_raises(punctured_square):
     other = int(np.flatnonzero(punctured_square.in_U)[0])
     with pytest.raises(UnreachableError):
         punctured_square.shortest_path(hole, other, restrict_to_U=True)
+
+
+def _reference_walk(space, adj, src, dst, restrict_to_U):
+    """Adjacency-list walk of the shortest-path DAG over undirected Dijkstra.
+
+    Pure-Python reference for ``shortest_path``; None when unreachable or
+    stalled.
+    """
+    edges, weights = space.edges, space.weights
+    if restrict_to_U:
+        keep = space.in_U[edges[:, 0]] & space.in_U[edges[:, 1]]
+        edges, weights = edges[keep], weights[keep]
+    n = space.n_vertices
+    g = csr_matrix((weights, (edges[:, 0], edges[:, 1])), shape=(n, n))
+    dist_to = dijkstra(g, directed=False, indices=dst)
+    total = float(dist_to[src])
+    if not math.isfinite(total):
+        return None
+    p0 = space.coords[src]
+    direction = space.coords[dst] - p0
+    unit = direction / np.linalg.norm(direction)
+    verts, arcs, u, walked = [src], [0.0], src, 0.0
+    tol = 1e-12 * (1.0 + total)
+    while u != dst:
+        best_key, best = None, None
+        for v, w in adj[u]:
+            dv = dist_to[v]
+            if restrict_to_U and not space.in_U[v] or not math.isfinite(dv):
+                continue
+            if abs((w + dv) - dist_to[u]) > tol or dv >= dist_to[u]:
+                continue
+            off = space.coords[v] - p0
+            perp = off - np.dot(off, unit) * unit
+            key = (float(np.dot(perp, perp)), v)
+            if best_key is None or key < best_key:
+                best_key, best = key, (v, w)
+        if best is None:
+            return None
+        u, w = best
+        walked += w
+        verts.append(u)
+        arcs.append(walked)
+    return verts, arcs, total
+
+
+@pytest.mark.parametrize("name", ["full_square", "punctured_square", "wide_cap"])
+def test_shortest_path_matches_adjacency_walk_oracle(request, name):
+    sp = request.getfixturevalue(name)
+    adj = [[] for _ in range(sp.n_vertices)]
+    for (i, j), w in zip(sp.edges.tolist(), sp.weights.tolist()):
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    for lst in adj:
+        lst.sort()
+    rng = np.random.default_rng(11)
+    uids = np.flatnonzero(sp.in_U)
+    for restrict in (False, True):
+        pool = uids if restrict else np.arange(sp.n_vertices)
+        for _ in range(40):
+            a, b = (int(v) for v in rng.choice(pool, 2, replace=False))
+            ref = _reference_walk(sp, adj, a, b, restrict)
+            assert ref is not None
+            path = sp.shortest_path(a, b, restrict_to_U=restrict)
+            assert path.vertices == ref[0]
+            assert all(type(v) is int for v in path.vertices)
+            assert path.arc_lengths.tolist() == ref[1]
+            assert path.length == ref[2]
+
+
+def test_distance_field_batches_single_sources(wide_cap):
+    sources = [0, 17, int(np.flatnonzero(wide_cap.in_U)[-1])]
+    for restrict in (False, True):
+        fields = wide_cap.distance_field(sources, restrict_to_U=restrict)
+        assert fields.shape == (3, wide_cap.n_vertices)
+        single = np.stack([wide_cap.distance_field(s, restrict_to_U=restrict)
+                           for s in sources])
+        assert np.array_equal(fields, single)
+    assert wide_cap.distance_field(sources[1]).ndim == 1
+
+
+@pytest.mark.parametrize("edges", [[[0, 1], [1, 2], [0, 1]],   # duplicate edge
+                                   [[0, 1], [2, 1], [1, 0]],   # same edge reversed
+                                   [[0, 1], [1, 2], [2, 2]]])  # self-loop
+def test_duplicate_edges_and_self_loops_rejected(edges):
+    with pytest.raises(GeometryError, match="duplicate edges or self-loops"):
+        DiscreteLengthSpace(None, [True] * 3, edges, [1.0] * 3)
 
 
 def test_space_json_round_trip(tmp_path, punctured_square):
