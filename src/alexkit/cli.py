@@ -221,7 +221,8 @@ def space_local_check(path, center, radius, kappa, samples, h_angle, seed,
     env = reporting.make_envelope("space local-check", config, rep.to_dict(),
                                   seed=seed,
                                   tolerances={"angle_tol": rep.angle_tol,
-                                              "split_tol": rep.split_tol},
+                                              "split_tol": rep.split_tol,
+                                              "stencil_gap": sp.stencil_gap},
                                   h_err=sp.h_err, timestamp=not no_timestamp)
     _finish(output, env, rep.passed)
 

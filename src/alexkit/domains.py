@@ -165,16 +165,21 @@ def _stencil_directions(radius: int) -> list[tuple[int, int]]:
     return sorted(dirs)
 
 
+def stencil_gap(radius: int) -> float:
+    """Widest angle gamma between consecutive stencil directions, atan(1/radius)."""
+    angles = sorted(math.atan2(dy, dx) for dx, dy in _stencil_directions(radius))
+    gaps = [b - a for a, b in zip(angles, angles[1:])]
+    gaps.append(angles[0] + 2.0 * math.pi - angles[-1])
+    return max(gaps)
+
+
 def stencil_distortion(radius: int) -> float:
     """Worst relative overshoot of lattice paths over straight segments.
 
     Equals sec(gamma/2) - 1 for the widest angular gap gamma between
     consecutive stencil directions (about 2.75% for radius 2).
     """
-    angles = sorted(math.atan2(dy, dx) for dx, dy in _stencil_directions(radius))
-    gaps = [b - a for a, b in zip(angles, angles[1:])]
-    gaps.append(angles[0] + 2.0 * math.pi - angles[-1])
-    return 1.0 / math.cos(max(gaps) / 2.0) - 1.0
+    return 1.0 / math.cos(stencil_gap(radius) / 2.0) - 1.0
 
 
 def _segments_cross(p1, p2, q1, q2) -> bool:
@@ -274,6 +279,7 @@ def _finalize_square(grid: _Grid, in_u, keep, spec: DomainSpec, seed: int,
         "generator": spec.kind,
         "h": grid.spacing,
         "h_err": stencil_distortion(spec.stencil_radius),
+        "stencil_gap": stencil_gap(spec.stencil_radius),
         "seed": seed,
         "side": spec.side,
         "stencil_radius": spec.stencil_radius,

@@ -11,8 +11,11 @@ angles at a small fixed arc scale.
 
 from __future__ import annotations
 
+import gc
+import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +28,7 @@ from .errors import (
     UndefinedModelAngleError,
     UnreachableError,
 )
-from .reporting import worker_count
+from .reporting import _atomic_write, worker_count
 from .trig import angle_from_sides, batch_angle, check_curvature
 
 _PATH_TOL = 1e-9
@@ -41,6 +44,23 @@ def _symmetric_csr(edges: np.ndarray, weights: np.ndarray, n: int) -> csr_matrix
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     vals = np.concatenate([weights, weights])
     return csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic collector while a graph file's JSON tree is built.
+
+    The tree holds one small container per edge and no cycles, but every
+    few hundred of them would otherwise trigger a collection that walks
+    the ones built so far.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class FiniteMetricSpace:
@@ -80,7 +100,9 @@ class FiniteMetricSpace:
         return self.dist[np.ix_(idx, idx)]
 
     def to_csv(self, path) -> None:
-        np.savetxt(path, self.dist, delimiter=",", fmt="%.17g")
+        buf = io.StringIO()
+        np.savetxt(buf, self.dist, delimiter=",", fmt="%.17g")
+        _atomic_write(path, buf.getvalue())
 
     @classmethod
     def from_csv(cls, path) -> "FiniteMetricSpace":
@@ -190,6 +212,11 @@ class DiscreteLengthSpace:
     def h_err(self) -> float:
         return float(self.meta.get("h_err", 0.0))
 
+    @property
+    def stencil_gap(self) -> float:
+        """Widest angle between the lattice directions of a grid's stencil; 0 otherwise."""
+        return float(self.meta.get("stencil_gap", 0.0))
+
     def validate(self) -> None:
         if self._n == 0:
             raise GeometryError("empty vertex set")
@@ -228,7 +255,8 @@ class DiscreteLengthSpace:
         g = self._graph_u if restrict_to_U else self._graph
         return dijkstra(g, directed=True, indices=sources, limit=limit)
 
-    def shortest_path(self, src: int, dst: int, restrict_to_U: bool = False) -> GeodesicPath:
+    def shortest_path(self, src: int, dst: int, restrict_to_U: bool = False,
+                      dist_to: np.ndarray | None = None) -> GeodesicPath:
         """Deterministic minimal path from src to dst.
 
         Walks the shortest-path DAG from the source over the CSR matrix of
@@ -238,12 +266,15 @@ class DiscreteLengthSpace:
         spaces fall back to the lowest vertex index.  The chord key is
         computed with ``np.dot``, so which of two exactly tied neighbors
         wins is decided by its rounding and may differ between BLAS kernels
-        and CPUs.  Raises :class:`UnreachableError` when the requested
-        subgraph separates the endpoints.
+        and CPUs.  A caller that already holds ``distance_field(dst,
+        restrict_to_U)`` passes it as ``dist_to``.  Raises
+        :class:`UnreachableError` when the requested subgraph separates the
+        endpoints.
         """
         if restrict_to_U and not (self.in_U[src] and self.in_U[dst]):
             raise UnreachableError("endpoints must carry the in_U flag for restricted paths")
-        dist_to = self.distance_field(dst, restrict_to_U=restrict_to_U)
+        if dist_to is None:
+            dist_to = self.distance_field(dst, restrict_to_U=restrict_to_U)
         total = float(dist_to[src])
         if not math.isfinite(total):
             raise UnreachableError(f"no path from {src} to {dst} in the requested subgraph")
@@ -293,47 +324,67 @@ class DiscreteLengthSpace:
 
     # -- serialization
 
-    def to_json_dict(self) -> dict:
-        verts = []
-        for i in range(self._n):
-            entry: dict = {"in_U": bool(self.in_U[i])}
-            if self.coords is not None:
-                key = "xy" if self.coords.shape[1] == 2 else "xyz"
-                entry[key] = [float(x) for x in self.coords[i]]
-            verts.append(entry)
-        return {
-            "vertices": verts,
-            "edges": [[int(i), int(j), float(w)] for (i, j), w in zip(self.edges, self.weights)],
-            "meta": self.meta,
-        }
-
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        """Write the length-space JSON file atomically, in compact form.
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DiscreteLengthSpace":
-        verts = data["vertices"]
-        coords = None
-        if verts and ("xy" in verts[0] or "xyz" in verts[0]):
-            key = "xy" if "xy" in verts[0] else "xyz"
-            coords = np.array([v[key] for v in verts], dtype=float)
-        in_u = np.array([bool(v["in_U"]) for v in verts])
-        edges = np.array([[e[0], e[1]] for e in data["edges"]], dtype=np.int64)
-        weights = np.array([e[2] for e in data["edges"]], dtype=float)
-        return cls(coords, in_u, edges, weights, meta=data.get("meta", {}))
+        Compact separators keep CPython's C encoder on; the bytes decode to
+        the same object as the indented files older versions wrote.
+        """
+        with _gc_paused():
+            in_u = self.in_U.tolist()
+            if self.coords is None:
+                verts = [{"in_U": u} for u in in_u]
+            else:
+                key = "xy" if self.coords.shape[1] == 2 else "xyz"
+                verts = [{"in_U": u, key: c} for u, c in zip(in_u, self.coords.tolist())]
+            edges = list(zip(*self.edges.T.tolist(), self.weights.tolist()))
+            payload = {"vertices": verts, "edges": edges, "meta": self.meta}
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        # free the tree before the write makes its copies of the text
+        del payload, verts, edges
+        _atomic_write(path, text + "\n")
 
     @classmethod
     def load(cls, path) -> "DiscreteLengthSpace":
-        """Read a length-space JSON file; malformed content is a GeometryError."""
-        with open(path) as fh:
-            try:
-                return cls.from_json_dict(json.load(fh))
-            except GeometryError:
-                raise
-            except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
-                raise GeometryError(f"malformed length-space JSON: {exc!r}") from exc
+        """Read a length-space JSON file; malformed content is a GeometryError.
+
+        Vertex flags must be JSON booleans and edge endpoints integral ids
+        of existing vertices.
+        """
+        try:
+            with open(path) as fh, _gc_paused():
+                data = json.load(fh)
+                verts = data["vertices"]
+                meta = data.get("meta", {})
+                n = len(verts)
+                in_u = np.array([v["in_U"] for v in verts])
+                coords = None
+                if n and ("xy" in verts[0] or "xyz" in verts[0]):
+                    key = "xy" if "xy" in verts[0] else "xyz"
+                    coords = np.array([v[key] for v in verts], dtype=float)
+                table = np.array(data["edges"], dtype=float)
+            # free the parsed tree before the constructor builds its CSR matrices
+            del data, verts
+            if n and (in_u.dtype != bool or in_u.ndim != 1):
+                raise GeometryError("vertex in_U flags must be JSON booleans")
+            if table.size == 0:
+                table = table.reshape(0, 3)
+            if table.ndim != 2 or table.shape[1] != 3:
+                raise GeometryError("edges must be [i, j, weight] triples")
+            # checked on the floats: an int64 cast of a huge id would wrap
+            ids = table[:, :2]
+            if not np.all(ids == np.floor(ids)):
+                raise GeometryError("edge endpoints must be integral vertex ids")
+            if ids.min(initial=0) < 0 or ids.max(initial=-1) >= n:
+                raise GeometryError("edge endpoint out of range")
+            edges = ids.astype(np.int64)
+            weights = table[:, 2].copy()
+            del table, ids
+            return cls(coords, in_u, edges, weights, meta=meta)
+        except GeometryError:
+            raise
+        except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
+            raise GeometryError(f"malformed length-space JSON: {exc!r}") from exc
 
     def nearest_vertex(self, point, require_in_U: bool = False) -> int:
         if self.coords is None:
@@ -666,8 +717,12 @@ def local_kappa_domain_check(
     definition, so the estimate is biased at order h / window and the
     default tolerance scales accordingly).  Reports violations of the
     base comparison condition and of the angle-sum condition at interior
-    points beyond the tolerance; the angle-sum tolerance is doubled since
-    two measured angles accumulate independent errors.
+    points beyond the tolerance.  The angle-sum tolerance is doubled since
+    two measured angles accumulate independent errors, plus the stencil
+    gap gamma of a lattice graph: its metric is a polygonal norm, in which
+    one of the two angles can collapse to pi when both directions fall in
+    one face cone of the unit ball, an error of order gamma that no window
+    removes.
 
     Default tolerance constants were calibrated on flat grids, where the
     exact angles are known: measured deviations stay under half the
@@ -681,7 +736,7 @@ def local_kappa_domain_check(
         raise ResolutionError("angle window must span at least two mesh cells")
     if angle_tol is None:
         angle_tol = 0.5 / h_angle + 6.0 * space.h_err + 1e-3
-    split_tol = 2.0 * angle_tol
+    split_tol = 2.0 * angle_tol + space.stencil_gap
     d_center = space.distance_field(center)
     ball = np.flatnonzero((d_center <= radius) & space.in_U)
     if len(ball) < 4:
@@ -718,7 +773,7 @@ def local_kappa_domain_check(
         feasible = True
         try:
             # base condition: measured angle at q between [qp] and [qs]
-            path_qp = space.shortest_path(q, p)
+            path_qp = space.shortest_path(q, p, dist_to=d_p)
             y_qp = path_qp.vertex_at_arc(w)
             y_qs = path.vertex_at_arc(w)
             lhs = _discrete_angle(space, q, y_qp, y_qs, d_q, k)
@@ -738,7 +793,7 @@ def local_kappa_domain_check(
             d_x = space.distance_field(x)
             y_back = path.vertex_at_arc(arcs[j] - w)
             y_fwd = path.vertex_at_arc(arcs[j] + w)
-            path_xp = space.shortest_path(x, p)
+            path_xp = space.shortest_path(x, p, dist_to=d_p)
             y_xp = path_xp.vertex_at_arc(w)
             ang_back = _discrete_angle(space, x, y_back, y_xp, d_x, k)
             ang_fwd = _discrete_angle(space, x, y_fwd, y_xp, d_x, k)

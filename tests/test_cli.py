@@ -201,6 +201,10 @@ def test_completion_and_area(runner, tmp_path):
 
 _DUPLICATE_EDGE = ('{"vertices": [{"in_U": true}, {"in_U": true}], '
                    '"edges": [[0, 1, 1.0], [1, 0, 1.0]]}')
+_FRACTIONAL_ID = '{"vertices": [{"in_U": true}, {"in_U": true}], "edges": [[0.7, 1, 1.0]]}'
+_STRING_FLAG = '{"vertices": [{"in_U": "false"}, {"in_U": true}], "edges": [[0, 1, 1.0]]}'
+_HUGE_ID = ('{"vertices": [{"in_U": true}, {"in_U": true}], '
+            '"edges": [[0, 1180591620717411303424, 1.0]]}')
 
 
 @pytest.mark.parametrize("argv, name, content", [
@@ -220,9 +224,12 @@ _DUPLICATE_EDGE = ('{"vertices": [{"in_U": true}, {"in_U": true}], '
     (["space", "scan", "--kappa", "1"], "bad.json", '{"vertices": [], "edges": []}'),
     (["space", "scan", "--kappa", "1"], "bad.csv", "0,x\n1"),
     (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _DUPLICATE_EDGE),
+    (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _FRACTIONAL_ID),
+    (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _STRING_FLAG),
+    (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _HUGE_ID),
 ], ids=["p-past-end", "p-negative", "s-past-end", "q-negative", "center-past-end",
         "empty-json", "truncated-json", "json-list", "vertex-without-flag", "no-vertices",
-        "malformed-csv", "duplicate-edge"])
+        "malformed-csv", "duplicate-edge", "fractional-id", "string-flag", "id-2-pow-70"])
 def test_bad_vertex_ids_and_input_files_exit_2(runner, tmp_path, cap_file, argv, name,
                                                 content):
     path = cap_file

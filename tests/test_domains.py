@@ -14,6 +14,7 @@ from alexkit.domains import (
     rational_segments,
     segment_radii,
     stencil_distortion,
+    stencil_gap,
     unit_sphere_points,
 )
 from alexkit.errors import GeometryError, ResolutionError
@@ -56,6 +57,16 @@ def test_segment_radii_sum():
 def test_stencil_distortion_values():
     assert stencil_distortion(2) == pytest.approx(0.0275, abs=5e-4)
     assert stencil_distortion(4) < stencil_distortion(2)
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 5])
+def test_stencil_gap_is_recorded_and_matches_distortion(radius):
+    gap = stencil_gap(radius)
+    assert gap == pytest.approx(math.atan(1.0 / radius), abs=1e-15)
+    assert stencil_distortion(radius) == 1.0 / math.cos(gap / 2.0) - 1.0
+    sp = generate(DomainSpec(kind="punctured", resolution=0.1, stencil_radius=radius))
+    assert sp.meta["stencil_gap"] == gap
+    assert sp.stencil_gap == gap
 
 
 # ---------------------------------------------------------------------------

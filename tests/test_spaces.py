@@ -1,6 +1,8 @@
 """Metric carriers, geodesic walks, quadruple scans, local domain checks."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +50,9 @@ def test_finite_metric_csv_round_trip(tmp_path):
     FiniteMetricSpace(d).to_csv(path)
     back = FiniteMetricSpace.from_csv(path)
     assert np.allclose(back.dist, d, atol=0)
+    direct = tmp_path / "direct.csv"
+    np.savetxt(direct, d, delimiter=",", fmt="%.17g")
+    assert path.read_bytes() == direct.read_bytes()
 
 
 def test_sphere_point_set_distances():
@@ -214,6 +219,87 @@ def test_space_json_round_trip(tmp_path, punctured_square):
     path2 = tmp_path / "space2.json"
     back.save(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _indented_save(space, path):
+    """The indented writer of earlier versions, kept as the file-format oracle."""
+    verts = []
+    for i in range(space.n_vertices):
+        entry = {"in_U": bool(space.in_U[i])}
+        if space.coords is not None:
+            key = "xy" if space.coords.shape[1] == 2 else "xyz"
+            entry[key] = [float(x) for x in space.coords[i]]
+        verts.append(entry)
+    data = {
+        "vertices": verts,
+        "edges": [[int(i), int(j), float(w)] for (i, j), w in zip(space.edges, space.weights)],
+        "meta": space.meta,
+    }
+    with open(path, "w") as fh:
+        json.dump(data, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def _assert_same_space(a, b):
+    for name in ("in_U", "coords", "edges", "weights"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes(), name
+    assert a.meta == b.meta
+
+
+@pytest.mark.parametrize("name", ["full_square", "punctured_square", "slit_square",
+                                  "wide_cap", "dense_square"])
+def test_compact_file_decodes_like_indented_file(request, tmp_path, name):
+    sp = request.getfixturevalue(name)
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    _indented_save(sp, old)
+    sp.save(new)
+    assert json.loads(new.read_text()) == json.loads(old.read_text())
+    assert len(new.read_bytes()) < len(old.read_bytes())
+    # files from earlier versions keep loading to the same arrays and meta
+    _assert_same_space(DiscreteLengthSpace.load(old), sp)
+    _assert_same_space(DiscreteLengthSpace.load(new), sp)
+
+
+def test_failed_save_keeps_previous_file(tmp_path, full_square):
+    path = tmp_path / "space.json"
+    full_square.save(path)
+    before = path.read_bytes()
+    broken = DiscreteLengthSpace(full_square.coords, full_square.in_U, full_square.edges,
+                                 full_square.weights, meta={"bad": object()})
+    with pytest.raises(TypeError):
+        broken.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["space.json"]
+
+
+@pytest.mark.parametrize("vertices, edges, match", [
+    ([{"in_U": "false"}, {"in_U": True}], [[0, 1, 1.0]], "JSON booleans"),
+    ([{"in_U": 1}, {"in_U": True}], [[0, 1, 1.0]], "JSON booleans"),
+    ([{"in_U": True}, {"in_U": True}], [[0.7, 1, 1.0]], "integral"),
+    ([{"in_U": True}, {"in_U": True}], [[0, 1, 1.0, 2]], "triples"),
+    ([{"in_U": True}, {"in_U": True}], [[0, 2**70, 1.0]], "out of range"),
+    ([{"in_U": True}, {"in_U": True}], [[-1, 1, 1.0]], "out of range"),
+])
+def test_load_rejects_malformed_values(tmp_path, vertices, edges, match):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match=match):
+            DiscreteLengthSpace.load(path)
+
+
+def test_shortest_path_reuses_a_given_destination_field(punctured_square):
+    sp = punctured_square
+    src, dst = 3, sp.n_vertices - 5
+    for restrict in (False, True):
+        field_to = sp.distance_field(dst, restrict_to_U=restrict)
+        given = sp.shortest_path(src, dst, restrict_to_U=restrict, dist_to=field_to)
+        fresh = sp.shortest_path(src, dst, restrict_to_U=restrict)
+        assert given.vertices == fresh.vertices
+        assert given.arc_lengths.tolist() == fresh.arc_lengths.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +477,19 @@ def test_local_check_flat_grid_passes_at_zero(flat_grid_fine):
     assert rep.evaluated >= 10
     assert rep.base_violations == 0
     assert rep.split_violations == 0
+    assert rep.passed
+
+
+def test_local_check_flat_grid_split_within_stencil_gap(flat_grid_fine):
+    # at this seed a comparison angle collapses to pi on the lattice metric
+    # and the split gap equals the stencil gap atan(1/5)
+    center = flat_grid_fine.nearest_vertex([1.0, 1.0])
+    rep = local_kappa_domain_check(
+        flat_grid_fine, center, radius=1.6, kappa=0.0, samples=6, h_angle=8, seed=31
+    )
+    assert flat_grid_fine.stencil_gap == pytest.approx(math.atan(1.0 / 5.0), abs=1e-15)
+    assert rep.split_tol == 2.0 * rep.angle_tol + flat_grid_fine.stencil_gap
+    assert rep.split_worst > 2.0 * rep.angle_tol
     assert rep.passed
 
 
