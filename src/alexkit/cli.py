@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -189,7 +190,7 @@ def space_scan(path, kappa, samples, subset, exhaustive, min_defect_tol, seed,
         raise click.UsageError(str(exc))
     config = {"input": str(path), "kappa": kappa, "samples": samples,
               "subset": subset, "exhaustive": exhaustive, "seed": seed}
-    env = reporting.make_envelope("space scan", config, rep.to_dict(), seed=seed,
+    env = reporting.make_envelope("space scan", config, asdict(rep), seed=seed,
                                   tolerances={"min_defect_tol": rep.tol},
                                   h_err=rep.h_err, timestamp=not no_timestamp)
     passed = not (math.isfinite(rep.min_defect) and rep.min_defect < -rep.tol)
@@ -218,8 +219,8 @@ def space_local_check(path, center, radius, kappa, samples, h_angle, seed,
         raise click.UsageError(str(exc))
     config = {"input": str(path), "center": center, "radius": radius,
               "kappa": kappa, "samples": samples, "h_angle": h_angle, "seed": seed}
-    env = reporting.make_envelope("space local-check", config, rep.to_dict(),
-                                  seed=seed,
+    result = {**asdict(rep), "passed": rep.passed}
+    env = reporting.make_envelope("space local-check", config, result, seed=seed,
                                   tolerances={"angle_tol": rep.angle_tol,
                                               "split_tol": rep.split_tol,
                                               "stencil_gap": sp.stencil_gap},
@@ -331,7 +332,7 @@ def completion_compare_cmd(path, pairs, epsilon, seed, output, no_timestamp):
         raise click.UsageError(str(exc))
     budget = 4.0 * epsilon + 2.0 * rep.h_err
     config = {"input": str(path), "pairs": pairs, "epsilon": epsilon, "seed": seed}
-    env = reporting.make_envelope("completion compare", config, rep.to_dict(),
+    env = reporting.make_envelope("completion compare", config, asdict(rep),
                                   seed=seed,
                                   tolerances={"violation_budget": budget},
                                   h_err=rep.h_err, timestamp=not no_timestamp)
@@ -361,7 +362,7 @@ def area_estimate_cmd(delta, num_segments, samples, seed, output, no_timestamp):
         raise click.UsageError(str(exc))
     config = {"delta": delta, "segments": num_segments, "samples": samples,
               "seed": seed}
-    env = reporting.make_envelope("area estimate", config, rep.to_dict(),
+    env = reporting.make_envelope("area estimate", config, asdict(rep),
                                   seed=seed, timestamp=not no_timestamp)
     _finish(output, env, rep.estimate <= delta + 3.0 * rep.sigma)
 

@@ -191,18 +191,6 @@ class AlexandrovReport:
     margin_split: float = math.nan      # pi - (back + forward)
     agree: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "vacuous": self.vacuous,
-            "base_angle_near": self.base_angle_near,
-            "base_angle_far": self.base_angle_far,
-            "split_angle_back": self.split_angle_back,
-            "split_angle_forward": self.split_angle_forward,
-            "margin_base": self.margin_base,
-            "margin_split": self.margin_split,
-            "agree": self.agree,
-        }
-
 
 def alexandrov_lemma_check(
     kappa: float,
@@ -294,25 +282,70 @@ class SweepReport:
         }
 
 
-def _finish_sweep(
-    lemma: str,
-    trials: int,
-    skipped: int,
-    seed: int,
-    scale: float,
-    exponent: float,
-    defects: list[float],
-    budgets: list[float],
-    worst_inputs: list[dict],
-    extra: dict | None = None,
-) -> SweepReport:
+def _check_range(name: str, bounds: tuple[float, float], positive: bool = False):
+    lo, hi = bounds
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and (lo > 0.0 or not positive)):
+        kind = "finite positive" if positive else "finite"
+        raise GeometryError(f"{name} must be a {kind} range with min <= max, got {bounds!r}")
+    return lo, hi
+
+
+def _chain(rng, base: float, lengths, kappas, theta1: float):
+    """Glue hinges along the far side so the angle-sum hypothesis holds exactly.
+
+    The first hinge has legs ``base`` and ``lengths[0]`` at angle
+    ``theta1``; each later hinge opens at the far end of the previous one
+    with an angle drawn from ``rng`` that keeps the junction's angle sum
+    at most pi.  Returns the distance from p to the chain's far end and the
+    last hinge angle, or None when a junction leaves no room for a hinge.
+    """
+    reach = model_side(kappas[0], base, lengths[0], theta1)
+    theta = theta1
+    for j in range(1, len(lengths)):
+        back = angle_from_sides(kappas[j - 1], base, reach, lengths[j - 1])
+        room = math.pi - back
+        if room <= _SECOND_ANGLE_FLOOR:
+            return None
+        theta = rng.uniform(_SECOND_ANGLE_FLOOR, room)
+        base, reach = reach, model_side(kappas[j], reach, lengths[j], theta)
+    return reach, theta
+
+
+def _sweep(lemma, trials, seed, scale, exponent, trial, audits=(), extra=None) -> SweepReport:
+    """Run ``trial`` on per-trial streams and collect its defects into a report.
+
+    ``trial(rng)`` returns None to skip, or ``(defect, budget, inputs,
+    failed)`` with ``failed`` the names among ``audits`` whose check
+    failed.  A trial that raises GeometryError is skipped.
+    """
+    if trials < 1:
+        raise GeometryError("trials must be >= 1")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise GeometryError(f"scale must be finite and positive, got {scale!r}")
+    counts = dict.fromkeys(audits, 0)
+    defects, budgets, inputs = [], [], []
+    skipped = 0
+    for i in range(trials):
+        try:
+            outcome = trial(_trial_rng(seed, i))
+        except GeometryError:
+            outcome = None
+        if outcome is None:
+            skipped += 1
+            continue
+        defect, budget, record, failed = outcome
+        for name in failed:
+            counts[name] += 1
+        defects.append(defect)
+        budgets.append(budget)
+        inputs.append(record)
     if defects:
         arr = np.asarray(defects)
         i = int(np.argmin(arr))
         min_defect = float(arr[i])
         violations = int(np.sum(arr < -np.asarray(budgets)))
-        worst = dict(worst_inputs[i])
-        worst["signed_defect"] = float(arr[i])
+        worst = dict(inputs[i])
+        worst["signed_defect"] = min_defect
         worst["budget"] = float(budgets[i])
     else:
         min_defect = math.inf
@@ -330,7 +363,7 @@ def _finish_sweep(
         max_defect=max(0.0, -min_defect) if defects else 0.0,
         budget_violations=violations,
         worst_case=worst,
-        extra=extra or {},
+        extra={**counts, **(extra or {})},
     )
 
 
@@ -352,15 +385,11 @@ def verify_weighted_pair(
     defect must stay above -(b+d)^budget_exponent.  Also audits both lower
     bounds on the blended curvature.
     """
-    if trials < 1:
-        raise GeometryError("trials must be >= 1")
-    klo, khi = kappa_range
-    defects, budgets, inputs = [], [], []
-    skipped = 0
-    remark_failures = 0
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        a = rng.uniform(*a_range)
+    klo, khi = _check_range("kappa_range", kappa_range)
+    alo, ahi = _check_range("a_range", a_range, positive=True)
+
+    def trial(rng):
+        a = rng.uniform(alo, ahi)
         k1 = rng.uniform(klo, khi)
         k2 = rng.uniform(klo, khi)
         total = scale * rng.uniform(0.05, 1.0)
@@ -368,37 +397,24 @@ def verify_weighted_pair(
         d = total - b
         theta1 = rng.uniform(_ANGLE_FLOOR, math.pi - _ANGLE_FLOOR)
         if b <= 0.0 or d <= 0.0:
-            skipped += 1
-            continue
-        try:
-            px = model_side(k1, a, b, theta1)
-            phi1 = angle_from_sides(k1, a, px, b)
-            room = math.pi - phi1
-            if room <= _SECOND_ANGLE_FLOOR:
-                skipped += 1
-                continue
-            theta2 = rng.uniform(_SECOND_ANGLE_FLOOR, room)
-            ps = model_side(k2, px, d, theta2)
-            kbar = kappa_bar_two(a, b, d, k1, k2)
-            rhs = angle_from_sides(kbar, ps, a, b + d)
-        except (TrigDomainError, UndefinedModelAngleError, InvalidTriangleError,
-                DegenerateAngleError):
-            skipped += 1
-            continue
+            return None
+        chain = _chain(rng, a, (b, d), (k1, k2), theta1)
+        if chain is None:
+            return None
+        ps, theta2 = chain
+        kbar = kappa_bar_two(a, b, d, k1, k2)
         s = b + d
+        rhs = angle_from_sides(kbar, ps, a, s)
         bound1 = ((b * b + 2.0 * b * d) * k1 + d * d * k2) / (s * s)
         bound2 = min(k1, (b * b * k1 + d * d * k2) / (b * b + d * d))
-        if kbar < bound1 - 1e-9 or kbar < bound2 - 1e-9:
-            remark_failures += 1
-        defects.append(theta1 - rhs)
-        budgets.append(s ** budget_exponent)
-        inputs.append({"a": a, "b": b, "d": d, "k1": k1, "k2": k2,
-                       "theta1": theta1, "theta2": theta2, "kappa_bar": kbar})
-    return _finish_sweep(
-        "weighted2", trials, skipped, seed, scale, budget_exponent,
-        defects, budgets, inputs,
-        extra={"remark_bound_failures": remark_failures},
-    )
+        failed = ("remark_bound_failures",) if kbar < max(bound1, bound2) - 1e-9 else ()
+        return (theta1 - rhs, s ** budget_exponent,
+                {"a": a, "b": b, "d": d, "k1": k1, "k2": k2,
+                 "theta1": theta1, "theta2": theta2, "kappa_bar": kbar},
+                failed)
+
+    return _sweep("weighted2", trials, seed, scale, budget_exponent, trial,
+                  audits=("remark_bound_failures",))
 
 
 def verify_weighted_multi(
@@ -417,63 +433,40 @@ def verify_weighted_multi(
     and relaxed blend values and, for two-segment chains, agreement with
     :func:`kappa_bar_two`.
     """
-    if trials < 1:
-        raise GeometryError("trials must be >= 1")
-    klo, khi = kappa_range
-    defects, budgets, inputs = [], [], []
-    skipped = 0
-    ordering_failures = 0
-    pair_consistency_failures = 0
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        a = rng.uniform(*a_range)
+    klo, khi = _check_range("kappa_range", kappa_range)
+    alo, ahi = _check_range("a_range", a_range, positive=True)
+    if max_segments < 2:
+        raise GeometryError(f"max_segments must be >= 2, got {max_segments!r}")
+
+    def trial(rng):
+        a = rng.uniform(alo, ahi)
         n = int(rng.integers(2, max_segments + 1))
         kappas = rng.uniform(klo, khi, size=n)
         raw = rng.uniform(0.05, 1.0, size=n)
         total = scale * rng.uniform(0.05, 1.0)
         lengths = total * raw / raw.sum()
         theta1 = rng.uniform(_ANGLE_FLOOR, math.pi - _ANGLE_FLOOR)
-        try:
-            # chain the hinges, carrying the distance from p to the current point
-            reach = model_side(kappas[0], a, lengths[0], theta1)
-            back_angle = angle_from_sides(kappas[0], a, reach, lengths[0])
-            ok = True
-            for j in range(1, n):
-                room = math.pi - back_angle
-                if room <= _SECOND_ANGLE_FLOOR:
-                    ok = False
-                    break
-                theta_j = rng.uniform(_SECOND_ANGLE_FLOOR, room)
-                nxt = model_side(kappas[j], reach, lengths[j], theta_j)
-                back_angle = angle_from_sides(kappas[j], reach, nxt, lengths[j])
-                reach = nxt
-            if not ok:
-                skipped += 1
-                continue
-            config = HingeConfig(base=a, segments=tuple(zip(lengths, kappas)))
-            kf, klower = kappa_bar_multi(config)
-            rhs = angle_from_sides(kf, reach, a, float(lengths.sum()))
-        except (TrigDomainError, UndefinedModelAngleError, InvalidTriangleError,
-                DegenerateAngleError):
-            skipped += 1
-            continue
+        chain = _chain(rng, a, lengths, kappas, theta1)
+        if chain is None:
+            return None
+        s = float(lengths.sum())
+        kf, klower = kappa_bar_multi(HingeConfig(base=a, segments=tuple(zip(lengths, kappas))))
+        rhs = angle_from_sides(kf, chain[0], a, s)
+        failed = []
         if kf < klower - 1e-9:
-            ordering_failures += 1
+            failed.append("ordering_failures")
         if n == 2:
             kb2 = kappa_bar_two(a, lengths[0], lengths[1], kappas[0], kappas[1])
             if abs(kb2 - kf) > 1e-10:
-                pair_consistency_failures += 1
-        defects.append(theta1 - rhs)
-        budgets.append(float(lengths.sum()) ** budget_exponent)
-        inputs.append({"a": a, "n": n, "lengths": [float(x) for x in lengths],
-                       "kappas": [float(x) for x in kappas],
-                       "theta1": theta1, "kappa_bar_f": kf, "kappa_bar_lower": klower})
-    return _finish_sweep(
-        "multi", trials, skipped, seed, scale, budget_exponent,
-        defects, budgets, inputs,
-        extra={"ordering_failures": ordering_failures,
-               "pair_consistency_failures": pair_consistency_failures},
-    )
+                failed.append("pair_consistency_failures")
+        return (theta1 - rhs, s ** budget_exponent,
+                {"a": a, "n": n, "lengths": [float(x) for x in lengths],
+                 "kappas": [float(x) for x in kappas],
+                 "theta1": theta1, "kappa_bar_f": kf, "kappa_bar_lower": klower},
+                failed)
+
+    return _sweep("multi", trials, seed, scale, budget_exponent, trial,
+                  audits=("ordering_failures", "pair_consistency_failures"))
 
 
 def verify_alternating(
@@ -493,15 +486,13 @@ def verify_alternating(
     Also audits that the closed form never exceeds the relaxed multi-blend
     of the same chain and matches the squared good-length fraction formula.
     """
-    if trials < 1:
-        raise GeometryError("trials must be >= 1")
-    klo, khi = kappa_range
-    defects, budgets, inputs = [], [], []
-    skipped = 0
-    dominance_failures = 0
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        a = rng.uniform(*a_range)
+    klo, khi = _check_range("kappa_range", kappa_range)
+    alo, ahi = _check_range("a_range", a_range, positive=True)
+    if max_blocks < 1:
+        raise GeometryError(f"max_blocks must be >= 1, got {max_blocks!r}")
+
+    def trial(rng):
+        a = rng.uniform(alo, ahi)
         kappa = rng.uniform(klo, khi)
         kappa_star = kappa - rng.uniform(0.0, 3.0)
         nblocks = int(rng.integers(1, max_blocks + 1))
@@ -513,48 +504,27 @@ def verify_alternating(
         total = scale * rng.uniform(0.05, 1.0)
         lengths = total * raw / raw.sum()
         theta1 = rng.uniform(_ANGLE_FLOOR, math.pi - _ANGLE_FLOOR)
-        try:
-            reach = model_side(kappas[0], a, lengths[0], theta1)
-            back_angle = angle_from_sides(kappas[0], a, reach, lengths[0])
-            ok = True
-            for j in range(1, n):
-                room = math.pi - back_angle
-                if room <= _SECOND_ANGLE_FLOOR:
-                    ok = False
-                    break
-                theta_j = rng.uniform(_SECOND_ANGLE_FLOOR, room)
-                nxt = model_side(kappas[j], reach, lengths[j], theta_j)
-                back_angle = angle_from_sides(kappas[j], reach, nxt, lengths[j])
-                reach = nxt
-            if not ok:
-                skipped += 1
-                continue
-            blocks = tuple(
-                (float(lengths[2 * j]), float(lengths[2 * j + 1])) for j in range(nblocks)
-            )
-            alt = AlternatingConfig(base=a, blocks=blocks, kappa=kappa, kappa_star=kappa_star)
-            kalt = kappa_bar_alternating(alt)
-            _, klower = kappa_bar_multi(
-                HingeConfig(base=a, segments=tuple(zip(lengths, kappas)))
-            )
-            rhs = angle_from_sides(kalt, reach, a, float(lengths.sum()))
-        except (TrigDomainError, UndefinedModelAngleError, InvalidTriangleError,
-                DegenerateAngleError):
-            skipped += 1
-            continue
-        if kalt > klower + 1e-9:
-            dominance_failures += 1
-        defects.append(theta1 - rhs)
-        budgets.append(float(lengths.sum()) ** budget_exponent)
-        bsum = float(lengths[0::2].sum())
-        inputs.append({"a": a, "kappa": kappa, "kappa_star": kappa_star,
-                       "blocks": [list(b) for b in blocks], "theta1": theta1,
-                       "kappa_bar_alt": kalt, "good_fraction": bsum / float(lengths.sum())})
-    return _finish_sweep(
-        "alternating", trials, skipped, seed, scale, budget_exponent,
-        defects, budgets, inputs,
-        extra={"dominance_failures": dominance_failures},
-    )
+        chain = _chain(rng, a, lengths, kappas, theta1)
+        if chain is None:
+            return None
+        blocks = tuple(
+            (float(lengths[2 * j]), float(lengths[2 * j + 1])) for j in range(nblocks)
+        )
+        s = float(lengths.sum())
+        kalt = kappa_bar_alternating(
+            AlternatingConfig(base=a, blocks=blocks, kappa=kappa, kappa_star=kappa_star)
+        )
+        _, klower = kappa_bar_multi(HingeConfig(base=a, segments=tuple(zip(lengths, kappas))))
+        rhs = angle_from_sides(kalt, chain[0], a, s)
+        failed = ("dominance_failures",) if kalt > klower + 1e-9 else ()
+        return (theta1 - rhs, s ** budget_exponent,
+                {"a": a, "kappa": kappa, "kappa_star": kappa_star,
+                 "blocks": [list(b) for b in blocks], "theta1": theta1,
+                 "kappa_bar_alt": kalt, "good_fraction": float(lengths[0::2].sum()) / s},
+                failed)
+
+    return _sweep("alternating", trials, seed, scale, budget_exponent, trial,
+                  audits=("dominance_failures",))
 
 
 def verify_extension(
@@ -576,31 +546,23 @@ def verify_extension(
     Also audits monotonicity in the extension length on a deterministic
     grid and the a -> r limit.
     """
-    if trials < 1:
-        raise GeometryError("trials must be >= 1")
-    klo, khi = kappa_range
-    defects, budgets, inputs = [], [], []
-    skipped = 0
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
+    klo, khi = _check_range("kappa_range", kappa_range)
+
+    def trial(rng):
         r = rng.uniform(0.3, 1.5)
         a = r * (1.0 + rng.uniform(1e-3, 1.5))
         kappa = rng.uniform(klo, khi)
         u = scale * rng.uniform(0.05, 1.0)
         theta = rng.uniform(_ANGLE_FLOOR, math.pi - _ANGLE_FLOOR)
-        try:
-            near = model_side(kappa, r, u, theta)
-            far = (a - r) + near
-            kstar = kappa_star_extension(a, r, kappa)
-            psi = angle_from_sides(kstar, far, a, u)
-        except (TrigDomainError, UndefinedModelAngleError, InvalidTriangleError,
-                DegenerateAngleError, GeometryError):
-            skipped += 1
-            continue
-        defects.append(theta - psi)
-        budgets.append(budget_factor * u ** budget_exponent)
-        inputs.append({"a": a, "r": r, "kappa": kappa, "u": u,
-                       "theta": theta, "kappa_star": kstar})
+        far = (a - r) + model_side(kappa, r, u, theta)
+        kstar = kappa_star_extension(a, r, kappa)
+        psi = angle_from_sides(kstar, far, a, u)
+        return (theta - psi, budget_factor * u ** budget_exponent,
+                {"a": a, "r": r, "kappa": kappa, "u": u, "theta": theta, "kappa_star": kstar},
+                ())
+
+    report = _sweep("extension", trials, seed, scale, budget_exponent, trial,
+                    extra={"budget_factor": budget_factor})
     # deterministic monotonicity and limit audits
     mono_failures = 0
     limit_failures = 0
@@ -614,13 +576,8 @@ def verify_extension(
             mono_failures += 1
         if abs(kappa_star_extension(r + 1e-6, r, kappa) - kappa) > 1e-3:
             limit_failures += 1
-    return _finish_sweep(
-        "extension", trials, skipped, seed, scale, budget_exponent,
-        defects, budgets, inputs,
-        extra={"budget_factor": budget_factor,
-               "monotonicity_failures": mono_failures,
-               "limit_failures": limit_failures},
-    )
+    report.extra.update(monotonicity_failures=mono_failures, limit_failures=limit_failures)
+    return report
 
 
 def verify_alexandrov(

@@ -576,15 +576,6 @@ class AreaReport:
     union_bound: float
     delta: float
 
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "sigma": self.sigma,
-            "samples": self.samples,
-            "union_bound": self.union_bound,
-            "delta": self.delta,
-        }
-
 
 def area_estimate(spec: DomainSpec, samples: int = 100_000, seed: int = 0) -> AreaReport:
     """Monte Carlo area of the thin segment cover, with a union-bound cross-check.
@@ -628,20 +619,6 @@ class CompletionReport:
     max_link_violation: float
     h_err: float
     worst_case: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "pairs": self.pairs,
-            "matched": self.matched,
-            "misses": self.misses,
-            "uniform_matched": self.uniform_matched,
-            "uniform_misses": self.uniform_misses,
-            "epsilon": self.epsilon,
-            "max_violation": self.max_violation,
-            "max_link_violation": self.max_link_violation,
-            "h_err": self.h_err,
-            "worst_case": self.worst_case,
-        }
 
 
 def completion_compare(

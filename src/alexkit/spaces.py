@@ -348,8 +348,8 @@ class DiscreteLengthSpace:
     def load(cls, path) -> "DiscreteLengthSpace":
         """Read a length-space JSON file; malformed content is a GeometryError.
 
-        Vertex flags must be JSON booleans and edge endpoints integral ids
-        of existing vertices.
+        Vertex flags must be JSON booleans, edge entries JSON numbers and
+        edge endpoints integral ids of existing vertices.
         """
         try:
             with open(path) as fh, _gc_paused():
@@ -362,11 +362,17 @@ class DiscreteLengthSpace:
                 if n and ("xy" in verts[0] or "xyz" in verts[0]):
                     key = "xy" if "xy" in verts[0] else "xyz"
                     coords = np.array([v[key] for v in verts], dtype=float)
-                table = np.array(data["edges"], dtype=float)
+                table = np.array(data["edges"])
             # free the parsed tree before the constructor builds its CSR matrices
             del data, verts
             if n and (in_u.dtype != bool or in_u.ndim != 1):
                 raise GeometryError("vertex in_U flags must be JSON booleans")
+            if table.dtype.kind == "O" and all(type(v) in (int, float) for v in table.flat):
+                # integers past 64 bits: as floats they fail the range check below
+                table = table.astype(float)
+            if table.dtype.kind not in "iuf":
+                raise GeometryError("edge entries must be JSON numbers")
+            table = table.astype(float, copy=False)
             if table.size == 0:
                 table = table.reshape(0, 3)
             if table.ndim != 2 or table.shape[1] != 3:
@@ -452,21 +458,6 @@ class ScanReport:
     h_err: float = 0.0
     exact_metric: str | None = None
     subset_size: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "samples": self.samples,
-            "evaluated": self.evaluated,
-            "vacuous": self.vacuous,
-            "min_defect": self.min_defect,
-            "worst_case": self.worst_case,
-            "kappa_max": self.kappa_max,
-            "tol": self.tol,
-            "h_err": self.h_err,
-            "exact_metric": self.exact_metric,
-            "subset_size": self.subset_size,
-        }
 
 
 def _scan_distances(space, subset: int, seed: int, samples: int):
@@ -669,26 +660,6 @@ class LocalCheckReport:
     def passed(self) -> bool:
         return self.vacuous or (self.base_violations == 0 and self.split_violations == 0)
 
-    def to_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "center": self.center,
-            "radius": self.radius,
-            "trials": self.trials,
-            "evaluated": self.evaluated,
-            "skipped": self.skipped,
-            "vacuous": self.vacuous,
-            "angle_tol": self.angle_tol,
-            "split_tol": self.split_tol,
-            "window": self.window,
-            "base_violations": self.base_violations,
-            "base_worst": self.base_worst,
-            "split_violations": self.split_violations,
-            "split_worst": self.split_worst,
-            "passed": self.passed,
-            "worst_case": self.worst_case,
-        }
-
 
 def _discrete_angle(space, at: int, toward_a: int, toward_b: int,
                     d_at: np.ndarray, kappa: float) -> float:
@@ -734,6 +705,13 @@ def local_kappa_domain_check(
     w = h_angle * space.h
     if h_angle < 2:
         raise ResolutionError("angle window must span at least two mesh cells")
+    # a path edge of length >= 2w can make vertex_at_arc(t +- w) return x itself
+    longest = float(space.weights.max(initial=0.0))
+    if longest >= 2.0 * w:
+        raise ResolutionError(
+            f"twice the angle window ({2.0 * w!r}) must exceed the longest edge "
+            f"({longest!r}); raise h_angle"
+        )
     if angle_tol is None:
         angle_tol = 0.5 / h_angle + 6.0 * space.h_err + 1e-3
     split_tol = 2.0 * angle_tol + space.stencil_gap

@@ -47,9 +47,25 @@ def test_lemma_verify_other_sweeps(runner, tmp_path, which):
     assert rep["result"]["passed"] is True
 
 
-def test_lemma_verify_usage_error(runner):
-    res = _run(runner, ["lemma", "verify", "--which", "bogus"])
-    assert res.exit_code == 2
+@pytest.mark.parametrize("argv", [
+    ["--which", "bogus"],
+    ["--which", "multi", "--segments", "1"],
+    ["--which", "weighted2", "--kappa-min", "nan"],
+    ["--which", "extension", "--kappa-min", "1", "--kappa-max", "-1"],
+    ["--which", "weighted2", "--scale", "0"],
+    ["--which", "multi", "--scale", "-1"],
+    ["--which", "alternating", "--scale", "inf"],
+    ["--which", "extension", "--scale", "nan"],
+    ["--which", "alternating", "--a-min", "-2", "--a-max", "-1"],
+    ["--which", "multi", "--a-min", "0"],
+    ["--which", "weighted2", "--a-max", "inf"],
+    ["--which", "weighted2", "--a-min", "2", "--a-max", "1"],
+], ids=["bogus-which", "one-segment", "nan-kappa", "kappa-min-above-max", "zero-scale",
+        "negative-scale", "infinite-scale", "nan-scale", "negative-a", "zero-a",
+        "infinite-a", "a-min-above-max"])
+def test_lemma_verify_usage_error(runner, argv):
+    res = _run(runner, ["lemma", "verify", "--trials", "50", *argv])
+    assert res.exit_code == 2, res.output
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +219,7 @@ _DUPLICATE_EDGE = ('{"vertices": [{"in_U": true}, {"in_U": true}], '
                    '"edges": [[0, 1, 1.0], [1, 0, 1.0]]}')
 _FRACTIONAL_ID = '{"vertices": [{"in_U": true}, {"in_U": true}], "edges": [[0.7, 1, 1.0]]}'
 _STRING_FLAG = '{"vertices": [{"in_U": "false"}, {"in_U": true}], "edges": [[0, 1, 1.0]]}'
+_STRING_ID = '{"vertices": [{"in_U": true}, {"in_U": true}], "edges": [[0, "1", 1.0]]}'
 _HUGE_ID = ('{"vertices": [{"in_U": true}, {"in_U": true}], '
             '"edges": [[0, 1180591620717411303424, 1.0]]}')
 
@@ -227,9 +244,11 @@ _HUGE_ID = ('{"vertices": [{"in_U": true}, {"in_U": true}], '
     (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _FRACTIONAL_ID),
     (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _STRING_FLAG),
     (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _HUGE_ID),
+    (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _STRING_ID),
 ], ids=["p-past-end", "p-negative", "s-past-end", "q-negative", "center-past-end",
         "empty-json", "truncated-json", "json-list", "vertex-without-flag", "no-vertices",
-        "malformed-csv", "duplicate-edge", "fractional-id", "string-flag", "id-2-pow-70"])
+        "malformed-csv", "duplicate-edge", "fractional-id", "string-flag", "id-2-pow-70",
+        "string-id"])
 def test_bad_vertex_ids_and_input_files_exit_2(runner, tmp_path, cap_file, argv, name,
                                                 content):
     path = cap_file

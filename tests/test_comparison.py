@@ -8,6 +8,7 @@ import pytest
 from alexkit.comparison import (
     AlternatingConfig,
     HingeConfig,
+    _chain,
     alexandrov_lemma_check,
     kappa_bar_alternating,
     kappa_bar_multi,
@@ -300,9 +301,47 @@ def test_extension_sweep_within_budget():
     assert rep.passed
 
 
-def test_sweep_reports_are_deterministic():
-    a = verify_weighted_pair(500, seed=11).to_dict()
-    b = verify_weighted_pair(500, seed=11).to_dict()
+@pytest.mark.parametrize("verify", [
+    verify_weighted_pair, verify_weighted_multi, verify_alternating, verify_extension,
+], ids=["weighted2", "multi", "alternating", "extension"])
+def test_sweep_reports_are_deterministic(verify):
+    a = verify(500, seed=11).to_dict()
+    b = verify(500, seed=11).to_dict()
     assert a == b
-    c = verify_weighted_pair(500, seed=12).to_dict()
+    c = verify(500, seed=12).to_dict()
     assert c != a
+
+
+def test_alternating_rejects_zero_blocks():
+    # the CLI has no block option, so its usage-error test cannot reach this
+    with pytest.raises(GeometryError, match="max_blocks"):
+        verify_alternating(10, max_blocks=0)
+
+
+class _ClosingRng:
+    """Stub stream whose hinge angles close every junction flat."""
+
+    def uniform(self, lo, hi):
+        return hi
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_chain_closed_flat_is_one_hinge(n):
+    # each junction's hinge angle is pi minus its back angle, so the chain
+    # continues the first hinge's far side in a straight line
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        kappa = rng.uniform(-2.0, 2.0)
+        a = rng.uniform(0.5, 2.0)
+        lengths = rng.uniform(1e-3, 0.05, n)
+        theta1 = rng.uniform(0.1, math.pi - 0.1)
+        far, last = _chain(_ClosingRng(), a, lengths, [kappa] * n, theta1)
+        assert far == pytest.approx(model_side(kappa, a, float(lengths.sum()), theta1),
+                                    abs=1e-9)
+        if n == 1:
+            assert last == theta1
+
+
+def test_chain_without_room_returns_none():
+    # a first hinge angle near 0 leaves a back angle near pi at the junction
+    assert _chain(_ClosingRng(), 1.0, [0.01, 0.01], [0.0, 0.0], 0.01) is None

@@ -1,6 +1,7 @@
 """Report envelopes, series extraction, worker caps, space validation."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -68,9 +69,9 @@ def test_scan_results_independent_of_worker_cap(monkeypatch):
 
     pts = unit_sphere_points(120, seed=0)
     monkeypatch.setenv("ALEXKIT_THREADS", "1")
-    one = scan_quadruples(pts, 1.0, samples=30_000, seed=4).to_dict()
+    one = asdict(scan_quadruples(pts, 1.0, samples=30_000, seed=4))
     monkeypatch.setenv("ALEXKIT_THREADS", "4")
-    four = scan_quadruples(pts, 1.0, samples=30_000, seed=4).to_dict()
+    four = asdict(scan_quadruples(pts, 1.0, samples=30_000, seed=4))
     assert one == four
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from alexkit.domains import DomainSpec, generate, unit_sphere_points
-from alexkit.errors import GeometryError, UnreachableError
+from alexkit.errors import GeometryError, ResolutionError, UnreachableError
 from alexkit.spaces import (
     DiscreteLengthSpace,
     FiniteMetricSpace,
@@ -281,6 +282,8 @@ def test_failed_save_keeps_previous_file(tmp_path, full_square):
     ([{"in_U": True}, {"in_U": True}], [[0, 1, 1.0, 2]], "triples"),
     ([{"in_U": True}, {"in_U": True}], [[0, 2**70, 1.0]], "out of range"),
     ([{"in_U": True}, {"in_U": True}], [[-1, 1, 1.0]], "out of range"),
+    ([{"in_U": True}, {"in_U": True}], [[0, "1", 1.0]], "JSON numbers"),
+    ([{"in_U": True}, {"in_U": True}], [[0, 1, 1.0], [1, 2**70, "1"]], "JSON numbers"),
 ])
 def test_load_rejects_malformed_values(tmp_path, vertices, edges, match):
     path = tmp_path / "bad.json"
@@ -426,8 +429,8 @@ def test_scan_exhaustive_small_set():
 
 def test_scan_deterministic():
     pts = unit_sphere_points(100, seed=1)
-    a = scan_quadruples(pts, 1.0, samples=5_000, seed=3).to_dict()
-    b = scan_quadruples(pts, 1.0, samples=5_000, seed=3).to_dict()
+    a = asdict(scan_quadruples(pts, 1.0, samples=5_000, seed=3))
+    b = asdict(scan_quadruples(pts, 1.0, samples=5_000, seed=3))
     assert a == b
 
 
@@ -501,6 +504,23 @@ def test_local_check_flat_grid_fails_at_half(flat_grid_fine):
     assert rep.base_violations > 0
     assert not rep.passed
     assert rep.worst_case["kind"] == "base"
+
+
+def test_local_check_rejects_window_shorter_than_half_an_edge():
+    # stencil radius 5 has edges of sqrt(41) h = 6.40 h, longer than the 6 h
+    # that twice a 3-cell window spans; the midpoint rule of vertex_at_arc
+    # could then return the split vertex itself as its own neighbour
+    grid = generate(
+        DomainSpec(kind="punctured", resolution=1 / 48, side=2.0, stencil_radius=5),
+        seed=0,
+    )
+    center = grid.nearest_vertex([1.0, 1.0])
+    for seed in range(16):
+        with pytest.raises(ResolutionError, match="longest edge"):
+            local_kappa_domain_check(grid, center, radius=1.6, kappa=0.0, samples=6,
+                                     h_angle=3, seed=seed)
+    assert local_kappa_domain_check(grid, center, radius=1.6, kappa=0.0, samples=6,
+                                    h_angle=4, seed=0).evaluated > 0
 
 
 def test_local_check_degenerate_ball_is_vacuous(flat_grid_fine):
