@@ -103,6 +103,14 @@ def domain():
     """Domain generators."""
 
 
+def _coordinates(text):
+    """Parse a comma-separated coordinate list such as ``0.5,0.25``."""
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise GeometryError(f"{text!r} is not a comma-separated list of numbers") from None
+
+
 @domain.command("generate")
 @click.option("--kind", required=True,
               type=click.Choice(["cap", "dense_square", "punctured", "sphere_points"]))
@@ -124,14 +132,14 @@ def domain_generate(kind, cap_radius, resolution, delta, num_segments, side,
                     stencil_radius, removed_points, removed_segments, n_points,
                     seed, output):
     """Write a domain file: length-space JSON, or a CSV distance matrix."""
-    if kind == "sphere_points":
-        pts = domains.unit_sphere_points(n_points, seed=seed)
-        ms = spaces.FiniteMetricSpace(pts.submatrix(np.arange(pts.n_points)))
-        ms.to_csv(output)
-        return
     try:
-        pt = tuple(tuple(float(x) for x in s.split(",")) for s in removed_points)
-        sg = tuple(tuple(float(x) for x in s.split(",")) for s in removed_segments)
+        if kind == "sphere_points":
+            pts = domains.unit_sphere_points(n_points, seed=seed)
+            ms = spaces.FiniteMetricSpace(pts.submatrix(np.arange(pts.n_points)))
+            ms.to_csv(output)
+            return
+        pt = tuple(_coordinates(s) for s in removed_points)
+        sg = tuple(_coordinates(s) for s in removed_segments)
         spec = domains.DomainSpec(
             kind=kind, resolution=resolution, cap_radius=cap_radius, delta=delta,
             num_segments=num_segments, removed_points=pt, removed_segments=sg,
@@ -384,8 +392,11 @@ def plot_emit(path, series_name, output):
     """Extract a columnar series from a report into CSV."""
     import json
 
-    with open(path) as fh:
-        env = json.load(fh)
+    try:
+        with open(path) as fh:
+            env = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise click.UsageError(f"{path} is not a JSON report: {exc}")
     try:
         header, columns = reporting.extract_series(env, series_name)
     except GeometryError as exc:

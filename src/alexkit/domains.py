@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GeometryError, ResolutionError
-from .spaces import DiscreteLengthSpace, SpherePointSet
+from .spaces import DiscreteLengthSpace, SpherePointSet, great_circle
 
 _MIN_U_VERTICES = 100
 
@@ -51,8 +51,8 @@ class DomainSpec:
     stencil_radius: int = 2
 
     def __post_init__(self):
-        if self.resolution <= 0.0:
-            raise GeometryError("resolution must be positive")
+        if not 0.0 < self.resolution < math.inf:
+            raise GeometryError("resolution must be positive and finite")
         if self.kind == "cap":
             if not 0.0 < self.cap_radius < math.pi:
                 raise GeometryError("cap radius must lie in (0, pi)")
@@ -65,8 +65,14 @@ class DomainSpec:
             pass
         else:
             raise GeometryError(f"unknown domain kind {self.kind!r}")
-        if self.side <= 0.0:
-            raise GeometryError("square side must be positive")
+        if not 0.0 < self.side < math.inf:
+            raise GeometryError("square side must be positive and finite")
+        for name, items, arity in (("removed point", self.removed_points, 2),
+                                   ("removed segment", self.removed_segments, 4)):
+            for item in items:
+                if len(item) != arity or not all(map(math.isfinite, item)):
+                    raise GeometryError(f"a {name} needs {arity} finite coordinates, "
+                                        f"got {item!r}")
         if self.stencil_radius < 1:
             raise GeometryError("stencil radius must be >= 1")
 
@@ -399,11 +405,6 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.array(vlist), np.array(new_faces, dtype=np.int64)
 
 
-def _arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    chord = np.linalg.norm(u - v, axis=-1)
-    return 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
-
-
 def _generate_cap(spec: DomainSpec, seed: int) -> DiscreteLengthSpace:
     r = spec.cap_radius
     h = spec.resolution
@@ -482,14 +483,14 @@ def _generate_cap(spec: DomainSpec, seed: int) -> DiscreteLengthSpace:
     for layer, guard in enumerate(guards):
         for j in range(ring_n):
             if len(near_rim):
-                arcs = _arc(kept[near_rim], guard[j])
+                arcs = great_circle(kept[near_rim], guard[j])
                 close = near_rim[arcs <= 1.6 * mesh_h]
                 for i in close:
                     sew.append((int(i), int(ids[1 + layer][j])))
     if sew:
         edges.append(np.array(sorted(set(sew)), dtype=np.int64))
     e = np.vstack(edges)
-    w = _arc(coords[e[:, 0]], coords[e[:, 1]])
+    w = great_circle(coords[e[:, 0]], coords[e[:, 1]])
     in_u_work = in_u.copy()
     demoted = _demote_isolated(in_u_work, e)
     if int(in_u_work.sum()) < _MIN_U_VERTICES:
@@ -534,7 +535,7 @@ def _estimate_cap_distortion(space: DiscreteLengthSpace, r: float, seed: int) ->
             if t == src:
                 continue
             b = space.coords[t]
-            arc = float(_arc(a, b))
+            arc = float(great_circle(a, b))
             if arc < 4.0 * space.meta["h"]:
                 continue
             ts = np.linspace(0.0, 1.0, 17)
@@ -565,6 +566,8 @@ def generate(spec: DomainSpec, seed: int = 0) -> DiscreteLengthSpace:
 
 def unit_sphere_points(n: int, seed: int = 0) -> SpherePointSet:
     """Uniform random points on the unit sphere with exact distances."""
+    if n < 1:
+        raise GeometryError("need at least one sphere point")
     return SpherePointSet.random(n, seed=seed)
 
 
@@ -585,6 +588,8 @@ def area_estimate(spec: DomainSpec, samples: int = 100_000, seed: int = 0) -> Ar
     """
     if spec.kind != "dense_square":
         raise GeometryError("area estimation applies to dense_square specs")
+    if samples < 1:
+        raise GeometryError("area estimation needs at least one sample")
     segs = rational_segments(spec.num_segments)
     radii = segment_radii(spec.delta, spec.num_segments)
     seg_arr = np.array([[float(x1), float(y1), float(x2), float(y2)]
@@ -644,6 +649,8 @@ def completion_compare(
     """
     if space.meta.get("generator") != "dense_square":
         raise GeometryError("completion comparison applies to dense_square domains")
+    if pairs < 1:
+        raise GeometryError("completion comparison needs at least one pair")
     segs = np.asarray(space.meta["segments"], dtype=float)
     starts = segs[:, :2]
     ends = segs[:, 2:]

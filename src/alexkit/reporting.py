@@ -119,15 +119,3 @@ def extract_series(envelope: dict, name: str) -> tuple[list[str], list[list]]:
     header = sorted(series)
     return header, [series[k] for k in header]
 
-
-def worker_count() -> int:
-    """Worker cap honoring the ALEXKIT_THREADS environment variable."""
-    cpus = os.cpu_count() or 1
-    raw = os.environ.get("ALEXKIT_THREADS")
-    if raw is None:
-        return cpus
-    try:
-        n = int(raw)
-    except ValueError:
-        return cpus
-    return max(1, min(cpus, n))

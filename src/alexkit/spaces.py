@@ -28,7 +28,7 @@ from .errors import (
     UndefinedModelAngleError,
     UnreachableError,
 )
-from .reporting import _atomic_write, worker_count
+from .reporting import _atomic_write
 from .trig import angle_from_sides, batch_angle, check_curvature
 
 _PATH_TOL = 1e-9
@@ -61,6 +61,12 @@ def _gc_paused():
     finally:
         if enabled:
             gc.enable()
+
+
+def great_circle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Great-circle distances between unit vectors, broadcast over leading axes."""
+    chord = np.linalg.norm(u - v, axis=-1)
+    return 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
 
 
 class FiniteMetricSpace:
@@ -141,8 +147,7 @@ class SpherePointSet:
 
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
         p = self.points[idx]
-        chord = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
-        return 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
+        return great_circle(p[:, None, :], p[None, :, :])
 
 
 @dataclass
@@ -469,18 +474,18 @@ def _scan_distances(space, subset: int, seed: int, samples: int):
     distortion bound.
     """
     rng = np.random.default_rng(seed)
+    graph = isinstance(space, DiscreteLengthSpace)
+    n = space.n_vertices if graph else space.n_points
+    idx = np.arange(n) if n <= subset else rng.choice(n, size=subset, replace=False)
+    idx = np.sort(idx)
     exact = None
     h_err = 0.0
-    if isinstance(space, DiscreteLengthSpace):
-        n = space.n_vertices
-        idx = np.arange(n) if n <= subset else rng.choice(n, size=subset, replace=False)
-        idx = np.sort(idx)
+    if graph:
         exact = space.meta.get("exact_metric")
         h_err = space.h_err
         if exact == "sphere":
             pts = space.coords[idx]
-            chord = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-            dist = 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
+            dist = great_circle(pts[:, None, :], pts[None, :, :])
         elif exact == "euclidean":
             pts = space.coords[idx]
             dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
@@ -489,9 +494,6 @@ def _scan_distances(space, subset: int, seed: int, samples: int):
             dist = fields[:, idx]
             dist = 0.5 * (dist + dist.T)
     else:
-        n = space.n_points
-        idx = np.arange(n) if n <= subset else rng.choice(n, size=subset, replace=False)
-        idx = np.sort(idx)
         dist = space.submatrix(idx)
         if isinstance(space, SpherePointSet):
             exact = "sphere"
@@ -507,30 +509,22 @@ def _scan_distances(space, subset: int, seed: int, samples: int):
     return dist, idx, quads, exact, h_err
 
 
-def _quad_defects_block(dist: np.ndarray, quads: np.ndarray, kappa: float):
+def _quad_sides(dist: np.ndarray, quads: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each quadruple's six distances, gathered once per scan.
+
+    Returns ``(px1, px2, px3, x1x2, x2x3, x3x1)`` for rows ``(p, x1, x2, x3)``.
+    """
     p, x1, x2, x3 = quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3]
-    a1, ok1 = batch_angle(kappa, dist[x1, x2], dist[p, x1], dist[p, x2])
-    a2, ok2 = batch_angle(kappa, dist[x2, x3], dist[p, x2], dist[p, x3])
-    a3, ok3 = batch_angle(kappa, dist[x3, x1], dist[p, x3], dist[p, x1])
+    return dist[p, x1], dist[p, x2], dist[p, x3], dist[x1, x2], dist[x2, x3], dist[x3, x1]
+
+
+def _quad_defects(sides: tuple[np.ndarray, ...], kappa: float):
+    px1, px2, px3, x12, x23, x31 = sides
+    a1, ok1 = batch_angle(kappa, x12, px1, px2)
+    a2, ok2 = batch_angle(kappa, x23, px2, px3)
+    a3, ok3 = batch_angle(kappa, x31, px3, px1)
     defined = ok1 & ok2 & ok3
     defects = np.where(defined, 2.0 * math.pi - (a1 + a2 + a3), np.nan)
-    return defects, defined
-
-
-def _quad_defects(dist: np.ndarray, quads: np.ndarray, kappa: float):
-    # fixed chunk boundaries keep results identical for any worker count
-    n = len(quads)
-    workers = worker_count()
-    if workers <= 1 or n < 20_000:
-        return _quad_defects_block(dist, quads, kappa)
-    chunk = 10_000
-    bounds = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda b: _quad_defects_block(dist, quads[b[0]:b[1]], kappa), bounds))
-    defects = np.concatenate([p[0] for p in parts])
-    defined = np.concatenate([p[1] for p in parts])
     return defects, defined
 
 
@@ -551,6 +545,10 @@ def scan_quadruples(
     available for small point sets.
     """
     k = check_curvature(kappa)
+    if samples < 1:
+        raise GeometryError("scan needs at least one sample")
+    if subset < 4:
+        raise GeometryError("scan subset must hold at least four points")
     dist, idx, quads, exact, h_err = _scan_distances(space, subset, seed, samples)
     m = dist.shape[0]
     if exhaustive:
@@ -565,7 +563,8 @@ def scan_quadruples(
         quads = np.array(all_quads, dtype=np.int64)
     if tol is None:
         tol = 1e-9 if exact else max(1e-9, 24.0 * h_err)
-    defects, defined = _quad_defects(dist, quads, k)
+    sides = _quad_sides(dist, quads)
+    defects, defined = _quad_defects(sides, k)
     vacuous = int((~defined).sum())
     evaluated = int(defined.sum())
     if evaluated:
@@ -587,7 +586,7 @@ def scan_quadruples(
         worst = {}
 
     def holds(kprobe: float) -> bool:
-        d, dd = _quad_defects(dist, quads, kprobe)
+        d, dd = _quad_defects(sides, kprobe)
         if not dd.any():
             return True
         return bool(np.nanmin(np.where(dd, d, np.nan)) >= -tol)

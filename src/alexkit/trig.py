@@ -449,13 +449,13 @@ def batch_angle(
             su = np.where(big, 1.0, uu)
             sv = np.where(big, 1.0, vv)
             so = np.where(big, 1.0, opp)
-            num = (_md_arr(k, su) + _md_arr(k, sv)
-                   - k * _md_arr(k, su) * _md_arr(k, sv) - _md_arr(k, so))
+            mu, mv = _md_arr(k, su), _md_arr(k, sv)
+            num = mu + mv - k * mu * mv - _md_arr(k, so)
             cosang = num / (_sn_arr(k, su) * _sn_arr(k, sv))
             cosang = np.where(big, _cos_angle_hyp_scaled(s, opp, uu, vv), cosang)
         else:
-            num = (_md_arr(k, uu) + _md_arr(k, vv)
-                   - k * _md_arr(k, uu) * _md_arr(k, vv) - _md_arr(k, opp))
+            mu, mv = _md_arr(k, uu), _md_arr(k, vv)
+            num = mu + mv - k * mu * mv - _md_arr(k, opp)
             cosang = num / (_sn_arr(k, uu) * _sn_arr(k, vv))
         cosang = np.clip(cosang, -1.0, 1.0)
         out = np.where(ok, np.arccos(cosang), np.nan)

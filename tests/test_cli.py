@@ -245,10 +245,13 @@ _HUGE_ID = ('{"vertices": [{"in_U": true}, {"in_U": true}], '
     (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _STRING_FLAG),
     (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _HUGE_ID),
     (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _STRING_ID),
+    (["space", "scan", "--kappa", "1", "--samples", "-5"], None, None),
+    (["space", "scan", "--kappa", "1", "--subset", "-3"], None, None),
+    (["space", "scan", "--kappa", "1", "--samples", "0"], None, None),
 ], ids=["p-past-end", "p-negative", "s-past-end", "q-negative", "center-past-end",
         "empty-json", "truncated-json", "json-list", "vertex-without-flag", "no-vertices",
         "malformed-csv", "duplicate-edge", "fractional-id", "string-flag", "id-2-pow-70",
-        "string-id"])
+        "string-id", "scan-negative-samples", "scan-negative-subset", "scan-zero-samples"])
 def test_bad_vertex_ids_and_input_files_exit_2(runner, tmp_path, cap_file, argv, name,
                                                 content):
     path = cap_file
@@ -259,18 +262,96 @@ def test_bad_vertex_ids_and_input_files_exit_2(runner, tmp_path, cap_file, argv,
     assert res.exit_code == 2, res.output
 
 
+@pytest.fixture(scope="module")
+def dense_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dense") / "dense.json"
+    CliRunner().invoke(main, ["domain", "generate", "--kind", "dense_square", "--h",
+                              str(1 / 64), "--delta", "0.2", "--segments", "20",
+                              "-o", str(path)], catch_exceptions=False)
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["domain", "generate", "--kind", "sphere_points", "--n", "-1", "-o", "OUT"],
+    ["domain", "generate", "--kind", "cap", "--r", "1.2", "--h", "nan", "-o", "OUT"],
+    ["domain", "generate", "--kind", "cap", "--r", "1.2", "--h", "inf", "-o", "OUT"],
+    ["domain", "generate", "--kind", "punctured", "--side", "nan", "-o", "OUT"],
+    ["domain", "generate", "--kind", "punctured", "--remove-point", "abc", "-o", "OUT"],
+    ["domain", "generate", "--kind", "punctured", "--remove-point", "1,2,3", "-o", "OUT"],
+    ["domain", "generate", "--kind", "punctured", "--remove-segment", "0.5,0.5",
+     "-o", "OUT"],
+    ["area", "estimate", "--delta", "0.2", "--samples", "0"],
+    ["area", "estimate", "--delta", "0.2", "--samples", "-3"],
+    ["completion", "compare", "--input", "DENSE", "--pairs", "-1"],
+    ["plot", "emit", "--input", "NOT_JSON", "-o", "OUT"],
+], ids=["sphere-negative-n", "cap-nan-h", "cap-infinite-h", "punctured-nan-side",
+        "point-not-numbers", "point-three-coords", "segment-two-coords",
+        "area-zero-samples", "area-negative-samples", "completion-negative-pairs",
+        "plot-not-json"])
+def test_bad_parameters_exit_2(runner, tmp_path, dense_file, argv):
+    not_json = tmp_path / "notes.txt"
+    not_json.write_text("not json\n")
+    paths = {"OUT": tmp_path / "out", "DENSE": dense_file, "NOT_JSON": not_json}
+    res = _run(runner, [str(paths.get(a, a)) for a in argv])
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+
+
 # ---------------------------------------------------------------------------
 # reproducibility
 
 
-def test_reports_byte_identical_across_runs(runner, tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    args = ["lemma", "verify", "--which", "weighted2", "--trials", "300",
-            "--seed", "42", "--no-timestamp"]
-    _run(runner, args + ["-o", str(a)])
-    _run(runner, args + ["-o", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+@pytest.fixture(scope="module")
+def readme_inputs(tmp_path_factory, cap_file, dense_file):
+    """Small versions of the README's input files, with vertex ids in the open set."""
+    root = tmp_path_factory.mktemp("readme")
+    sphere = root / "sphere.csv"
+    punct = root / "punct.json"
+    for args in (["--kind", "sphere_points", "--n", "40", "-o", str(sphere)],
+                 ["--kind", "punctured", "--h", "0.0625", "--side", "2",
+                  "--stencil-radius", "3", "--remove-point", "1.13,1.07", "-o", str(punct)]):
+        CliRunner().invoke(main, ["domain", "generate", *args], catch_exceptions=False)
+    data = json.loads(cap_file.read_text())
+    in_u = [i for i, v in enumerate(data["vertices"]) if v["in_U"]]
+    n_punct = len(json.loads(punct.read_text())["vertices"])
+    return {"CAP": str(cap_file), "DENSE": str(dense_file), "SPHERE": str(sphere),
+            "PUNCT": str(punct), "CENTER": str(n_punct // 2), "P": str(in_u[0]),
+            "Q": str(in_u[len(in_u) // 3]), "S": str(in_u[2 * len(in_u) // 3])}
+
+
+_SWEEP = ["lemma", "verify", "--trials", "200", "--seed", "42", "--which"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma", "verify", "--trials", "300", "--seed", "42", "--which", "weighted2"],
+    _SWEEP + ["multi"],
+    _SWEEP + ["alternating"],
+    _SWEEP + ["extension"],
+    _SWEEP + ["alexandrov"],
+    ["space", "scan", "--input", "SPHERE", "--kappa", "1", "--samples", "4000",
+     "--seed", "7"],
+    ["space", "scan", "--input", "CAP", "--kappa", "1", "--samples", "4000", "--seed", "7"],
+    ["space", "local-check", "--input", "PUNCT", "--center", "CENTER", "--radius", "1.5",
+     "--kappa", "0", "--samples", "4", "--seed", "1"],
+    ["convexity", "estimate", "--input", "CAP", "--p", "P", "--q", "Q", "--s", "S",
+     "--emit-samples"],
+    ["convexity", "estimate", "--input", "CAP", "--kind", "ae", "--p", "P",
+     "--samples", "100"],
+    ["convexity", "search", "--input", "CAP", "--p", "P", "--q", "Q", "--s", "S",
+     "--epsilon", "0.1", "--candidates", "4"],
+    ["completion", "compare", "--input", "DENSE", "--pairs", "40", "--epsilon", "0.05"],
+    ["area", "estimate", "--delta", "0.2", "--segments", "50", "--samples", "5000"],
+], ids=["weighted2", "multi", "alternating", "extension", "alexandrov", "scan-csv",
+        "scan-json", "local-check", "convexity-prob", "convexity-ae", "convexity-search",
+        "completion", "area"])
+def test_reports_byte_identical_across_runs(runner, tmp_path, readme_inputs, argv):
+    argv = [readme_inputs.get(a, a) for a in argv] + ["--no-timestamp"]
+    reports = []
+    for name in ("a.json", "b.json"):
+        res = _run(runner, argv + ["-o", str(tmp_path / name)])
+        assert res.exit_code in (0, 1), res.output
+        reports.append((tmp_path / name).read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_timestamp_present_by_default(runner, tmp_path):

@@ -1,7 +1,6 @@
-"""Report envelopes, series extraction, worker caps, space validation."""
+"""Report envelopes, series extraction, space validation."""
 
 import json
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from alexkit.reporting import (
     dump_canonical,
     extract_series,
     make_envelope,
-    worker_count,
     write_csv,
     write_report,
 )
@@ -51,28 +49,6 @@ def test_write_csv_and_extract_series(tmp_path):
 def test_extract_series_missing_name():
     with pytest.raises(GeometryError):
         extract_series({"result": {}}, "series")
-
-
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.delenv("ALEXKIT_THREADS", raising=False)
-    free = worker_count()
-    assert free >= 1
-    monkeypatch.setenv("ALEXKIT_THREADS", "1")
-    assert worker_count() == 1
-    monkeypatch.setenv("ALEXKIT_THREADS", "not-a-number")
-    assert worker_count() == free
-
-
-def test_scan_results_independent_of_worker_cap(monkeypatch):
-    from alexkit.domains import unit_sphere_points
-    from alexkit.spaces import scan_quadruples
-
-    pts = unit_sphere_points(120, seed=0)
-    monkeypatch.setenv("ALEXKIT_THREADS", "1")
-    one = asdict(scan_quadruples(pts, 1.0, samples=30_000, seed=4))
-    monkeypatch.setenv("ALEXKIT_THREADS", "4")
-    four = asdict(scan_quadruples(pts, 1.0, samples=30_000, seed=4))
-    assert one == four
 
 
 def test_space_validation_rejects_bad_graphs():

@@ -18,6 +18,9 @@ from alexkit.spaces import (
     DiscreteLengthSpace,
     FiniteMetricSpace,
     SpherePointSet,
+    _quad_defects,
+    _quad_sides,
+    _scan_distances,
     comparison_angle,
     local_kappa_domain_check,
     quadruple_defect,
@@ -445,6 +448,26 @@ def test_scan_wide_cap_completion_violates_unit_curvature(wide_cap, convex_cap):
     rep_convex = scan_quadruples(convex_cap, 1.0, samples=20_000, seed=2)
     assert rep_convex.exact_metric == "sphere"
     assert rep_convex.min_defect >= -1e-6
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("carrier", ["sphere", "wide_cap"])
+def test_scan_defects_match_scalar_quadruple_defect(carrier, kappa, wide_cap):
+    space = unit_sphere_points(40, seed=0) if carrier == "sphere" else wide_cap
+    dist, _, quads, _, _ = _scan_distances(space, 60, 3, 3000)
+    defects, defined = _quad_defects(_quad_sides(dist, quads), kappa)
+    # the scalar oracle reads the scan's own distance block, so the two differ
+    # only in the cosine-law arithmetic; below zero curvature, math.sinh and
+    # np.sinh may round apart, and arccos near 1 on a graph-collinear triple
+    # turns one ulp into 1e-7, so this bound holds only for kappa >= 0
+    block = FiniteMetricSpace(dist, validate=False)
+    # at kappa 2 perimeters past pi*sqrt(2) leave some quadruples undefined
+    assert defined.any() and (kappa < 2.0 or not defined.all())
+    for row, quad in enumerate(quads.tolist()):
+        scalar = quadruple_defect(block, *quad, kappa)
+        assert (scalar is None) == (not defined[row])
+        if scalar is not None:
+            assert abs(scalar - defects[row]) <= 1e-12
 
 
 @given(seed=st.integers(0, 10_000))

@@ -26,7 +26,15 @@ from alexkit import (
     sn,
     taylor_side_expansion,
 )
-from alexkit.trig import SERIES_CUTOFF, batch_angle
+from alexkit.trig import (
+    _HYP_RESCALE,
+    _TRI_SLACK,
+    SERIES_CUTOFF,
+    _cos_angle_hyp_scaled,
+    _md_arr,
+    _sn_arr,
+    batch_angle,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -309,6 +317,59 @@ def test_batch_angle_matches_scalar():
             assert angles[i] == pytest.approx(
                 angle_from_sides(kappa, opp[i], u[i], v[i]), abs=1e-12
             )
+
+
+def _batch_angle_reference(k, opp, uu, vv):
+    """``batch_angle``'s arithmetic as it stood with each ``md`` evaluated twice."""
+    per = opp + uu + vv
+    slack = _TRI_SLACK * per
+    ok = (
+        (uu > 0.0)
+        & (vv > 0.0)
+        & (opp <= uu + vv + slack)
+        & (uu <= opp + vv + slack)
+        & (vv <= opp + uu + slack)
+    )
+    if k > 0.0:
+        ok &= per < 2.0 * math.pi / math.sqrt(k)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if k < 0.0:
+            s = math.sqrt(-k)
+            big = s * per > _HYP_RESCALE
+            su = np.where(big, 1.0, uu)
+            sv = np.where(big, 1.0, vv)
+            so = np.where(big, 1.0, opp)
+            num = (_md_arr(k, su) + _md_arr(k, sv)
+                   - k * _md_arr(k, su) * _md_arr(k, sv) - _md_arr(k, so))
+            cosang = num / (_sn_arr(k, su) * _sn_arr(k, sv))
+            cosang = np.where(big, _cos_angle_hyp_scaled(s, opp, uu, vv), cosang)
+        else:
+            num = (_md_arr(k, uu) + _md_arr(k, vv)
+                   - k * _md_arr(k, uu) * _md_arr(k, vv) - _md_arr(k, opp))
+            cosang = num / (_sn_arr(k, uu) * _sn_arr(k, vv))
+        cosang = np.clip(cosang, -1.0, 1.0)
+        out = np.where(ok, np.arccos(cosang), np.nan)
+    return out, ok
+
+
+@pytest.mark.parametrize("kappa", [-1e6, -1.5, 0.0, 1e-8, 1.0])
+def test_batch_angle_bit_identical_to_reference(kappa):
+    rng = np.random.default_rng(11)
+    n = 4000
+    sides = rng.uniform(0.0, 4.0, size=(3, n))
+    # near-degenerate and tiny sides exercise the clip and the series branch
+    sides[:, : n // 4] *= rng.uniform(1e-5, 1e-3, size=(3, n // 4))
+    sides[0, n // 4: n // 2] = sides[1, n // 4: n // 2] + sides[2, n // 4: n // 2]
+    zero = rng.integers(0, 3, size=n // 10)
+    sides[zero, np.arange(n - n // 10, n)] = 0.0
+    opp, u, v = sides
+    angles, ok = batch_angle(kappa, opp, u, v)
+    ref_angles, ref_ok = _batch_angle_reference(kappa, opp, u, v)
+    assert np.array_equal(ok, ref_ok)
+    assert np.array_equal(angles, ref_angles, equal_nan=True)
+    # the draw reaches valid, invalid and zero-side triangles alike
+    assert ok.any() and not ok.all()
+    assert (~ok[n - n // 10:]).all()
 
 
 def test_batch_angle_flags_undefined():
