@@ -131,7 +131,7 @@ def _coordinates(text):
 def domain_generate(kind, cap_radius, resolution, delta, num_segments, side,
                     stencil_radius, removed_points, removed_segments, n_points,
                     seed, output):
-    """Write a domain file: length-space JSON, or a CSV distance matrix."""
+    """Write a domain file: a graph file, or a CSV distance matrix."""
     try:
         if kind == "sphere_points":
             pts = domains.unit_sphere_points(n_points, seed=seed)
@@ -152,13 +152,20 @@ def domain_generate(kind, cap_radius, resolution, delta, num_segments, side,
 
 
 def _load_space(path):
-    if str(path).endswith(".csv"):
-        return spaces.FiniteMetricSpace.from_csv(path)
-    return spaces.DiscreteLengthSpace.load(path)
+    """A graph file when the first non-blank byte is ``{``, else a CSV distance matrix."""
+    head = b""
+    with open(path, "rb") as fh:
+        while not head and (chunk := fh.read(4096)):
+            head = chunk.lstrip()
+    if not head:
+        raise GeometryError(f"{path} holds no data")
+    if head.startswith(b"{"):
+        return spaces.DiscreteLengthSpace.load(path)
+    return spaces.FiniteMetricSpace.from_csv(path)
 
 
 def _load_graph(path, **vertex_ids):
-    """Load a length-space JSON file and check the named vertex ids against it."""
+    """Load a graph file and check the named vertex ids against it."""
     sp = spaces.DiscreteLengthSpace.load(path)
     for name, v in vertex_ids.items():
         if v is not None and not 0 <= v < sp.n_vertices:

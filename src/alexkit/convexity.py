@@ -22,8 +22,24 @@ from .spaces import DiscreteLengthSpace
 _Z95 = 1.959963984540054
 
 
-def _default_slack(space: DiscreteLengthSpace) -> float:
-    return 2.0 * space.h_err
+def _slack(space: DiscreteLengthSpace, slack: float | None) -> float:
+    """The given slack, checked, or twice the space's distortion bound by default."""
+    if slack is None:
+        return 2.0 * space.h_err
+    if not 0.0 <= slack < math.inf:
+        raise GeometryError(f"slack must be nonnegative and finite, got {slack!r}")
+    return slack
+
+
+def _step(space: DiscreteLengthSpace, step: float | None) -> float:
+    """The given sample spacing along a geodesic, checked, or one mesh cell by default."""
+    if step is None:
+        if space.h <= 0.0:
+            raise GeometryError("space lacks a mesh size; give a step")
+        return space.h
+    if not 0.0 < step < math.inf:
+        raise GeometryError(f"step must be positive and finite, got {step!r}")
+    return step
 
 
 @dataclass
@@ -79,8 +95,7 @@ def connectable(space: DiscreteLengthSpace, p: int, x: int, slack: float | None 
     Monotone nondecreasing in ``slack``; unreachable (or boundary) targets
     count as False, and p itself as True.
     """
-    if slack is None:
-        slack = _default_slack(space)
+    slack = _slack(space, slack)
     return bool(_connectable_mask(space, p, np.array([x]), slack)[0])
 
 
@@ -111,12 +126,8 @@ def prob_convexity(
     """
     if q == s:
         raise GeometryError("probability needs distinct geodesic endpoints")
-    if step is None:
-        step = space.h if space.h > 0.0 else None
-    if step is None or step <= 0.0:
-        raise GeometryError("step must be positive (space lacks a mesh size)")
-    if slack is None:
-        slack = _default_slack(space)
+    step = _step(space, step)
+    slack = _slack(space, slack)
     path = space.shortest_path(q, s, restrict_to_U=False)
     length = path.length
     n_ticks = max(2, int(math.ceil(length / step)) + 1)
@@ -161,12 +172,14 @@ def weak_lambda_search(
     candidate zero.  The best probability found is a lower bound for the
     attainable level.
     """
-    if epsilon < space.h:
+    if candidates < 1:
+        raise GeometryError(f"search needs at least one candidate, got {candidates}")
+    step = _step(space, step)
+    if not epsilon >= space.h:
         raise ResolutionError(
             f"epsilon {epsilon!r} below one mesh cell {space.h!r}; nothing to perturb"
         )
-    if slack is None:
-        slack = _default_slack(space)
+    slack = _slack(space, slack)
     rng = np.random.default_rng(seed)
     balls = []
     for center in (p, q, s):
@@ -188,7 +201,7 @@ def weak_lambda_search(
     best: ConvexityReport | None = None
     best_key = None
     triples = [(p, q, s)]
-    for _ in range(max(0, candidates - 1)):
+    for _ in range(candidates - 1):
         triples.append((draw(balls[0], rng), draw(balls[1], rng), draw(balls[2], rng)))
     evaluated = 0
     for (pp, qq, ss) in triples:
@@ -240,8 +253,9 @@ def ae_convexity_estimate(
     """
     if not space.in_U[p]:
         raise GeometryError("base point must lie in the open domain")
-    if slack is None:
-        slack = _default_slack(space)
+    if samples < 1:
+        raise GeometryError(f"estimate needs at least one sample, got {samples}")
+    slack = _slack(space, slack)
     rng = np.random.default_rng(seed)
     ids = np.flatnonzero(space.in_U)
     if len(ids) > samples:

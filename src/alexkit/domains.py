@@ -651,6 +651,8 @@ def completion_compare(
         raise GeometryError("completion comparison applies to dense_square domains")
     if pairs < 1:
         raise GeometryError("completion comparison needs at least one pair")
+    if not 0.0 < epsilon < math.inf:
+        raise GeometryError(f"epsilon must be positive and finite, got {epsilon!r}")
     segs = np.asarray(space.meta["segments"], dtype=float)
     starts = segs[:, :2]
     ends = segs[:, 2:]

@@ -7,15 +7,22 @@ them: deterministic geodesic extraction, comparison angles between actual
 points, quadruple curvature scans with a bisection estimate of the
 largest admissible curvature, and a local domain check that measures
 angles at a small fixed arc scale.
+
+A graph space is stored as one compact JSON object: a vertex table of
+``{"in_U": bool, "xy"|"xyz": [...]}`` entries, the generator's ``meta``,
+and an ``edges`` object whose ``ij`` and ``w`` members are base64 strings
+of the little-endian int32 endpoint pairs and float64 weights, with their
+``count``.  Older files that list edges as ``[i, j, w]`` triples are
+refused with the ``domain generate`` command that rebuilds them.
 """
 
 from __future__ import annotations
 
-import gc
+import base64
 import io
 import json
 import math
-from contextlib import contextmanager
+import shlex
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,21 +53,77 @@ def _symmetric_csr(edges: np.ndarray, weights: np.ndarray, n: int) -> csr_matrix
     return csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic collector while a graph file's JSON tree is built.
+def _b64(arr: np.ndarray, dtype: str) -> str:
+    return base64.b64encode(np.ascontiguousarray(arr, dtype=dtype).tobytes()).decode("ascii")
 
-    The tree holds one small container per edge and no cycles, but every
-    few hundred of them would otherwise trigger a collection that walks
-    the ones built so far.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
+
+def _unb64(text, dtype: str, items: int, name: str) -> np.ndarray:
+    """``items`` values of ``dtype`` from a base64 member of a graph file's edge table."""
+    raw = base64.b64decode(text, validate=True)
+    need = np.dtype(dtype).itemsize * items
+    if len(raw) != need:
+        raise GeometryError(f"edges.{name} holds {len(raw)} bytes where its count needs {need}")
+    return np.frombuffer(raw, dtype=dtype)
+
+
+# DomainSpec fields and the `domain generate` options that set them
+_SPEC_OPTIONS = (("kind", "--kind"), ("resolution", "--h"), ("cap_radius", "--r"),
+                 ("delta", "--delta"), ("num_segments", "--segments"), ("side", "--side"),
+                 ("stencil_radius", "--stencil-radius"))
+_SPEC_LISTS = (("removed_points", "--remove-point"), ("removed_segments", "--remove-segment"))
+
+
+def _regenerate_hint(meta, path) -> str:
+    """The ``alexkit domain generate`` command line that rebuilds a generated file."""
     try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+        spec = meta["spec"]
+        argv = ["alexkit", "domain", "generate"]
+        for key, opt in _SPEC_OPTIONS:
+            argv += [opt, str(spec[key])]
+        for key, opt in _SPEC_LISTS:
+            for item in spec[key]:
+                argv += [opt, ",".join(repr(float(x)) for x in item)]
+        argv += ["--seed", str(int(meta["seed"])), "-o", str(path)]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return "regenerate it with `alexkit domain generate`"
+    return f"regenerate it with `{shlex.join(argv)}`"
+
+
+def _read_graph_file(path):
+    """The constructor arguments ``(coords, in_U, edges, weights, meta)`` of a graph file.
+
+    Checks the JSON types and the edge table's encoding; the constructor
+    checks the graph itself.
+    """
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        verts = data["vertices"]
+        meta = data.get("meta", {})
+        table = data["edges"]
+        n = len(verts)
+        in_u = np.array([v["in_U"] for v in verts])
+        if n and (in_u.dtype != bool or in_u.ndim != 1):
+            raise GeometryError("vertex in_U flags must be JSON booleans")
+        coords = None
+        if n and ("xy" in verts[0] or "xyz" in verts[0]):
+            key = "xy" if "xy" in verts[0] else "xyz"
+            coords = np.array([v[key] for v in verts], dtype=float)
+        if isinstance(table, list):
+            raise GeometryError(f"{path} lists its edges as [i, j, w] triples, a format "
+                                f"no longer read; {_regenerate_hint(meta, path)}")
+        if not isinstance(table, dict):
+            raise GeometryError('edges must be an object {"count", "ij", "w"}')
+        count = table["count"]
+        if type(count) is not int or count < 0:
+            raise GeometryError("edges.count must be a nonnegative integer")
+        edges = _unb64(table["ij"], "<i4", 2 * count, "ij")
+        weights = _unb64(table["w"], "<f8", count, "w")
+    except GeometryError:
+        raise
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
+        raise GeometryError(f"malformed length-space file: {exc!r}") from exc
+    return coords, in_u, edges, weights, meta
 
 
 def great_circle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -330,72 +393,38 @@ class DiscreteLengthSpace:
     # -- serialization
 
     def save(self, path) -> None:
-        """Write the length-space JSON file atomically, in compact form.
+        """Write the graph file atomically: compact, sorted-key JSON.
 
-        Compact separators keep CPython's C encoder on; the bytes decode to
-        the same object as the indented files older versions wrote.
+        The vertex table and ``meta`` are plain JSON; the edge table is
+        ``{"count": m, "ij": ..., "w": ...}`` with base64 of the m-by-2
+        little-endian int32 endpoints and of the m little-endian float64
+        weights, so a load reads the arrays back bit for bit.
         """
-        with _gc_paused():
-            in_u = self.in_U.tolist()
-            if self.coords is None:
-                verts = [{"in_U": u} for u in in_u]
-            else:
-                key = "xy" if self.coords.shape[1] == 2 else "xyz"
-                verts = [{"in_U": u, key: c} for u, c in zip(in_u, self.coords.tolist())]
-            edges = list(zip(*self.edges.T.tolist(), self.weights.tolist()))
-            payload = {"vertices": verts, "edges": edges, "meta": self.meta}
-            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        # free the tree before the write makes its copies of the text
-        del payload, verts, edges
-        _atomic_write(path, text + "\n")
+        if self._n >= 2**31:
+            raise GeometryError(f"{self._n} vertices do not fit the file's int32 ids")
+        in_u = self.in_U.tolist()
+        if self.coords is None:
+            verts = [{"in_U": u} for u in in_u]
+        else:
+            key = "xy" if self.coords.shape[1] == 2 else "xyz"
+            verts = [{"in_U": u, key: c} for u, c in zip(in_u, self.coords.tolist())]
+        edges = {"count": len(self.edges), "ij": _b64(self.edges, "<i4"),
+                 "w": _b64(self.weights, "<f8")}
+        payload = {"vertices": verts, "edges": edges, "meta": self.meta}
+        _atomic_write(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
     @classmethod
     def load(cls, path) -> "DiscreteLengthSpace":
-        """Read a length-space JSON file; malformed content is a GeometryError.
+        """Read a graph file written by :meth:`save`; malformed content is a GeometryError.
 
-        Vertex flags must be JSON booleans, edge entries JSON numbers and
-        edge endpoints integral ids of existing vertices.
+        Vertex flags must be JSON booleans.  The edge table's base64 members
+        must decode to exactly ``count`` endpoint pairs and weights; the
+        constructor then checks the ids, weights, duplicates, connectivity
+        and embedding.  A file whose ``edges`` is a list of triples predates
+        this format and is refused with the command that regenerates it.
         """
-        try:
-            with open(path) as fh, _gc_paused():
-                data = json.load(fh)
-                verts = data["vertices"]
-                meta = data.get("meta", {})
-                n = len(verts)
-                in_u = np.array([v["in_U"] for v in verts])
-                coords = None
-                if n and ("xy" in verts[0] or "xyz" in verts[0]):
-                    key = "xy" if "xy" in verts[0] else "xyz"
-                    coords = np.array([v[key] for v in verts], dtype=float)
-                table = np.array(data["edges"])
-            # free the parsed tree before the constructor builds its CSR matrices
-            del data, verts
-            if n and (in_u.dtype != bool or in_u.ndim != 1):
-                raise GeometryError("vertex in_U flags must be JSON booleans")
-            if table.dtype.kind == "O" and all(type(v) in (int, float) for v in table.flat):
-                # integers past 64 bits: as floats they fail the range check below
-                table = table.astype(float)
-            if table.dtype.kind not in "iuf":
-                raise GeometryError("edge entries must be JSON numbers")
-            table = table.astype(float, copy=False)
-            if table.size == 0:
-                table = table.reshape(0, 3)
-            if table.ndim != 2 or table.shape[1] != 3:
-                raise GeometryError("edges must be [i, j, weight] triples")
-            # checked on the floats: an int64 cast of a huge id would wrap
-            ids = table[:, :2]
-            if not np.all(ids == np.floor(ids)):
-                raise GeometryError("edge endpoints must be integral vertex ids")
-            if ids.min(initial=0) < 0 or ids.max(initial=-1) >= n:
-                raise GeometryError("edge endpoint out of range")
-            edges = ids.astype(np.int64)
-            weights = table[:, 2].copy()
-            del table, ids
-            return cls(coords, in_u, edges, weights, meta=meta)
-        except GeometryError:
-            raise
-        except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
-            raise GeometryError(f"malformed length-space JSON: {exc!r}") from exc
+        # the parsed tree dies with the reader's frame, before the CSR builds
+        return cls(*_read_graph_file(path))
 
     def nearest_vertex(self, point, require_in_U: bool = False) -> int:
         if self.coords is None:
@@ -699,6 +728,8 @@ def local_kappa_domain_check(
     default at every window size tried.
     """
     k = check_curvature(kappa)
+    if not radius > 0.0:
+        raise GeometryError(f"ball radius must be positive, got {radius!r}")
     if space.h <= 0.0:
         raise ResolutionError("space does not record its mesh size h")
     w = h_angle * space.h

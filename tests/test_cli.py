@@ -1,7 +1,9 @@
 """CLI surface: schemas, exit codes, reproducibility, CSV emission."""
 
+import base64
 import json
 import math
+import shlex
 
 import numpy as np
 import pytest
@@ -80,7 +82,10 @@ def test_domain_generate_schema(runner, tmp_path):
     data = json.loads(out.read_text())
     assert set(data) == {"vertices", "edges", "meta"}
     assert all(set(v) == {"xyz", "in_U"} for v in data["vertices"][:5])
-    assert all(len(e) == 3 for e in data["edges"][:5])
+    table = data["edges"]
+    assert set(table) == {"count", "ij", "w"} and table["count"] > 0
+    assert len(base64.b64decode(table["ij"])) == 8 * table["count"]
+    assert len(base64.b64decode(table["w"])) == 8 * table["count"]
     for key in ("generator", "h", "h_err"):
         assert key in data["meta"]
 
@@ -125,6 +130,25 @@ def test_space_scan_on_cap_file(runner, tmp_path, cap_file):
     rep = json.loads(out.read_text())
     assert rep["result"]["min_defect"] >= -1e-6
     assert rep["result"]["exact_metric"] == "sphere"
+
+
+@pytest.mark.parametrize("source, renamed", [("SPHERE", "sphere.txt"), ("CAP", "cap.dat")])
+def test_space_scan_reads_the_format_from_the_content(runner, tmp_path, readme_inputs,
+                                                      source, renamed):
+    original = readme_inputs[source]
+    copy = tmp_path / renamed
+    copy.write_bytes(open(original, "rb").read())
+    reports = []
+    for path in (original, copy):
+        out = tmp_path / "scan.json"
+        res = _run(runner, ["space", "scan", "--input", str(path), "--kappa", "1",
+                            "--samples", "4000", "--seed", "7", "-o", str(out),
+                            "--no-timestamp"])
+        assert res.exit_code in (0, 1), res.output
+        rep = json.loads(out.read_text())
+        assert rep["config"].pop("input") == str(path)
+        reports.append(rep)
+    assert reports[0] == reports[1]
 
 
 def test_space_local_check(runner, tmp_path):
@@ -215,13 +239,19 @@ def test_completion_and_area(runner, tmp_path):
     assert rep["result"]["estimate"] <= 0.2
 
 
-_DUPLICATE_EDGE = ('{"vertices": [{"in_U": true}, {"in_U": true}], '
-                   '"edges": [[0, 1, 1.0], [1, 0, 1.0]]}')
-_FRACTIONAL_ID = '{"vertices": [{"in_U": true}, {"in_U": true}], "edges": [[0.7, 1, 1.0]]}'
+def _graph(edges, weights, n=3, count=None, **members):
+    """Graph-file text over n open vertices with the given edge table."""
+    ij = np.asarray(edges, dtype="<i4").reshape(-1, 2)
+    table = {"count": len(ij) if count is None else count,
+             "ij": base64.b64encode(ij.tobytes()).decode(),
+             "w": base64.b64encode(np.asarray(weights, dtype="<f8").tobytes()).decode(),
+             **members}
+    return json.dumps({"vertices": [{"in_U": True}] * n, "edges": table})
+
+
 _STRING_FLAG = '{"vertices": [{"in_U": "false"}, {"in_U": true}], "edges": [[0, 1, 1.0]]}'
-_STRING_ID = '{"vertices": [{"in_U": true}, {"in_U": true}], "edges": [[0, "1", 1.0]]}'
-_HUGE_ID = ('{"vertices": [{"in_U": true}, {"in_U": true}], '
-            '"edges": [[0, 1180591620717411303424, 1.0]]}')
+_OLD_LIST_FORM = '{"vertices": [{"in_U": true}, {"in_U": true}], "edges": [[0, 1, 1.0]]}'
+_AE = ["convexity", "estimate", "--kind", "ae", "--p", "0"]
 
 
 @pytest.mark.parametrize("argv, name, content", [
@@ -232,26 +262,35 @@ _HUGE_ID = ('{"vertices": [{"in_U": true}, {"in_U": true}], '
      None, None),
     (["space", "local-check", "--center", "99999999", "--radius", "1", "--kappa", "0"],
      None, None),
-    (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", ""),
+    (_AE, "bad.json", ""),
     (["convexity", "search", "--p", "0", "--q", "1", "--s", "2", "--epsilon", "0.3"],
      "bad.json", "{"),
     (["space", "local-check", "--center", "0", "--radius", "1", "--kappa", "0"],
      "bad.json", "[]"),
     (["completion", "compare"], "bad.json", '{"vertices": [{"xy": [0, 0]}]}'),
-    (["space", "scan", "--kappa", "1"], "bad.json", '{"vertices": [], "edges": []}'),
+    (["space", "scan", "--kappa", "1"], "bad.json", _graph([], [], n=0)),
     (["space", "scan", "--kappa", "1"], "bad.csv", "0,x\n1"),
-    (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _DUPLICATE_EDGE),
-    (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _FRACTIONAL_ID),
-    (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _STRING_FLAG),
-    (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _HUGE_ID),
-    (["convexity", "estimate", "--kind", "ae", "--p", "0"], "bad.json", _STRING_ID),
+    (_AE, "bad.json", _graph([[0, 1], [1, 0]], [1.0, 1.0])),
+    (_AE, "bad.json", _STRING_FLAG),
     (["space", "scan", "--kappa", "1", "--samples", "-5"], None, None),
     (["space", "scan", "--kappa", "1", "--subset", "-3"], None, None),
     (["space", "scan", "--kappa", "1", "--samples", "0"], None, None),
+    (_AE, "bad.json", _graph([[0, 1]], [1.0], ij="AAAA!AAAAAAA")),
+    (_AE, "bad.json", _graph([[0, 1], [1, 2]], [1.0, 1.0], count=3)),
+    (_AE, "bad.json", _graph([[0, 1], [1, 2]], [1.0])),
+    (_AE, "bad.json", _graph([[0, 1], [-1, 2]], [1.0, 1.0])),
+    (_AE, "bad.json", _graph([[0, 1], [1, 3]], [1.0, 1.0])),
+    (_AE, "bad.json", _graph([[0, 1], [1, 2]], [1.0, math.nan])),
+    (_AE, "bad.json", _graph([[0, 1], [1, 2]], [0.0, 1.0])),
+    (_AE, "bad.json", '{"vertices": [{"in_U": true}], "edges": 7}'),
+    (["space", "scan", "--kappa", "1"], "bad.json", _OLD_LIST_FORM),
+    (["space", "scan", "--kappa", "1"], "blank.txt", " \n\n"),
 ], ids=["p-past-end", "p-negative", "s-past-end", "q-negative", "center-past-end",
         "empty-json", "truncated-json", "json-list", "vertex-without-flag", "no-vertices",
-        "malformed-csv", "duplicate-edge", "fractional-id", "string-flag", "id-2-pow-70",
-        "string-id", "scan-negative-samples", "scan-negative-subset", "scan-zero-samples"])
+        "malformed-csv", "duplicate-edge", "string-flag", "scan-negative-samples",
+        "scan-negative-subset", "scan-zero-samples", "invalid-base64", "ij-short-of-count",
+        "w-count-disagrees", "negative-id", "id-past-end", "nan-weight", "zero-weight",
+        "edges-number", "old-list-form", "blank-file"])
 def test_bad_vertex_ids_and_input_files_exit_2(runner, tmp_path, cap_file, argv, name,
                                                 content):
     path = cap_file
@@ -260,6 +299,31 @@ def test_bad_vertex_ids_and_input_files_exit_2(runner, tmp_path, cap_file, argv,
         path.write_text(content)
     res = _run(runner, argv + ["--input", str(path)])
     assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    if content == _OLD_LIST_FORM:
+        assert "domain generate" in res.output
+
+
+def test_old_list_form_file_names_the_command_that_rebuilds_it(runner, tmp_path):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    res = _run(runner, ["domain", "generate", "--kind", "punctured", "--h", "0.0625",
+                        "--stencil-radius", "3", "--remove-point", "0.5,0.25",
+                        "--seed", "4", "-o", str(new)])
+    assert res.exit_code == 0
+    data = json.loads(new.read_text())
+    table = data["edges"]
+    ij = np.frombuffer(base64.b64decode(table["ij"]), dtype="<i4").reshape(-1, 2)
+    w = np.frombuffer(base64.b64decode(table["w"]), dtype="<f8")
+    data["edges"] = [[int(i), int(j), float(x)] for (i, j), x in zip(ij, w)]
+    old.write_text(json.dumps(data, indent=1))
+    res = _run(runner, ["space", "local-check", "--input", str(old), "--center", "0",
+                        "--radius", "1", "--kappa", "0"])
+    assert res.exit_code == 2
+    argv = shlex.split(" ".join(res.output.split("`")[1].split()))
+    assert argv[:3] == ["alexkit", "domain", "generate"]
+    res = _run(runner, argv[1:])
+    assert res.exit_code == 0
+    assert old.read_bytes() == new.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +333,11 @@ def dense_file(tmp_path_factory):
                               str(1 / 64), "--delta", "0.2", "--segments", "20",
                               "-o", str(path)], catch_exceptions=False)
     return path
+
+
+_PQS = ["convexity", "estimate", "--input", "CAP", "--p", "0", "--q", "1", "--s", "2"]
+_LOCAL = ["space", "local-check", "--input", "DENSE", "--center", "0", "--kappa", "0",
+          "--radius"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -284,14 +353,34 @@ def dense_file(tmp_path_factory):
     ["area", "estimate", "--delta", "0.2", "--samples", "-3"],
     ["completion", "compare", "--input", "DENSE", "--pairs", "-1"],
     ["plot", "emit", "--input", "NOT_JSON", "-o", "OUT"],
+    _PQS + ["--step", "nan"],
+    _PQS + ["--step", "inf"],
+    _PQS + ["--step", "0"],
+    _LOCAL + ["nan"],
+    _LOCAL + ["0"],
+    _LOCAL + ["-1"],
+    ["convexity", "search", "--input", "CAP", "--p", "0", "--q", "1", "--s", "2",
+     "--epsilon", "0.3", "--candidates", "0"],
+    ["completion", "compare", "--input", "DENSE", "--epsilon", "-1"],
+    ["completion", "compare", "--input", "DENSE", "--epsilon", "nan"],
+    _PQS + ["--slack", "nan"],
+    _PQS + ["--slack", "-1"],
+    ["convexity", "estimate", "--input", "CAP", "--kind", "ae", "--p", "0",
+     "--slack", "inf"],
+    ["convexity", "estimate", "--input", "CAP", "--kind", "ae", "--p", "0",
+     "--samples", "0"],
 ], ids=["sphere-negative-n", "cap-nan-h", "cap-infinite-h", "punctured-nan-side",
         "point-not-numbers", "point-three-coords", "segment-two-coords",
         "area-zero-samples", "area-negative-samples", "completion-negative-pairs",
-        "plot-not-json"])
-def test_bad_parameters_exit_2(runner, tmp_path, dense_file, argv):
+        "plot-not-json", "estimate-nan-step", "estimate-infinite-step", "estimate-zero-step",
+        "local-check-nan-radius", "local-check-zero-radius", "local-check-negative-radius",
+        "search-zero-candidates", "completion-negative-epsilon", "completion-nan-epsilon",
+        "estimate-nan-slack", "estimate-negative-slack", "ae-infinite-slack", "ae-zero-samples"])
+def test_bad_parameters_exit_2(runner, tmp_path, dense_file, cap_file, argv):
     not_json = tmp_path / "notes.txt"
     not_json.write_text("not json\n")
-    paths = {"OUT": tmp_path / "out", "DENSE": dense_file, "NOT_JSON": not_json}
+    paths = {"OUT": tmp_path / "out", "DENSE": dense_file, "CAP": cap_file,
+             "NOT_JSON": not_json}
     res = _run(runner, [str(paths.get(a, a)) for a in argv])
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output

@@ -1,7 +1,9 @@
 """Metric carriers, geodesic walks, quadruple scans, local domain checks."""
 
+import base64
 import json
 import math
+import shlex
 import warnings
 from dataclasses import asdict
 
@@ -226,7 +228,7 @@ def test_space_json_round_trip(tmp_path, punctured_square):
 
 
 def _indented_save(space, path):
-    """The indented writer of earlier versions, kept as the file-format oracle."""
+    """The indented writer of earlier versions, with edges as [i, j, w] triples."""
     verts = []
     for i in range(space.n_vertices):
         entry = {"in_U": bool(space.in_U[i])}
@@ -256,14 +258,35 @@ def _assert_same_space(a, b):
                                   "wide_cap", "dense_square"])
 def test_compact_file_decodes_like_indented_file(request, tmp_path, name):
     sp = request.getfixturevalue(name)
-    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old, first, second = tmp_path / "old.json", tmp_path / "a.json", tmp_path / "b.json"
     _indented_save(sp, old)
-    sp.save(new)
-    assert json.loads(new.read_text()) == json.loads(old.read_text())
-    assert len(new.read_bytes()) < len(old.read_bytes())
-    # files from earlier versions keep loading to the same arrays and meta
-    _assert_same_space(DiscreteLengthSpace.load(old), sp)
-    _assert_same_space(DiscreteLengthSpace.load(new), sp)
+    sp.save(first)
+    back = DiscreteLengthSpace.load(first)
+    _assert_same_space(back, sp)
+    back.save(second)
+    assert first.read_bytes() == second.read_bytes()
+    # the vertex table and meta read as the old writer's; only the edges are binary
+    new_data, old_data = json.loads(first.read_text()), json.loads(old.read_text())
+    assert new_data["vertices"] == old_data["vertices"]
+    assert new_data["meta"] == old_data["meta"]
+    table = new_data["edges"]
+    assert list(table) == ["count", "ij", "w"] and table["count"] == len(sp.edges)
+    ij = np.frombuffer(base64.b64decode(table["ij"]), dtype="<i4").reshape(-1, 2)
+    w = np.frombuffer(base64.b64decode(table["w"]), dtype="<f8")
+    assert [[int(i), int(j), float(x)] for (i, j), x in zip(ij, w)] == old_data["edges"]
+    assert len(first.read_bytes()) < len(old.read_bytes())
+
+
+def test_old_list_form_file_is_refused_with_its_regeneration_argv(tmp_path, punctured_square):
+    path = tmp_path / "old.json"
+    _indented_save(punctured_square, path)
+    with pytest.raises(GeometryError, match="domain generate") as info:
+        DiscreteLengthSpace.load(path)
+    argv = shlex.split(str(info.value).split("`")[1])
+    assert argv[:3] == ["alexkit", "domain", "generate"]
+    assert argv[argv.index("--remove-point") + 1] == "0.5,0.5"
+    assert argv[argv.index("--seed") + 1] == "0"
+    assert argv[-2:] == ["-o", str(path)]
 
 
 def test_failed_save_keeps_previous_file(tmp_path, full_square):
@@ -278,15 +301,36 @@ def test_failed_save_keeps_previous_file(tmp_path, full_square):
     assert [p.name for p in tmp_path.iterdir()] == ["space.json"]
 
 
+def _table(ij, w, count=None):
+    """A graph file's edge table holding the given endpoint pairs and weights."""
+    ij = np.asarray(ij, dtype="<i4").reshape(-1, 2)
+    return {"count": len(ij) if count is None else count,
+            "ij": base64.b64encode(ij.tobytes()).decode(),
+            "w": base64.b64encode(np.asarray(w, dtype="<f8").tobytes()).decode()}
+
+
+_TWO = [{"in_U": True}, {"in_U": True}]
+_THREE = [{"in_U": True}] * 3
+
+
 @pytest.mark.parametrize("vertices, edges, match", [
     ([{"in_U": "false"}, {"in_U": True}], [[0, 1, 1.0]], "JSON booleans"),
     ([{"in_U": 1}, {"in_U": True}], [[0, 1, 1.0]], "JSON booleans"),
-    ([{"in_U": True}, {"in_U": True}], [[0.7, 1, 1.0]], "integral"),
-    ([{"in_U": True}, {"in_U": True}], [[0, 1, 1.0, 2]], "triples"),
-    ([{"in_U": True}, {"in_U": True}], [[0, 2**70, 1.0]], "out of range"),
-    ([{"in_U": True}, {"in_U": True}], [[-1, 1, 1.0]], "out of range"),
-    ([{"in_U": True}, {"in_U": True}], [[0, "1", 1.0]], "JSON numbers"),
-    ([{"in_U": True}, {"in_U": True}], [[0, 1, 1.0], [1, 2**70, "1"]], "JSON numbers"),
+    (_TWO, {**_table([[0, 1]], [1.0]), "ij": "AAAA!AAAAAAA"}, "malformed"),
+    (_TWO, {**_table([[0, 1]], [1.0]), "ij": "AAAAAAAAAAAAAAAA"}, "edges.ij holds 12 bytes"),
+    (_TWO, _table([[0, 2**31 - 1]], [1.0]), "out of range"),
+    (_TWO, _table([[-1, 1]], [1.0]), "out of range"),
+    (_THREE, _table([[0, 1], [1, 2]], [1.0]), "edges.w holds 8 bytes"),
+    (_THREE, _table([[0, 1]], [1.0, 1.0], count=1), "edges.w holds 16 bytes"),
+    (_TWO, _table([[0, 1]], [math.nan]), "positive and finite"),
+    (_TWO, _table([[0, 1]], [0.0]), "positive and finite"),
+    (_THREE, _table([[0, 1], [1, 2], [1, 0]], [1.0] * 3), "duplicate edges"),
+    (_TWO, 5, "must be an object"),
+    (_TWO, "edges", "must be an object"),
+    (_TWO, {**_table([[0, 1]], [1.0]), "count": True}, "nonnegative integer"),
+    (_TWO, {**_table([[0, 1]], [1.0]), "count": -1}, "nonnegative integer"),
+    (_TWO, {"count": 1, "ij": "AAAAAAAAAAA="}, "malformed"),
+    (_TWO, [[0, 1, 1.0]], "domain generate"),
 ])
 def test_load_rejects_malformed_values(tmp_path, vertices, edges, match):
     path = tmp_path / "bad.json"
