@@ -17,6 +17,9 @@ import numpy as np
 from . import comparison, convexity, domains, reporting, spaces
 from .errors import GeometryError
 
+# every seed keys a random stream; the sweeps' Philox keys hold it in 64 bits
+_SEED = click.IntRange(0, 2**64 - 1)
+
 
 def _emit(path, envelope):
     if path is None:
@@ -57,7 +60,7 @@ def lemma():
 @click.option("--a-max", default=2.0, show_default=True, type=float)
 @click.option("--segments", default=6, show_default=True, type=int,
               help="Maximum chain length for the multi sweep.")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 @click.option("--no-timestamp", is_flag=True, default=False)
 def lemma_verify(which, trials, scale, kappa_min, kappa_max, a_min, a_max,
@@ -65,27 +68,25 @@ def lemma_verify(which, trials, scale, kappa_min, kappa_max, a_min, a_max,
     """Run a synthetic-hinge sweep and assert its defect budget."""
     kr = (kappa_min, kappa_max)
     ar = (a_min, a_max)
+    # each sweep with the parameters it reads; the config echoes exactly these
+    sweep, params = {
+        "weighted2": (comparison.verify_weighted_pair,
+                      {"scale": scale, "kappa_range": kr, "a_range": ar}),
+        "multi": (comparison.verify_weighted_multi,
+                  {"scale": scale, "kappa_range": kr, "a_range": ar, "max_segments": segments}),
+        "alternating": (comparison.verify_alternating,
+                        {"scale": scale, "kappa_range": kr, "a_range": ar, "max_blocks": 3}),
+        # extension never runs above its default scale
+        "extension": (comparison.verify_extension,
+                      {"scale": min(scale, 1e-3), "kappa_range": kr}),
+        "alexandrov": (comparison.verify_alexandrov,
+                       {"kappas": (-1.0, 0.0, 1.0), "tol": 1e-9}),
+    }[which]
     try:
-        if which == "weighted2":
-            rep = comparison.verify_weighted_pair(trials, scale=scale, kappa_range=kr,
-                                                  a_range=ar, seed=seed)
-        elif which == "multi":
-            rep = comparison.verify_weighted_multi(trials, scale=scale, kappa_range=kr,
-                                                   a_range=ar, seed=seed,
-                                                   max_segments=segments)
-        elif which == "alternating":
-            rep = comparison.verify_alternating(trials, scale=scale, kappa_range=kr,
-                                                a_range=ar, seed=seed)
-        elif which == "extension":
-            rep = comparison.verify_extension(trials, scale=min(scale, 1e-3),
-                                              kappa_range=kr, seed=seed)
-        else:
-            rep = comparison.verify_alexandrov(trials, seed=seed)
+        rep = sweep(trials, seed=seed, **params)
     except GeometryError as exc:
         raise click.UsageError(str(exc))
-    config = {"which": which, "trials": trials, "scale": scale,
-              "kappa_range": list(kr), "a_range": list(ar),
-              "segments": segments, "seed": seed}
+    config = {"which": which, "trials": trials, "seed": seed, **params}
     env = reporting.make_envelope(
         "lemma verify", config, rep.to_dict(), seed=seed,
         tolerances={"budget_exponent": rep.budget_exponent},
@@ -126,7 +127,7 @@ def _coordinates(text):
               help="x1,y1,x2,y2 of a removed slit (repeatable).")
 @click.option("--n", "n_points", default=500, show_default=True, type=int,
               help="Point count for sphere_points (CSV distance matrix).")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
 def domain_generate(kind, cap_radius, resolution, delta, num_segments, side,
                     stencil_radius, removed_points, removed_segments, n_points,
@@ -190,7 +191,7 @@ def space():
 @click.option("--exhaustive", is_flag=True, default=False)
 @click.option("--min-defect-tol", default=None, type=float,
               help="Assert the minimum defect stays above -tol.")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 @click.option("--no-timestamp", is_flag=True, default=False)
 def space_scan(path, kappa, samples, subset, exhaustive, min_defect_tol, seed,
@@ -219,7 +220,7 @@ def space_scan(path, kappa, samples, subset, exhaustive, min_defect_tol, seed,
 @click.option("--kappa", required=True, type=float)
 @click.option("--samples", default=20, show_default=True, type=int)
 @click.option("--h-angle", default=3, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 @click.option("--no-timestamp", is_flag=True, default=False)
 def space_local_check(path, center, radius, kappa, samples, h_angle, seed,
@@ -265,7 +266,7 @@ def convexity_group():
               help="Vertex sample count for the ae estimate.")
 @click.option("--emit-samples", is_flag=True, default=False,
               help="Keep the per-sample (arc_length, connectable) series.")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 @click.option("--no-timestamp", is_flag=True, default=False)
 def convexity_estimate(path, kind, p_id, q_id, s_id, step, slack, samples,
@@ -300,7 +301,7 @@ def convexity_estimate(path, kind, p_id, q_id, s_id, step, slack, samples,
 @click.option("--candidates", default=64, show_default=True, type=int)
 @click.option("--step", default=None, type=float)
 @click.option("--slack", default=None, type=float)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 @click.option("--no-timestamp", is_flag=True, default=False)
 def convexity_search(path, p_id, q_id, s_id, epsilon, candidates, step, slack,
@@ -335,7 +336,7 @@ def completion():
 @click.option("--input", "path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--pairs", default=200, show_default=True, type=int)
 @click.option("--epsilon", default=0.05, show_default=True, type=float)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 @click.option("--no-timestamp", is_flag=True, default=False)
 def completion_compare_cmd(path, pairs, epsilon, seed, output, no_timestamp):
@@ -363,7 +364,7 @@ def area():
 @click.option("--delta", required=True, type=float)
 @click.option("--segments", "num_segments", default=200, show_default=True, type=int)
 @click.option("--samples", default=100_000, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=_SEED)
 @click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
 @click.option("--no-timestamp", is_flag=True, default=False)
 def area_estimate_cmd(delta, num_segments, samples, seed, output, no_timestamp):

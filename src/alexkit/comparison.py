@@ -11,34 +11,38 @@ by pushing a hinge vertex further out along its ray.
 Each calculator is paired with a synthetic-hinge sweep that constructs
 random configurations satisfying the relevant hypothesis exactly and
 records the signed defect of the conclusion against a third-order budget.
+The sweeps run in blocks of trials on the array kernels of ``trig``: each
+block draws from a Philox stream keyed by (seed, block index), and
+``_synthesize_chains`` builds its chains junction by junction.  The scalar
+calculators and ``_chain`` are the public API and the engine's oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateAngleError,
-    GeometryError,
-    InvalidTriangleError,
-    TrigDomainError,
-    UndefinedModelAngleError,
+from .errors import GeometryError, UndefinedModelAngleError
+from .trig import (
+    angle_from_sides,
+    batch_cos_angle,
+    batch_f,
+    batch_f_inverse,
+    batch_model_side,
+    check_curvature,
+    f,
+    f_inverse,
+    model_side,
 )
-from .trig import angle_from_sides, check_curvature, f, f_inverse, model_side
 
 DEFAULT_BUDGET_EXPONENT = 2.5
 
 # hinge synthesis keeps angles away from the degenerate 0 / pi endpoints
 _ANGLE_FLOOR = 0.1
 _SECOND_ANGLE_FLOOR = 0.05
-
-
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    # keyed per trial so chunked/parallel execution cannot change results
-    return np.random.default_rng([int(seed), int(index)])
 
 
 @dataclass(frozen=True)
@@ -115,10 +119,12 @@ def kappa_bar_two(a: float, b: float, d: float, k1: float, k2: float) -> float:
     return f_inverse(a, y, bracket=(lo - pad, hi + pad))
 
 
-def _hinge_weights(lengths: list[float]) -> np.ndarray:
+def _hinge_weights(lengths) -> np.ndarray:
+    """Blend weight of each segment, along the last axis (zero-padded rows allowed)."""
     c = np.asarray(lengths, dtype=float)
-    total = c.sum()
-    suffix = np.concatenate([np.cumsum(c[::-1])[::-1][1:], [0.0]])
+    total = c.sum(axis=-1, keepdims=True)
+    suffix = np.zeros_like(c)
+    suffix[..., :-1] = np.cumsum(c[..., ::-1], axis=-1)[..., ::-1][..., 1:]
     return c * (c + 2.0 * suffix) / (total * total)
 
 
@@ -255,6 +261,7 @@ class SweepReport:
     budget_violations: int
     worst_case: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
+    work: dict = field(default_factory=dict)  # blocks drawn, hinges built, inverses solved
 
     @property
     def passed(self) -> bool:
@@ -278,6 +285,7 @@ class SweepReport:
             "budget_violations": self.budget_violations,
             "passed": self.passed,
             "worst_case": self.worst_case,
+            "work": self.work,
             **self.extra,
         }
 
@@ -298,6 +306,7 @@ def _chain(rng, base: float, lengths, kappas, theta1: float):
     with an angle drawn from ``rng`` that keeps the junction's angle sum
     at most pi.  Returns the distance from p to the chain's far end and the
     last hinge angle, or None when a junction leaves no room for a hinge.
+    The scalar oracle of :func:`_synthesize_chains`.
     """
     reach = model_side(kappas[0], base, lengths[0], theta1)
     theta = theta1
@@ -311,60 +320,259 @@ def _chain(rng, base: float, lengths, kappas, theta1: float):
     return reach, theta
 
 
-def _sweep(lemma, trials, seed, scale, exponent, trial, audits=(), extra=None) -> SweepReport:
-    """Run ``trial`` on per-trial streams and collect its defects into a report.
 
-    ``trial(rng)`` returns None to skip, or ``(defect, budget, inputs,
-    failed)`` with ``failed`` the names among ``audits`` whose check
-    failed.  A trial that raises GeometryError is skipped.
+
+# ---------------------------------------------------------------------------
+# batch engine
+
+# A block holds at most this many trial-by-segment cells (and at least one
+# trial), so its memory grows with neither the trial count nor, up to this
+# many segments, the chain length.
+_BLOCK_CELLS = 16384
+# the block index whose Philox key feeds extension's deterministic audits;
+# no sweep draws 2**64 - 1 blocks
+_AUDIT_BLOCK = 2**64 - 1
+
+
+def _block_rows(width: int = 1) -> int:
+    """Trials per block for trials that draw ``width`` values per segment column."""
+    return max(1, _BLOCK_CELLS // max(width, 8))
+
+
+class _Stream:
+    """Uniform draws for one block of trials, from a Philox key of (seed, block).
+
+    Every draw takes a whole block's worth of numbers and keeps the first
+    ``count`` rows, so a trial's inputs do not depend on how many trials run.
+    """
+
+    def __init__(self, seed: int, index: int, rows: int, count: int):
+        self.rng = np.random.Generator(np.random.Philox(key=int(seed) + (index << 64)))
+        self.rows = rows
+        self.count = count
+
+    def uniform(self, lo=0.0, hi=1.0, cols: int | None = None) -> np.ndarray:
+        size = self.rows if cols is None else (self.rows, cols)
+        return lo + (hi - lo) * self.rng.random(size)[: self.count]
+
+    def integers(self, lo: int, hi: int) -> np.ndarray:
+        return self.rng.integers(lo, hi, self.rows)[: self.count]
+
+
+def _streams(trials: int, seed: int, rows: int):
+    for index, start in enumerate(range(0, trials, rows)):
+        yield _Stream(seed, index, rows, min(rows, trials - start))
+
+
+def _angle(kappa, opposite, u, v):
+    """Array ``angle_from_sides``: NaN wherever it raises.
+
+    Also returns the mask of entries where it raises
+    :class:`UndefinedModelAngleError` rather than another geometry error.
+    """
+    cosang, valid, defined = batch_cos_angle(kappa, opposite, u, v)
+    with np.errstate(invalid="ignore"):
+        valid &= np.isfinite(kappa) & np.isfinite(opposite + u + v) & (opposite >= 0.0)
+        ok = valid & defined & (np.abs(cosang) <= 1.0 + 1e-9)
+        angle = np.where(ok, np.arccos(np.clip(cosang, -1.0, 1.0)), np.nan)
+    return angle, valid & ~defined
+
+
+def _synthesize_chains(base, lengths, kappas, counts, theta1, uniforms):
+    """:func:`_chain` for a block of trials at once, junction by junction.
+
+    Row i glues ``counts[i]`` hinges from ``base[i]`` and the leading
+    entries of ``lengths[i]`` and ``kappas[i]``; the hinge angle at junction
+    j is ``lo + (hi - lo) * uniforms[i, j - 1]`` over the range ``_chain``
+    draws from.  A row whose junction leaves no room, or whose kernel call
+    would raise, dies there.  Returns the far distance and the last hinge
+    angle per row, NaN for dead rows, and the number of hinges built.
+    """
+    reach = batch_model_side(kappas[:, 0], base, lengths[:, 0], theta1)
+    near = np.array(base, dtype=float)
+    theta = np.array(theta1, dtype=float)
+    hinges = reach.size
+    for j in range(1, lengths.shape[1]):
+        rows = np.flatnonzero((counts > j) & ~np.isnan(reach))
+        if rows.size == 0:
+            break
+        back, _ = _angle(kappas[rows, j - 1], near[rows], reach[rows], lengths[rows, j - 1])
+        room = math.pi - back
+        fits = room > _SECOND_ANGLE_FLOOR
+        reach[rows[~fits]] = np.nan
+        rows, room = rows[fits], room[fits]
+        angle = _SECOND_ANGLE_FLOOR + (room - _SECOND_ANGLE_FLOOR) * uniforms[rows, j - 1]
+        prev = reach[rows]
+        near[rows] = prev
+        reach[rows] = batch_model_side(kappas[rows, j], prev, lengths[rows, j], angle)
+        theta[rows] = angle
+        hinges += rows.size
+    theta[np.isnan(reach)] = np.nan
+    return reach, theta, hinges
+
+
+def _blend_two(a, b, d, k1, k2, live):
+    """:func:`kappa_bar_two` on the ``live`` rows, NaN elsewhere and where it raises.
+
+    Also returns the number of inverses solved.
+    """
+    f1, f2 = batch_f(a, k1), batch_f(a, k2)
+    kbar = np.where(live & ~np.isnan(f1), k1, np.nan)
+    solve = ~np.isnan(kbar) & (k1 != k2)
+    a, b, d, k1, k2, f1, f2 = (x[solve] for x in (a, b, d, k1, k2, f1, f2))
+    s = b + d
+    y = ((b * b + 2.0 * b * d) * f1 + d * d * f2) / (s * s)
+    lo, hi = np.minimum(k1, k2), np.maximum(k1, k2)
+    pad = 1e-9 * (1.0 + hi - lo)
+    kbar[solve] = batch_f_inverse(a, y, lo - pad, hi + pad)
+    return kbar, int(solve.sum())
+
+
+def _blend_lower(lengths, kappas):
+    """Relaxed lower blend of rows of zero-padded chains."""
+    return (_hinge_weights(lengths) * kappas).sum(axis=-1)
+
+
+def _blend_sharp(a, lengths, kappas, within, live):
+    """Sharp blend of :func:`kappa_bar_multi` on the ``live`` rows, NaN elsewhere.
+
+    ``within`` masks each row's segments.  Also returns the number of
+    inverses solved.
+    """
+    y = np.where(within, _hinge_weights(lengths) * batch_f(a[:, None], kappas), 0.0).sum(axis=1)
+    lo = np.where(within, kappas, np.inf).min(axis=1)
+    hi = np.where(within, kappas, -np.inf).max(axis=1)
+    sharp = np.where(live & ~np.isnan(y), lo, np.nan)
+    solve = ~np.isnan(sharp) & (lo != hi)
+    pad = 1e-9 * (1.0 + hi - lo)
+    sharp[solve] = batch_f_inverse(a[solve], y[solve], (lo - pad)[solve], (hi + pad)[solve])
+    return sharp, int(solve.sum())
+
+
+def _extension_star(a, r, kappa, live):
+    """:func:`kappa_star_extension` on the ``live`` entries, NaN elsewhere.
+
+    Also returns the number of inverses solved.
+    """
+    a, r, kappa, live = np.broadcast_arrays(a, r, kappa, live)
+    y = batch_f(r, kappa)
+    star = np.where(live & (0.0 < r) & (r <= a) & ~np.isnan(y), kappa, np.nan)
+    solve = ~np.isnan(star) & (a != r)
+    k = kappa[solve]
+    star[solve] = batch_f_inverse(a[solve], y[solve], -1.0e4, k + 1e-9 * (1.0 + np.abs(k)))
+    return star, int(solve.sum())
+
+
+@dataclass
+class _Block:
+    """Per-trial outcomes of one block of a budgeted sweep.
+
+    A NaN defect marks a skipped trial.  ``inputs`` holds what each trial
+    drew and derived; ``record(i)`` is trial i's worst-case entry.
+    """
+
+    defect: np.ndarray
+    budget: np.ndarray
+    failed: dict
+    inputs: dict
+    record: Callable[[int], dict]
+    hinges: int = 0
+    inverses: int = 0
+
+
+def _floats(inputs: dict, names, i: int) -> dict:
+    return {name: float(inputs[name][i]) for name in names}
+
+
+def _sweep(lemma, trials, seed, scale, exponent, block, rows, audits=(), extra=None) -> SweepReport:
+    """Run ``block`` over the Philox blocks of ``trials`` and collect a report.
+
+    Only the running minimum, its trial's record and the counts outlive a
+    block.  An audit counts a failure only on an evaluated trial.
     """
     if trials < 1:
         raise GeometryError("trials must be >= 1")
     if not (math.isfinite(scale) and scale > 0.0):
         raise GeometryError(f"scale must be finite and positive, got {scale!r}")
     counts = dict.fromkeys(audits, 0)
-    defects, budgets, inputs = [], [], []
-    skipped = 0
-    for i in range(trials):
-        try:
-            outcome = trial(_trial_rng(seed, i))
-        except GeometryError:
-            outcome = None
-        if outcome is None:
-            skipped += 1
-            continue
-        defect, budget, record, failed = outcome
-        for name in failed:
-            counts[name] += 1
-        defects.append(defect)
-        budgets.append(budget)
-        inputs.append(record)
-    if defects:
-        arr = np.asarray(defects)
-        i = int(np.argmin(arr))
-        min_defect = float(arr[i])
-        violations = int(np.sum(arr < -np.asarray(budgets)))
-        worst = dict(inputs[i])
-        worst["signed_defect"] = min_defect
-        worst["budget"] = float(budgets[i])
-    else:
-        min_defect = math.inf
-        violations = 0
-        worst = {}
+    work = {"blocks": 0, "hinges": 0, "inverses": 0}
+    evaluated = violations = 0
+    min_defect, worst = math.inf, {}
+    for stream in _streams(trials, seed, rows):
+        out = block(stream)
+        live = ~np.isnan(out.defect)
+        work["blocks"] += 1
+        work["hinges"] += out.hinges
+        work["inverses"] += out.inverses
+        evaluated += int(live.sum())
+        violations += int(np.sum(out.defect[live] < -out.budget[live]))
+        for name in audits:
+            counts[name] += int(np.sum(out.failed[name] & live))
+        if live.any():
+            i = int(np.nanargmin(out.defect))
+            if out.defect[i] < min_defect:
+                min_defect = float(out.defect[i])
+                worst = {**out.record(i), "signed_defect": min_defect,
+                         "budget": float(out.budget[i])}
     return SweepReport(
         lemma=lemma,
         trials=trials,
-        evaluated=len(defects),
-        skipped=skipped,
+        evaluated=evaluated,
+        skipped=trials - evaluated,
         seed=seed,
         scale=scale,
         budget_exponent=exponent,
         min_signed_defect=min_defect,
-        max_defect=max(0.0, -min_defect) if defects else 0.0,
+        max_defect=max(0.0, -min_defect) if evaluated else 0.0,
         budget_violations=violations,
         worst_case=worst,
         extra={**counts, **(extra or {})},
+        work=work,
     )
+
+
+def _chain_lengths(stream, scale, within):
+    """Segment lengths summing to a drawn total, zero past each row's count."""
+    raw = np.where(within, stream.uniform(0.05, 1.0, within.shape[1]), 0.0)
+    total = scale * stream.uniform(0.05, 1.0)
+    return total[:, None] * raw / raw.sum(axis=1, keepdims=True)
+
+
+# ---------------------------------------------------------------------------
+# verification sweeps
+
+
+def _weighted2(scale, kappa_range, a_range, exponent):
+    klo, khi = _check_range("kappa_range", kappa_range)
+    alo, ahi = _check_range("a_range", a_range, positive=True)
+
+    def block(stream):
+        a = stream.uniform(alo, ahi)
+        k1 = stream.uniform(klo, khi)
+        k2 = stream.uniform(klo, khi)
+        total = scale * stream.uniform(0.05, 1.0)
+        b = total * stream.uniform()
+        d = total - b
+        theta1 = stream.uniform(_ANGLE_FLOOR, math.pi - _ANGLE_FLOOR)
+        junction = stream.uniform(cols=1)
+        ps, theta2, hinges = _synthesize_chains(
+            a, np.stack([b, d], axis=1), np.stack([k1, k2], axis=1), 2, theta1, junction)
+        live = ~np.isnan(ps) & (b > 0.0) & (d > 0.0)
+        kbar, inverses = _blend_two(a, b, d, k1, k2, live)
+        s = b + d
+        rhs, _ = _angle(kbar, ps, a, s)
+        bound1 = ((b * b + 2.0 * b * d) * k1 + d * d * k2) / (s * s)
+        bound2 = np.minimum(k1, (b * b * k1 + d * d * k2) / (b * b + d * d))
+        inputs = {"a": a, "b": b, "d": d, "k1": k1, "k2": k2, "theta1": theta1,
+                  "theta2": theta2, "kappa_bar": kbar, "junction": junction}
+        return _Block(
+            defect=theta1 - rhs, budget=s ** exponent,
+            failed={"remark_bound_failures": kbar < np.maximum(bound1, bound2) - 1e-9},
+            inputs=inputs, hinges=hinges, inverses=inverses,
+            record=lambda i: _floats(inputs, ("a", "b", "d", "k1", "k2", "theta1",
+                                              "theta2", "kappa_bar"), i))
+
+    return block
 
 
 def verify_weighted_pair(
@@ -385,36 +593,50 @@ def verify_weighted_pair(
     defect must stay above -(b+d)^budget_exponent.  Also audits both lower
     bounds on the blended curvature.
     """
+    block = _weighted2(scale, kappa_range, a_range, budget_exponent)
+    return _sweep("weighted2", trials, seed, scale, budget_exponent, block, _block_rows(),
+                  audits=("remark_bound_failures",))
+
+
+def _multi(scale, kappa_range, a_range, max_segments, exponent):
     klo, khi = _check_range("kappa_range", kappa_range)
     alo, ahi = _check_range("a_range", a_range, positive=True)
+    if max_segments < 2:
+        raise GeometryError(f"max_segments must be >= 2, got {max_segments!r}")
 
-    def trial(rng):
-        a = rng.uniform(alo, ahi)
-        k1 = rng.uniform(klo, khi)
-        k2 = rng.uniform(klo, khi)
-        total = scale * rng.uniform(0.05, 1.0)
-        b = total * rng.uniform(0.0, 1.0)
-        d = total - b
-        theta1 = rng.uniform(_ANGLE_FLOOR, math.pi - _ANGLE_FLOOR)
-        if b <= 0.0 or d <= 0.0:
-            return None
-        chain = _chain(rng, a, (b, d), (k1, k2), theta1)
-        if chain is None:
-            return None
-        ps, theta2 = chain
-        kbar = kappa_bar_two(a, b, d, k1, k2)
-        s = b + d
-        rhs = angle_from_sides(kbar, ps, a, s)
-        bound1 = ((b * b + 2.0 * b * d) * k1 + d * d * k2) / (s * s)
-        bound2 = min(k1, (b * b * k1 + d * d * k2) / (b * b + d * d))
-        failed = ("remark_bound_failures",) if kbar < max(bound1, bound2) - 1e-9 else ()
-        return (theta1 - rhs, s ** budget_exponent,
-                {"a": a, "b": b, "d": d, "k1": k1, "k2": k2,
-                 "theta1": theta1, "theta2": theta2, "kappa_bar": kbar},
-                failed)
+    def block(stream):
+        a = stream.uniform(alo, ahi)
+        n = stream.integers(2, max_segments + 1)
+        within = np.arange(max_segments) < n[:, None]
+        kappas = stream.uniform(klo, khi, cols=max_segments)
+        lengths = _chain_lengths(stream, scale, within)
+        theta1 = stream.uniform(_ANGLE_FLOOR, math.pi - _ANGLE_FLOOR)
+        junction = stream.uniform(cols=max_segments - 1)
+        reach, _, hinges = _synthesize_chains(a, lengths, kappas, n, theta1, junction)
+        live = ~np.isnan(reach)
+        s = lengths.sum(axis=1)
+        kf, inverses = _blend_sharp(a, lengths, kappas, within, live)
+        klower = _blend_lower(lengths, kappas)
+        pair = live & (n == 2)
+        kb2, paired = _blend_two(a, lengths[:, 0], lengths[:, 1], kappas[:, 0], kappas[:, 1], pair)
+        rhs, _ = _angle(kf, reach, a, s)
+        defect = theta1 - rhs
+        defect[pair & np.isnan(kb2)] = np.nan
+        inputs = {"a": a, "n": n, "lengths": lengths, "kappas": kappas, "theta1": theta1,
+                  "kappa_bar_f": kf, "kappa_bar_lower": klower, "junction": junction}
 
-    return _sweep("weighted2", trials, seed, scale, budget_exponent, trial,
-                  audits=("remark_bound_failures",))
+        def record(i):
+            m = int(n[i])
+            return {**_floats(inputs, ("a", "theta1", "kappa_bar_f", "kappa_bar_lower"), i),
+                    "n": m, "lengths": lengths[i, :m].tolist(), "kappas": kappas[i, :m].tolist()}
+
+        return _Block(
+            defect=defect, budget=s ** exponent,
+            failed={"ordering_failures": kf < klower - 1e-9,
+                    "pair_consistency_failures": pair & (np.abs(kb2 - kf) > 1e-10)},
+            inputs=inputs, record=record, hinges=hinges, inverses=inverses + paired)
+
+    return block
 
 
 def verify_weighted_multi(
@@ -433,40 +655,54 @@ def verify_weighted_multi(
     and relaxed blend values and, for two-segment chains, agreement with
     :func:`kappa_bar_two`.
     """
+    block = _multi(scale, kappa_range, a_range, max_segments, budget_exponent)
+    return _sweep("multi", trials, seed, scale, budget_exponent, block,
+                  _block_rows(max_segments),
+                  audits=("ordering_failures", "pair_consistency_failures"))
+
+
+def _alternating(scale, kappa_range, a_range, max_blocks, exponent):
     klo, khi = _check_range("kappa_range", kappa_range)
     alo, ahi = _check_range("a_range", a_range, positive=True)
-    if max_segments < 2:
-        raise GeometryError(f"max_segments must be >= 2, got {max_segments!r}")
+    if max_blocks < 1:
+        raise GeometryError(f"max_blocks must be >= 1, got {max_blocks!r}")
+    width = 2 * max_blocks
 
-    def trial(rng):
-        a = rng.uniform(alo, ahi)
-        n = int(rng.integers(2, max_segments + 1))
-        kappas = rng.uniform(klo, khi, size=n)
-        raw = rng.uniform(0.05, 1.0, size=n)
-        total = scale * rng.uniform(0.05, 1.0)
-        lengths = total * raw / raw.sum()
-        theta1 = rng.uniform(_ANGLE_FLOOR, math.pi - _ANGLE_FLOOR)
-        chain = _chain(rng, a, lengths, kappas, theta1)
-        if chain is None:
-            return None
-        s = float(lengths.sum())
-        kf, klower = kappa_bar_multi(HingeConfig(base=a, segments=tuple(zip(lengths, kappas))))
-        rhs = angle_from_sides(kf, chain[0], a, s)
-        failed = []
-        if kf < klower - 1e-9:
-            failed.append("ordering_failures")
-        if n == 2:
-            kb2 = kappa_bar_two(a, lengths[0], lengths[1], kappas[0], kappas[1])
-            if abs(kb2 - kf) > 1e-10:
-                failed.append("pair_consistency_failures")
-        return (theta1 - rhs, s ** budget_exponent,
-                {"a": a, "n": n, "lengths": [float(x) for x in lengths],
-                 "kappas": [float(x) for x in kappas],
-                 "theta1": theta1, "kappa_bar_f": kf, "kappa_bar_lower": klower},
-                failed)
+    def block(stream):
+        a = stream.uniform(alo, ahi)
+        kappa = stream.uniform(klo, khi)
+        kappa_star = kappa - stream.uniform(0.0, 3.0)
+        nblocks = stream.integers(1, max_blocks + 1)
+        n = 2 * nblocks
+        within = np.arange(width) < n[:, None]
+        kappas = np.repeat(kappa[:, None], width, axis=1)
+        kappas[:, 1::2] = stream.uniform(kappa_star[:, None], kappa[:, None], cols=max_blocks)
+        lengths = _chain_lengths(stream, scale, within)
+        theta1 = stream.uniform(_ANGLE_FLOOR, math.pi - _ANGLE_FLOOR)
+        junction = stream.uniform(cols=width - 1)
+        reach, _, hinges = _synthesize_chains(a, lengths, kappas, n, theta1, junction)
+        s = lengths.sum(axis=1)
+        good = lengths[:, 0::2].sum(axis=1)
+        ratio = good / (lengths[:, 0::2] + lengths[:, 1::2]).sum(axis=1)
+        kalt = ratio * ratio * (kappa - kappa_star) + kappa_star
+        klower = _blend_lower(lengths, kappas)
+        rhs, _ = _angle(kalt, reach, a, s)
+        inputs = {"a": a, "kappa": kappa, "kappa_star": kappa_star, "n": n,
+                  "lengths": lengths, "kappas": kappas, "theta1": theta1,
+                  "kappa_bar_alt": kalt, "good_fraction": good / s, "junction": junction}
 
-    return _sweep("multi", trials, seed, scale, budget_exponent, trial,
-                  audits=("ordering_failures", "pair_consistency_failures"))
+        def record(i):
+            pairs = lengths[i, : n[i]].reshape(-1, 2)
+            return {**_floats(inputs, ("a", "kappa", "kappa_star", "theta1", "kappa_bar_alt",
+                                       "good_fraction"), i),
+                    "blocks": pairs.tolist()}
+
+        return _Block(
+            defect=theta1 - rhs, budget=s ** exponent,
+            failed={"dominance_failures": kalt > klower + 1e-9},
+            inputs=inputs, record=record, hinges=hinges)
+
+    return block
 
 
 def verify_alternating(
@@ -484,47 +720,32 @@ def verify_alternating(
     whose even segments carry sampled curvatures in [kappa_star, kappa],
     then compares the base angle at the closed-form alternating blend.
     Also audits that the closed form never exceeds the relaxed multi-blend
-    of the same chain and matches the squared good-length fraction formula.
+    of the same chain, the plain weighted average of its curvatures.
     """
+    block = _alternating(scale, kappa_range, a_range, max_blocks, budget_exponent)
+    return _sweep("alternating", trials, seed, scale, budget_exponent, block,
+                  _block_rows(2 * max_blocks), audits=("dominance_failures",))
+
+
+def _extension(scale, kappa_range, exponent, factor):
     klo, khi = _check_range("kappa_range", kappa_range)
-    alo, ahi = _check_range("a_range", a_range, positive=True)
-    if max_blocks < 1:
-        raise GeometryError(f"max_blocks must be >= 1, got {max_blocks!r}")
 
-    def trial(rng):
-        a = rng.uniform(alo, ahi)
-        kappa = rng.uniform(klo, khi)
-        kappa_star = kappa - rng.uniform(0.0, 3.0)
-        nblocks = int(rng.integers(1, max_blocks + 1))
-        n = 2 * nblocks
-        kappas = np.empty(n)
-        kappas[0::2] = kappa
-        kappas[1::2] = rng.uniform(kappa_star, kappa, size=nblocks)
-        raw = rng.uniform(0.05, 1.0, size=n)
-        total = scale * rng.uniform(0.05, 1.0)
-        lengths = total * raw / raw.sum()
-        theta1 = rng.uniform(_ANGLE_FLOOR, math.pi - _ANGLE_FLOOR)
-        chain = _chain(rng, a, lengths, kappas, theta1)
-        if chain is None:
-            return None
-        blocks = tuple(
-            (float(lengths[2 * j]), float(lengths[2 * j + 1])) for j in range(nblocks)
-        )
-        s = float(lengths.sum())
-        kalt = kappa_bar_alternating(
-            AlternatingConfig(base=a, blocks=blocks, kappa=kappa, kappa_star=kappa_star)
-        )
-        _, klower = kappa_bar_multi(HingeConfig(base=a, segments=tuple(zip(lengths, kappas))))
-        rhs = angle_from_sides(kalt, chain[0], a, s)
-        failed = ("dominance_failures",) if kalt > klower + 1e-9 else ()
-        return (theta1 - rhs, s ** budget_exponent,
-                {"a": a, "kappa": kappa, "kappa_star": kappa_star,
-                 "blocks": [list(b) for b in blocks], "theta1": theta1,
-                 "kappa_bar_alt": kalt, "good_fraction": float(lengths[0::2].sum()) / s},
-                failed)
+    def block(stream):
+        r = stream.uniform(0.3, 1.5)
+        a = r * (1.0 + stream.uniform(1e-3, 1.5))
+        kappa = stream.uniform(klo, khi)
+        u = scale * stream.uniform(0.05, 1.0)
+        theta = stream.uniform(_ANGLE_FLOOR, math.pi - _ANGLE_FLOOR)
+        far = (a - r) + batch_model_side(kappa, r, u, theta)
+        kstar, inverses = _extension_star(a, r, kappa, ~np.isnan(far))
+        psi, _ = _angle(kstar, far, a, u)
+        inputs = {"a": a, "r": r, "kappa": kappa, "u": u, "theta": theta, "kappa_star": kstar}
+        return _Block(
+            defect=theta - psi, budget=factor * u ** exponent, failed={}, inputs=inputs,
+            record=lambda i: _floats(inputs, tuple(inputs), i),
+            hinges=r.size, inverses=inverses)
 
-    return _sweep("alternating", trials, seed, scale, budget_exponent, trial,
-                  audits=("dominance_failures",))
+    return block
 
 
 def verify_extension(
@@ -543,41 +764,62 @@ def verify_extension(
     extreme for the far distance, and compares the original angle against
     the comparison angle at the extension curvature.  Budget is
     budget_factor * u^budget_exponent, dominating the second-order residual.
-    Also audits monotonicity in the extension length on a deterministic
-    grid and the a -> r limit.
+    Also audits, in one array inverse, monotonicity in the extension length
+    on 8 deterministic grids of ``sweep_points`` lengths and the a -> r
+    limit; an inverse that fails there counts as an audit failure.
     """
-    klo, khi = _check_range("kappa_range", kappa_range)
-
-    def trial(rng):
-        r = rng.uniform(0.3, 1.5)
-        a = r * (1.0 + rng.uniform(1e-3, 1.5))
-        kappa = rng.uniform(klo, khi)
-        u = scale * rng.uniform(0.05, 1.0)
-        theta = rng.uniform(_ANGLE_FLOOR, math.pi - _ANGLE_FLOOR)
-        far = (a - r) + model_side(kappa, r, u, theta)
-        kstar = kappa_star_extension(a, r, kappa)
-        psi = angle_from_sides(kstar, far, a, u)
-        return (theta - psi, budget_factor * u ** budget_exponent,
-                {"a": a, "r": r, "kappa": kappa, "u": u, "theta": theta, "kappa_star": kstar},
-                ())
-
-    report = _sweep("extension", trials, seed, scale, budget_exponent, trial,
+    block = _extension(scale, kappa_range, budget_exponent, budget_factor)
+    report = _sweep("extension", trials, seed, scale, budget_exponent, block, _block_rows(),
                     extra={"budget_factor": budget_factor})
-    # deterministic monotonicity and limit audits
-    mono_failures = 0
-    limit_failures = 0
-    grid_rng = _trial_rng(seed, trials + 1)
-    for _ in range(8):
-        r = grid_rng.uniform(0.3, 1.2)
-        kappa = grid_rng.uniform(klo, khi)
-        avals = np.linspace(r * 1.001, r * 2.5, sweep_points)
-        stars = [kappa_star_extension(float(av), r, kappa) for av in avals]
-        if any(stars[j + 1] > stars[j] + 1e-12 for j in range(len(stars) - 1)):
-            mono_failures += 1
-        if abs(kappa_star_extension(r + 1e-6, r, kappa) - kappa) > 1e-3:
-            limit_failures += 1
-    report.extra.update(monotonicity_failures=mono_failures, limit_failures=limit_failures)
+    klo, khi = kappa_range
+    audit = _Stream(seed, _AUDIT_BLOCK, 8, 8)
+    r = audit.uniform(0.3, 1.2)
+    kappa = audit.uniform(klo, khi)
+    grid = np.linspace(r * 1.001, r * 2.5, sweep_points, axis=1)
+    lengths = np.concatenate([grid, (r + 1e-6)[:, None]], axis=1)
+    stars, inverses = _extension_star(lengths, r[:, None], kappa[:, None], True)
+    curve, limit = stars[:, :-1], stars[:, -1]
+    monotone = (curve[:, 1:] <= curve[:, :-1] + 1e-12).all(axis=1)
+    report.extra.update(monotonicity_failures=int(np.sum(~monotone)),
+                        limit_failures=int(np.sum(~(np.abs(limit - kappa) <= 1e-3))))
+    report.work["inverses"] += inverses
     return report
+
+
+def _alexandrov(kappas, tol):
+    ks = np.asarray(kappas, dtype=float)[:, None]
+
+    def block(stream):
+        ambient = stream.uniform(-2.0, 2.0)
+        b = stream.uniform(0.05, 0.5)
+        d = stream.uniform(0.05, 0.5)
+        e = stream.uniform(0.1, 0.8)
+        phi = stream.uniform(0.05, math.pi - 0.05)
+        pq = batch_model_side(ambient, e, b, phi)
+        ps = batch_model_side(ambient, e, d, math.pi - phi)
+        built = ~(np.isnan(pq) | np.isnan(ps))
+        # alexandrov_lemma_check's four angles at every curvature, in its
+        # order: the first one that raises decides vacuous or skipped
+        angles = [_angle(ks, *sides) for sides in
+                  ((e, pq, b), (ps, pq, b + d), (pq, e, b), (ps, e, d))]
+        decided = np.broadcast_to(~built, (ks.size, b.size)).copy()
+        vacuous = np.zeros_like(decided)
+        for angle, undefined in angles:
+            fails = np.isnan(angle) & ~decided
+            vacuous |= fails & undefined
+            decided |= fails
+        near, far, back, forward = (angle for angle, _ in angles)
+        margin_base = near - far
+        margin_split = math.pi - (back + forward)
+        evaluated = ~decided
+        disagree = evaluated & (((margin_base > tol) & (margin_split < -tol))
+                                | ((margin_base < -tol) & (margin_split > tol)))
+        return {"ambient": ambient, "b": b, "d": d, "e": e, "phi": phi, "pq": pq, "ps": ps,
+                "built": built, "evaluated": evaluated, "vacuous": vacuous,
+                "margin_base": margin_base, "margin_split": margin_split,
+                "disagree": disagree}
+
+    return block
 
 
 def verify_alexandrov(
@@ -592,48 +834,39 @@ def verify_alexandrov(
     curvature (so the five distances are genuinely realizable with the
     interior point on the far side), then both conditions are evaluated at
     each requested comparison curvature.  A disagreement outside ``tol``
-    counts as a failure; undefined model angles count as vacuous.
+    counts as a failure; undefined model angles count as vacuous.  A trial
+    whose configuration cannot be built is skipped once; an invalid model
+    triangle skips that curvature.
     """
     if trials < 1:
         raise GeometryError("trials must be >= 1")
-    disagreements = 0
-    vacuous = 0
-    evaluated = 0
-    skipped = 0
+    block = _alexandrov(kappas, tol)
+    work = {"blocks": 0, "hinges": 0, "inverses": 0}
+    disagreements = vacuous = evaluated = skipped = 0
     worst: dict = {}
     worst_margin = math.inf
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        ambient = rng.uniform(-2.0, 2.0)
-        b = rng.uniform(0.05, 0.5)
-        d = rng.uniform(0.05, 0.5)
-        e = rng.uniform(0.1, 0.8)
-        phi = rng.uniform(0.05, math.pi - 0.05)
-        try:
-            pq = model_side(ambient, e, b, phi)
-            ps = model_side(ambient, e, d, math.pi - phi)
-        except (TrigDomainError, UndefinedModelAngleError, InvalidTriangleError):
-            skipped += 1
-            continue
-        for kappa in kappas:
-            try:
-                rep = alexandrov_lemma_check(kappa, pq=pq, ps=ps, px=e, qx=b, xs=d, tol=tol)
-            except (InvalidTriangleError, DegenerateAngleError):
-                skipped += 1
-                continue
-            if rep.vacuous:
-                vacuous += 1
-                continue
-            evaluated += 1
-            if not rep.agree:
-                disagreements += 1
-                gap = min(abs(rep.margin_base), abs(rep.margin_split))
-                if gap < worst_margin:
-                    worst_margin = gap
-                    worst = {"kappa": kappa, "ambient": ambient, "pq": pq, "ps": ps,
-                             "px": e, "qx": b, "xs": d,
-                             "margin_base": rep.margin_base,
-                             "margin_split": rep.margin_split}
+    for stream in _streams(trials, seed, _block_rows()):
+        out = block(stream)
+        work["blocks"] += 1
+        work["hinges"] += 2 * stream.count
+        built = out["built"]
+        skipped += int((~built).sum()) + int(
+            (built & ~out["evaluated"] & ~out["vacuous"]).sum())
+        vacuous += int(out["vacuous"].sum())
+        evaluated += int(out["evaluated"].sum())
+        disagreements += int(out["disagree"].sum())
+        # trial-major order, so the first of equal gaps is the scalar loop's
+        gap = np.where(out["disagree"], np.minimum(np.abs(out["margin_base"]),
+                                                   np.abs(out["margin_split"])), np.inf).T
+        i, j = np.unravel_index(np.argmin(gap), gap.shape)
+        if gap[i, j] < worst_margin:
+            worst_margin = float(gap[i, j])
+            worst = {"kappa": float(kappas[j]), "ambient": float(out["ambient"][i]),
+                     "pq": float(out["pq"][i]), "ps": float(out["ps"][i]),
+                     "px": float(out["e"][i]), "qx": float(out["b"][i]),
+                     "xs": float(out["d"][i]),
+                     "margin_base": float(out["margin_base"][j, i]),
+                     "margin_split": float(out["margin_split"][j, i])}
     return SweepReport(
         lemma="alexandrov",
         trials=trials * len(kappas),
@@ -648,4 +881,5 @@ def verify_alexandrov(
         worst_case=worst,
         extra={"vacuous": vacuous, "tolerance": tol,
                "disagreement_failures": disagreements},
+        work=work,
     )

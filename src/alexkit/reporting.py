@@ -66,7 +66,8 @@ def make_envelope(
 
 
 def dump_canonical(obj: dict) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text; a NaN anywhere raises ValueError instead of writing invalid JSON."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:

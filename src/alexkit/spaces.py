@@ -26,8 +26,6 @@ import shlex
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import (
     GeometryError,
@@ -45,8 +43,21 @@ _PATH_TOL = 1e-9
 # metric carriers
 
 
-def _symmetric_csr(edges: np.ndarray, weights: np.ndarray, n: int) -> csr_matrix:
-    """n-by-n CSR matrix holding each weighted edge in both directions."""
+# scipy.sparse is imported where a graph needs it, so that the commands
+# without a graph (the sweeps, CSV scans) never load it
+
+
+def dijkstra(csgraph, **options):
+    """scipy's ``csgraph.dijkstra``."""
+    from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
+
+    return csgraph_dijkstra(csgraph, **options)
+
+
+def _symmetric_csr(edges: np.ndarray, weights: np.ndarray, n: int):
+    """n-by-n scipy CSR matrix holding each weighted edge in both directions."""
+    from scipy.sparse import csr_matrix
+
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     vals = np.concatenate([weights, weights])
@@ -294,6 +305,8 @@ class DiscreteLengthSpace:
         # self-loop shows up as a stored entry count short of two per edge
         if self._graph.nnz != 2 * len(self.edges):
             raise GeometryError("duplicate edges or self-loops in the edge list")
+        from scipy.sparse.csgraph import connected_components
+
         ncomp, _ = connected_components(self._graph, directed=False)
         if ncomp != 1:
             raise GeometryError(f"completion graph must be connected, got {ncomp} components")

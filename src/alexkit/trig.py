@@ -7,9 +7,13 @@ angle from three sides).  Curvature is a plain float: positive selects the
 sphere of radius 1/sqrt(kappa), negative the hyperbolic plane of the
 corresponding scale, and all kernels are continuous across zero.
 
-Batch variants used by the quadruple scanners live at the bottom; they
-evaluate the same formulas over numpy arrays and signal undefined model
-angles with NaN instead of raising.
+Array kernels live at the bottom, one per formula (``batch_sn``,
+``batch_cs``, ``batch_md``, ``batch_md_inverse``, ``batch_f``,
+``batch_f_inverse``, ``batch_model_side`` and the angle, ``batch_cos_angle``
+with ``batch_angle``).  They broadcast every argument, curvature included,
+evaluate each branch of a formula only on the entries that take it, and
+return NaN where the scalar kernel raises.  They call no scalar kernel; the
+scalar kernels are their oracles in the tests.
 """
 
 from __future__ import annotations
@@ -380,83 +384,259 @@ def taylor_side_expansion(kappa: float, c: float, b: float, beta: float) -> floa
     return cc - bb * math.cos(beta) + 0.5 * s * s * f(cc, k) * bb * bb
 
 
+
+
 # ---------------------------------------------------------------------------
 # batch kernels
-
-def _sn_arr(kappa: float, t: np.ndarray) -> np.ndarray:
-    k = check_curvature(kappa)
-    x = np.asarray(t, dtype=float)
-    u = k * x * x
-    series = x * (1.0 - u / 6.0 * (1.0 - u / 20.0 * (1.0 - u / 42.0 * (1.0 - u / 72.0))))
-    if k == 0.0:
-        return series
-    with np.errstate(invalid="ignore"):
-        if k > 0.0:
-            s = math.sqrt(k)
-            main = np.sin(s * x) / s
-        else:
-            s = math.sqrt(-k)
-            main = np.sinh(s * x) / s
-    return np.where(np.abs(u) < SERIES_CUTOFF, series, main)
+#
+# One array kernel per formula.  Every argument broadcasts, curvature
+# included, so a block of trials that each draw their own curvature is one
+# call.  Where the scalar kernel raises, the array kernel returns NaN.  Each
+# branch of a formula (power series, circular, hyperbolic) is evaluated only
+# on the entries that take it, so a scalar curvature costs one branch.
 
 
-def _md_arr(kappa: float, t: np.ndarray) -> np.ndarray:
-    k = check_curvature(kappa)
-    x = np.asarray(t, dtype=float)
-    u = k * x * x
-    series = 0.5 * x * x * (1.0 - u / 12.0 * (1.0 - u / 30.0 * (1.0 - u / 56.0 * (1.0 - u / 90.0))))
-    if k == 0.0:
-        return series
-    with np.errstate(invalid="ignore"):
-        if k > 0.0:
-            main = 2.0 * np.sin(0.5 * math.sqrt(k) * x) ** 2 / k
-        else:
-            main = -2.0 * np.sinh(0.5 * math.sqrt(-k) * x) ** 2 / k
-    return np.where(np.abs(u) < SERIES_CUTOFF, series, main)
+def _operands(*args):
+    """Float arrays of ``args``; 0-d ones stay 0-d, the others share one shape."""
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    return [a if a.ndim == 0 or a.shape == shape else np.broadcast_to(a, shape)
+            for a in arrays]
 
 
-def batch_angle(
-    kappa: float, opposite: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``angle_from_sides``: angles array plus defined mask.
+def _branchwise(k, x, u, small, ok, formulas):
+    """Evaluate ``formulas`` (series, circular, hyperbolic) by branch; NaN off ``ok``.
 
-    Entries where the model angle does not exist (positive curvature with
-    perimeter >= 2*pi/sqrt(kappa)) come back NaN with mask False; entries
-    violating the triangle inequality beyond slack or with a vanishing
-    adjacent side also come back NaN.  Matches the scalar kernel to within
-    roundoff on defined entries.
+    ``small`` selects the series; the other entries split by the sign of k.
+    Each branch gathers its entries by index, and one that every entry
+    takes runs on the whole arrays.
     """
-    k = check_curvature(kappa)
-    opp = np.asarray(opposite, dtype=float)
-    uu = np.asarray(u, dtype=float)
-    vv = np.asarray(v, dtype=float)
+    shape = u.shape
+    k, x, u = (a.ravel() if a.ndim else a for a in (k, x, u))
+    series = (ok & small).ravel()
+    rest = (ok & ~small).ravel()
+    if k.ndim:
+        masks = (series, rest & (k > 0.0), rest & (k < 0.0))
+    else:  # one curvature: the series and at most one closed form
+        masks = (series, rest if k > 0.0 else None, rest if k < 0.0 else None)
+    out = np.full(u.size, np.nan)
+    with np.errstate(all="ignore"):
+        for mask, formula in zip(masks, formulas):
+            if mask is None or not mask.any():
+                continue
+            if mask.all():
+                return formula(k, x, u).reshape(shape)
+            idx = np.flatnonzero(mask)
+            out[idx] = formula(*(a[idx] if a.ndim else a for a in (k, x, u)))
+    return out.reshape(shape)
+
+
+def _sn_series(k, x, u):
+    return x * (1.0 - u / 6.0 * (1.0 - u / 20.0 * (1.0 - u / 42.0 * (1.0 - u / 72.0))))
+
+
+def _cs_series(k, x, u):
+    return 1.0 - u / 2.0 * (1.0 - u / 12.0 * (1.0 - u / 30.0 * (1.0 - u / 56.0)))
+
+
+def _f_circular(k, x, u):
+    s = np.sqrt(k)
+    return np.cos(s * x) / (np.sin(s * x) / s)
+
+
+def _f_hyperbolic(k, x, u):
+    s = np.sqrt(-k)
+    return np.cosh(s * x) / (np.sinh(s * x) / s)
+
+
+# (series, circular, hyperbolic) forms, each of (k, t, u=k*t^2), in the
+# scalar kernels' arithmetic
+_SN = (
+    _sn_series,
+    lambda k, x, u: np.sin(np.sqrt(k) * x) / np.sqrt(k),
+    lambda k, x, u: np.sinh(np.sqrt(-k) * x) / np.sqrt(-k),
+)
+_CS = (
+    _cs_series,
+    lambda k, x, u: np.cos(np.sqrt(k) * x),
+    lambda k, x, u: np.cosh(np.sqrt(-k) * x),
+)
+_MD = (
+    lambda k, x, u: 0.5 * x * x * (
+        1.0 - u / 12.0 * (1.0 - u / 30.0 * (1.0 - u / 56.0 * (1.0 - u / 90.0)))),
+    lambda k, x, u: 2.0 * np.sin(0.5 * np.sqrt(k) * x) ** 2 / k,
+    lambda k, x, u: -2.0 * np.sinh(0.5 * np.sqrt(-k) * x) ** 2 / k,
+)
+_F = (lambda k, x, u: _cs_series(k, x, u) / _sn_series(k, x, u), _f_circular, _f_hyperbolic)
+
+
+def _length_formula(formulas, kappa, t):
+    k, x = _operands(kappa, t)
+    with np.errstate(invalid="ignore", over="ignore"):
+        u = k * x * x
+        ok = (x >= 0.0) & (x < math.inf) & np.isfinite(k)
+    return _branchwise(k, x, u, np.abs(u) < SERIES_CUTOFF, ok, formulas)
+
+
+def batch_sn(kappa, t):
+    """Array ``sn``."""
+    return _length_formula(_SN, kappa, t)
+
+
+def batch_cs(kappa, t):
+    """Array ``cs``."""
+    return _length_formula(_CS, kappa, t)
+
+
+def batch_md(kappa, t):
+    """Array ``md``."""
+    return _length_formula(_MD, kappa, t)
+
+
+def batch_md_inverse(kappa, m):
+    """Array ``md_inverse``."""
+    k, mm = _operands(kappa, m)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ok = np.isfinite(k) & np.isfinite(mm) & (mm >= -1e-12)
+        mm = np.maximum(mm, 0.0)
+        u = k * mm
+        ok &= ~((k > 0.0) & (0.5 * u > 1.0 + 1e-12))
+    return _branchwise(k, mm, u, np.abs(u) < 0.5 * SERIES_CUTOFF, ok, (
+        lambda k, m, u: np.sqrt(2.0 * m) * (1.0 + u / 12.0 + 3.0 * u * u / 160.0),
+        lambda k, m, u: 2.0 * np.arcsin(np.sqrt(np.minimum(0.5 * u, 1.0))) / np.sqrt(k),
+        lambda k, m, u: 2.0 * np.arcsinh(np.sqrt(-0.5 * u)) / np.sqrt(-k),
+    ))
+
+
+def _f(cc, k, ok):
+    """f on the entries of ``ok``, which must lie in its domain; NaN elsewhere."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        u = k * cc * cc
+    return _branchwise(k, cc, u, np.abs(u) < SERIES_CUTOFF, ok, _F)
+
+
+def batch_f(c, kappa):
+    """Array ``f``: NaN at and beyond the pole and for a base length that is not positive."""
+    cc, k = _operands(c, kappa)
+    with np.errstate(invalid="ignore"):
+        ok = np.isfinite(k) & np.isfinite(cc) & (cc > 0.0)
+        ok &= ~((k > 0.0) & (np.sqrt(k) * cc >= math.pi))
+    return _f(cc, k, ok)
+
+
+def batch_f_inverse(c, y, lo=-1.0e4, hi=None, tol: float = F_VALUE_TOL):
+    """Array ``f_inverse`` over per-element brackets ``[lo, hi]``.
+
+    ``hi=None`` is the scalar's default, just below the pole.  Every entry
+    bisects under the scalar's stopping rule, then takes its two secant
+    polish steps.  NaN where the scalar raises: an empty bracket, a target
+    outside the bracketed image, or an input outside the domain of f.
+    """
+    cc, yy, a = _operands(c, y, lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pole = (math.pi / cc) ** 2
+        if hi is None:
+            b = pole - 1e-9 * np.maximum(1.0, pole)
+        else:
+            b = np.minimum(hi, pole - 1e-12 * np.maximum(1.0, pole))
+    shape = np.broadcast_shapes(cc.shape, yy.shape, a.shape, b.shape)
+    a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
+    fa, fb = batch_f(cc, a), batch_f(cc, b)
+    with np.errstate(invalid="ignore"):
+        ok = np.isfinite(yy) & (a < b) & (fb - tol <= yy) & (yy <= fa + tol)
+        active = ok.copy()
+        for _ in range(200):
+            active &= b - a > 1e-12 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+            if not active.any():
+                break
+            mid = 0.5 * (a + b)
+            fm = _f(cc, mid, active)
+            up = fm >= yy
+            a, fa = np.where(active & up, mid, a), np.where(active & up, fm, fa)
+            b, fb = np.where(active & ~up, mid, b), np.where(active & ~up, fm, fb)
+        root = 0.5 * (a + b)
+        polish = ok.copy()
+        for _ in range(2):
+            cand = a + (fa - yy) * (b - a) / (fa - fb)
+            polish &= (fa != fb) & (a <= cand) & (cand <= b)
+            if not polish.any():
+                break
+            fc = _f(cc, cand, polish)
+            up = fc >= yy
+            a, fa = np.where(polish & up, cand, a), np.where(polish & up, fc, fa)
+            b, fb = np.where(polish & ~up, cand, b), np.where(polish & ~up, fc, fb)
+            root = np.where(polish, cand, root)
+    return np.where(ok, root, np.nan)
+
+
+def batch_model_side(kappa, b, c, alpha):
+    """Array ``model_side``."""
+    k, bb, cc, aa = _operands(kappa, b, c, alpha)
+    ok = (np.isfinite(k) & np.isfinite(bb) & (bb >= 0.0) & np.isfinite(cc) & (cc >= 0.0)
+          & np.isfinite(aa) & (aa >= -1e-12) & (aa <= math.pi + 1e-12))
+    aa = np.clip(aa, 0.0, math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lim = math.pi / np.sqrt(k)
+        ok &= (k <= 0.0) | ((bb < lim) & (cc < lim))
+    mb, mc = batch_md(k, bb), batch_md(k, cc)
+    m = mb + mc - k * mb * mc - batch_sn(k, bb) * batch_sn(k, cc) * np.cos(aa)
+    return np.where(ok, batch_md_inverse(k, np.maximum(m, 0.0)), np.nan)
+
+
+def _cosine_law(k, opp, uu, vv):
+    mu, mv = batch_md(k, uu), batch_md(k, vv)
+    return (mu + mv - k * mu * mv - batch_md(k, opp)) / (batch_sn(k, uu) * batch_sn(k, vv))
+
+
+def batch_cos_angle(kappa, opposite, u, v):
+    """Cosine of the model angle between sides u and v, unclipped, and two masks.
+
+    ``valid`` holds where u and v are positive and the three sides satisfy
+    the triangle inequality within the scalar kernel's slack; ``defined``
+    where a model triangle with that perimeter exists at that curvature.
+    """
+    k, opp, uu, vv = _operands(kappa, opposite, u, v)
     per = opp + uu + vv
     slack = _TRI_SLACK * per
-    ok = (
+    valid = (
         (uu > 0.0)
         & (vv > 0.0)
         & (opp <= uu + vv + slack)
         & (uu <= opp + vv + slack)
         & (vv <= opp + uu + slack)
     )
-    if k > 0.0:
-        ok &= per < 2.0 * math.pi / math.sqrt(k)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        if k < 0.0:
-            s = math.sqrt(-k)
-            big = s * per > _HYP_RESCALE
-            # placeholder side lengths where the md form would overflow
-            su = np.where(big, 1.0, uu)
-            sv = np.where(big, 1.0, vv)
-            so = np.where(big, 1.0, opp)
-            mu, mv = _md_arr(k, su), _md_arr(k, sv)
-            num = mu + mv - k * mu * mv - _md_arr(k, so)
-            cosang = num / (_sn_arr(k, su) * _sn_arr(k, sv))
-            cosang = np.where(big, _cos_angle_hyp_scaled(s, opp, uu, vv), cosang)
+        if k.ndim:
+            defined = (k <= 0.0) | (per < 2.0 * math.pi / np.sqrt(k))
+            big = (k < 0.0) & (np.sqrt(-k) * per > _HYP_RESCALE)
+        elif k > 0.0:  # one curvature: its sign settles both tests
+            defined, big = per < 2.0 * math.pi / np.sqrt(k), None
         else:
-            mu, mv = _md_arr(k, uu), _md_arr(k, vv)
-            num = mu + mv - k * mu * mv - _md_arr(k, opp)
-            cosang = num / (_sn_arr(k, uu) * _sn_arr(k, vv))
-        cosang = np.clip(cosang, -1.0, 1.0)
-        out = np.where(ok, np.arccos(cosang), np.nan)
+            defined = np.broadcast_to(k <= 0.0, per.shape)
+            big = np.sqrt(-k) * per > _HYP_RESCALE if k < 0.0 else None
+        # where the md form would overflow, the exponentially rescaled form
+        if big is None or not big.any():
+            return _cosine_law(k, opp, uu, vv), valid, defined
+        cosang = np.empty(per.shape)
+        rest = ~big
+        cosang[rest] = _cosine_law(*(a[rest] if a.ndim else a for a in (k, opp, uu, vv)))
+        kb, ob, ub, vb = (a[big] if a.ndim else a for a in (k, opp, uu, vv))
+        cosang[big] = _cos_angle_hyp_scaled(np.sqrt(-kb), ob, ub, vb)
+    return cosang, valid, defined
+
+
+def batch_angle(
+    kappa, opposite: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array ``angle_from_sides``: angles plus the mask of entries that have one.
+
+    An entry is masked off, with a NaN angle, when its model angle does not
+    exist (positive curvature with perimeter >= 2*pi/sqrt(kappa)), when an
+    adjacent side vanishes, or when the sides break the triangle inequality
+    beyond the slack.  Cosines just outside [-1, 1] are clipped.
+    """
+    cosang, valid, defined = batch_cos_angle(kappa, opposite, u, v)
+    ok = valid & defined
+    with np.errstate(invalid="ignore"):
+        out = np.where(ok, np.arccos(np.clip(cosang, -1.0, 1.0)), np.nan)
     return out, ok

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from alexkit import comparison
 from alexkit.cli import main
 
 
@@ -68,6 +69,40 @@ def test_lemma_verify_other_sweeps(runner, tmp_path, which):
 def test_lemma_verify_usage_error(runner, argv):
     res = _run(runner, ["lemma", "verify", "--trials", "50", *argv])
     assert res.exit_code == 2, res.output
+
+
+def test_lemma_verify_accepts_the_largest_seed(runner, tmp_path):
+    out = tmp_path / "rep.json"
+    res = _run(runner, ["lemma", "verify", "--which", "multi", "--trials", "50",
+                        "--seed", str(2**64 - 1), "-o", str(out), "--no-timestamp"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(out.read_text())["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("which,name", [
+    ("weighted2", "verify_weighted_pair"), ("multi", "verify_weighted_multi"),
+    ("alternating", "verify_alternating"), ("extension", "verify_extension"),
+    ("alexandrov", "verify_alexandrov"),
+])
+def test_sweep_config_echoes_what_the_sweep_read(runner, tmp_path, monkeypatch, which, name):
+    seen = {}
+    sweep = getattr(comparison, name)
+
+    def spy(trials, **params):
+        seen.update(trials=trials, **params)
+        return sweep(trials, **params)
+
+    monkeypatch.setattr(comparison, name, spy)
+    out = tmp_path / "rep.json"
+    res = _run(runner, ["lemma", "verify", "--which", which, "--trials", "60", "--seed", "3",
+                        "--scale", "0.02", "--segments", "4", "--kappa-min", "-1",
+                        "-o", str(out), "--no-timestamp"])
+    assert res.exit_code == 0, res.output
+    config = json.loads(out.read_text())["config"]
+    assert config.pop("which") == which
+    assert config == json.loads(json.dumps(seen))
+    if which == "extension":
+        assert config["scale"] == 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +373,20 @@ def dense_file(tmp_path_factory):
 _PQS = ["convexity", "estimate", "--input", "CAP", "--p", "0", "--q", "1", "--s", "2"]
 _LOCAL = ["space", "local-check", "--input", "DENSE", "--center", "0", "--kappa", "0",
           "--radius"]
+# every command that takes --seed, which must lie in [0, 2**64)
+_SEEDED = {
+    "lemma-verify": ["lemma", "verify", "--which", "alexandrov", "--trials", "10"],
+    "domain-generate": ["domain", "generate", "--kind", "sphere_points", "--n", "10",
+                        "-o", "OUT"],
+    "space-scan": ["space", "scan", "--input", "CAP", "--kappa", "1", "--samples", "100"],
+    "local-check": _LOCAL + ["0.3"],
+    "convexity-estimate": _PQS,
+    "convexity-search": ["convexity", "search", "--input", "CAP", "--p", "0", "--q", "1",
+                         "--s", "2", "--epsilon", "0.3"],
+    "completion-compare": ["completion", "compare", "--input", "DENSE"],
+    "area-estimate": ["area", "estimate", "--delta", "0.2"],
+}
+_BAD_SEEDS = ("-1", str(2**64))
 
 
 @pytest.mark.parametrize("argv", [
@@ -369,13 +418,15 @@ _LOCAL = ["space", "local-check", "--input", "DENSE", "--center", "0", "--kappa"
      "--slack", "inf"],
     ["convexity", "estimate", "--input", "CAP", "--kind", "ae", "--p", "0",
      "--samples", "0"],
-], ids=["sphere-negative-n", "cap-nan-h", "cap-infinite-h", "punctured-nan-side",
+] + [argv + ["--seed", seed] for argv in _SEEDED.values() for seed in _BAD_SEEDS],
+    ids=["sphere-negative-n", "cap-nan-h", "cap-infinite-h", "punctured-nan-side",
         "point-not-numbers", "point-three-coords", "segment-two-coords",
         "area-zero-samples", "area-negative-samples", "completion-negative-pairs",
         "plot-not-json", "estimate-nan-step", "estimate-infinite-step", "estimate-zero-step",
         "local-check-nan-radius", "local-check-zero-radius", "local-check-negative-radius",
         "search-zero-candidates", "completion-negative-epsilon", "completion-nan-epsilon",
-        "estimate-nan-slack", "estimate-negative-slack", "ae-infinite-slack", "ae-zero-samples"])
+        "estimate-nan-slack", "estimate-negative-slack", "ae-infinite-slack", "ae-zero-samples"]
+    + [f"{name}-seed-{seed}" for name in _SEEDED for seed in _BAD_SEEDS])
 def test_bad_parameters_exit_2(runner, tmp_path, dense_file, cap_file, argv):
     not_json = tmp_path / "notes.txt"
     not_json.write_text("not json\n")
@@ -384,6 +435,7 @@ def test_bad_parameters_exit_2(runner, tmp_path, dense_file, cap_file, argv):
     res = _run(runner, [str(paths.get(a, a)) for a in argv])
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
+    assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1, res.output
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from alexkit import comparison
 from alexkit.comparison import (
     AlternatingConfig,
     HingeConfig,
@@ -345,3 +346,186 @@ def test_chain_closed_flat_is_one_hinge(n):
 def test_chain_without_room_returns_none():
     # a first hinge angle near 0 leaves a back angle near pi at the junction
     assert _chain(_ClosingRng(), 1.0, [0.01, 0.01], [0.0, 0.0], 0.01) is None
+
+
+# ---------------------------------------------------------------------------
+# the batch engine against the scalar kernels
+
+_PARAMS = {"scale": 1e-2, "kappa_range": (-2.0, 2.0), "a_range": (0.5, 2.0)}
+_BLOCKS = {
+    "weighted2": (lambda: comparison._weighted2(**_PARAMS, exponent=2.5), 2),
+    "multi": (lambda: comparison._multi(**_PARAMS, max_segments=6, exponent=2.5), 6),
+    "alternating": (lambda: comparison._alternating(**_PARAMS, max_blocks=3, exponent=2.5), 6),
+    "extension": (lambda: comparison._extension(1e-3, (-2.0, 2.0), 2.0, 50.0), 1),
+    "alexandrov": (lambda: comparison._alexandrov((-1.0, 0.0, 1.0), 1e-9), 1),
+}
+
+
+def _per_trial(which, trials, seed, rows=None):
+    """Each block's outcome arrays, concatenated over the trials."""
+    make, width = _BLOCKS[which]
+    block = make()
+    rows = rows or comparison._block_rows(width)
+    outs = [block(stream) for stream in comparison._streams(trials, seed, rows)]
+    if which == "alexandrov":
+        return {k: np.concatenate([o[k] for o in outs], axis=-1) for k in outs[0]}
+    inputs = {k: np.concatenate([o.inputs[k] for o in outs]) for k in outs[0].inputs}
+    return {"defect": np.concatenate([o.defect for o in outs]), **inputs}
+
+
+class _Replay:
+    """Stub stream for ``_chain`` that replays the batch engine's junction uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = iter(uniforms)
+
+    def uniform(self, lo, hi):
+        return lo + (hi - lo) * next(self.uniforms)
+
+
+def _scalar_weighted2(x, i):
+    a, b, d, k1, k2, theta1 = (float(x[k][i]) for k in ("a", "b", "d", "k1", "k2", "theta1"))
+    if b <= 0.0 or d <= 0.0:
+        return None
+    chain = _chain(_Replay(x["junction"][i]), a, (b, d), (k1, k2), theta1)
+    if chain is None:
+        return None
+    return theta1 - angle_from_sides(kappa_bar_two(a, b, d, k1, k2), chain[0], a, b + d)
+
+
+def _scalar_multi(x, i):
+    n, a, theta1 = int(x["n"][i]), float(x["a"][i]), float(x["theta1"][i])
+    lengths, kappas = x["lengths"][i, :n].tolist(), x["kappas"][i, :n].tolist()
+    chain = _chain(_Replay(x["junction"][i]), a, lengths, kappas, theta1)
+    if chain is None:
+        return None
+    kf, _ = kappa_bar_multi(HingeConfig(base=a, segments=tuple(zip(lengths, kappas))))
+    if n == 2:
+        kappa_bar_two(a, lengths[0], lengths[1], kappas[0], kappas[1])
+    return theta1 - angle_from_sides(kf, chain[0], a, sum(lengths))
+
+
+def _scalar_alternating(x, i):
+    n, a, theta1 = int(x["n"][i]), float(x["a"][i]), float(x["theta1"][i])
+    lengths, kappas = x["lengths"][i, :n].tolist(), x["kappas"][i, :n].tolist()
+    chain = _chain(_Replay(x["junction"][i]), a, lengths, kappas, theta1)
+    if chain is None:
+        return None
+    blocks = tuple(zip(lengths[0::2], lengths[1::2]))
+    kalt = kappa_bar_alternating(AlternatingConfig(
+        base=a, blocks=blocks, kappa=float(x["kappa"][i]), kappa_star=float(x["kappa_star"][i])))
+    return theta1 - angle_from_sides(kalt, chain[0], a, sum(lengths))
+
+
+def _scalar_extension(x, i):
+    a, r, kappa, u, theta = (float(x[k][i]) for k in ("a", "r", "kappa", "u", "theta"))
+    far = (a - r) + model_side(kappa, r, u, theta)
+    return theta - angle_from_sides(kappa_star_extension(a, r, kappa), far, a, u)
+
+
+_SCALAR = {"weighted2": _scalar_weighted2, "multi": _scalar_multi,
+           "alternating": _scalar_alternating, "extension": _scalar_extension}
+
+
+def _condition(which, x, i):
+    """Condition number a / (shortest leg * sin(hinge angle)) of trial i's angles from sides.
+
+    A relative change of one ulp in a side moves the defect by about eps
+    times this much.
+    """
+    if which == "extension":
+        return x["a"][i] / (x["u"][i] * math.sin(x["theta"][i]))
+    if which == "weighted2":
+        leg = min(x["b"][i], x["d"][i])
+    else:
+        leg = x["lengths"][i, : int(x["n"][i])].min()
+    return x["a"][i] / (leg * math.sin(x["theta1"][i]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("which", list(_SCALAR))
+def test_batch_engine_replays_through_scalar_kernels(which, seed):
+    # the drawn inputs of every trial, fed through _chain and the scalar
+    # calculators, give the same skip decision and the same defect.  numpy's
+    # sinh, cosh, arcsin and arcsinh may differ from the math module's by a
+    # few ulps, which the trial's angle-from-sides steps amplify by their
+    # condition number; 16 ulps of it is the allowance.
+    x = _per_trial(which, 2000, seed)
+    eps = np.finfo(float).eps
+    for i in range(2000):
+        try:
+            want = _SCALAR[which](x, i)
+        except GeometryError:
+            want = None
+        got = x["defect"][i]
+        assert (want is None) == bool(np.isnan(got)), (which, seed, i, want, got)
+        if want is not None:
+            assert abs(got - want) <= 1e-12 + 16 * eps * _condition(which, x, i), (i, got, want)
+
+
+def test_batch_blends_match_scalar_calculators():
+    pair = _per_trial("weighted2", 2000, 4)
+    ext = _per_trial("extension", 2000, 4)
+    worst = 0.0
+    for i in np.flatnonzero(~np.isnan(pair["defect"])):
+        a, b, d, k1, k2 = (float(pair[k][i]) for k in ("a", "b", "d", "k1", "k2"))
+        worst = max(worst, abs(pair["kappa_bar"][i] - kappa_bar_two(a, b, d, k1, k2)))
+    for i in np.flatnonzero(~np.isnan(ext["defect"])):
+        a, r, kappa = (float(ext[k][i]) for k in ("a", "r", "kappa"))
+        worst = max(worst, abs(ext["kappa_star"][i] - kappa_star_extension(a, r, kappa)))
+    assert worst <= 1e-13, worst
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_alexandrov_batch_replays_through_scalar_check(seed):
+    x = _per_trial("alexandrov", 2000, seed)
+    kappas = (-1.0, 0.0, 1.0)
+    worst = 0.0
+    for i in range(2000):
+        ambient, b, d, e, phi = (float(x[k][i]) for k in ("ambient", "b", "d", "e", "phi"))
+        try:
+            pq = model_side(ambient, e, b, phi)
+            ps = model_side(ambient, e, d, math.pi - phi)
+        except GeometryError:
+            assert not x["built"][i]
+            continue
+        assert x["built"][i]
+        for j, kappa in enumerate(kappas):
+            try:
+                rep = alexandrov_lemma_check(kappa, pq=pq, ps=ps, px=e, qx=b, xs=d)
+            except GeometryError:
+                assert not x["evaluated"][j, i] and not x["vacuous"][j, i]
+                continue
+            assert bool(x["vacuous"][j, i]) == rep.vacuous
+            assert bool(x["evaluated"][j, i]) == (not rep.vacuous)
+            if not rep.vacuous:
+                assert bool(x["disagree"][j, i]) == (not rep.agree)
+                worst = max(worst, abs(x["margin_base"][j, i] - rep.margin_base),
+                            abs(x["margin_split"][j, i] - rep.margin_split))
+    assert worst <= 1e-12, worst
+
+
+@pytest.mark.parametrize("rows", [None, 512])
+@pytest.mark.parametrize("which", list(_BLOCKS))
+def test_trial_outcomes_do_not_depend_on_the_trial_count(which, rows):
+    # 1500 is not a multiple of either block size
+    short = _per_trial(which, 1500, 5, rows)
+    long = _per_trial(which, 3000, 5, rows)
+    for key, got in short.items():
+        # alexandrov's per-curvature arrays hold trials along the last axis
+        head = long[key][..., :1500] if which == "alexandrov" else long[key][:1500]
+        assert np.array_equal(got, head, equal_nan=True), key
+
+
+def test_sweep_reports_count_their_work():
+    rows = comparison._block_rows()
+    pair = verify_weighted_pair(3000, seed=3)
+    assert pair.work["blocks"] == -(-3000 // rows)
+    assert 3000 < pair.work["hinges"] <= 6000
+    assert pair.work["inverses"] == pair.evaluated
+    ext = verify_extension(500, seed=3)
+    assert ext.work == {"blocks": 1, "hinges": 500, "inverses": 500 + 8 * 51}
+    alt = verify_alternating(500, seed=3)
+    assert alt.work["inverses"] == 0
+    assert verify_alexandrov(400, seed=3).work == {"blocks": 1, "hinges": 800, "inverses": 0}
+    assert pair.to_dict()["work"] == pair.work

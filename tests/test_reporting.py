@@ -27,6 +27,15 @@ def test_envelope_fields_and_canonical_dump():
     assert dump_canonical(env) == text
 
 
+def test_canonical_dump_refuses_nan():
+    # array kernels mark skipped entries with NaN; one that leaks into a
+    # report must fail instead of writing invalid JSON
+    env = make_envelope("lemma verify", {"scale": 1e-2},
+                        {"worst_case": {"kappa_bar": np.float64("nan")}}, timestamp=False)
+    with pytest.raises(ValueError):
+        dump_canonical(env)
+
+
 def test_write_report_atomic(tmp_path):
     path = tmp_path / "rep.json"
     write_report(str(path), {"a": 1})

@@ -31,10 +31,18 @@ from alexkit.trig import (
     _TRI_SLACK,
     SERIES_CUTOFF,
     _cos_angle_hyp_scaled,
-    _md_arr,
-    _sn_arr,
     batch_angle,
+    batch_cs,
+    batch_f,
+    batch_f_inverse,
+    batch_md,
+    batch_md_inverse,
+    batch_model_side,
+    batch_sn,
+    f_pole,
+    md_inverse,
 )
+from alexkit.errors import GeometryError
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -319,8 +327,34 @@ def test_batch_angle_matches_scalar():
             )
 
 
+def _sn_ref(k, x):
+    """Scalar-curvature array ``sn`` that evaluates both branches everywhere."""
+    u = k * x * x
+    series = x * (1.0 - u / 6.0 * (1.0 - u / 20.0 * (1.0 - u / 42.0 * (1.0 - u / 72.0))))
+    if k == 0.0:
+        return series
+    with np.errstate(invalid="ignore"):
+        s = math.sqrt(abs(k))
+        main = np.sin(s * x) / s if k > 0.0 else np.sinh(s * x) / s
+    return np.where(np.abs(u) < SERIES_CUTOFF, series, main)
+
+
+def _md_ref(k, x):
+    """Scalar-curvature array ``md`` that evaluates both branches everywhere."""
+    u = k * x * x
+    series = 0.5 * x * x * (1.0 - u / 12.0 * (1.0 - u / 30.0 * (1.0 - u / 56.0 * (1.0 - u / 90.0))))
+    if k == 0.0:
+        return series
+    with np.errstate(invalid="ignore"):
+        if k > 0.0:
+            main = 2.0 * np.sin(0.5 * math.sqrt(k) * x) ** 2 / k
+        else:
+            main = -2.0 * np.sinh(0.5 * math.sqrt(-k) * x) ** 2 / k
+    return np.where(np.abs(u) < SERIES_CUTOFF, series, main)
+
+
 def _batch_angle_reference(k, opp, uu, vv):
-    """``batch_angle``'s arithmetic as it stood with each ``md`` evaluated twice."""
+    """``batch_angle``'s arithmetic as it stood with one curvature and both branches."""
     per = opp + uu + vv
     slack = _TRI_SLACK * per
     ok = (
@@ -339,14 +373,14 @@ def _batch_angle_reference(k, opp, uu, vv):
             su = np.where(big, 1.0, uu)
             sv = np.where(big, 1.0, vv)
             so = np.where(big, 1.0, opp)
-            num = (_md_arr(k, su) + _md_arr(k, sv)
-                   - k * _md_arr(k, su) * _md_arr(k, sv) - _md_arr(k, so))
-            cosang = num / (_sn_arr(k, su) * _sn_arr(k, sv))
+            num = (_md_ref(k, su) + _md_ref(k, sv)
+                   - k * _md_ref(k, su) * _md_ref(k, sv) - _md_ref(k, so))
+            cosang = num / (_sn_ref(k, su) * _sn_ref(k, sv))
             cosang = np.where(big, _cos_angle_hyp_scaled(s, opp, uu, vv), cosang)
         else:
-            num = (_md_arr(k, uu) + _md_arr(k, vv)
-                   - k * _md_arr(k, uu) * _md_arr(k, vv) - _md_arr(k, opp))
-            cosang = num / (_sn_arr(k, uu) * _sn_arr(k, vv))
+            num = (_md_ref(k, uu) + _md_ref(k, vv)
+                   - k * _md_ref(k, uu) * _md_ref(k, vv) - _md_ref(k, opp))
+            cosang = num / (_sn_ref(k, uu) * _sn_ref(k, vv))
         cosang = np.clip(cosang, -1.0, 1.0)
         out = np.where(ok, np.arccos(cosang), np.nan)
     return out, ok
@@ -377,3 +411,121 @@ def test_batch_angle_flags_undefined():
                              np.array([2.1, 1.0]))
     assert not ok[0] and math.isnan(angles[0])
     assert ok[1] and not math.isnan(angles[1])
+
+
+# ---------------------------------------------------------------------------
+# array kernels against their scalar oracles
+
+
+def _oracle(fn, *columns):
+    """The scalar kernel entry by entry, NaN where it raises."""
+    out = []
+    for args in zip(*(np.broadcast_arrays(*columns))):
+        try:
+            out.append(fn(*(float(a) for a in args)))
+        except GeometryError:
+            out.append(math.nan)
+    return np.array(out)
+
+
+def _curvatures(rng, t, n):
+    """Curvatures of both signs, in the series region and out of it, for lengths ``t``."""
+    kappa = rng.uniform(-4.0, 4.0, n)
+    series = rng.uniform(-0.9, 0.9, n) * SERIES_CUTOFF / np.maximum(t, 1e-3) ** 2
+    kappa[: n // 4] = series[: n // 4]
+    kappa[n // 4: n // 4 + 10] = 0.0
+    return kappa
+
+
+def _assert_matches(got, want, rtol=1e-13, atol=1e-15):
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=atol, equal_nan=True)
+
+
+@pytest.mark.parametrize("batch,scalar", [(batch_sn, sn), (batch_cs, cs), (batch_md, md)],
+                         ids=["sn", "cs", "md"])
+def test_length_kernels_match_scalar(batch, scalar):
+    rng = np.random.default_rng(21)
+    n = 600
+    t = rng.uniform(0.0, 3.0, n)
+    t[-5:] = (-1.0, math.nan, math.inf, 0.0, 1e-12)
+    kappa = _curvatures(rng, t, n)
+    kappa[-10:-5] = (math.nan, math.inf, -2.0, 2.0, 1e-3)
+    _assert_matches(batch(kappa, t), _oracle(scalar, kappa, t))
+    # a scalar curvature broadcasts and takes one branch
+    for k in (-1.5, 0.0, 1e-9, 2.0):
+        _assert_matches(batch(k, t), _oracle(scalar, k, t))
+
+
+def test_md_inverse_matches_scalar():
+    rng = np.random.default_rng(22)
+    n = 600
+    t = rng.uniform(0.0, 2.5, n)
+    kappa = _curvatures(rng, t, n)
+    m = _oracle(md, kappa, t)
+    m[:20] = 2.0 / np.where(kappa[:20] > 0, kappa[:20], 1.0) * 1.5  # past 2/kappa
+    m[20:25] = (-1e-13, -1e-6, math.nan, math.inf, 0.0)
+    _assert_matches(batch_md_inverse(kappa, m), _oracle(md_inverse, kappa, m), rtol=1e-12)
+
+
+def test_f_matches_scalar_near_the_pole():
+    rng = np.random.default_rng(23)
+    n = 600
+    c = rng.uniform(0.2, 3.0, n)
+    pole = (math.pi / c) ** 2
+    kappa = rng.uniform(-6.0, 1.0, n) * pole
+    kappa[: n // 5] = pole[: n // 5] * (1.0 - rng.uniform(1e-12, 1e-6, n // 5))
+    kappa[n // 5: n // 5 + 20] = pole[n // 5: n // 5 + 20]
+    kappa[-100:] = rng.uniform(-0.9, 0.9, 100) * SERIES_CUTOFF / c[-100:] ** 2
+    c[-110:-100] = (0.0, -1.0, math.nan, math.inf, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+    _assert_matches(batch_f(c, kappa), _oracle(f, c, kappa), rtol=1e-12)
+
+
+def test_f_inverse_matches_scalar():
+    rng = np.random.default_rng(24)
+    n = 300
+    c = rng.uniform(0.3, 3.0, n)
+    lo = rng.uniform(-5.0, 1.0, n)
+    hi = np.minimum(lo + rng.uniform(1e-6, 6.0, n), 0.999 * np.array([f_pole(x) for x in c]))
+    kappa = lo + rng.uniform(0.0, 1.0, n) * (hi - lo)
+    kappa[:30] = rng.uniform(-0.5, 0.5, 30) * SERIES_CUTOFF / c[:30] ** 2
+    y = _oracle(f, c, kappa)
+    y[30:40] += 10.0  # outside the bracketed image
+    lo[40:45] = hi[40:45] + 1.0  # empty bracket
+    got = batch_f_inverse(c, y, lo, hi)
+    want = _oracle(lambda cc, yy, a, b: f_inverse(cc, yy, bracket=(a, b)), c, y, lo, hi)
+    _assert_matches(got, want, rtol=0.0, atol=1e-12)
+    # the default bracket: [-1e4, just below the pole]
+    got = batch_f_inverse(c[50:], y[50:])
+    _assert_matches(got, _oracle(f_inverse, c[50:], y[50:]), rtol=0.0, atol=1e-12)
+
+
+def test_model_side_matches_scalar():
+    rng = np.random.default_rng(25)
+    n = 600
+    b = rng.uniform(0.0, 2.0, n)
+    c = rng.uniform(0.0, 2.0, n)
+    alpha = rng.uniform(0.0, math.pi, n)
+    kappa = _curvatures(rng, np.maximum(b, c), n)
+    kappa[-20:-10] = 3.0  # legs past pi/sqrt(kappa) for most
+    alpha[-10:] = (-1e-13, math.pi + 1e-13, -0.1, 4.0, math.nan, 0.0, math.pi, 1.0, 1.0, 1.0)
+    b[-3:] = (-1.0, math.nan, 0.0)
+    _assert_matches(batch_model_side(kappa, b, c, alpha),
+                    _oracle(model_side, kappa, b, c, alpha), rtol=1e-12, atol=1e-14)
+
+
+def test_batch_angle_matches_scalar_with_curvature_per_entry():
+    # both signs, the series region and the rescaled hyperbolic form in one call
+    rng = np.random.default_rng(26)
+    n = 800
+    u = rng.uniform(0.05, 3.0, n)
+    v = rng.uniform(0.05, 3.0, n)
+    opp = np.abs(u - v) + rng.uniform(0.0, 1.0, n) * (u + v - np.abs(u - v))
+    kappa = _curvatures(rng, u + v + opp, n)
+    kappa[-100:] = -rng.uniform(1e4, 1e6, 100)
+    assert (np.sqrt(-kappa[-100:]) * (opp + u + v)[-100:] > _HYP_RESCALE).all()
+    angles, ok = batch_angle(kappa, opp, u, v)
+    want = _oracle(angle_from_sides, kappa, opp, u, v)
+    assert np.array_equal(ok, ~np.isnan(want))
+    _assert_matches(angles, want, rtol=0.0, atol=1e-12)
