@@ -24,6 +24,7 @@ import json
 import math
 import shlex
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -505,6 +506,8 @@ class ScanReport:
     h_err: float = 0.0
     exact_metric: str | None = None
     subset_size: int = 0
+    censored: bool = False
+    work: dict = field(default_factory=dict)
 
 
 def _scan_distances(space, subset: int, seed: int, samples: int):
@@ -551,6 +554,19 @@ def _scan_distances(space, subset: int, seed: int, samples: int):
     return dist, idx, quads, exact, h_err
 
 
+# each 4-subset {a, b, c, d} gives four oriented quadruples, one per apex p,
+# the other three points in increasing order
+_APEX_ROTATIONS = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [2, 0, 1, 3], [3, 0, 1, 2]])
+
+
+def _all_quadruples(m: int) -> np.ndarray:
+    """Every oriented quadruple of m points, four rows per 4-subset in lexicographic order."""
+    count = math.comb(m, 4)
+    combos = np.fromiter(chain.from_iterable(combinations(range(m), 4)), dtype=np.int64,
+                         count=4 * count).reshape(count, 4)
+    return combos[:, _APEX_ROTATIONS].reshape(-1, 4)
+
+
 def _quad_sides(dist: np.ndarray, quads: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each quadruple's six distances, gathered once per scan.
 
@@ -570,6 +586,115 @@ def _quad_defects(sides: tuple[np.ndarray, ...], kappa: float):
     return defects, defined
 
 
+# A row that is defined at a probe with defect >= -tol + _PRUNE_MARGIN is
+# taken to hold at every smaller curvature.  The defect decreases in kappa
+# wherever it is defined, but not exactly in floating point: the kernel's
+# worst non-monotonicity is about 1e-7, from arccos near +-1 on nearly
+# collinear triples, four orders of magnitude below this margin.
+_PRUNE_MARGIN = 1e-3
+# rows a probe evaluates before the rest: the worst failures of the last failing probe
+_WITNESSES = 256
+
+
+class _ActiveSet:
+    """``holds(kappa)`` over a fixed table of quadruples, evaluating only rows that can decide it.
+
+    ``holds(kappa)`` is true when no quadruple defined at kappa has a defect
+    below -tol (vacuous quadruples count as satisfied).  Each row keeps what
+    the probes proved about it: ``vacuous_from``, the least probed kappa at
+    which it was undefined, and ``holds_to``, the greatest at which it was
+    defined with a defect of at least -tol + ``_PRUNE_MARGIN``.  The test
+    ``per < 2*pi/sqrt(kappa)`` is exactly monotone in floating point and the
+    defect decreases in kappa where it is defined, so the row is vacuous at
+    every kappa >= ``vacuous_from`` and holds at every kappa <= ``holds_to``.
+    A probe evaluates only the rows strictly between the two, its active
+    set, so each outcome equals that of a pass over every row, whatever the
+    order of the probes.  It evaluates first the witness rows, up to
+    ``_WITNESSES`` that failed worst at the last failing probe, and the rest
+    of the active set only if every witness holds.
+
+    The set starts from a first pass over every row at ``kappa``, whose
+    defects and mask it returns through ``first`` and whose outcome is
+    ``held_first``.  ``probes`` counts that pass and every ``holds`` call;
+    ``evaluations`` counts the rows handed to ``_quad_defects``.
+    """
+
+    def __init__(self, sides: tuple[np.ndarray, ...], tol: float, kappa: float):
+        self.sides = sides
+        self.tol = tol
+        n = len(sides[0])
+        self.vacuous_from = np.full(n, np.inf)
+        self.holds_to = np.full(n, -np.inf)
+        self.witnesses = np.empty(0, dtype=np.intp)
+        self.probes, self.evaluations = 1, n
+        defects, defined = self.first = _quad_defects(sides, kappa)
+        self.held_first = self._record(np.arange(n), defects, defined, kappa)
+
+    def _record(self, rows, defects, defined, kappa: float) -> bool:
+        """Store what one evaluation proved; true when none of the rows fails."""
+        self.vacuous_from[rows[~defined]] = kappa
+        self.holds_to[rows[defects >= -self.tol + _PRUNE_MARGIN]] = kappa
+        failing = defects < -self.tol
+        if not failing.any():
+            return True
+        worst = np.argsort(defects[failing], kind="stable")[:_WITNESSES]
+        self.witnesses = rows[failing][worst]
+        return False
+
+    def _holds_on(self, rows: np.ndarray, kappa: float) -> bool:
+        self.evaluations += len(rows)
+        defects, defined = _quad_defects(tuple(s[rows] for s in self.sides), kappa)
+        return self._record(rows, defects, defined, kappa)
+
+    def holds(self, kappa: float) -> bool:
+        self.probes += 1
+        active = (self.holds_to < kappa) & (kappa < self.vacuous_from)
+        witnesses = self.witnesses[active[self.witnesses]]
+        active[witnesses] = False
+        for rows in (witnesses, np.flatnonzero(active)):
+            if len(rows) and not self._holds_on(rows, kappa):
+                return False
+        return True
+
+
+def _kappa_max(holds, kappa: float, held: bool) -> tuple[float, bool]:
+    """Bracket and bisect the largest curvature at which ``holds`` is true.
+
+    ``held`` is the outcome of the first probe, at ``kappa``.  Returns
+    ``(kappa_max, censored)``: censored when every probe held, so that
+    ``kappa_max`` is only the top of the probed range (just below
+    ``kappa + 31``), or when even ``kappa - 31`` failed and ``kappa_max``
+    is -inf.
+    """
+    lo, hi = kappa, kappa
+    censored = False
+    if held:
+        step = 1.0
+        while step <= 8.0 and holds(hi + step):
+            hi += step
+            step *= 2.0
+        hi_bad = hi + step
+        censored = step > 8.0  # hi_bad was never probed
+    else:
+        step = 1.0
+        while step <= 8.0 and not holds(lo - step):
+            lo -= step
+            step *= 2.0
+        hi_bad = lo
+        lo = lo - step
+        if not holds(lo):
+            return -math.inf, True
+    a, b = lo, hi_bad
+    for _ in range(40):
+        mid = 0.5 * (a + b)
+        if holds(mid):
+            a = mid
+        else:
+            b = mid
+            censored = False
+    return a, censored
+
+
 def scan_quadruples(
     space,
     kappa: float,
@@ -582,31 +707,33 @@ def scan_quadruples(
     """Minimum quadruple defect over sampled quadruples, plus kappa_max.
 
     ``kappa_max`` is the largest curvature on a bisection grid for which
-    the minimum defect over the same sampled quadruples stays above -tol
-    (vacuous quadruples count as satisfied).  Exhaustive enumeration is
-    available for small point sets.
+    no sampled quadruple defined there has a defect below -tol (vacuous
+    quadruples count as satisfied).  The first pass at ``kappa`` gives the
+    minimum defect, the worst case and the first probe's outcome; each
+    later probe evaluates only its active set (see ``_ActiveSet``), witness
+    rows first, and its outcome equals a pass over every quadruple.
+    ``censored`` marks a ``kappa_max`` that no failing probe bracketed from
+    above (every probe held), or that is -inf; ``work`` counts the probes and the quadruple
+    rows evaluated.  ``tol`` must be finite and nonnegative.  Exhaustive
+    enumeration is available for small point sets.
     """
     k = check_curvature(kappa)
     if samples < 1:
         raise GeometryError("scan needs at least one sample")
     if subset < 4:
         raise GeometryError("scan subset must hold at least four points")
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise GeometryError(f"scan tolerance must be finite and nonnegative, got {tol!r}")
     dist, idx, quads, exact, h_err = _scan_distances(space, subset, seed, samples)
     m = dist.shape[0]
     if exhaustive:
         if m > 60:
             raise GeometryError("exhaustive scan limited to 60 points")
-        from itertools import combinations, permutations
-        all_quads = []
-        for combo in combinations(range(m), 4):
-            for p in combo:
-                rest = tuple(x for x in combo if x != p)
-                all_quads.append((p, *rest))
-        quads = np.array(all_quads, dtype=np.int64)
+        quads = _all_quadruples(m)
     if tol is None:
         tol = 1e-9 if exact else max(1e-9, 24.0 * h_err)
-    sides = _quad_sides(dist, quads)
-    defects, defined = _quad_defects(sides, k)
+    search = _ActiveSet(_quad_sides(dist, quads), tol, k)
+    defects, defined = search.first
     vacuous = int((~defined).sum())
     evaluated = int(defined.sum())
     if evaluated:
@@ -626,40 +753,7 @@ def scan_quadruples(
     else:
         min_defect = math.inf
         worst = {}
-
-    def holds(kprobe: float) -> bool:
-        d, dd = _quad_defects(sides, kprobe)
-        if not dd.any():
-            return True
-        return bool(np.nanmin(np.where(dd, d, np.nan)) >= -tol)
-
-    lo, hi = k, k
-    if holds(k):
-        step = 1.0
-        while step <= 8.0 and holds(hi + step):
-            hi += step
-            step *= 2.0
-        hi_bad = hi + step
-    else:
-        step = 1.0
-        while step <= 8.0 and not holds(lo - step):
-            lo -= step
-            step *= 2.0
-        hi_bad = lo
-        lo = lo - step
-        if not holds(lo):
-            lo = -math.inf
-    if math.isfinite(lo):
-        a, b = lo, hi_bad
-        for _ in range(40):
-            mid = 0.5 * (a + b)
-            if holds(mid):
-                a = mid
-            else:
-                b = mid
-        kappa_max = a
-    else:
-        kappa_max = -math.inf
+    kappa_max, censored = _kappa_max(search.holds, k, search.held_first)
     return ScanReport(
         kappa=k,
         samples=len(quads),
@@ -672,6 +766,8 @@ def scan_quadruples(
         h_err=h_err,
         exact_metric=exact,
         subset_size=m,
+        censored=censored,
+        work={"probes": search.probes, "quadruple_evaluations": search.evaluations},
     )
 
 

@@ -146,6 +146,9 @@ def test_space_scan_exit_codes(runner, tmp_path):
     assert res.exit_code == 0
     rep = json.loads(good.read_text())
     assert rep["result"]["min_defect"] >= -1e-6
+    assert rep["result"]["censored"] is False
+    work = rep["result"]["work"]
+    assert set(work) == {"probes", "quadruple_evaluations"} and work["probes"] > 40
 
     bad = tmp_path / "scan2.json"
     res = _run(runner, ["space", "scan", "--input", str(pts), "--kappa", "1.5",
@@ -320,12 +323,16 @@ _AE = ["convexity", "estimate", "--kind", "ae", "--p", "0"]
     (_AE, "bad.json", '{"vertices": [{"in_U": true}], "edges": 7}'),
     (["space", "scan", "--kappa", "1"], "bad.json", _OLD_LIST_FORM),
     (["space", "scan", "--kappa", "1"], "blank.txt", " \n\n"),
+    (["space", "scan", "--kappa", "1", "--min-defect-tol", "nan"], None, None),
+    (["space", "scan", "--kappa", "1", "--min-defect-tol", "-1"], None, None),
+    (["space", "scan", "--kappa", "1", "--min-defect-tol", "inf"], None, None),
 ], ids=["p-past-end", "p-negative", "s-past-end", "q-negative", "center-past-end",
         "empty-json", "truncated-json", "json-list", "vertex-without-flag", "no-vertices",
         "malformed-csv", "duplicate-edge", "string-flag", "scan-negative-samples",
         "scan-negative-subset", "scan-zero-samples", "invalid-base64", "ij-short-of-count",
         "w-count-disagrees", "negative-id", "id-past-end", "nan-weight", "zero-weight",
-        "edges-number", "old-list-form", "blank-file"])
+        "edges-number", "old-list-form", "blank-file", "scan-nan-tol", "scan-negative-tol",
+        "scan-infinite-tol"])
 def test_bad_vertex_ids_and_input_files_exit_2(runner, tmp_path, cap_file, argv, name,
                                                 content):
     path = cap_file

@@ -1,6 +1,7 @@
 """Metric carriers, geodesic walks, quadruple scans, local domain checks."""
 
 import base64
+import itertools
 import json
 import math
 import shlex
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from alexkit import spaces
 from alexkit.domains import DomainSpec, generate, unit_sphere_points
 from alexkit.errors import GeometryError, ResolutionError, UnreachableError
 from alexkit.spaces import (
     DiscreteLengthSpace,
     FiniteMetricSpace,
     SpherePointSet,
+    _all_quadruples,
     _quad_defects,
     _quad_sides,
     _scan_distances,
@@ -525,6 +528,171 @@ def test_scan_defect_monotone_in_kappa_property(seed):
     d2 = quadruple_defect(pts, *ids, k2)
     if d1 is not None and d2 is not None:
         assert d1 >= d2 - 1e-12
+
+
+def _loop_quadruples(m):
+    """Every oriented quadruple of m points, built one tuple at a time."""
+    rows = []
+    for combo in itertools.combinations(range(m), 4):
+        for p in combo:
+            rows.append((p, *(x for x in combo if x != p)))
+    return np.array(rows, dtype=np.int64)
+
+
+def _kappa_max_reference(space, kappa, samples, seed, subset=600, tol=None, exhaustive=False):
+    """Oracle for the scan's bisection: every probe evaluates every quadruple.
+
+    Returns ``(kappa_max, [(kappa, holds), ...])``, one pair per probe.
+    """
+    dist, _, quads, exact, h_err = _scan_distances(space, subset, seed, samples)
+    if exhaustive:
+        quads = _loop_quadruples(dist.shape[0])
+    if tol is None:
+        tol = 1e-9 if exact else max(1e-9, 24.0 * h_err)
+    sides = _quad_sides(dist, quads)
+    outcomes = []
+
+    def holds(kprobe):
+        d, dd = _quad_defects(sides, kprobe)
+        result = True if not dd.any() else bool(np.nanmin(np.where(dd, d, np.nan)) >= -tol)
+        outcomes.append((kprobe, result))
+        return result
+
+    lo, hi = kappa, kappa
+    if holds(kappa):
+        step = 1.0
+        while step <= 8.0 and holds(hi + step):
+            hi += step
+            step *= 2.0
+        hi_bad = hi + step
+    else:
+        step = 1.0
+        while step <= 8.0 and not holds(lo - step):
+            lo -= step
+            step *= 2.0
+        hi_bad = lo
+        lo = lo - step
+        if not holds(lo):
+            lo = -math.inf
+    if not math.isfinite(lo):
+        return -math.inf, outcomes
+    a, b = lo, hi_bad
+    for _ in range(40):
+        mid = 0.5 * (a + b)
+        if holds(mid):
+            a = mid
+        else:
+            b = mid
+    return a, outcomes
+
+
+def _scan_with_outcomes(monkeypatch, space, kappa, **kwargs):
+    """``scan_quadruples`` plus the outcome of each of its probes, first pass included."""
+    outcomes = []
+    kappa_max = spaces._kappa_max
+
+    def recording(holds, k, held):
+        outcomes.append((k, held))
+
+        def recorded(kprobe):
+            result = holds(kprobe)
+            outcomes.append((kprobe, result))
+            return result
+
+        return kappa_max(recorded, k, held)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spaces, "_kappa_max", recording)
+        rep = scan_quadruples(space, kappa, **kwargs)
+    return rep, outcomes
+
+
+def _assert_matches_reference(monkeypatch, space, kappa, **kwargs):
+    rep, outcomes = _scan_with_outcomes(monkeypatch, space, kappa, **kwargs)
+    ref_kappa_max, ref_outcomes = _kappa_max_reference(space, kappa, **kwargs)
+    assert outcomes == ref_outcomes
+    assert rep.kappa_max == ref_kappa_max  # bit for bit, -inf included
+    assert rep.work["probes"] == len(outcomes)
+    return rep
+
+
+# four points of a tripod: the centre's three comparison angles are pi at every
+# kappa up to (pi/2)^2, so the condition fails as far down as the search looks
+_TRIPOD = FiniteMetricSpace(np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 2.0, 2.0],
+                                      [1.0, 2.0, 0.0, 2.0], [1.0, 2.0, 2.0, 0.0]]))
+
+
+@pytest.mark.parametrize("kappa", [-1e6, -20.0, -1.0, 0.0, 1.0, 1.5, 3.0])
+def test_scan_kappa_max_matches_full_pass_bisection_on_sphere(monkeypatch, kappa):
+    pts = unit_sphere_points(200, seed=0)
+    rep = _assert_matches_reference(monkeypatch, pts, kappa, samples=6_000, seed=7)
+    # from -1e6 every probe up to kappa + 31 holds, so nothing brackets the
+    # bound; from -20 the upward steps all hold but a bisection probe fails
+    assert rep.censored == (kappa == -1e6)
+    if kappa >= 0.0:
+        # witness rows and settled rows leave most of the full passes undone
+        assert rep.work["quadruple_evaluations"] < rep.work["probes"] * rep.samples / 3
+
+
+def test_scan_kappa_max_matches_full_pass_bisection_on_wide_cap(monkeypatch, wide_cap):
+    # vacuous quadruples make holds(kappa) non-monotone on the wide cap
+    for kappa in (0.0, 1.0, 3.0):
+        _assert_matches_reference(monkeypatch, wide_cap, kappa, samples=6_000, seed=2,
+                                  subset=300)
+
+
+def test_scan_censored_when_no_probe_fails_above(monkeypatch, tmp_path):
+    path = tmp_path / "pts.csv"
+    FiniteMetricSpace(unit_sphere_points(30, seed=0).submatrix(np.arange(30))).to_csv(path)
+    rep = _assert_matches_reference(monkeypatch, FiniteMetricSpace.from_csv(path), 1.0,
+                                    samples=3, seed=0)
+    # every probe held: kappa_max is the top of the probed range, kappa + 31
+    assert rep.censored
+    assert rep.kappa_max == pytest.approx(32.0) and rep.kappa_max < 32.0
+
+
+def test_scan_censored_when_downward_search_reaches_minus_infinity(monkeypatch):
+    rep = _assert_matches_reference(monkeypatch, _TRIPOD, 0.0, samples=200, seed=0)
+    assert rep.kappa_max == -math.inf
+    assert rep.censored
+    assert rep.min_defect == pytest.approx(-math.pi)
+
+
+def test_scan_kappa_max_matches_full_pass_bisection_exhaustive(monkeypatch):
+    pts = unit_sphere_points(12, seed=4)
+    rep = _assert_matches_reference(monkeypatch, pts, 1.0, samples=10, seed=0,
+                                    exhaustive=True)
+    assert rep.samples == 4 * math.comb(12, 4)
+
+
+@pytest.mark.parametrize("m", [4, 5, 12, 20])
+def test_all_quadruples_matches_the_loop_enumeration(m):
+    assert np.array_equal(_all_quadruples(m), _loop_quadruples(m))
+
+
+@given(n=st.integers(4, 14), dim=st.integers(2, 3), seed=st.integers(0, 10_000),
+       kappa=st.floats(-5.0, 5.0), sphere=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_scan_kappa_max_matches_full_pass_bisection_property(n, dim, seed, kappa, sphere):
+    if sphere:
+        space = unit_sphere_points(n, seed=seed)
+    else:
+        pts = np.random.default_rng(seed).normal(size=(n, dim))
+        space = FiniteMetricSpace(np.linalg.norm(pts[:, None] - pts[None], axis=-1))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_matches_reference(monkeypatch, space, kappa, samples=300, seed=seed)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_scan_rejects_tolerance_that_is_not_finite_and_nonnegative(tol):
+    pts = unit_sphere_points(10, seed=0)
+    with pytest.raises(GeometryError, match="tolerance"):
+        scan_quadruples(pts, 1.0, samples=10, tol=tol)
+
+
+def test_scan_accepts_zero_tolerance():
+    rep = scan_quadruples(unit_sphere_points(10, seed=0), 0.0, samples=50, tol=0.0)
+    assert rep.tol == 0.0
 
 
 # ---------------------------------------------------------------------------
