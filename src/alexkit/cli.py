@@ -7,32 +7,73 @@ report is written and the process exits 1.  Usage errors exit 2.
 
 from __future__ import annotations
 
-import math
+import contextlib
+import json
 import sys
 from dataclasses import asdict
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import comparison, convexity, domains, reporting, spaces
 from .errors import GeometryError
 
 # every seed keys a random stream; the sweeps' Philox keys hold it in 64 bits
-_SEED = click.IntRange(0, 2**64 - 1)
+_seed_option = click.option("--seed", default=0, show_default=True,
+                            type=click.IntRange(0, 2**64 - 1))
 
 
-def _emit(path, envelope):
-    if path is None:
-        click.echo(reporting.dump_canonical(envelope), nl=False)
-    else:
-        reporting.write_report(path, envelope)
+def _output_option(required=False):
+    return click.option("-o", "--output", required=required, type=click.Path(dir_okay=False))
 
 
-def _finish(path, envelope, passed):
-    _emit(path, envelope)
-    if not passed:
-        click.echo("FAIL: assertions violated (report written)", err=True)
-        sys.exit(1)
+@contextlib.contextmanager
+def _usage_errors():
+    """Geometry errors and files that cannot be read or written are usage errors (exit 2)."""
+    try:
+        yield
+    except GeometryError as exc:
+        raise click.UsageError(str(exc)) from None
+    except OSError as exc:
+        raise click.UsageError(f"{exc.filename}: {exc.strerror}" if exc.filename
+                               else str(exc)) from None
+
+
+def _report_command(group, name):
+    """Register a report-writing command as ``group name``.
+
+    The decorated body takes its own options and ``seed``, and returns
+    ``(config, result, passed, extras)``: the run configuration, the result
+    dict, the report's verdict (``None`` for a report without one) and the
+    envelope's ``tolerances``/``h_err``.  The runner adds ``--seed``,
+    ``-o/--output`` and ``--no-timestamp``, writes or echoes the envelope,
+    and exits 1 exactly when the verdict is false.
+    """
+    command_name = f"{group.name} {name}"
+
+    def decorate(body):
+        @_seed_option
+        @_output_option()
+        @click.option("--no-timestamp", is_flag=True, default=False)
+        def run(output, no_timestamp, **params):
+            with _usage_errors():
+                config, result, passed, extras = body(**params)
+                env = reporting.make_envelope(command_name, config, result, seed=params["seed"],
+                                              timestamp=not no_timestamp, **extras)
+                if output is None:
+                    click.echo(reporting.dump_canonical(env), nl=False)
+                else:
+                    reporting.write_report(output, env)
+            if passed is not None and not passed:
+                click.echo("FAIL: assertions violated (report written)", err=True)
+                sys.exit(1)
+
+        # --help lists the body's options first, then the shared ones
+        run.__click_params__ += body.__click_params__
+        return group.command(name, help=body.__doc__)(run)
+
+    return decorate
 
 
 @click.group()
@@ -49,50 +90,53 @@ def lemma():
     """Verification sweeps for the hinge-blending calculators."""
 
 
-@lemma.command("verify")
+# the sweep parameter each option feeds; a sweep whose parameters lack it
+# does not read the option
+_SWEEP_OPTIONS = {"scale": "scale", "kappa_min": "kappa_range", "kappa_max": "kappa_range",
+                  "a_min": "a_range", "a_max": "a_range", "segments": "max_segments"}
+
+
+@_report_command(lemma, "verify")
 @click.option("--which", required=True,
               type=click.Choice(["weighted2", "multi", "alternating", "extension", "alexandrov"]))
 @click.option("--trials", default=10_000, show_default=True, type=int)
-@click.option("--scale", default=1e-2, show_default=True, type=float)
+@click.option("--scale", default=None, type=float,
+              help="Bound on the sampled chain length.  [default: 1e-2; 1e-3 for extension]")
 @click.option("--kappa-min", default=-2.0, show_default=True, type=float)
 @click.option("--kappa-max", default=2.0, show_default=True, type=float)
 @click.option("--a-min", default=0.5, show_default=True, type=float)
 @click.option("--a-max", default=2.0, show_default=True, type=float)
 @click.option("--segments", default=6, show_default=True, type=int,
               help="Maximum chain length for the multi sweep.")
-@click.option("--seed", default=0, show_default=True, type=_SEED)
-@click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
-@click.option("--no-timestamp", is_flag=True, default=False)
-def lemma_verify(which, trials, scale, kappa_min, kappa_max, a_min, a_max,
-                 segments, seed, output, no_timestamp):
+def lemma_verify(which, trials, scale, kappa_min, kappa_max, a_min, a_max, segments, seed):
     """Run a synthetic-hinge sweep and assert its defect budget."""
+    if scale is None:
+        scale = 1e-3 if which == "extension" else 1e-2
     kr = (kappa_min, kappa_max)
     ar = (a_min, a_max)
-    # each sweep with the parameters it reads; the config echoes exactly these
-    sweep, params = {
+    # each sweep with the parameters it reads and the constants it runs at;
+    # the config echoes both
+    sweep, params, constants = {
         "weighted2": (comparison.verify_weighted_pair,
-                      {"scale": scale, "kappa_range": kr, "a_range": ar}),
+                      {"scale": scale, "kappa_range": kr, "a_range": ar}, {}),
         "multi": (comparison.verify_weighted_multi,
-                  {"scale": scale, "kappa_range": kr, "a_range": ar, "max_segments": segments}),
+                  {"scale": scale, "kappa_range": kr, "a_range": ar, "max_segments": segments},
+                  {}),
         "alternating": (comparison.verify_alternating,
-                        {"scale": scale, "kappa_range": kr, "a_range": ar, "max_blocks": 3}),
-        # extension never runs above its default scale
-        "extension": (comparison.verify_extension,
-                      {"scale": min(scale, 1e-3), "kappa_range": kr}),
+                        {"scale": scale, "kappa_range": kr, "a_range": ar},
+                        {"max_blocks": comparison.MAX_BLOCKS}),
+        "extension": (comparison.verify_extension, {"scale": scale, "kappa_range": kr}, {}),
         "alexandrov": (comparison.verify_alexandrov,
-                       {"kappas": (-1.0, 0.0, 1.0), "tol": 1e-9}),
+                       {"kappas": (-1.0, 0.0, 1.0), "tol": 1e-9}, {}),
     }[which]
-    try:
-        rep = sweep(trials, seed=seed, **params)
-    except GeometryError as exc:
-        raise click.UsageError(str(exc))
-    config = {"which": which, "trials": trials, "seed": seed, **params}
-    env = reporting.make_envelope(
-        "lemma verify", config, rep.to_dict(), seed=seed,
-        tolerances={"budget_exponent": rep.budget_exponent},
-        timestamp=not no_timestamp,
-    )
-    _finish(output, env, rep.passed)
+    ctx = click.get_current_context()
+    for option, param in _SWEEP_OPTIONS.items():
+        if param not in params and ctx.get_parameter_source(option) is ParameterSource.COMMANDLINE:
+            raise GeometryError(f"the {which} sweep does not read --{option.replace('_', '-')}")
+    rep = sweep(trials, seed=seed, **params)
+    config = {"which": which, "trials": trials, "seed": seed, **params, **constants}
+    return config, rep.to_dict(), rep.passed, {
+        "tolerances": {"budget_exponent": rep.budget_exponent}}
 
 
 # ---------------------------------------------------------------------------
@@ -127,29 +171,27 @@ def _coordinates(text):
               help="x1,y1,x2,y2 of a removed slit (repeatable).")
 @click.option("--n", "n_points", default=500, show_default=True, type=int,
               help="Point count for sphere_points (CSV distance matrix).")
-@click.option("--seed", default=0, show_default=True, type=_SEED)
-@click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
+@_seed_option
+@_output_option(required=True)
 def domain_generate(kind, cap_radius, resolution, delta, num_segments, side,
                     stencil_radius, removed_points, removed_segments, n_points,
                     seed, output):
     """Write a domain file: a graph file, or a CSV distance matrix."""
-    try:
+    with _usage_errors():
         if kind == "sphere_points":
             pts = domains.unit_sphere_points(n_points, seed=seed)
-            ms = spaces.FiniteMetricSpace(pts.submatrix(np.arange(pts.n_points)))
-            ms.to_csv(output)
+            # exact great-circle distances form a metric; scans validate the CSV they read
+            dist = pts.submatrix(np.arange(pts.n_points))
+            spaces.FiniteMetricSpace(dist, validate=False).to_csv(output)
             return
-        pt = tuple(_coordinates(s) for s in removed_points)
-        sg = tuple(_coordinates(s) for s in removed_segments)
         spec = domains.DomainSpec(
             kind=kind, resolution=resolution, cap_radius=cap_radius, delta=delta,
-            num_segments=num_segments, removed_points=pt, removed_segments=sg,
+            num_segments=num_segments,
+            removed_points=tuple(_coordinates(s) for s in removed_points),
+            removed_segments=tuple(_coordinates(s) for s in removed_segments),
             side=side, stencil_radius=stencil_radius,
         )
-        space = domains.generate(spec, seed=seed)
-    except GeometryError as exc:
-        raise click.UsageError(str(exc))
-    space.save(output)
+        domains.generate(spec, seed=seed).save(output)
 
 
 def _load_space(path):
@@ -174,6 +216,10 @@ def _load_graph(path, **vertex_ids):
     return sp
 
 
+_input_option = click.option("--input", "path", required=True,
+                             type=click.Path(exists=True, dir_okay=False))
+
+
 # ---------------------------------------------------------------------------
 # scans
 
@@ -183,69 +229,46 @@ def space():
     """Curvature scans over spaces."""
 
 
-@space.command("scan")
-@click.option("--input", "path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_report_command(space, "scan")
+@_input_option
 @click.option("--kappa", required=True, type=float)
 @click.option("--samples", default=100_000, show_default=True, type=int)
 @click.option("--subset", default=600, show_default=True, type=int)
 @click.option("--exhaustive", is_flag=True, default=False)
 @click.option("--min-defect-tol", default=None, type=float,
               help="Assert the minimum defect stays above -tol.")
-@click.option("--seed", default=0, show_default=True, type=_SEED)
-@click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
-@click.option("--no-timestamp", is_flag=True, default=False)
-def space_scan(path, kappa, samples, subset, exhaustive, min_defect_tol, seed,
-               output, no_timestamp):
+def space_scan(path, kappa, samples, subset, exhaustive, min_defect_tol, seed):
     """Scan quadruples for the curvature condition; estimate kappa_max."""
-    try:
-        sp = _load_space(path)
-        rep = spaces.scan_quadruples(sp, kappa, samples=samples, seed=seed,
-                                     subset=subset, tol=min_defect_tol,
-                                     exhaustive=exhaustive)
-    except GeometryError as exc:
-        raise click.UsageError(str(exc))
+    rep = spaces.scan_quadruples(_load_space(path), kappa, samples=samples, seed=seed,
+                                 subset=subset, tol=min_defect_tol, exhaustive=exhaustive)
     config = {"input": str(path), "kappa": kappa, "samples": samples,
               "subset": subset, "exhaustive": exhaustive, "seed": seed}
-    env = reporting.make_envelope("space scan", config, asdict(rep), seed=seed,
-                                  tolerances={"min_defect_tol": rep.tol},
-                                  h_err=rep.h_err, timestamp=not no_timestamp)
-    passed = not (math.isfinite(rep.min_defect) and rep.min_defect < -rep.tol)
-    _finish(output, env, passed)
+    return config, asdict(rep), rep.passed, {
+        "tolerances": {"min_defect_tol": rep.tol}, "h_err": rep.h_err}
 
 
-@space.command("local-check")
-@click.option("--input", "path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_report_command(space, "local-check")
+@_input_option
 @click.option("--center", required=True, type=int)
 @click.option("--radius", required=True, type=float)
 @click.option("--kappa", required=True, type=float)
 @click.option("--samples", default=20, show_default=True, type=int)
 @click.option("--h-angle", default=3, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=_SEED)
-@click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
-@click.option("--no-timestamp", is_flag=True, default=False)
-def space_local_check(path, center, radius, kappa, samples, h_angle, seed,
-                      output, no_timestamp):
+def space_local_check(path, center, radius, kappa, samples, h_angle, seed):
     """Check the two local comparison conditions inside a ball."""
-    try:
-        sp = _load_graph(path, center=center)
-        rep = spaces.local_kappa_domain_check(sp, center, radius, kappa,
-                                              samples=samples, h_angle=h_angle,
-                                              seed=seed)
-    except GeometryError as exc:
-        raise click.UsageError(str(exc))
+    sp = _load_graph(path, center=center)
+    rep = spaces.local_kappa_domain_check(sp, center, radius, kappa, samples=samples,
+                                          h_angle=h_angle, seed=seed)
     config = {"input": str(path), "center": center, "radius": radius,
               "kappa": kappa, "samples": samples, "h_angle": h_angle, "seed": seed}
-    result = {**asdict(rep), "passed": rep.passed}
-    env = reporting.make_envelope("space local-check", config, result, seed=seed,
-                                  tolerances={"angle_tol": rep.angle_tol,
-                                              "split_tol": rep.split_tol,
-                                              "stencil_gap": sp.stencil_gap},
-                                  h_err=sp.h_err, timestamp=not no_timestamp)
-    _finish(output, env, rep.passed)
+    tolerances = {"angle_tol": rep.angle_tol, "split_tol": rep.split_tol,
+                  "stencil_gap": sp.stencil_gap}
+    return config, {**asdict(rep), "passed": rep.passed}, rep.passed, {
+        "tolerances": tolerances, "h_err": sp.h_err}
 
 
 # ---------------------------------------------------------------------------
-# convexity
+# convexity: the reports carry no verdict
 
 
 @main.group(name="convexity")
@@ -253,8 +276,8 @@ def convexity_group():
     """Probabilistic-convexity estimation."""
 
 
-@convexity_group.command("estimate")
-@click.option("--input", "path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_report_command(convexity_group, "estimate")
+@_input_option
 @click.option("--kind", default="prob", show_default=True,
               type=click.Choice(["prob", "ae"]))
 @click.option("--p", "p_id", required=True, type=int)
@@ -266,34 +289,25 @@ def convexity_group():
               help="Vertex sample count for the ae estimate.")
 @click.option("--emit-samples", is_flag=True, default=False,
               help="Keep the per-sample (arc_length, connectable) series.")
-@click.option("--seed", default=0, show_default=True, type=_SEED)
-@click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
-@click.option("--no-timestamp", is_flag=True, default=False)
-def convexity_estimate(path, kind, p_id, q_id, s_id, step, slack, samples,
-                       emit_samples, seed, output, no_timestamp):
+def convexity_estimate(path, kind, p_id, q_id, s_id, step, slack, samples, emit_samples,
+                       seed):
     """Estimate the connectable fraction along a geodesic or over the domain."""
-    try:
-        sp = _load_graph(path, p=p_id, q=q_id, s=s_id)
-        if kind == "prob":
-            if q_id is None or s_id is None:
-                raise click.UsageError("prob estimate needs --q and --s")
-            rep = convexity.prob_convexity(sp, p_id, q_id, s_id, step=step,
-                                           slack=slack, keep_series=emit_samples)
-        else:
-            rep = convexity.ae_convexity_estimate(sp, p_id, samples=samples,
-                                                  slack=slack, seed=seed)
-    except GeometryError as exc:
-        raise click.UsageError(str(exc))
+    sp = _load_graph(path, p=p_id, q=q_id, s=s_id)
+    if kind == "prob":
+        if q_id is None or s_id is None:
+            raise GeometryError("prob estimate needs --q and --s")
+        rep = convexity.prob_convexity(sp, p_id, q_id, s_id, step=step, slack=slack,
+                                       keep_series=emit_samples)
+    else:
+        rep = convexity.ae_convexity_estimate(sp, p_id, samples=samples, slack=slack,
+                                              seed=seed)
     config = {"input": str(path), "kind": kind, "p": p_id, "q": q_id, "s": s_id,
               "step": step, "slack": slack, "samples": samples, "seed": seed}
-    env = reporting.make_envelope("convexity estimate", config, rep.to_dict(),
-                                  seed=seed, tolerances={"slack": rep.slack},
-                                  h_err=sp.h_err, timestamp=not no_timestamp)
-    _emit(output, env)
+    return config, rep.to_dict(), None, {"tolerances": {"slack": rep.slack}, "h_err": sp.h_err}
 
 
-@convexity_group.command("search")
-@click.option("--input", "path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_report_command(convexity_group, "search")
+@_input_option
 @click.option("--p", "p_id", required=True, type=int)
 @click.option("--q", "q_id", required=True, type=int)
 @click.option("--s", "s_id", required=True, type=int)
@@ -301,26 +315,14 @@ def convexity_estimate(path, kind, p_id, q_id, s_id, step, slack, samples,
 @click.option("--candidates", default=64, show_default=True, type=int)
 @click.option("--step", default=None, type=float)
 @click.option("--slack", default=None, type=float)
-@click.option("--seed", default=0, show_default=True, type=_SEED)
-@click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
-@click.option("--no-timestamp", is_flag=True, default=False)
-def convexity_search(path, p_id, q_id, s_id, epsilon, candidates, step, slack,
-                     seed, output, no_timestamp):
+def convexity_search(path, p_id, q_id, s_id, epsilon, candidates, step, slack, seed):
     """Maximize the connectable fraction over perturbed triples."""
-    try:
-        sp = _load_graph(path, p=p_id, q=q_id, s=s_id)
-        rep = convexity.weak_lambda_search(sp, p_id, q_id, s_id, epsilon,
-                                           candidates=candidates, step=step,
-                                           slack=slack, seed=seed)
-    except GeometryError as exc:
-        raise click.UsageError(str(exc))
-    config = {"input": str(path), "p": p_id, "q": q_id, "s": s_id,
-              "epsilon": epsilon, "candidates": candidates, "step": step,
-              "slack": slack, "seed": seed}
-    env = reporting.make_envelope("convexity search", config, rep.to_dict(),
-                                  seed=seed, tolerances={"slack": rep.slack},
-                                  h_err=sp.h_err, timestamp=not no_timestamp)
-    _emit(output, env)
+    sp = _load_graph(path, p=p_id, q=q_id, s=s_id)
+    rep = convexity.weak_lambda_search(sp, p_id, q_id, s_id, epsilon, candidates=candidates,
+                                       step=step, slack=slack, seed=seed)
+    config = {"input": str(path), "p": p_id, "q": q_id, "s": s_id, "epsilon": epsilon,
+              "candidates": candidates, "step": step, "slack": slack, "seed": seed}
+    return config, rep.to_dict(), None, {"tolerances": {"slack": rep.slack}, "h_err": sp.h_err}
 
 
 # ---------------------------------------------------------------------------
@@ -332,27 +334,16 @@ def completion():
     """Completion-distance experiments."""
 
 
-@completion.command("compare")
-@click.option("--input", "path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_report_command(completion, "compare")
+@_input_option
 @click.option("--pairs", default=200, show_default=True, type=int)
 @click.option("--epsilon", default=0.05, show_default=True, type=float)
-@click.option("--seed", default=0, show_default=True, type=_SEED)
-@click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
-@click.option("--no-timestamp", is_flag=True, default=False)
-def completion_compare_cmd(path, pairs, epsilon, seed, output, no_timestamp):
+def completion_compare_cmd(path, pairs, epsilon, seed):
     """Compare completion distances to in-domain distances after perturbation."""
-    try:
-        sp = _load_graph(path)
-        rep = domains.completion_compare(sp, pairs=pairs, epsilon=epsilon, seed=seed)
-    except GeometryError as exc:
-        raise click.UsageError(str(exc))
-    budget = 4.0 * epsilon + 2.0 * rep.h_err
+    rep = domains.completion_compare(_load_graph(path), pairs=pairs, epsilon=epsilon, seed=seed)
     config = {"input": str(path), "pairs": pairs, "epsilon": epsilon, "seed": seed}
-    env = reporting.make_envelope("completion compare", config, asdict(rep),
-                                  seed=seed,
-                                  tolerances={"violation_budget": budget},
-                                  h_err=rep.h_err, timestamp=not no_timestamp)
-    _finish(output, env, rep.matched == 0 or rep.max_violation <= budget)
+    return config, asdict(rep), rep.passed, {
+        "tolerances": {"violation_budget": rep.violation_budget}, "h_err": rep.h_err}
 
 
 @main.group()
@@ -360,27 +351,18 @@ def area():
     """Measure estimation."""
 
 
-@area.command("estimate")
+@_report_command(area, "estimate")
 @click.option("--delta", required=True, type=float)
 @click.option("--segments", "num_segments", default=200, show_default=True, type=int)
 @click.option("--samples", default=100_000, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=_SEED)
-@click.option("-o", "--output", type=click.Path(dir_okay=False), default=None)
-@click.option("--no-timestamp", is_flag=True, default=False)
-def area_estimate_cmd(delta, num_segments, samples, seed, output, no_timestamp):
+def area_estimate_cmd(delta, num_segments, samples, seed):
     """Monte Carlo area of the thin segment cover."""
-    try:
-        # the estimate works on the continuum cover and never reads the mesh size
-        spec = domains.DomainSpec(kind="dense_square", resolution=1.0,
-                                  delta=delta, num_segments=num_segments)
-        rep = domains.area_estimate(spec, samples=samples, seed=seed)
-    except GeometryError as exc:
-        raise click.UsageError(str(exc))
-    config = {"delta": delta, "segments": num_segments, "samples": samples,
-              "seed": seed}
-    env = reporting.make_envelope("area estimate", config, asdict(rep),
-                                  seed=seed, timestamp=not no_timestamp)
-    _finish(output, env, rep.estimate <= delta + 3.0 * rep.sigma)
+    # the estimate works on the continuum cover and never reads the mesh size
+    spec = domains.DomainSpec(kind="dense_square", resolution=1.0, delta=delta,
+                              num_segments=num_segments)
+    rep = domains.area_estimate(spec, samples=samples, seed=seed)
+    config = {"delta": delta, "segments": num_segments, "samples": samples, "seed": seed}
+    return config, asdict(rep), rep.passed, {}
 
 
 # ---------------------------------------------------------------------------
@@ -393,23 +375,19 @@ def plot():
 
 
 @plot.command("emit")
-@click.option("--input", "path", required=True, type=click.Path(exists=True, dir_okay=False))
+@_input_option
 @click.option("--series", "series_name", default="series", show_default=True)
-@click.option("-o", "--output", required=True, type=click.Path(dir_okay=False))
+@_output_option(required=True)
 def plot_emit(path, series_name, output):
     """Extract a columnar series from a report into CSV."""
-    import json
-
-    try:
+    with _usage_errors():
         with open(path) as fh:
-            env = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise click.UsageError(f"{path} is not a JSON report: {exc}")
-    try:
+            try:
+                env = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise GeometryError(f"{path} is not a JSON report: {exc}") from None
         header, columns = reporting.extract_series(env, series_name)
-    except GeometryError as exc:
-        raise click.UsageError(str(exc))
-    reporting.write_csv(output, header, columns)
+        reporting.write_csv(output, header, columns)
 
 
 if __name__ == "__main__":

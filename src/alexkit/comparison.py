@@ -38,7 +38,15 @@ from .trig import (
     model_side,
 )
 
-DEFAULT_BUDGET_EXPONENT = 2.5
+# a sweep's defect budget is (total length)^BUDGET_EXPONENT; the extension
+# sweep's is EXTENSION_BUDGET_FACTOR * u^EXTENSION_BUDGET_EXPONENT
+BUDGET_EXPONENT = 2.5
+EXTENSION_BUDGET_EXPONENT = 2.0
+EXTENSION_BUDGET_FACTOR = 50.0
+# the alternating sweep chains 1 to MAX_BLOCKS (good, gap) segment pairs
+MAX_BLOCKS = 3
+# lengths on each of the extension sweep's monotonicity audit grids
+_AUDIT_POINTS = 50
 
 # hinge synthesis keeps angles away from the degenerate 0 / pi endpoints
 _ANGLE_FLOOR = 0.1
@@ -542,7 +550,7 @@ def _chain_lengths(stream, scale, within):
 # verification sweeps
 
 
-def _weighted2(scale, kappa_range, a_range, exponent):
+def _weighted2(scale, kappa_range, a_range):
     klo, khi = _check_range("kappa_range", kappa_range)
     alo, ahi = _check_range("a_range", a_range, positive=True)
 
@@ -566,7 +574,7 @@ def _weighted2(scale, kappa_range, a_range, exponent):
         inputs = {"a": a, "b": b, "d": d, "k1": k1, "k2": k2, "theta1": theta1,
                   "theta2": theta2, "kappa_bar": kbar, "junction": junction}
         return _Block(
-            defect=theta1 - rhs, budget=s ** exponent,
+            defect=theta1 - rhs, budget=s ** BUDGET_EXPONENT,
             failed={"remark_bound_failures": kbar < np.maximum(bound1, bound2) - 1e-9},
             inputs=inputs, hinges=hinges, inverses=inverses,
             record=lambda i: _floats(inputs, ("a", "b", "d", "k1", "k2", "theta1",
@@ -581,7 +589,6 @@ def verify_weighted_pair(
     kappa_range: tuple[float, float] = (-2.0, 2.0),
     a_range: tuple[float, float] = (0.5, 2.0),
     seed: int = 0,
-    budget_exponent: float = DEFAULT_BUDGET_EXPONENT,
 ) -> SweepReport:
     """Sweep the two-hinge blend: synthesize, blend, compare, record defects.
 
@@ -590,15 +597,15 @@ def verify_weighted_pair(
     point, attaches a second hinge there in curvature k2 whose angle keeps
     the hypothesis sum <= pi by construction, and compares the base angle
     against the comparison angle at the blended curvature.  The signed
-    defect must stay above -(b+d)^budget_exponent.  Also audits both lower
+    defect must stay above -(b+d)^BUDGET_EXPONENT.  Also audits both lower
     bounds on the blended curvature.
     """
-    block = _weighted2(scale, kappa_range, a_range, budget_exponent)
-    return _sweep("weighted2", trials, seed, scale, budget_exponent, block, _block_rows(),
+    block = _weighted2(scale, kappa_range, a_range)
+    return _sweep("weighted2", trials, seed, scale, BUDGET_EXPONENT, block, _block_rows(),
                   audits=("remark_bound_failures",))
 
 
-def _multi(scale, kappa_range, a_range, max_segments, exponent):
+def _multi(scale, kappa_range, a_range, max_segments):
     klo, khi = _check_range("kappa_range", kappa_range)
     alo, ahi = _check_range("a_range", a_range, positive=True)
     if max_segments < 2:
@@ -631,7 +638,7 @@ def _multi(scale, kappa_range, a_range, max_segments, exponent):
                     "n": m, "lengths": lengths[i, :m].tolist(), "kappas": kappas[i, :m].tolist()}
 
         return _Block(
-            defect=defect, budget=s ** exponent,
+            defect=defect, budget=s ** BUDGET_EXPONENT,
             failed={"ordering_failures": kf < klower - 1e-9,
                     "pair_consistency_failures": pair & (np.abs(kb2 - kf) > 1e-10)},
             inputs=inputs, record=record, hinges=hinges, inverses=inverses + paired)
@@ -646,7 +653,6 @@ def verify_weighted_multi(
     a_range: tuple[float, float] = (0.5, 2.0),
     seed: int = 0,
     max_segments: int = 6,
-    budget_exponent: float = DEFAULT_BUDGET_EXPONENT,
 ) -> SweepReport:
     """Sweep the multi-segment blend with chains of up to ``max_segments`` hinges.
 
@@ -655,28 +661,26 @@ def verify_weighted_multi(
     and relaxed blend values and, for two-segment chains, agreement with
     :func:`kappa_bar_two`.
     """
-    block = _multi(scale, kappa_range, a_range, max_segments, budget_exponent)
-    return _sweep("multi", trials, seed, scale, budget_exponent, block,
+    block = _multi(scale, kappa_range, a_range, max_segments)
+    return _sweep("multi", trials, seed, scale, BUDGET_EXPONENT, block,
                   _block_rows(max_segments),
                   audits=("ordering_failures", "pair_consistency_failures"))
 
 
-def _alternating(scale, kappa_range, a_range, max_blocks, exponent):
+def _alternating(scale, kappa_range, a_range):
     klo, khi = _check_range("kappa_range", kappa_range)
     alo, ahi = _check_range("a_range", a_range, positive=True)
-    if max_blocks < 1:
-        raise GeometryError(f"max_blocks must be >= 1, got {max_blocks!r}")
-    width = 2 * max_blocks
+    width = 2 * MAX_BLOCKS
 
     def block(stream):
         a = stream.uniform(alo, ahi)
         kappa = stream.uniform(klo, khi)
         kappa_star = kappa - stream.uniform(0.0, 3.0)
-        nblocks = stream.integers(1, max_blocks + 1)
+        nblocks = stream.integers(1, MAX_BLOCKS + 1)
         n = 2 * nblocks
         within = np.arange(width) < n[:, None]
         kappas = np.repeat(kappa[:, None], width, axis=1)
-        kappas[:, 1::2] = stream.uniform(kappa_star[:, None], kappa[:, None], cols=max_blocks)
+        kappas[:, 1::2] = stream.uniform(kappa_star[:, None], kappa[:, None], cols=MAX_BLOCKS)
         lengths = _chain_lengths(stream, scale, within)
         theta1 = stream.uniform(_ANGLE_FLOOR, math.pi - _ANGLE_FLOOR)
         junction = stream.uniform(cols=width - 1)
@@ -698,7 +702,7 @@ def _alternating(scale, kappa_range, a_range, max_blocks, exponent):
                     "blocks": pairs.tolist()}
 
         return _Block(
-            defect=theta1 - rhs, budget=s ** exponent,
+            defect=theta1 - rhs, budget=s ** BUDGET_EXPONENT,
             failed={"dominance_failures": kalt > klower + 1e-9},
             inputs=inputs, record=record, hinges=hinges)
 
@@ -711,8 +715,6 @@ def verify_alternating(
     kappa_range: tuple[float, float] = (-2.0, 2.0),
     a_range: tuple[float, float] = (0.5, 2.0),
     seed: int = 0,
-    max_blocks: int = 3,
-    budget_exponent: float = DEFAULT_BUDGET_EXPONENT,
 ) -> SweepReport:
     """Sweep the alternating blend: good segments at kappa, gaps above kappa_star.
 
@@ -722,12 +724,12 @@ def verify_alternating(
     Also audits that the closed form never exceeds the relaxed multi-blend
     of the same chain, the plain weighted average of its curvatures.
     """
-    block = _alternating(scale, kappa_range, a_range, max_blocks, budget_exponent)
-    return _sweep("alternating", trials, seed, scale, budget_exponent, block,
-                  _block_rows(2 * max_blocks), audits=("dominance_failures",))
+    block = _alternating(scale, kappa_range, a_range)
+    return _sweep("alternating", trials, seed, scale, BUDGET_EXPONENT, block,
+                  _block_rows(2 * MAX_BLOCKS), audits=("dominance_failures",))
 
 
-def _extension(scale, kappa_range, exponent, factor):
+def _extension(scale, kappa_range):
     klo, khi = _check_range("kappa_range", kappa_range)
 
     def block(stream):
@@ -741,7 +743,8 @@ def _extension(scale, kappa_range, exponent, factor):
         psi, _ = _angle(kstar, far, a, u)
         inputs = {"a": a, "r": r, "kappa": kappa, "u": u, "theta": theta, "kappa_star": kstar}
         return _Block(
-            defect=theta - psi, budget=factor * u ** exponent, failed={}, inputs=inputs,
+            defect=theta - psi, budget=EXTENSION_BUDGET_FACTOR * u ** EXTENSION_BUDGET_EXPONENT,
+            failed={}, inputs=inputs,
             record=lambda i: _floats(inputs, tuple(inputs), i),
             hinges=r.size, inverses=inverses)
 
@@ -753,29 +756,27 @@ def verify_extension(
     scale: float = 1e-3,
     kappa_range: tuple[float, float] = (-2.0, 2.0),
     seed: int = 0,
-    budget_exponent: float = 2.0,
-    budget_factor: float = 50.0,
-    sweep_points: int = 50,
 ) -> SweepReport:
     """Sweep the extension curvature: hinge at r, worst-case growth to a.
 
     Each trial builds a hinge of legs r and u (u <= scale) at a sampled
     angle, extends the r-leg to length a taking the triangle-inequality
     extreme for the far distance, and compares the original angle against
-    the comparison angle at the extension curvature.  Budget is
-    budget_factor * u^budget_exponent, dominating the second-order residual.
-    Also audits, in one array inverse, monotonicity in the extension length
-    on 8 deterministic grids of ``sweep_points`` lengths and the a -> r
-    limit; an inverse that fails there counts as an audit failure.
+    the comparison angle at the extension curvature.  The budget,
+    EXTENSION_BUDGET_FACTOR * u^EXTENSION_BUDGET_EXPONENT, dominates the
+    second-order residual.  Also audits, in one array inverse, monotonicity
+    in the extension length on 8 deterministic grids of ``_AUDIT_POINTS``
+    lengths and the a -> r limit; an inverse that fails there counts as an
+    audit failure.
     """
-    block = _extension(scale, kappa_range, budget_exponent, budget_factor)
-    report = _sweep("extension", trials, seed, scale, budget_exponent, block, _block_rows(),
-                    extra={"budget_factor": budget_factor})
+    block = _extension(scale, kappa_range)
+    report = _sweep("extension", trials, seed, scale, EXTENSION_BUDGET_EXPONENT, block,
+                    _block_rows(), extra={"budget_factor": EXTENSION_BUDGET_FACTOR})
     klo, khi = kappa_range
     audit = _Stream(seed, _AUDIT_BLOCK, 8, 8)
     r = audit.uniform(0.3, 1.2)
     kappa = audit.uniform(klo, khi)
-    grid = np.linspace(r * 1.001, r * 2.5, sweep_points, axis=1)
+    grid = np.linspace(r * 1.001, r * 2.5, _AUDIT_POINTS, axis=1)
     lengths = np.concatenate([grid, (r + 1e-6)[:, None]], axis=1)
     stars, inverses = _extension_star(lengths, r[:, None], kappa[:, None], True)
     curve, limit = stars[:, :-1], stars[:, -1]

@@ -175,6 +175,8 @@ def weak_lambda_search(
     if candidates < 1:
         raise GeometryError(f"search needs at least one candidate, got {candidates}")
     step = _step(space, step)
+    if epsilon == math.inf:
+        raise GeometryError("search epsilon must be finite, got inf")
     if not epsilon >= space.h:
         raise ResolutionError(
             f"epsilon {epsilon!r} below one mesh cell {space.h!r}; nothing to perturb"

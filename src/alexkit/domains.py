@@ -579,6 +579,11 @@ class AreaReport:
     union_bound: float
     delta: float
 
+    @property
+    def passed(self) -> bool:
+        """The estimate stays within three standard errors above ``delta``."""
+        return self.estimate <= self.delta + 3.0 * self.sigma
+
 
 def area_estimate(spec: DomainSpec, samples: int = 100_000, seed: int = 0) -> AreaReport:
     """Monte Carlo area of the thin segment cover, with a union-bound cross-check.
@@ -624,6 +629,16 @@ class CompletionReport:
     max_link_violation: float
     h_err: float
     worst_case: dict = field(default_factory=dict)
+
+    @property
+    def violation_budget(self) -> float:
+        """The chain estimate's bound on a violation: 4*epsilon plus twice the mesh distortion."""
+        return 4.0 * self.epsilon + 2.0 * self.h_err
+
+    @property
+    def passed(self) -> bool:
+        """No matched pair's violation exceeds the budget."""
+        return self.matched == 0 or self.max_violation <= self.violation_budget
 
 
 def completion_compare(

@@ -262,7 +262,7 @@ class DiscreteLengthSpace:
     graph distances always dominate the ambient metric.
     """
 
-    def __init__(self, coords, in_U, edges, weights, meta=None, validate=True):
+    def __init__(self, coords, in_U, edges, weights, meta=None):
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
         self.in_U = np.asarray(in_U, dtype=bool)
         self.edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -275,8 +275,7 @@ class DiscreteLengthSpace:
         self._graph = _symmetric_csr(self.edges, self.weights, n)
         keep = self.in_U[self.edges[:, 0]] & self.in_U[self.edges[:, 1]]
         self._graph_u = _symmetric_csr(self.edges[keep], self.weights[keep], n)
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- basic facts
 
@@ -508,6 +507,11 @@ class ScanReport:
     subset_size: int = 0
     censored: bool = False
     work: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        """No evaluated quadruple has a defect below -tol."""
+        return not (math.isfinite(self.min_defect) and self.min_defect < -self.tol)
 
 
 def _scan_distances(space, subset: int, seed: int, samples: int):
@@ -815,7 +819,6 @@ def local_kappa_domain_check(
     samples: int = 20,
     h_angle: int = 3,
     seed: int = 0,
-    angle_tol: float | None = None,
 ) -> LocalCheckReport:
     """Check the two local comparison conditions inside a metric ball.
 
@@ -823,7 +826,7 @@ def local_kappa_domain_check(
     geodesics are estimated by comparison angles at arc scale
     ``h_angle * h`` (a fixed-scale stand-in for the vanishing-scale
     definition, so the estimate is biased at order h / window and the
-    default tolerance scales accordingly).  Reports violations of the
+    tolerance scales accordingly).  Reports violations of the
     base comparison condition and of the angle-sum condition at interior
     points beyond the tolerance.  The angle-sum tolerance is doubled since
     two measured angles accumulate independent errors, plus the stencil
@@ -832,11 +835,13 @@ def local_kappa_domain_check(
     one face cone of the unit ball, an error of order gamma that no window
     removes.
 
-    Default tolerance constants were calibrated on flat grids, where the
-    exact angles are known: measured deviations stay under half the
-    default at every window size tried.
+    The tolerance constants were calibrated on flat grids, where the exact
+    angles are known: measured deviations stay under half the tolerance at
+    every window size tried.
     """
     k = check_curvature(kappa)
+    if samples < 1:
+        raise GeometryError(f"local check needs at least one sample, got {samples}")
     if not radius > 0.0:
         raise GeometryError(f"ball radius must be positive, got {radius!r}")
     if space.h <= 0.0:
@@ -851,8 +856,7 @@ def local_kappa_domain_check(
             f"twice the angle window ({2.0 * w!r}) must exceed the longest edge "
             f"({longest!r}); raise h_angle"
         )
-    if angle_tol is None:
-        angle_tol = 0.5 / h_angle + 6.0 * space.h_err + 1e-3
+    angle_tol = 0.5 / h_angle + 6.0 * space.h_err + 1e-3
     split_tol = 2.0 * angle_tol + space.stencil_gap
     d_center = space.distance_field(center)
     ball = np.flatnonzero((d_center <= radius) & space.in_U)
@@ -931,7 +935,7 @@ def local_kappa_domain_check(
             base_violations += 1
         if split_gap > split_tol:
             split_violations += 1
-    if not feasible and evaluated == 0:
+    if not feasible:
         raise ResolutionError(
             "mesh cannot furnish sample points within the angle window; "
             "reduce h_angle or enlarge the ball"

@@ -7,13 +7,14 @@ angle from three sides).  Curvature is a plain float: positive selects the
 sphere of radius 1/sqrt(kappa), negative the hyperbolic plane of the
 corresponding scale, and all kernels are continuous across zero.
 
-Array kernels live at the bottom, one per formula (``batch_sn``,
-``batch_cs``, ``batch_md``, ``batch_md_inverse``, ``batch_f``,
-``batch_f_inverse``, ``batch_model_side`` and the angle, ``batch_cos_angle``
-with ``batch_angle``).  They broadcast every argument, curvature included,
-evaluate each branch of a formula only on the entries that take it, and
-return NaN where the scalar kernel raises.  They call no scalar kernel; the
-scalar kernels are their oracles in the tests.
+Array kernels live at the bottom, one per formula that the sweeps and
+scans evaluate (``batch_sn``, ``batch_md``, ``batch_md_inverse``,
+``batch_f``, ``batch_f_inverse``, ``batch_model_side`` and the angle,
+``batch_cos_angle`` with ``batch_angle``).  They broadcast every argument,
+curvature included, evaluate each branch of a formula only on the entries
+that take it, and return NaN where the scalar kernel raises.  They call no
+scalar kernel; the scalar kernels are their oracles in the tests.  ``cs``
+has no array kernel of its own: ``batch_f`` evaluates it inline.
 """
 
 from __future__ import annotations
@@ -456,11 +457,6 @@ _SN = (
     lambda k, x, u: np.sin(np.sqrt(k) * x) / np.sqrt(k),
     lambda k, x, u: np.sinh(np.sqrt(-k) * x) / np.sqrt(-k),
 )
-_CS = (
-    _cs_series,
-    lambda k, x, u: np.cos(np.sqrt(k) * x),
-    lambda k, x, u: np.cosh(np.sqrt(-k) * x),
-)
 _MD = (
     lambda k, x, u: 0.5 * x * x * (
         1.0 - u / 12.0 * (1.0 - u / 30.0 * (1.0 - u / 56.0 * (1.0 - u / 90.0)))),
@@ -481,11 +477,6 @@ def _length_formula(formulas, kappa, t):
 def batch_sn(kappa, t):
     """Array ``sn``."""
     return _length_formula(_SN, kappa, t)
-
-
-def batch_cs(kappa, t):
-    """Array ``cs``."""
-    return _length_formula(_CS, kappa, t)
 
 
 def batch_md(kappa, t):

@@ -8,6 +8,8 @@ import shlex
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alexkit import comparison
 from alexkit.cli import main
@@ -48,6 +50,8 @@ def test_lemma_verify_other_sweeps(runner, tmp_path, which):
     assert res.exit_code == 0
     rep = json.loads(out.read_text())
     assert rep["result"]["passed"] is True
+    # without --scale each sweep runs at its own default
+    assert rep["config"].get("scale") == {"extension": 1e-3, "alexandrov": None}.get(which, 1e-2)
 
 
 @pytest.mark.parametrize("argv", [
@@ -63,12 +67,30 @@ def test_lemma_verify_other_sweeps(runner, tmp_path, which):
     ["--which", "multi", "--a-min", "0"],
     ["--which", "weighted2", "--a-max", "inf"],
     ["--which", "weighted2", "--a-min", "2", "--a-max", "1"],
+    ["--which", "alexandrov", "--scale", "1e-2"],
+    ["--which", "alexandrov", "--kappa-max", "1"],
+    ["--which", "alexandrov", "--a-min", "0.5"],
+    ["--which", "weighted2", "--segments", "6"],
+    ["--which", "alternating", "--segments", "4"],
+    ["--which", "extension", "--a-max", "1.5"],
+    ["--which", "extension", "--segments", "3"],
 ], ids=["bogus-which", "one-segment", "nan-kappa", "kappa-min-above-max", "zero-scale",
         "negative-scale", "infinite-scale", "nan-scale", "negative-a", "zero-a",
-        "infinite-a", "a-min-above-max"])
+        "infinite-a", "a-min-above-max", "alexandrov-scale", "alexandrov-kappa",
+        "alexandrov-a", "weighted2-segments", "alternating-segments", "extension-a",
+        "extension-segments"])
 def test_lemma_verify_usage_error(runner, argv):
     res = _run(runner, ["lemma", "verify", "--trials", "50", *argv])
     assert res.exit_code == 2, res.output
+
+
+@pytest.mark.parametrize("which, option", [
+    ("alexandrov", "--scale"), ("extension", "--a-min"), ("alternating", "--segments"),
+])
+def test_lemma_verify_names_an_option_the_sweep_does_not_read(runner, which, option):
+    res = _run(runner, ["lemma", "verify", "--which", which, "--trials", "50", option, "1"])
+    assert res.exit_code == 2
+    assert f"Error: the {which} sweep does not read {option}" in res.output.splitlines()
 
 
 def test_lemma_verify_accepts_the_largest_seed(runner, tmp_path):
@@ -79,12 +101,24 @@ def test_lemma_verify_accepts_the_largest_seed(runner, tmp_path):
     assert json.loads(out.read_text())["seed"] == 2**64 - 1
 
 
+_RANGES = ["--kappa-min", "-1", "--a-max", "1.5"]
+# each sweep with the options it reads, all away from their defaults
+_READ_OPTIONS = {
+    "weighted2": ["--scale", "0.02", *_RANGES],
+    "multi": ["--scale", "0.02", *_RANGES, "--segments", "4"],
+    "alternating": ["--scale", "0.02", *_RANGES],
+    "extension": ["--scale", "0.002", "--kappa-min", "-1"],
+    "alexandrov": [],
+}
+
+
 @pytest.mark.parametrize("which,name", [
     ("weighted2", "verify_weighted_pair"), ("multi", "verify_weighted_multi"),
     ("alternating", "verify_alternating"), ("extension", "verify_extension"),
     ("alexandrov", "verify_alexandrov"),
 ])
 def test_sweep_config_echoes_what_the_sweep_read(runner, tmp_path, monkeypatch, which, name):
+    options = _READ_OPTIONS[which]
     seen = {}
     sweep = getattr(comparison, name)
 
@@ -95,14 +129,16 @@ def test_sweep_config_echoes_what_the_sweep_read(runner, tmp_path, monkeypatch, 
     monkeypatch.setattr(comparison, name, spy)
     out = tmp_path / "rep.json"
     res = _run(runner, ["lemma", "verify", "--which", which, "--trials", "60", "--seed", "3",
-                        "--scale", "0.02", "--segments", "4", "--kappa-min", "-1",
-                        "-o", str(out), "--no-timestamp"])
+                        *options, "-o", str(out), "--no-timestamp"])
     assert res.exit_code == 0, res.output
     config = json.loads(out.read_text())["config"]
     assert config.pop("which") == which
+    # the alternating sweep runs at a fixed block count, which the config echoes
+    if which == "alternating":
+        assert config.pop("max_blocks") == comparison.MAX_BLOCKS
     assert config == json.loads(json.dumps(seen))
-    if which == "extension":
-        assert config["scale"] == 1e-3
+    if "--scale" in options:
+        assert config["scale"] == float(options[1])
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +461,10 @@ _BAD_SEEDS = ("-1", str(2**64))
      "--slack", "inf"],
     ["convexity", "estimate", "--input", "CAP", "--kind", "ae", "--p", "0",
      "--samples", "0"],
+    ["convexity", "search", "--input", "CAP", "--p", "0", "--q", "1", "--s", "2",
+     "--epsilon", "inf"],
+    _LOCAL + ["0.3", "--samples", "0"],
+    _LOCAL + ["0.3", "--samples", "-3"],
 ] + [argv + ["--seed", seed] for argv in _SEEDED.values() for seed in _BAD_SEEDS],
     ids=["sphere-negative-n", "cap-nan-h", "cap-infinite-h", "punctured-nan-side",
         "point-not-numbers", "point-three-coords", "segment-two-coords",
@@ -432,7 +472,8 @@ _BAD_SEEDS = ("-1", str(2**64))
         "plot-not-json", "estimate-nan-step", "estimate-infinite-step", "estimate-zero-step",
         "local-check-nan-radius", "local-check-zero-radius", "local-check-negative-radius",
         "search-zero-candidates", "completion-negative-epsilon", "completion-nan-epsilon",
-        "estimate-nan-slack", "estimate-negative-slack", "ae-infinite-slack", "ae-zero-samples"]
+        "estimate-nan-slack", "estimate-negative-slack", "ae-infinite-slack", "ae-zero-samples",
+        "search-infinite-epsilon", "local-check-zero-samples", "local-check-negative-samples"]
     + [f"{name}-seed-{seed}" for name in _SEEDED for seed in _BAD_SEEDS])
 def test_bad_parameters_exit_2(runner, tmp_path, dense_file, cap_file, argv):
     not_json = tmp_path / "notes.txt"
@@ -443,6 +484,27 @@ def test_bad_parameters_exit_2(runner, tmp_path, dense_file, cap_file, argv):
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
     assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1, res.output
+    if "--samples" in argv and argv[1] == "local-check":
+        assert "at least one sample" in res.output
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma", "verify", "--which", "alexandrov", "--trials", "10"],
+    ["area", "estimate", "--delta", "0.2", "--segments", "20", "--samples", "100"],
+    ["domain", "generate", "--kind", "sphere_points", "--n", "10"],
+    ["domain", "generate", "--kind", "punctured", "--h", "0.1"],
+    ["plot", "emit", "--input", "SERIES"],
+], ids=["lemma-verify", "area-estimate", "sphere-points", "punctured", "plot-emit"])
+def test_unwritable_output_is_a_usage_error(runner, tmp_path, argv):
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps({"result": {"series": {"x": [0.5, 1.0], "y": [1, 0]}}}))
+    missing = tmp_path / "missing" / "out"
+    res = _run(runner, [str(series) if a == "SERIES" else a for a in argv] + ["-o", str(missing)])
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: {missing}: No such file or directory"]
+    assert not missing.parent.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -507,3 +569,113 @@ def test_timestamp_present_by_default(runner, tmp_path):
     _run(runner, ["lemma", "verify", "--which", "alternating", "--trials", "50",
                   "--seed", "0", "-o", str(out)])
     assert "timestamp" in json.loads(out.read_text())
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under fuzzed argv and inputs
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory, readme_inputs):
+    """Small valid inputs of every kind, and malformed ones, by name."""
+    root = tmp_path_factory.mktemp("fuzz")
+    sphere = root / "sphere.csv"
+    CliRunner().invoke(main, ["domain", "generate", "--kind", "sphere_points", "--n", "12",
+                              "-o", str(sphere)], catch_exceptions=False)
+    files = {"sphere.csv": str(sphere), "cap.json": readme_inputs["CAP"],
+             "grid.json": readme_inputs["PUNCT"], "dense.json": readme_inputs["DENSE"]}
+    with open(readme_inputs["CAP"], "rb") as fh:
+        cap = fh.read()
+    # a report that carries a series, and malformed inputs
+    written = {
+        "series.json": json.dumps({"result": {"series": {"x": [0.5], "y": [1]}}}).encode(),
+        "empty.json": b"",
+        "notes.txt": b"not json\n",
+        "truncated.json": cap[: len(cap) // 2],
+        "list-form.json": _OLD_LIST_FORM.encode(),
+        "nan.csv": b"0,nan\nnan,0\n",
+        "ragged.csv": b"0,1,2\n1,0,1\n",
+        "junk.bin": bytes(range(256)) * 4,
+        "junk-brace.json": b"{" + bytes(range(255, -1, -1)),
+    }
+    for name, data in written.items():
+        (root / name).write_bytes(data)
+        files[name] = str(root / name)
+    return files
+
+
+_BAD_VALUES = ["0", "-1", "nan", "inf", "abc"]
+_SEED_VALUES = ["0", "1", "5"]
+_IDS = ["0", "300", "900"]
+# command -> (always-passed options, optional options); each option with its
+# valid values (input files by name).  Counts stay small so that every run is
+# quick.
+_FUZZ_COMMANDS = {
+    ("lemma", "verify"): (
+        {"--which": ["weighted2", "multi", "alternating", "extension", "alexandrov"],
+         "--trials": ["20", "60"]},
+        {"--scale": ["0.01", "0.002"], "--kappa-min": ["-1"], "--kappa-max": ["1"],
+         "--a-min": ["0.5"], "--a-max": ["1.5"], "--segments": ["3"]}),
+    ("domain", "generate"): (
+        {"--kind": ["cap", "dense_square", "punctured", "sphere_points"],
+         "--h": ["0.2", "0.1"], "--n": ["20"], "--segments": ["20"]},
+        {"--r": ["1.2"], "--delta": ["0.2"], "--side": ["1", "2"], "--stencil-radius": ["2"],
+         "--remove-point": ["0.5,0.5"], "--remove-segment": ["0.2,0.2,0.8,0.8"]}),
+    ("space", "scan"): (
+        {"--input": ["sphere.csv", "cap.json", "grid.json"], "--kappa": ["1", "0", "-1"],
+         "--samples": ["200"]},
+        {"--subset": ["6", "10"], "--exhaustive": [], "--min-defect-tol": ["1e-6"]}),
+    ("space", "local-check"): (
+        {"--input": ["grid.json"], "--center": ["544", "0"], "--radius": ["1.5"],
+         "--kappa": ["0"], "--samples": ["4"]},
+        {"--h-angle": ["3", "4"]}),
+    ("convexity", "estimate"): (
+        {"--input": ["cap.json"], "--p": _IDS, "--q": _IDS, "--s": _IDS, "--samples": ["50"]},
+        {"--kind": ["prob", "ae"], "--step": ["0.05"],
+         "--slack": ["0.01"], "--emit-samples": []}),
+    ("convexity", "search"): (
+        {"--input": ["cap.json"], "--p": _IDS, "--q": _IDS, "--s": _IDS, "--epsilon": ["0.3"],
+         "--candidates": ["3"]},
+        {"--step": ["0.05"], "--slack": ["0.01"]}),
+    ("completion", "compare"): (
+        {"--input": ["dense.json"], "--pairs": ["20"]}, {"--epsilon": ["0.05"]}),
+    ("area", "estimate"): (
+        {"--delta": ["0.2"], "--samples": ["500"]}, {"--segments": ["20"]}),
+    ("plot", "emit"): ({"--input": ["series.json"]}, {"--series": ["series", "nope"]}),
+}
+
+
+@st.composite
+def _fuzz_argv(draw, inputs):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    always, optional = _FUZZ_COMMANDS[command]
+    chosen = [*always, *(o for o in optional if draw(st.booleans()))]
+    if command[0] not in ("domain", "plot") and draw(st.booleans()):
+        chosen.append("--seed")
+    argv = list(command)
+    for option in chosen:
+        valid = _SEED_VALUES if option == "--seed" else optional.get(option, always.get(option))
+        # one value in eight is bad, so that most runs get past the checks
+        bad = draw(st.integers(0, 7)) == 7
+        if option == "--input":
+            argv += [option, inputs[draw(st.sampled_from(sorted(inputs) if bad else valid))]]
+        elif valid == []:  # a flag
+            argv.append(option)
+        else:
+            argv += [option, draw(st.sampled_from(_BAD_VALUES if bad else valid))]
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_exit_code_contract_holds_for_fuzzed_argv(fuzz_inputs, tmp_path_factory, data):
+    argv = data.draw(_fuzz_argv(fuzz_inputs))
+    out = tmp_path_factory.getbasetemp() / data.draw(
+        st.sampled_from(["fuzz-out", "no-such-dir/out"]))
+    res = CliRunner().invoke(main, argv + ["-o", str(out)])
+    assert res.exit_code in (0, 1, 2), (argv, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit), (argv, res.exception)
+    assert "Traceback" not in res.output
+    if res.exit_code == 2:
+        errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1, (argv, res.output)

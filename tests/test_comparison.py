@@ -313,12 +313,6 @@ def test_sweep_reports_are_deterministic(verify):
     assert c != a
 
 
-def test_alternating_rejects_zero_blocks():
-    # the CLI has no block option, so its usage-error test cannot reach this
-    with pytest.raises(GeometryError, match="max_blocks"):
-        verify_alternating(10, max_blocks=0)
-
-
 class _ClosingRng:
     """Stub stream whose hinge angles close every junction flat."""
 
@@ -353,10 +347,10 @@ def test_chain_without_room_returns_none():
 
 _PARAMS = {"scale": 1e-2, "kappa_range": (-2.0, 2.0), "a_range": (0.5, 2.0)}
 _BLOCKS = {
-    "weighted2": (lambda: comparison._weighted2(**_PARAMS, exponent=2.5), 2),
-    "multi": (lambda: comparison._multi(**_PARAMS, max_segments=6, exponent=2.5), 6),
-    "alternating": (lambda: comparison._alternating(**_PARAMS, max_blocks=3, exponent=2.5), 6),
-    "extension": (lambda: comparison._extension(1e-3, (-2.0, 2.0), 2.0, 50.0), 1),
+    "weighted2": (lambda: comparison._weighted2(**_PARAMS), 2),
+    "multi": (lambda: comparison._multi(**_PARAMS, max_segments=6), 6),
+    "alternating": (lambda: comparison._alternating(**_PARAMS), 6),
+    "extension": (lambda: comparison._extension(1e-3, (-2.0, 2.0)), 1),
     "alexandrov": (lambda: comparison._alexandrov((-1.0, 0.0, 1.0), 1e-9), 1),
 }
 

@@ -32,7 +32,6 @@ from alexkit.trig import (
     SERIES_CUTOFF,
     _cos_angle_hyp_scaled,
     batch_angle,
-    batch_cs,
     batch_f,
     batch_f_inverse,
     batch_md,
@@ -443,8 +442,7 @@ def _assert_matches(got, want, rtol=1e-13, atol=1e-15):
     np.testing.assert_allclose(got, want, rtol=rtol, atol=atol, equal_nan=True)
 
 
-@pytest.mark.parametrize("batch,scalar", [(batch_sn, sn), (batch_cs, cs), (batch_md, md)],
-                         ids=["sn", "cs", "md"])
+@pytest.mark.parametrize("batch,scalar", [(batch_sn, sn), (batch_md, md)], ids=["sn", "md"])
 def test_length_kernels_match_scalar(batch, scalar):
     rng = np.random.default_rng(21)
     n = 600
