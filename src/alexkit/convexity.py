@@ -132,7 +132,7 @@ def prob_convexity(
     length = path.length
     n_ticks = max(2, int(math.ceil(length / step)) + 1)
     ticks = np.linspace(0.0, length, n_ticks)
-    xs = np.array([path.vertex_at_arc(float(t)) for t in ticks])
+    xs = path.vertices_at_arcs(ticks)
     flags = _connectable_mask(space, p, xs, slack)
     prob = float(np.mean(flags))
     series = {}
@@ -170,7 +170,11 @@ def weak_lambda_search(
     around p, q and s, stratified by distance ring so near and far
     perturbations are both explored.  The unperturbed triple is always
     candidate zero.  The best probability found is a lower bound for the
-    attainable level.
+    attainable level; ties go to the lowest (p, q, s).
+
+    The distinct drawn triples are evaluated in ascending (p, q, s) order,
+    so the first with probability 1 is the best one and the search stops
+    there; ``candidates_evaluated`` counts the triples evaluated until then.
     """
     if candidates < 1:
         raise GeometryError(f"search needs at least one candidate, got {candidates}")
@@ -202,11 +206,11 @@ def weak_lambda_search(
 
     best: ConvexityReport | None = None
     best_key = None
-    triples = [(p, q, s)]
+    triples = {(p, q, s)}
     for _ in range(candidates - 1):
-        triples.append((draw(balls[0], rng), draw(balls[1], rng), draw(balls[2], rng)))
+        triples.add((draw(balls[0], rng), draw(balls[1], rng), draw(balls[2], rng)))
     evaluated = 0
-    for (pp, qq, ss) in triples:
+    for (pp, qq, ss) in sorted(triples):
         if qq == ss:
             continue
         try:
@@ -219,6 +223,9 @@ def weak_lambda_search(
             best_key = key
             best = rep
             best_triple = (pp, qq, ss)
+        if rep.probability == 1.0:
+            # every later triple has a larger key
+            break
     if best is None:
         raise UnreachableError("no candidate triple admitted a geodesic")
     return ConvexityReport(

@@ -629,6 +629,7 @@ class CompletionReport:
     max_link_violation: float
     h_err: float
     worst_case: dict = field(default_factory=dict)
+    work: dict = field(default_factory=dict)
 
     @property
     def violation_budget(self) -> float:
@@ -639,6 +640,50 @@ class CompletionReport:
     def passed(self) -> bool:
         """No matched pair's violation exceeds the budget."""
         return self.matched == 0 or self.max_violation <= self.violation_budget
+
+
+# float64 elements in one block of a broadcast temporary (2 MB)
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices of ``rows`` rows whose blocks of ``width`` elements each stay within budget."""
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    for lo in range(0, rows, step):
+        yield slice(lo, min(lo + step, rows))
+
+
+def _nearest_vertices(xy: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``DiscreteLengthSpace.nearest_vertex`` of each planar point, first index on ties.
+
+    Its squared distances dx**2 + dy**2 round exactly as ``nearest_vertex``'s
+    sum over the two coordinates.
+    """
+    out = np.empty(len(points), dtype=np.int64)
+    for rows in _row_blocks(len(points), len(xy)):
+        d2 = (xy[None, :, 0] - points[rows, None, 0]) ** 2
+        d2 += (xy[None, :, 1] - points[rows, None, 1]) ** 2
+        out[rows] = np.argmin(d2, axis=1)
+    return out
+
+
+def _match_segments(starts, ends, p_xy, q_xy, epsilon):
+    """For each pair (p, q): the segment whose endpoints lie nearest to it, or -1.
+
+    A segment matches when both of its endpoints, in either orientation,
+    lie within epsilon of p and q; the worse endpoint's distance ranks the
+    candidates, and the first segment wins a tie.
+    """
+    out = np.empty(len(p_xy), dtype=np.int64)
+    for rows in _row_blocks(len(p_xy), 4 * starts.size):
+        p = p_xy[rows, None, :]
+        q = q_xy[rows, None, :]
+        fwd = np.maximum(np.linalg.norm(starts - p, axis=2), np.linalg.norm(ends - q, axis=2))
+        rev = np.maximum(np.linalg.norm(ends - p, axis=2), np.linalg.norm(starts - q, axis=2))
+        best = np.minimum(fwd, rev)
+        k = np.argmin(best, axis=1)
+        out[rows] = np.where(best[np.arange(len(k)), k] > epsilon, -1, k)
+    return out
 
 
 def completion_compare(
@@ -660,7 +705,10 @@ def completion_compare(
     Sampling is stratified: half the pairs are uniform over vertices (their
     miss rate measures how sparse the finite bundle is at this epsilon),
     half are anchored near bundled endpoints so the chain is actually
-    exercised at every run.
+    exercised at every run.  The nearest vertices, the segment matches and
+    the completion distances are each computed for all pairs at once, in
+    blocks of bounded size; ``work`` counts the distinct sources of the
+    distance fields.
     """
     if space.meta.get("generator") != "dense_square":
         raise GeometryError("completion comparison applies to dense_square domains")
@@ -671,6 +719,7 @@ def completion_compare(
     segs = np.asarray(space.meta["segments"], dtype=float)
     starts = segs[:, :2]
     ends = segs[:, 2:]
+    side = space.meta.get("side", 1.0)
     rng = np.random.default_rng(seed)
     n = space.n_vertices
     n_uniform = pairs // 2
@@ -678,67 +727,54 @@ def completion_compare(
     q_ids = np.empty(pairs, dtype=np.int64)
     p_ids[:n_uniform] = rng.integers(0, n, size=n_uniform)
     q_ids[:n_uniform] = rng.integers(0, n, size=n_uniform)
-    for row in range(n_uniform, pairs):
-        k = int(rng.integers(0, len(segs)))
-        jitter = rng.uniform(-0.5, 0.5, size=4) * epsilon
-        a = np.clip(starts[k] + jitter[:2], 0.0, space.meta.get("side", 1.0))
-        b = np.clip(ends[k] + jitter[2:], 0.0, space.meta.get("side", 1.0))
-        p_ids[row] = space.nearest_vertex(a)
-        q_ids[row] = space.nearest_vertex(b)
-    matched = 0
-    misses = 0
-    uniform_matched = 0
-    uniform_misses = 0
+    anchored = np.empty(pairs - n_uniform, dtype=np.int64)
+    jitter = np.empty((pairs - n_uniform, 4))
+    for row in range(len(anchored)):
+        anchored[row] = rng.integers(0, len(segs))
+        jitter[row] = rng.uniform(-0.5, 0.5, size=4)
+    jitter *= epsilon
+    anchors = np.vstack([np.clip(starts[anchored] + jitter[:, :2], 0.0, side),
+                         np.clip(ends[anchored] + jitter[:, 2:], 0.0, side)])
+    nearest = _nearest_vertices(space.coords, anchors)
+    p_ids[n_uniform:] = nearest[:len(anchored)]
+    q_ids[n_uniform:] = nearest[len(anchored):]
+    ks = _match_segments(starts, ends, space.coords[p_ids], space.coords[q_ids], epsilon)
+    ks[p_ids == q_ids] = -1
+    hit = ks >= 0
+    q_hit = q_ids[hit]
+    sources, which = np.unique(p_ids[hit], return_inverse=True)
+    d_bar = np.empty(len(which))
+    for rows in _row_blocks(len(sources), n):
+        fields = space.distance_field(sources[rows])
+        picked = (which >= rows.start) & (which < rows.stop)
+        d_bar[picked] = fields[which[picked] - rows.start, q_hit[picked]]
+    seg_len = {k: float(np.linalg.norm(ends[k] - starts[k])) for k in set(ks[hit].tolist())}
+    matched = int(hit.sum())
+    uniform_matched = int(hit[:n_uniform].sum())
     max_violation = -math.inf
     max_link = -math.inf
     worst: dict = {}
-    fields_cache: dict[int, np.ndarray] = {}
-    for row, (p_i, q_i) in enumerate(zip(p_ids, q_ids)):
-        is_uniform = row < n_uniform
-        p_i, q_i = int(p_i), int(q_i)
-        if p_i == q_i:
-            misses += 1
-            uniform_misses += is_uniform
-            continue
-        p = space.coords[p_i]
-        q = space.coords[q_i]
-        d_ps = np.linalg.norm(starts - p, axis=1)
-        d_qe = np.linalg.norm(ends - q, axis=1)
-        d_pe = np.linalg.norm(ends - p, axis=1)
-        d_qs = np.linalg.norm(starts - q, axis=1)
-        fwd = np.maximum(d_ps, d_qe)
-        rev = np.maximum(d_pe, d_qs)
-        best = np.minimum(fwd, rev)
-        k = int(np.argmin(best))
-        if best[k] > epsilon:
-            misses += 1
-            uniform_misses += is_uniform
-            continue
-        matched += 1
-        uniform_matched += is_uniform
-        seg_len = float(np.linalg.norm(ends[k] - starts[k]))
-        d_x = float(np.linalg.norm(p - q))
-        if p_i not in fields_cache:
-            fields_cache[p_i] = space.distance_field(p_i)
-        d_bar = float(fields_cache[p_i][q_i])
-        violation = d_bar - seg_len
-        link1 = d_x - d_bar                 # completion dominates the ambient metric
-        link2 = (seg_len - 2.0 * epsilon) - d_x
-        link = max(link1, link2)
+    for p_i, q_i, k, d_pq in zip(p_ids[hit].tolist(), q_hit.tolist(), ks[hit].tolist(),
+                                 d_bar.tolist()):
+        d_x = float(np.linalg.norm(space.coords[p_i] - space.coords[q_i]))
+        violation = d_pq - seg_len[k]
+        link1 = d_x - d_pq                  # completion dominates the ambient metric
+        link2 = (seg_len[k] - 2.0 * epsilon) - d_x
         if violation > max_violation:
             max_violation = violation
-            worst = {"p": p_i, "q": q_i, "segment": k, "segment_length": seg_len,
-                     "d_ambient": d_x, "d_completion": d_bar, "violation": violation}
-        max_link = max(max_link, link)
+            worst = {"p": p_i, "q": q_i, "segment": k, "segment_length": seg_len[k],
+                     "d_ambient": d_x, "d_completion": d_pq, "violation": violation}
+        max_link = max(max_link, link1, link2)
     return CompletionReport(
         pairs=pairs,
         matched=matched,
-        misses=misses,
-        uniform_matched=int(uniform_matched),
-        uniform_misses=int(uniform_misses),
+        misses=pairs - matched,
+        uniform_matched=uniform_matched,
+        uniform_misses=n_uniform - uniform_matched,
         epsilon=epsilon,
         max_violation=max_violation if matched else 0.0,
         max_link_violation=max_link if matched else 0.0,
         h_err=space.h_err,
         worst_case=worst,
+        work={"distance_sources": len(sources)},
     )

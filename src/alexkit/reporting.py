@@ -78,6 +78,11 @@ def _atomic_write(path: str, text: str) -> None:
         # name the file asked for, not the temporary one
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
+        # mkstemp creates the file with mode 0600 whatever the umask; give it
+        # the mode that open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

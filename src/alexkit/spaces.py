@@ -65,6 +65,21 @@ def _symmetric_csr(edges: np.ndarray, weights: np.ndarray, n: int):
     return csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def _induced_csr(graph, keep: np.ndarray):
+    """The entries of a CSR matrix whose row and column both carry the ``keep`` flag.
+
+    Equals a fresh :func:`_symmetric_csr` build of the kept edges, array for
+    array, without a second COO-to-CSR conversion.
+    """
+    from scipy.sparse import csr_matrix
+
+    indptr, indices = graph.indptr, graph.indices
+    rows = np.repeat(np.arange(graph.shape[0], dtype=indices.dtype), np.diff(indptr))
+    entry = keep[rows] & keep[indices]
+    starts = np.concatenate([[0], np.cumsum(entry)]).astype(indptr.dtype)
+    return csr_matrix((graph.data[entry], indices[entry], starts[indptr]), shape=graph.shape)
+
+
 def _b64(arr: np.ndarray, dtype: str) -> str:
     return base64.b64encode(np.ascontiguousarray(arr, dtype=dtype).tobytes()).decode("ascii")
 
@@ -108,7 +123,7 @@ def _read_graph_file(path):
     checks the graph itself.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         verts = data["vertices"]
         meta = data.get("meta", {})
@@ -133,6 +148,9 @@ def _read_graph_file(path):
         weights = _unb64(table["w"], "<f8", count, "w")
     except GeometryError:
         raise
+    except UnicodeDecodeError as exc:
+        # the exception's repr would quote the whole undecodable buffer
+        raise GeometryError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
         raise GeometryError(f"malformed length-space file: {exc!r}") from exc
     return coords, in_u, edges, weights, meta
@@ -243,14 +261,26 @@ class GeodesicPath:
 
     def vertex_at_arc(self, t: float) -> int:
         """Path vertex whose cumulative arc is nearest to t."""
-        i = int(np.searchsorted(self.arc_lengths, t))
-        if i <= 0:
-            return self.vertices[0]
-        if i >= len(self.vertices):
-            return self.vertices[-1]
-        before = t - self.arc_lengths[i - 1]
-        after = self.arc_lengths[i] - t
-        return self.vertices[i - 1] if before <= after else self.vertices[i]
+        return int(self.vertices_at_arcs(np.array([t], dtype=float))[0])
+
+    def vertices_at_arcs(self, ts: np.ndarray) -> np.ndarray:
+        """:meth:`vertex_at_arc` of each of ``ts``, with one ``searchsorted``.
+
+        Arcs before the start or past the end give the end vertices; between
+        two path vertices the nearer wins, the earlier one on a tie.
+        """
+        ts = np.asarray(ts, dtype=float)
+        arcs = self.arc_lengths
+        verts = np.asarray(self.vertices)
+        last = len(verts) - 1
+        if last == 0:
+            return np.full(ts.shape, verts[0])
+        i = np.searchsorted(arcs, ts)
+        inner = np.clip(i, 1, last)
+        before = ts - arcs[inner - 1]
+        after = arcs[inner] - ts
+        pick = np.where(before <= after, inner - 1, inner)
+        return verts[np.where(i <= 0, 0, np.where(i > last, last, pick))]
 
 
 class DiscreteLengthSpace:
@@ -273,8 +303,7 @@ class DiscreteLengthSpace:
         if self.edges.max(initial=-1) >= n or self.edges.min(initial=0) < 0:
             raise GeometryError("edge endpoint out of range")
         self._graph = _symmetric_csr(self.edges, self.weights, n)
-        keep = self.in_U[self.edges[:, 0]] & self.in_U[self.edges[:, 1]]
-        self._graph_u = _symmetric_csr(self.edges[keep], self.weights[keep], n)
+        self._graph_u = _induced_csr(self._graph, self.in_U)
         self.validate()
 
     # -- basic facts
@@ -779,6 +808,13 @@ def scan_quadruples(
 # local domain check
 
 
+# why a local-check sample was skipped; the first reason counts every sample
+# of a ball with fewer than four open-domain vertices, the rest in the order
+# the check meets them
+SKIP_REASONS = ("small_ball", "no_path", "short_path", "endpoint_near_p", "no_inner_vertex",
+                "undefined_angle")
+
+
 @dataclass
 class LocalCheckReport:
     kappa: float
@@ -796,18 +832,20 @@ class LocalCheckReport:
     split_violations: int
     split_worst: float
     worst_case: dict = field(default_factory=dict)
+    skips: dict = field(default_factory=dict)
+    work: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return self.vacuous or (self.base_violations == 0 and self.split_violations == 0)
 
 
-def _discrete_angle(space, at: int, toward_a: int, toward_b: int,
+def _discrete_angle(distance_field, toward_a: int, toward_b: int,
                     d_at: np.ndarray, kappa: float) -> float:
-    """Comparison angle at a vertex from graph distances to two nearby points."""
+    """Comparison angle at a vertex from its graph distances ``d_at`` to two nearby points."""
     da = float(d_at[toward_a])
     db = float(d_at[toward_b])
-    dab = float(space.distance_field(toward_a, limit=da + db + 1e-9)[toward_b])
+    dab = float(distance_field(toward_a, limit=da + db + 1e-9)[toward_b])
     return angle_from_sides(kappa, dab, da, db)
 
 
@@ -838,6 +876,12 @@ def local_kappa_domain_check(
     The tolerance constants were calibrated on flat grids, where the exact
     angles are known: measured deviations stay under half the tolerance at
     every window size tried.
+
+    The report counts each skipped sample under its reason (``skips``) and
+    the distance fields computed (``work``): full fields, and fields cut off
+    at a distance limit.  A check none of whose samples is feasible (each
+    one skipped before its angles) is vacuous, like one on a ball too small
+    to sample.
     """
     k = check_curvature(kappa)
     if samples < 1:
@@ -858,18 +902,32 @@ def local_kappa_domain_check(
         )
     angle_tol = 0.5 / h_angle + 6.0 * space.h_err + 1e-3
     split_tol = 2.0 * angle_tol + space.stencil_gap
-    d_center = space.distance_field(center)
-    ball = np.flatnonzero((d_center <= radius) & space.in_U)
-    if len(ball) < 4:
+    skips = dict.fromkeys(SKIP_REASONS, 0)
+    work = {"full_fields": 0, "bounded_fields": 0}
+
+    def distance_field(source, restrict_to_U=False, limit=np.inf):
+        work["full_fields" if limit == np.inf else "bounded_fields"] += 1
+        return space.distance_field(source, restrict_to_U=restrict_to_U, limit=limit)
+
+    def vacuous_report():
         return LocalCheckReport(
             kappa=k, center=center, radius=radius, trials=samples, evaluated=0,
             skipped=samples, vacuous=True, angle_tol=angle_tol, split_tol=split_tol,
             window=w,
             base_violations=0, base_worst=0.0, split_violations=0, split_worst=0.0,
+            skips=skips, work=work,
         )
+
+    d_center = distance_field(center)
+    ball = np.flatnonzero((d_center <= radius) & space.in_U)
+    if len(ball) < 4:
+        skips["small_ball"] = samples
+        return vacuous_report()
+    # d_q and d_x are read only at path vertices within w + longest/2 < 2w of
+    # their source, and a field cut off at a limit is exact up to it
+    near = 3.0 * w
     rng = np.random.default_rng(seed)
     evaluated = 0
-    skipped = 0
     base_violations = 0
     split_violations = 0
     base_worst = -math.inf
@@ -879,17 +937,17 @@ def local_kappa_domain_check(
     for _ in range(samples):
         q, s, p = (int(ball[j]) for j in rng.choice(len(ball), size=3, replace=False))
         try:
-            path = space.shortest_path(q, s, restrict_to_U=True)
+            path = space.shortest_path(q, s, restrict_to_U=True,
+                                       dist_to=distance_field(s, restrict_to_U=True))
         except UnreachableError:
-            skipped += 1
+            skips["no_path"] += 1
             continue
         if path.length < 4.0 * w:
-            skipped += 1
+            skips["short_path"] += 1
             continue
-        d_p = space.distance_field(p)
-        d_q = space.distance_field(q)
+        d_p = distance_field(p)
         if min(d_p[q], d_p[s]) < 3.0 * w:
-            skipped += 1
+            skips["endpoint_near_p"] += 1
             continue
         feasible = True
         try:
@@ -897,30 +955,29 @@ def local_kappa_domain_check(
             path_qp = space.shortest_path(q, p, dist_to=d_p)
             y_qp = path_qp.vertex_at_arc(w)
             y_qs = path.vertex_at_arc(w)
-            lhs = _discrete_angle(space, q, y_qp, y_qs, d_q, k)
+            d_q = distance_field(q, limit=near)
+            lhs = _discrete_angle(distance_field, y_qp, y_qs, d_q, k)
             rhs = angle_from_sides(k, float(d_p[s]), float(d_p[q]), path.length)
             base_gap = rhs - lhs
             # split condition at an interior path vertex away from both ends
             arcs = path.arc_lengths
-            inner = [
-                j for j in range(1, len(path.vertices) - 1)
-                if w <= arcs[j] <= path.length - w and d_p[path.vertices[j]] >= 3.0 * w
-            ]
-            if not inner:
-                skipped += 1
+            mid = slice(1, len(arcs) - 1)
+            inner = 1 + np.flatnonzero((w <= arcs[mid]) & (arcs[mid] <= path.length - w)
+                                       & (d_p[path.vertices[mid]] >= 3.0 * w))
+            if not len(inner):
+                skips["no_inner_vertex"] += 1
                 continue
-            j = inner[int(rng.integers(0, len(inner)))]
+            j = int(inner[int(rng.integers(0, len(inner)))])
             x = path.vertices[j]
-            d_x = space.distance_field(x)
-            y_back = path.vertex_at_arc(arcs[j] - w)
-            y_fwd = path.vertex_at_arc(arcs[j] + w)
+            d_x = distance_field(x, limit=near)
+            y_back, y_fwd = path.vertices_at_arcs(np.array([arcs[j] - w, arcs[j] + w]))
             path_xp = space.shortest_path(x, p, dist_to=d_p)
             y_xp = path_xp.vertex_at_arc(w)
-            ang_back = _discrete_angle(space, x, y_back, y_xp, d_x, k)
-            ang_fwd = _discrete_angle(space, x, y_fwd, y_xp, d_x, k)
+            ang_back = _discrete_angle(distance_field, y_back, y_xp, d_x, k)
+            ang_fwd = _discrete_angle(distance_field, y_fwd, y_xp, d_x, k)
             split_gap = abs(ang_back + ang_fwd - math.pi)
         except UndefinedModelAngleError:
-            skipped += 1
+            skips["undefined_angle"] += 1
             continue
         evaluated += 1
         if base_gap > base_worst:
@@ -936,17 +993,14 @@ def local_kappa_domain_check(
         if split_gap > split_tol:
             split_violations += 1
     if not feasible:
-        raise ResolutionError(
-            "mesh cannot furnish sample points within the angle window; "
-            "reduce h_angle or enlarge the ball"
-        )
+        return vacuous_report()
     return LocalCheckReport(
         kappa=k, center=center, radius=radius, trials=samples, evaluated=evaluated,
-        skipped=skipped, vacuous=False, angle_tol=float(angle_tol),
+        skipped=samples - evaluated, vacuous=False, angle_tol=float(angle_tol),
         split_tol=float(split_tol), window=w,
         base_violations=base_violations,
         base_worst=base_worst if evaluated else 0.0,
         split_violations=split_violations,
         split_worst=split_worst if evaluated else 0.0,
-        worst_case=worst,
+        worst_case=worst, skips=skips, work=work,
     )

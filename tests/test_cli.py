@@ -382,6 +382,20 @@ def test_bad_vertex_ids_and_input_files_exit_2(runner, tmp_path, cap_file, argv,
         assert "domain generate" in res.output
 
 
+@pytest.mark.parametrize("argv", [["space", "scan", "--kappa", "1"],
+                                  ["space", "local-check", "--center", "0", "--radius", "1",
+                                   "--kappa", "0"],
+                                  ["completion", "compare"]])
+def test_binary_graph_file_gives_one_short_error_line(runner, tmp_path, argv):
+    path = tmp_path / "junk.json"
+    path.write_bytes(b"{" + np.random.default_rng(0).bytes(256))
+    res = _run(runner, argv + ["--input", str(path)])
+    assert res.exit_code == 2
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and len(errors[0]) < 200, res.output
+    assert "not UTF-8 text at byte" in errors[0]
+
+
 def test_old_list_form_file_names_the_command_that_rebuilds_it(runner, tmp_path):
     new, old = tmp_path / "new.json", tmp_path / "old.json"
     res = _run(runner, ["domain", "generate", "--kind", "punctured", "--h", "0.0625",

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from alexkit.convexity import (
+    _slack,
+    _step,
     ae_convexity_estimate,
     connectable,
     prob_convexity,
     weak_lambda_search,
 )
-from alexkit.errors import GeometryError, ResolutionError
+from alexkit.errors import GeometryError, ResolutionError, UnreachableError
 
 
 def _pick_u(space, point):
@@ -238,3 +240,109 @@ def test_corollary_direction_ae_one_implies_lambda_one(full_square, punctured_sq
         if ae.probability >= 0.98:
             rep = weak_lambda_search(sp, p, q, s, epsilon=0.08, candidates=24, seed=2)
             assert rep.lambda_hat >= 1.0 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the search's early exit against the full loop
+
+
+def _full_search(space, p, q, s, epsilon, candidates, seed):
+    """The search loop before its early exit: every drawn triple, in draw order.
+
+    Returns the best report, its triple and the distinct triples evaluated.
+    """
+    step = _step(space, None)
+    slack = _slack(space, None)
+    rng = np.random.default_rng(seed)
+    balls = []
+    for center in (p, q, s):
+        d = space.distance_field(center)
+        ids = np.flatnonzero((d <= epsilon) & space.in_U)
+        rings = np.minimum((d[ids] / max(space.h, 1e-300)).astype(int), 1_000_000)
+        order = np.lexsort((ids, rings))
+        balls.append((ids[order], rings[order]))
+
+    def draw(ball, rng):
+        ids, rings = ball
+        ring_values = np.unique(rings)
+        rv = ring_values[int(rng.integers(0, len(ring_values)))]
+        members = ids[rings == rv]
+        return int(members[int(rng.integers(0, len(members)))])
+
+    best = best_key = best_triple = None
+    triples = [(p, q, s)]
+    for _ in range(candidates - 1):
+        triples.append((draw(balls[0], rng), draw(balls[1], rng), draw(balls[2], rng)))
+    evaluated = set()
+    for (pp, qq, ss) in triples:
+        if qq == ss:
+            continue
+        try:
+            rep = prob_convexity(space, pp, qq, ss, step=step, slack=slack)
+        except (UnreachableError, GeometryError):
+            continue
+        evaluated.add((pp, qq, ss))
+        key = (-rep.probability, pp, qq, ss)
+        if best_key is None or key < best_key:
+            best_key, best, best_triple = key, rep, (pp, qq, ss)
+    return best, best_triple, len(evaluated)
+
+
+def _search_cases(name, sp):
+    """(p, q, s, epsilon, candidates) triples on each fixture."""
+    if name == "convex_cap":
+        uids = np.flatnonzero(sp.in_U)
+        rng = np.random.default_rng(3)
+        return [tuple(int(v) for v in rng.choice(uids, 3, replace=False)) + (0.2, 12)
+                for _ in range(2)]
+    if name == "dense_square":
+        segs = np.asarray(sp.meta["segments"])
+        k = int(np.argmax(np.asarray(sp.meta["radii"])))
+        a, b = segs[k, :2], segs[k, 2:]
+        pts = [a + f * (b - a) for f in (0.5, 0.15, 0.85)]
+        tube = tuple(sp.nearest_vertex(x, require_in_U=True) for x in pts)
+        wide = tuple(_pick_u(sp, x) for x in ([0.3, 0.3], [0.8, 0.2], [0.2, 0.8]))
+        return [tube + (0.08, 16), wide + (0.08, 16)]
+    if name == "slit_square":
+        triple = tuple(_pick_u(sp, x) for x in ([0.15, 0.3], [0.85, 0.1], [0.85, 0.55]))
+        return [triple + (2.5 * sp.h, 24)]
+    triple = tuple(_pick_u(sp, x) for x in ([0.3, 0.3], [0.8, 0.2], [0.2, 0.8]))
+    return [triple + (0.1, 12), triple[::-1] + (0.06, 12)]
+
+
+@pytest.mark.parametrize("name", ["full_square", "punctured_square", "slit_square",
+                                  "dense_square", "convex_cap"])
+def test_search_early_exit_matches_the_full_loop(request, name):
+    sp = request.getfixturevalue(name)
+    for p, q, s, epsilon, candidates in _search_cases(name, sp):
+        for seed in (0, 1, 7):
+            oracle, triple, evaluated = _full_search(sp, p, q, s, epsilon, candidates, seed)
+            rep = weak_lambda_search(sp, p, q, s, epsilon, candidates=candidates, seed=seed)
+            best = rep.detail["best_triple"]
+            assert (best["p"], best["q"], best["s"]) == triple
+            assert rep.probability == oracle.probability
+            assert rep.samples == oracle.samples
+            assert rep.margin == oracle.margin
+            assert 1 <= rep.detail["candidates_evaluated"] <= evaluated
+            if oracle.probability < 1.0:
+                # no early exit: each distinct triple is evaluated once
+                assert rep.detail["candidates_evaluated"] == evaluated
+
+
+def test_search_stops_at_the_first_triple_of_probability_one(convex_cap):
+    uids = np.flatnonzero(convex_cap.in_U)
+    p, q, s = (int(v) for v in np.random.default_rng(3).choice(uids, 3, replace=False))
+    rep = weak_lambda_search(convex_cap, p, q, s, 0.2, candidates=64, seed=0)
+    assert rep.probability == 1.0
+    assert rep.detail["candidates_evaluated"] < 64
+
+
+def test_search_without_a_triple_of_probability_one_evaluates_every_distinct_triple(
+        slit_square):
+    sp = slit_square
+    p, q, s = (_pick_u(sp, x) for x in ([0.15, 0.3], [0.85, 0.1], [0.85, 0.55]))
+    oracle, _, evaluated = _full_search(sp, p, q, s, 2.5 * sp.h, 24, 0)
+    rep = weak_lambda_search(sp, p, q, s, 2.5 * sp.h, candidates=24, seed=0)
+    assert oracle.probability < 1.0
+    assert rep.probability == oracle.probability
+    assert rep.detail["candidates_evaluated"] == evaluated > 1

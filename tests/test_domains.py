@@ -1,11 +1,13 @@
 """Generators: determinism, openness, cap sanity, area and completion checks."""
 
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from alexkit import domains
 from alexkit.domains import (
     DomainSpec,
     area_estimate,
@@ -280,6 +282,98 @@ def test_completion_compare_single_segment_mostly_misses():
     sp = generate(spec, seed=0)
     rep = completion_compare(sp, pairs=100, epsilon=0.05, seed=1)
     assert rep.uniform_misses > rep.uniform_matched
+
+
+def _completion_by_rows(space, pairs, epsilon, seed):
+    """The per-row completion comparison that the batched one replaced, as an oracle.
+
+    Returns the report's fields without ``work``.
+    """
+    segs = np.asarray(space.meta["segments"], dtype=float)
+    starts = segs[:, :2]
+    ends = segs[:, 2:]
+    rng = np.random.default_rng(seed)
+    n = space.n_vertices
+    n_uniform = pairs // 2
+    p_ids = np.empty(pairs, dtype=np.int64)
+    q_ids = np.empty(pairs, dtype=np.int64)
+    p_ids[:n_uniform] = rng.integers(0, n, size=n_uniform)
+    q_ids[:n_uniform] = rng.integers(0, n, size=n_uniform)
+    for row in range(n_uniform, pairs):
+        k = int(rng.integers(0, len(segs)))
+        jitter = rng.uniform(-0.5, 0.5, size=4) * epsilon
+        a = np.clip(starts[k] + jitter[:2], 0.0, space.meta.get("side", 1.0))
+        b = np.clip(ends[k] + jitter[2:], 0.0, space.meta.get("side", 1.0))
+        p_ids[row] = space.nearest_vertex(a)
+        q_ids[row] = space.nearest_vertex(b)
+    matched = misses = uniform_matched = uniform_misses = 0
+    max_violation = max_link = -math.inf
+    worst = {}
+    fields_cache = {}
+    for row, (p_i, q_i) in enumerate(zip(p_ids, q_ids)):
+        is_uniform = row < n_uniform
+        p_i, q_i = int(p_i), int(q_i)
+        if p_i == q_i:
+            misses += 1
+            uniform_misses += is_uniform
+            continue
+        p = space.coords[p_i]
+        q = space.coords[q_i]
+        fwd = np.maximum(np.linalg.norm(starts - p, axis=1), np.linalg.norm(ends - q, axis=1))
+        rev = np.maximum(np.linalg.norm(ends - p, axis=1), np.linalg.norm(starts - q, axis=1))
+        best = np.minimum(fwd, rev)
+        k = int(np.argmin(best))
+        if best[k] > epsilon:
+            misses += 1
+            uniform_misses += is_uniform
+            continue
+        matched += 1
+        uniform_matched += is_uniform
+        seg_len = float(np.linalg.norm(ends[k] - starts[k]))
+        d_x = float(np.linalg.norm(p - q))
+        if p_i not in fields_cache:
+            fields_cache[p_i] = space.distance_field(p_i)
+        d_bar = float(fields_cache[p_i][q_i])
+        violation = d_bar - seg_len
+        link = max(d_x - d_bar, (seg_len - 2.0 * epsilon) - d_x)
+        if violation > max_violation:
+            max_violation = violation
+            worst = {"p": p_i, "q": q_i, "segment": k, "segment_length": seg_len,
+                     "d_ambient": d_x, "d_completion": d_bar, "violation": violation}
+        max_link = max(max_link, link)
+    return {"pairs": pairs, "matched": matched, "misses": misses,
+            "uniform_matched": int(uniform_matched), "uniform_misses": int(uniform_misses),
+            "epsilon": epsilon, "max_violation": max_violation if matched else 0.0,
+            "max_link_violation": max_link if matched else 0.0, "h_err": space.h_err,
+            "worst_case": worst}
+
+
+@pytest.mark.parametrize("pairs,epsilon,seed", [
+    (200, 0.05, 0), (201, 0.05, 1), (300, 0.1, 2), (1, 0.05, 3), (2, 0.3, 4), (150, 0.02, 5),
+])
+def test_completion_compare_matches_the_per_row_loop(dense_square, pairs, epsilon, seed):
+    rep = asdict(completion_compare(dense_square, pairs=pairs, epsilon=epsilon, seed=seed))
+    work = rep.pop("work")
+    oracle = _completion_by_rows(dense_square, pairs, epsilon, seed)
+    assert rep == oracle
+    assert work["distance_sources"] <= rep["matched"]
+
+
+def test_completion_compare_blocks_do_not_change_the_report(dense_square, monkeypatch):
+    whole = completion_compare(dense_square, pairs=120, epsilon=0.1, seed=6)
+    # blocks of one to a few rows each
+    monkeypatch.setattr(domains, "_BLOCK_ELEMENTS", 3000)
+    assert completion_compare(dense_square, pairs=120, epsilon=0.1, seed=6) == whole
+
+
+def test_nearest_vertices_match_nearest_vertex(dense_square):
+    rng = np.random.default_rng(0)
+    points = np.vstack([rng.uniform(-0.1, 1.1, size=(300, 2)),
+                        dense_square.coords[:50],
+                        # halfway between two grid columns: a tie, won by the lower index
+                        dense_square.coords[:50] + [0.5 * dense_square.h, 0.0]])
+    got = domains._nearest_vertices(dense_square.coords, points)
+    assert got.tolist() == [dense_square.nearest_vertex(x) for x in points]
 
 
 def test_completion_compare_rejects_other_domains(punctured_square):

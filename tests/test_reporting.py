@@ -1,6 +1,8 @@
 """Report envelopes, series extraction, space validation."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -42,6 +44,22 @@ def test_write_report_atomic(tmp_path):
     assert json.loads(path.read_text()) == {"a": 1}
     leftovers = [p for p in tmp_path.iterdir() if p.name != "rep.json"]
     assert not leftovers
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_written_files_take_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_report(str(tmp_path / "rep.json"), {"a": 1})
+        write_csv(str(tmp_path / "s.csv"), ["x"], [[1.0]])
+        with open(tmp_path / "plain.txt", "w") as fh:
+            fh.write("x")
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode)
+    assert want == 0o666 & ~umask
+    for name in ("rep.json", "s.csv"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == want
 
 
 def test_write_csv_and_extract_series(tmp_path):

@@ -19,13 +19,16 @@ from alexkit import spaces
 from alexkit.domains import DomainSpec, generate, unit_sphere_points
 from alexkit.errors import GeometryError, ResolutionError, UnreachableError
 from alexkit.spaces import (
+    SKIP_REASONS,
     DiscreteLengthSpace,
     FiniteMetricSpace,
+    GeodesicPath,
     SpherePointSet,
     _all_quadruples,
     _quad_defects,
     _quad_sides,
     _scan_distances,
+    _symmetric_csr,
     comparison_angle,
     local_kappa_domain_check,
     quadruple_defect,
@@ -209,6 +212,71 @@ def test_distance_field_batches_single_sources(wide_cap):
     assert wide_cap.distance_field(sources[1]).ndim == 1
 
 
+_FIXTURES = ["convex_cap", "wide_cap", "full_square", "punctured_square", "slit_square",
+             "dense_square"]
+
+
+@pytest.mark.parametrize("name", _FIXTURES)
+def test_bounded_distance_field_is_the_full_field_up_to_its_limit(request, name):
+    sp = request.getfixturevalue(name)
+    rng = np.random.default_rng(4)
+    for source in rng.choice(sp.n_vertices, 4, replace=False):
+        for restrict in (False, True):
+            full = sp.distance_field(source, restrict_to_U=restrict)
+            reach = np.sort(full[np.isfinite(full)])
+            # a limit equal to a field value keeps that vertex
+            for limit in (3.0 * sp.h, float(np.median(reach)), float(reach[:8][-1])):
+                bounded = sp.distance_field(source, restrict_to_U=restrict, limit=limit)
+                inside = full <= limit
+                assert np.array_equal(bounded[inside], full[inside])
+                assert np.all(np.isinf(bounded[~inside]))
+
+
+@pytest.mark.parametrize("name", _FIXTURES)
+def test_restricted_graph_equals_a_second_csr_build(request, name):
+    sp = request.getfixturevalue(name)
+    keep = sp.in_U[sp.edges[:, 0]] & sp.in_U[sp.edges[:, 1]]
+    fresh = _symmetric_csr(sp.edges[keep], sp.weights[keep], sp.n_vertices)
+    for attr in ("indptr", "indices", "data"):
+        got, want = getattr(sp._graph_u, attr), getattr(fresh, attr)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert sp._graph_u.shape == fresh.shape
+
+
+def _vertex_at_arc_by_tick(path, t):
+    """The per-tick rule that ``vertices_at_arcs`` batches, as an oracle."""
+    i = int(np.searchsorted(path.arc_lengths, t))
+    if i <= 0:
+        return path.vertices[0]
+    if i >= len(path.vertices):
+        return path.vertices[-1]
+    before = t - path.arc_lengths[i - 1]
+    after = path.arc_lengths[i] - t
+    return path.vertices[i - 1] if before <= after else path.vertices[i]
+
+
+def test_vertices_at_arcs_match_the_per_tick_rule(full_square, slit_square, wide_cap):
+    paths = [GeodesicPath([5], np.array([0.0]), 0.0),
+             # ties halfway between two vertices go to the earlier one
+             GeodesicPath([5, 7, 9, 2], np.array([0.0, 1.0, 2.0, 3.5]), 3.5)]
+    rng = np.random.default_rng(2)
+    for sp in (full_square, slit_square, wide_cap):
+        for _ in range(5):
+            a, b = (int(v) for v in rng.choice(np.flatnonzero(sp.in_U), 2, replace=False))
+            paths.append(sp.shortest_path(a, b, restrict_to_U=True))
+    for path in paths:
+        arcs = path.arc_lengths
+        ticks = np.concatenate([
+            [-1.0, path.length + 1.0], arcs, 0.5 * (arcs[1:] + arcs[:-1]),
+            np.linspace(0.0, path.length, 37), rng.uniform(0.0, path.length, 20)])
+        got = path.vertices_at_arcs(ticks)
+        want = [_vertex_at_arc_by_tick(path, float(t)) for t in ticks]
+        assert got.tolist() == want
+        assert [path.vertex_at_arc(float(t)) for t in ticks] == want
+    assert paths[1].vertices_at_arcs(np.array([0.5, 1.5, 2.75])).tolist() == [5, 7, 9]
+
+
 @pytest.mark.parametrize("edges", [[[0, 1], [1, 2], [0, 1]],   # duplicate edge
                                    [[0, 1], [2, 1], [1, 0]],   # same edge reversed
                                    [[0, 1], [1, 2], [2, 2]]])  # self-loop
@@ -342,6 +410,14 @@ def test_load_rejects_malformed_values(tmp_path, vertices, edges, match):
         warnings.simplefilter("error")
         with pytest.raises(GeometryError, match=match):
             DiscreteLengthSpace.load(path)
+
+
+def test_binary_graph_file_names_the_first_undecodable_byte(tmp_path):
+    path = tmp_path / "junk.json"
+    path.write_bytes(b"{" + bytes(range(256)))
+    with pytest.raises(GeometryError) as info:
+        DiscreteLengthSpace.load(path)
+    assert str(info.value) == f"{path}: not UTF-8 text at byte 129"
 
 
 def test_shortest_path_reuses_a_given_destination_field(punctured_square):
@@ -764,3 +840,48 @@ def test_local_check_degenerate_ball_is_vacuous(flat_grid_fine):
     )
     assert rep.vacuous
     assert rep.passed
+
+
+def _check_cases(grid):
+    center = grid.nearest_vertex([1.0, 1.0])
+    return [dict(center=center, radius=1.6, kappa=kappa, samples=6, h_angle=8, seed=seed)
+            for kappa, seed in ((0.0, 2), (0.0, 31), (0.5, 2), (-1.0, 5))]
+
+
+def test_local_check_bounded_fields_change_no_result(flat_grid_fine, monkeypatch):
+    bounded = [asdict(local_kappa_domain_check(flat_grid_fine, **case))
+               for case in _check_cases(flat_grid_fine)]
+    full_field = DiscreteLengthSpace.distance_field
+    monkeypatch.setattr(DiscreteLengthSpace, "distance_field",
+                        lambda self, sources, restrict_to_U=False, limit=np.inf:
+                        full_field(self, sources, restrict_to_U))
+    for case, rep in zip(_check_cases(flat_grid_fine), bounded):
+        full = asdict(local_kappa_domain_check(flat_grid_fine, **case))
+        assert {**full, "work": None} == {**rep, "work": None}
+
+
+def test_local_check_counts_its_fields_and_skips(flat_grid_fine):
+    for case in _check_cases(flat_grid_fine):
+        rep = local_kappa_domain_check(flat_grid_fine, **case)
+        assert set(rep.skips) == set(SKIP_REASONS)
+        assert sum(rep.skips.values()) == rep.skipped == rep.trials - rep.evaluated
+        # the ball's field, then per sample at most the path's and p's
+        assert rep.work["full_fields"] <= 1 + 2 * rep.trials
+        # d_q, d_x and the three angle side fields of each evaluated sample
+        assert rep.work["bounded_fields"] >= 5 * rep.evaluated
+    rep = local_kappa_domain_check(flat_grid_fine, 0, radius=1e-9, kappa=0.0, samples=5,
+                                   h_angle=8)
+    assert rep.skips["small_ball"] == 5
+    assert rep.work == {"full_fields": 1, "bounded_fields": 0}
+
+
+def test_local_check_without_a_feasible_sample_is_vacuous():
+    # each of the four samples has a short path or an endpoint within 3w of p
+    grid = generate(DomainSpec(kind="punctured", resolution=0.0625, side=2.0,
+                               stencil_radius=3, removed_points=((1.13, 1.07),)), seed=0)
+    rep = local_kappa_domain_check(grid, 544, radius=1.5, kappa=0.0, samples=4, h_angle=3,
+                                   seed=0)
+    assert rep.vacuous and rep.passed
+    assert rep.evaluated == 0
+    assert rep.skipped == 4
+    assert rep.skips["short_path"] + rep.skips["endpoint_near_p"] == 4
