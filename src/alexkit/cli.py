@@ -135,8 +135,7 @@ def lemma_verify(which, trials, scale, kappa_min, kappa_max, a_min, a_max, segme
             raise GeometryError(f"the {which} sweep does not read --{option.replace('_', '-')}")
     rep = sweep(trials, seed=seed, **params)
     config = {"which": which, "trials": trials, "seed": seed, **params, **constants}
-    return config, rep.to_dict(), rep.passed, {
-        "tolerances": {"budget_exponent": rep.budget_exponent}}
+    return config, rep.to_dict(), rep.passed, {"tolerances": rep.tolerances}
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import GeometryError, UndefinedModelAngleError
 from .trig import (
     angle_from_sides,
-    batch_cos_angle,
+    batch_angle,
     batch_f,
     batch_f_inverse,
     batch_model_side,
@@ -255,25 +255,31 @@ def alexandrov_lemma_check(
 
 @dataclass
 class SweepReport:
-    """Outcome of a synthetic-hinge sweep for one lemma."""
+    """Outcome of a verification sweep for one lemma.
+
+    ``evaluated``, ``vacuous`` and ``skipped`` count comparisons: one per
+    trial, or one per trial and curvature for ``alexandrov``.  A vacuous
+    comparison is one whose model angle does not exist; a skipped one gives
+    no defect for any other reason.  ``budget_violations`` is None for a
+    sweep without a defect budget.  ``tolerances`` holds the constants the
+    verdict reads; the report's envelope carries them.
+    """
 
     lemma: str
     trials: int
     evaluated: int
+    vacuous: int
     skipped: int
-    seed: int
-    scale: float
-    budget_exponent: float
     min_signed_defect: float
-    max_defect: float            # worst violation, 0.0 when every defect is nonnegative
-    budget_violations: int
+    budget_violations: int | None
     worst_case: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
     work: dict = field(default_factory=dict)  # blocks drawn, hinges built, inverses solved
+    tolerances: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        ok = self.budget_violations == 0
+        ok = not self.budget_violations
         for key, val in self.extra.items():
             if key.endswith("_failures"):
                 ok = ok and val == 0
@@ -284,12 +290,9 @@ class SweepReport:
             "lemma": self.lemma,
             "trials": self.trials,
             "evaluated": self.evaluated,
+            "vacuous": self.vacuous,
             "skipped": self.skipped,
-            "seed": self.seed,
-            "scale": self.scale,
-            "budget": {"exponent": self.budget_exponent, "form": "(total length)^exponent"},
             "min_signed_defect": self.min_signed_defect,
-            "max_defect": self.max_defect,
             "budget_violations": self.budget_violations,
             "passed": self.passed,
             "worst_case": self.worst_case,
@@ -326,8 +329,6 @@ def _chain(rng, base: float, lengths, kappas, theta1: float):
         theta = rng.uniform(_SECOND_ANGLE_FLOOR, room)
         base, reach = reach, model_side(kappas[j], reach, lengths[j], theta)
     return reach, theta
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +373,6 @@ def _streams(trials: int, seed: int, rows: int):
         yield _Stream(seed, index, rows, min(rows, trials - start))
 
 
-def _angle(kappa, opposite, u, v):
-    """Array ``angle_from_sides``: NaN wherever it raises.
-
-    Also returns the mask of entries where it raises
-    :class:`UndefinedModelAngleError` rather than another geometry error.
-    """
-    cosang, valid, defined = batch_cos_angle(kappa, opposite, u, v)
-    with np.errstate(invalid="ignore"):
-        valid &= np.isfinite(kappa) & np.isfinite(opposite + u + v) & (opposite >= 0.0)
-        ok = valid & defined & (np.abs(cosang) <= 1.0 + 1e-9)
-        angle = np.where(ok, np.arccos(np.clip(cosang, -1.0, 1.0)), np.nan)
-    return angle, valid & ~defined
-
-
 def _synthesize_chains(base, lengths, kappas, counts, theta1, uniforms):
     """:func:`_chain` for a block of trials at once, junction by junction.
 
@@ -404,7 +391,7 @@ def _synthesize_chains(base, lengths, kappas, counts, theta1, uniforms):
         rows = np.flatnonzero((counts > j) & ~np.isnan(reach))
         if rows.size == 0:
             break
-        back, _ = _angle(kappas[rows, j - 1], near[rows], reach[rows], lengths[rows, j - 1])
+        back, _ = batch_angle(kappas[rows, j - 1], near[rows], reach[rows], lengths[rows, j - 1])
         room = math.pi - back
         fits = room > _SECOND_ANGLE_FLOOR
         reach[rows[~fits]] = np.nan
@@ -473,14 +460,17 @@ def _extension_star(a, r, kappa, live):
 
 @dataclass
 class _Block:
-    """Per-trial outcomes of one block of a budgeted sweep.
+    """Outcomes of one block of a sweep, one row per comparison.
 
-    A NaN defect marks a skipped trial.  ``inputs`` holds what each trial
-    drew and derived; ``record(i)`` is trial i's worst-case entry.
+    A NaN defect marks a row that gives none; ``vacuous`` marks those whose
+    model angle does not exist.  ``budget`` is None for a sweep without a
+    defect budget.  ``inputs`` holds what each row drew and derived;
+    ``record(i)`` is row i's worst-case entry.
     """
 
     defect: np.ndarray
-    budget: np.ndarray
+    vacuous: np.ndarray
+    budget: np.ndarray | None
     failed: dict
     inputs: dict
     record: Callable[[int], dict]
@@ -492,19 +482,17 @@ def _floats(inputs: dict, names, i: int) -> dict:
     return {name: float(inputs[name][i]) for name in names}
 
 
-def _sweep(lemma, trials, seed, scale, exponent, block, rows, audits=(), extra=None) -> SweepReport:
+def _sweep(lemma, trials, seed, block, rows, tolerances, audits=()) -> SweepReport:
     """Run ``block`` over the Philox blocks of ``trials`` and collect a report.
 
-    Only the running minimum, its trial's record and the counts outlive a
-    block.  An audit counts a failure only on an evaluated trial.
+    Only the running minimum, its row's record and the counts outlive a
+    block.  An audit counts a failure only on an evaluated row.
     """
     if trials < 1:
         raise GeometryError("trials must be >= 1")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise GeometryError(f"scale must be finite and positive, got {scale!r}")
     counts = dict.fromkeys(audits, 0)
     work = {"blocks": 0, "hinges": 0, "inverses": 0}
-    evaluated = violations = 0
+    comparisons = evaluated = vacuous = violations = 0
     min_defect, worst = math.inf, {}
     for stream in _streams(trials, seed, rows):
         out = block(stream)
@@ -512,31 +500,38 @@ def _sweep(lemma, trials, seed, scale, exponent, block, rows, audits=(), extra=N
         work["blocks"] += 1
         work["hinges"] += out.hinges
         work["inverses"] += out.inverses
+        comparisons += out.defect.size
         evaluated += int(live.sum())
-        violations += int(np.sum(out.defect[live] < -out.budget[live]))
+        vacuous += int(out.vacuous.sum())
+        if out.budget is not None:
+            violations += int(np.sum(out.defect[live] < -out.budget[live]))
         for name in audits:
             counts[name] += int(np.sum(out.failed[name] & live))
         if live.any():
             i = int(np.nanargmin(out.defect))
             if out.defect[i] < min_defect:
                 min_defect = float(out.defect[i])
-                worst = {**out.record(i), "signed_defect": min_defect,
-                         "budget": float(out.budget[i])}
+                worst = {**out.record(i), "signed_defect": min_defect}
+                if out.budget is not None:
+                    worst["budget"] = float(out.budget[i])
     return SweepReport(
         lemma=lemma,
         trials=trials,
         evaluated=evaluated,
-        skipped=trials - evaluated,
-        seed=seed,
-        scale=scale,
-        budget_exponent=exponent,
+        vacuous=vacuous,
+        skipped=comparisons - evaluated - vacuous,
         min_signed_defect=min_defect,
-        max_defect=max(0.0, -min_defect) if evaluated else 0.0,
-        budget_violations=violations,
+        budget_violations=None if out.budget is None else violations,
         worst_case=worst,
-        extra={**counts, **(extra or {})},
+        extra=counts,
         work=work,
+        tolerances=tolerances,
     )
+
+
+def _check_scale(scale: float) -> None:
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise GeometryError(f"scale must be finite and positive, got {scale!r}")
 
 
 def _chain_lengths(stream, scale, within):
@@ -551,6 +546,7 @@ def _chain_lengths(stream, scale, within):
 
 
 def _weighted2(scale, kappa_range, a_range):
+    _check_scale(scale)
     klo, khi = _check_range("kappa_range", kappa_range)
     alo, ahi = _check_range("a_range", a_range, positive=True)
 
@@ -568,13 +564,13 @@ def _weighted2(scale, kappa_range, a_range):
         live = ~np.isnan(ps) & (b > 0.0) & (d > 0.0)
         kbar, inverses = _blend_two(a, b, d, k1, k2, live)
         s = b + d
-        rhs, _ = _angle(kbar, ps, a, s)
+        rhs, vacuous = batch_angle(kbar, ps, a, s)
         bound1 = ((b * b + 2.0 * b * d) * k1 + d * d * k2) / (s * s)
         bound2 = np.minimum(k1, (b * b * k1 + d * d * k2) / (b * b + d * d))
         inputs = {"a": a, "b": b, "d": d, "k1": k1, "k2": k2, "theta1": theta1,
                   "theta2": theta2, "kappa_bar": kbar, "junction": junction}
         return _Block(
-            defect=theta1 - rhs, budget=s ** BUDGET_EXPONENT,
+            defect=theta1 - rhs, vacuous=vacuous, budget=s ** BUDGET_EXPONENT,
             failed={"remark_bound_failures": kbar < np.maximum(bound1, bound2) - 1e-9},
             inputs=inputs, hinges=hinges, inverses=inverses,
             record=lambda i: _floats(inputs, ("a", "b", "d", "k1", "k2", "theta1",
@@ -601,11 +597,12 @@ def verify_weighted_pair(
     bounds on the blended curvature.
     """
     block = _weighted2(scale, kappa_range, a_range)
-    return _sweep("weighted2", trials, seed, scale, BUDGET_EXPONENT, block, _block_rows(),
-                  audits=("remark_bound_failures",))
+    return _sweep("weighted2", trials, seed, block, _block_rows(),
+                  {"budget_exponent": BUDGET_EXPONENT}, audits=("remark_bound_failures",))
 
 
 def _multi(scale, kappa_range, a_range, max_segments):
+    _check_scale(scale)
     klo, khi = _check_range("kappa_range", kappa_range)
     alo, ahi = _check_range("a_range", a_range, positive=True)
     if max_segments < 2:
@@ -626,9 +623,11 @@ def _multi(scale, kappa_range, a_range, max_segments):
         klower = _blend_lower(lengths, kappas)
         pair = live & (n == 2)
         kb2, paired = _blend_two(a, lengths[:, 0], lengths[:, 1], kappas[:, 0], kappas[:, 1], pair)
-        rhs, _ = _angle(kf, reach, a, s)
+        rhs, undefined = batch_angle(kf, reach, a, s)
         defect = theta1 - rhs
-        defect[pair & np.isnan(kb2)] = np.nan
+        # kappa_bar_two raises on these rows before the comparison angle
+        broken = pair & np.isnan(kb2)
+        defect[broken] = np.nan
         inputs = {"a": a, "n": n, "lengths": lengths, "kappas": kappas, "theta1": theta1,
                   "kappa_bar_f": kf, "kappa_bar_lower": klower, "junction": junction}
 
@@ -638,7 +637,7 @@ def _multi(scale, kappa_range, a_range, max_segments):
                     "n": m, "lengths": lengths[i, :m].tolist(), "kappas": kappas[i, :m].tolist()}
 
         return _Block(
-            defect=defect, budget=s ** BUDGET_EXPONENT,
+            defect=defect, vacuous=undefined & ~broken, budget=s ** BUDGET_EXPONENT,
             failed={"ordering_failures": kf < klower - 1e-9,
                     "pair_consistency_failures": pair & (np.abs(kb2 - kf) > 1e-10)},
             inputs=inputs, record=record, hinges=hinges, inverses=inverses + paired)
@@ -662,12 +661,13 @@ def verify_weighted_multi(
     :func:`kappa_bar_two`.
     """
     block = _multi(scale, kappa_range, a_range, max_segments)
-    return _sweep("multi", trials, seed, scale, BUDGET_EXPONENT, block,
-                  _block_rows(max_segments),
+    return _sweep("multi", trials, seed, block, _block_rows(max_segments),
+                  {"budget_exponent": BUDGET_EXPONENT},
                   audits=("ordering_failures", "pair_consistency_failures"))
 
 
 def _alternating(scale, kappa_range, a_range):
+    _check_scale(scale)
     klo, khi = _check_range("kappa_range", kappa_range)
     alo, ahi = _check_range("a_range", a_range, positive=True)
     width = 2 * MAX_BLOCKS
@@ -690,7 +690,7 @@ def _alternating(scale, kappa_range, a_range):
         ratio = good / (lengths[:, 0::2] + lengths[:, 1::2]).sum(axis=1)
         kalt = ratio * ratio * (kappa - kappa_star) + kappa_star
         klower = _blend_lower(lengths, kappas)
-        rhs, _ = _angle(kalt, reach, a, s)
+        rhs, vacuous = batch_angle(kalt, reach, a, s)
         inputs = {"a": a, "kappa": kappa, "kappa_star": kappa_star, "n": n,
                   "lengths": lengths, "kappas": kappas, "theta1": theta1,
                   "kappa_bar_alt": kalt, "good_fraction": good / s, "junction": junction}
@@ -702,7 +702,7 @@ def _alternating(scale, kappa_range, a_range):
                     "blocks": pairs.tolist()}
 
         return _Block(
-            defect=theta1 - rhs, budget=s ** BUDGET_EXPONENT,
+            defect=theta1 - rhs, vacuous=vacuous, budget=s ** BUDGET_EXPONENT,
             failed={"dominance_failures": kalt > klower + 1e-9},
             inputs=inputs, record=record, hinges=hinges)
 
@@ -725,11 +725,12 @@ def verify_alternating(
     of the same chain, the plain weighted average of its curvatures.
     """
     block = _alternating(scale, kappa_range, a_range)
-    return _sweep("alternating", trials, seed, scale, BUDGET_EXPONENT, block,
-                  _block_rows(2 * MAX_BLOCKS), audits=("dominance_failures",))
+    return _sweep("alternating", trials, seed, block, _block_rows(2 * MAX_BLOCKS),
+                  {"budget_exponent": BUDGET_EXPONENT}, audits=("dominance_failures",))
 
 
 def _extension(scale, kappa_range):
+    _check_scale(scale)
     klo, khi = _check_range("kappa_range", kappa_range)
 
     def block(stream):
@@ -740,10 +741,11 @@ def _extension(scale, kappa_range):
         theta = stream.uniform(_ANGLE_FLOOR, math.pi - _ANGLE_FLOOR)
         far = (a - r) + batch_model_side(kappa, r, u, theta)
         kstar, inverses = _extension_star(a, r, kappa, ~np.isnan(far))
-        psi, _ = _angle(kstar, far, a, u)
+        psi, vacuous = batch_angle(kstar, far, a, u)
         inputs = {"a": a, "r": r, "kappa": kappa, "u": u, "theta": theta, "kappa_star": kstar}
         return _Block(
-            defect=theta - psi, budget=EXTENSION_BUDGET_FACTOR * u ** EXTENSION_BUDGET_EXPONENT,
+            defect=theta - psi, vacuous=vacuous,
+            budget=EXTENSION_BUDGET_FACTOR * u ** EXTENSION_BUDGET_EXPONENT,
             failed={}, inputs=inputs,
             record=lambda i: _floats(inputs, tuple(inputs), i),
             hinges=r.size, inverses=inverses)
@@ -770,8 +772,9 @@ def verify_extension(
     audit failure.
     """
     block = _extension(scale, kappa_range)
-    report = _sweep("extension", trials, seed, scale, EXTENSION_BUDGET_EXPONENT, block,
-                    _block_rows(), extra={"budget_factor": EXTENSION_BUDGET_FACTOR})
+    report = _sweep("extension", trials, seed, block, _block_rows(),
+                    {"budget_exponent": EXTENSION_BUDGET_EXPONENT,
+                     "budget_factor": EXTENSION_BUDGET_FACTOR})
     klo, khi = kappa_range
     audit = _Stream(seed, _AUDIT_BLOCK, 8, 8)
     r = audit.uniform(0.3, 1.2)
@@ -791,6 +794,10 @@ def _alexandrov(kappas, tol):
     ks = np.asarray(kappas, dtype=float)[:, None]
 
     def block(stream):
+        def rows(x):
+            """Trial-major rows: trial i at kappas[j] is row i * len(kappas) + j."""
+            return np.broadcast_to(x, (ks.size, stream.count)).T.ravel()
+
         ambient = stream.uniform(-2.0, 2.0)
         b = stream.uniform(0.05, 0.5)
         d = stream.uniform(0.05, 0.5)
@@ -798,27 +805,30 @@ def _alexandrov(kappas, tol):
         phi = stream.uniform(0.05, math.pi - 0.05)
         pq = batch_model_side(ambient, e, b, phi)
         ps = batch_model_side(ambient, e, d, math.pi - phi)
-        built = ~(np.isnan(pq) | np.isnan(ps))
         # alexandrov_lemma_check's four angles at every curvature, in its
         # order: the first one that raises decides vacuous or skipped
-        angles = [_angle(ks, *sides) for sides in
+        angles = [batch_angle(ks, *sides) for sides in
                   ((e, pq, b), (ps, pq, b + d), (pq, e, b), (ps, e, d))]
-        decided = np.broadcast_to(~built, (ks.size, b.size)).copy()
+        decided = np.zeros((ks.size, b.size), dtype=bool)
         vacuous = np.zeros_like(decided)
         for angle, undefined in angles:
             fails = np.isnan(angle) & ~decided
             vacuous |= fails & undefined
             decided |= fails
         near, far, back, forward = (angle for angle, _ in angles)
-        margin_base = near - far
-        margin_split = math.pi - (back + forward)
-        evaluated = ~decided
-        disagree = evaluated & (((margin_base > tol) & (margin_split < -tol))
-                                | ((margin_base < -tol) & (margin_split > tol)))
-        return {"ambient": ambient, "b": b, "d": d, "e": e, "phi": phi, "pq": pq, "ps": ps,
-                "built": built, "evaluated": evaluated, "vacuous": vacuous,
-                "margin_base": margin_base, "margin_split": margin_split,
-                "disagree": disagree}
+        margin_base, margin_split = rows(near - far), rows(math.pi - (back + forward))
+        # below -tol exactly where the two margins disagree in sign beyond tol
+        defect = (np.sign(margin_base) * np.sign(margin_split)
+                  * np.minimum(np.abs(margin_base), np.abs(margin_split)))
+        inputs = {"kappa": rows(ks), "ambient": rows(ambient), "pq": rows(pq), "ps": rows(ps),
+                  "px": rows(e), "qx": rows(b), "xs": rows(d), "phi": rows(phi),
+                  "margin_base": margin_base, "margin_split": margin_split}
+        return _Block(
+            defect=defect, vacuous=rows(vacuous), budget=None,
+            failed={"disagreement_failures": defect < -tol}, inputs=inputs,
+            record=lambda i: _floats(inputs, ("kappa", "ambient", "pq", "ps", "px", "qx", "xs",
+                                              "margin_base", "margin_split"), i),
+            hinges=2 * b.size)
 
     return block
 
@@ -834,53 +844,11 @@ def verify_alexandrov(
     Configurations are synthesized inside a model surface of random ambient
     curvature (so the five distances are genuinely realizable with the
     interior point on the far side), then both conditions are evaluated at
-    each requested comparison curvature.  A disagreement outside ``tol``
-    counts as a failure; undefined model angles count as vacuous.  A trial
-    whose configuration cannot be built is skipped once; an invalid model
-    triangle skips that curvature.
+    each requested comparison curvature.  A comparison's signed defect is
+    sign(mb * ms) * min(|mb|, |ms|) for the base and split margins, so a
+    disagreement outside ``tol`` is a defect below -tol and a failure; the
+    sweep has no defect budget.  An undefined model angle makes a comparison
+    vacuous; an unbuilt configuration or an invalid model triangle skips it.
     """
-    if trials < 1:
-        raise GeometryError("trials must be >= 1")
-    block = _alexandrov(kappas, tol)
-    work = {"blocks": 0, "hinges": 0, "inverses": 0}
-    disagreements = vacuous = evaluated = skipped = 0
-    worst: dict = {}
-    worst_margin = math.inf
-    for stream in _streams(trials, seed, _block_rows()):
-        out = block(stream)
-        work["blocks"] += 1
-        work["hinges"] += 2 * stream.count
-        built = out["built"]
-        skipped += int((~built).sum()) + int(
-            (built & ~out["evaluated"] & ~out["vacuous"]).sum())
-        vacuous += int(out["vacuous"].sum())
-        evaluated += int(out["evaluated"].sum())
-        disagreements += int(out["disagree"].sum())
-        # trial-major order, so the first of equal gaps is the scalar loop's
-        gap = np.where(out["disagree"], np.minimum(np.abs(out["margin_base"]),
-                                                   np.abs(out["margin_split"])), np.inf).T
-        i, j = np.unravel_index(np.argmin(gap), gap.shape)
-        if gap[i, j] < worst_margin:
-            worst_margin = float(gap[i, j])
-            worst = {"kappa": float(kappas[j]), "ambient": float(out["ambient"][i]),
-                     "pq": float(out["pq"][i]), "ps": float(out["ps"][i]),
-                     "px": float(out["e"][i]), "qx": float(out["b"][i]),
-                     "xs": float(out["d"][i]),
-                     "margin_base": float(out["margin_base"][j, i]),
-                     "margin_split": float(out["margin_split"][j, i])}
-    return SweepReport(
-        lemma="alexandrov",
-        trials=trials * len(kappas),
-        evaluated=evaluated,
-        skipped=skipped,
-        seed=seed,
-        scale=0.0,
-        budget_exponent=0.0,
-        min_signed_defect=0.0,
-        max_defect=0.0,
-        budget_violations=disagreements,
-        worst_case=worst,
-        extra={"vacuous": vacuous, "tolerance": tol,
-               "disagreement_failures": disagreements},
-        work=work,
-    )
+    return _sweep("alexandrov", trials, seed, _alexandrov(kappas, tol), _block_rows(),
+                  {"tol": tol}, audits=("disagreement_failures",))

@@ -12,7 +12,7 @@ restricted length is within slack of optimal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class ConvexityReport:
     connected_measure: float
     total_measure: float
     margin: float
-    lambda_hat: float
     epsilon: float
     slack: float
     step: float = 0.0
@@ -72,7 +71,6 @@ class ConvexityReport:
             "connected_measure": self.connected_measure,
             "total_measure": self.total_measure,
             "margin": self.margin,
-            "lambda_hat": self.lambda_hat,
             "epsilon": self.epsilon,
             "slack": self.slack,
             "step": self.step,
@@ -144,7 +142,6 @@ def prob_convexity(
         connected_measure=prob * length,
         total_measure=length,
         margin=_binomial_margin(prob, n_ticks),
-        lambda_hat=prob,
         epsilon=0.0,
         slack=slack,
         step=step,
@@ -228,16 +225,9 @@ def weak_lambda_search(
             break
     if best is None:
         raise UnreachableError("no candidate triple admitted a geodesic")
-    return ConvexityReport(
-        probability=best.probability,
-        samples=best.samples,
-        connected_measure=best.connected_measure,
-        total_measure=best.total_measure,
-        margin=best.margin,
-        lambda_hat=best.probability,
+    return replace(
+        best,
         epsilon=epsilon,
-        slack=best.slack,
-        step=best.step,
         detail={
             "origin": {"p": p, "q": q, "s": s},
             "best_triple": {"p": best_triple[0], "q": best_triple[1], "s": best_triple[2]},
@@ -277,7 +267,6 @@ def ae_convexity_estimate(
         connected_measure=prob * n,
         total_measure=float(n),
         margin=_binomial_margin(prob, n),
-        lambda_hat=prob,
         epsilon=0.0,
         slack=slack,
         step=0.0,

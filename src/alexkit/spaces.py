@@ -235,8 +235,7 @@ class SpherePointSet:
         return self.points.shape[0]
 
     def distance(self, i: int, j: int) -> float:
-        chord = np.linalg.norm(self.points[i] - self.points[j])
-        return float(2.0 * math.asin(min(1.0, 0.5 * chord)))
+        return float(great_circle(self.points[i], self.points[j]))
 
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
         p = self.points[idx]
@@ -611,12 +610,11 @@ def _quad_sides(dist: np.ndarray, quads: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _quad_defects(sides: tuple[np.ndarray, ...], kappa: float):
     px1, px2, px3, x12, x23, x31 = sides
-    a1, ok1 = batch_angle(kappa, x12, px1, px2)
-    a2, ok2 = batch_angle(kappa, x23, px2, px3)
-    a3, ok3 = batch_angle(kappa, x31, px3, px1)
-    defined = ok1 & ok2 & ok3
-    defects = np.where(defined, 2.0 * math.pi - (a1 + a2 + a3), np.nan)
-    return defects, defined
+    a1, _ = batch_angle(kappa, x12, px1, px2)
+    a2, _ = batch_angle(kappa, x23, px2, px3)
+    a3, _ = batch_angle(kappa, x31, px3, px1)
+    defects = 2.0 * math.pi - (a1 + a2 + a3)
+    return defects, ~np.isnan(defects)
 
 
 # A row that is defined at a probe with defect >= -tol + _PRUNE_MARGIN is
@@ -693,7 +691,9 @@ class _ActiveSet:
 def _kappa_max(holds, kappa: float, held: bool) -> tuple[float, bool]:
     """Bracket and bisect the largest curvature at which ``holds`` is true.
 
-    ``held`` is the outcome of the first probe, at ``kappa``.  Returns
+    ``held`` is the outcome of the first probe, at ``kappa``.  The
+    bisection runs from the highest step that held to the first that
+    failed, so ``kappa_max`` is never below a step that held.  Returns
     ``(kappa_max, censored)``: censored when every probe held, so that
     ``kappa_max`` is only the top of the probed range (just below
     ``kappa + 31``), or when even ``kappa - 31`` failed and ``kappa_max``
@@ -706,7 +706,7 @@ def _kappa_max(holds, kappa: float, held: bool) -> tuple[float, bool]:
         while step <= 8.0 and holds(hi + step):
             hi += step
             step *= 2.0
-        hi_bad = hi + step
+        lo, hi_bad = hi, hi + step
         censored = step > 8.0  # hi_bad was never probed
     else:
         step = 1.0

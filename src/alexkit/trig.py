@@ -9,12 +9,12 @@ corresponding scale, and all kernels are continuous across zero.
 
 Array kernels live at the bottom, one per formula that the sweeps and
 scans evaluate (``batch_sn``, ``batch_md``, ``batch_md_inverse``,
-``batch_f``, ``batch_f_inverse``, ``batch_model_side`` and the angle,
-``batch_cos_angle`` with ``batch_angle``).  They broadcast every argument,
-curvature included, evaluate each branch of a formula only on the entries
-that take it, and return NaN where the scalar kernel raises.  They call no
-scalar kernel; the scalar kernels are their oracles in the tests.  ``cs``
-has no array kernel of its own: ``batch_f`` evaluates it inline.
+``batch_f``, ``batch_f_inverse``, ``batch_model_side`` and
+``batch_angle``).  They broadcast every argument, curvature included,
+evaluate each branch of a formula only on the entries that take it, and
+return NaN where the scalar kernel raises.  They call no scalar kernel;
+the scalar kernels are their oracles in the tests.  ``cs`` has no array
+kernel of its own: ``batch_f`` evaluates it inline.
 """
 
 from __future__ import annotations
@@ -385,8 +385,6 @@ def taylor_side_expansion(kappa: float, c: float, b: float, beta: float) -> floa
     return cc - bb * math.cos(beta) + 0.5 * s * s * f(cc, k) * bb * bb
 
 
-
-
 # ---------------------------------------------------------------------------
 # batch kernels
 #
@@ -579,24 +577,24 @@ def _cosine_law(k, opp, uu, vv):
     return (mu + mv - k * mu * mv - batch_md(k, opp)) / (batch_sn(k, uu) * batch_sn(k, vv))
 
 
-def batch_cos_angle(kappa, opposite, u, v):
-    """Cosine of the model angle between sides u and v, unclipped, and two masks.
+def batch_angle(kappa, opposite, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Array ``angle_from_sides``: the angles, and the mask of undefined model angles.
 
-    ``valid`` holds where u and v are positive and the three sides satisfy
-    the triangle inequality within the scalar kernel's slack; ``defined``
-    where a model triangle with that perimeter exists at that curvature.
+    An angle is NaN wherever the scalar kernel raises: an input that is not
+    finite, a negative ``opposite``, a zero adjacent side, sides that break
+    the triangle inequality beyond the slack, a model angle that does not
+    exist (positive curvature with perimeter >= 2*pi/sqrt(kappa)), or a
+    cosine more than 1e-9 outside [-1, 1]; cosines within that are clipped.
+    The mask, ``undefined``, holds exactly where the scalar kernel raises
+    :class:`UndefinedModelAngleError`.
     """
     k, opp, uu, vv = _operands(kappa, opposite, u, v)
     per = opp + uu + vv
     slack = _TRI_SLACK * per
-    valid = (
-        (uu > 0.0)
-        & (vv > 0.0)
-        & (opp <= uu + vv + slack)
-        & (uu <= opp + vv + slack)
-        & (vv <= opp + uu + slack)
-    )
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        # every test the scalar kernel makes before the perimeter's
+        valid = (np.isfinite(k) & np.isfinite(per) & (opp >= 0.0) & (uu > 0.0) & (vv > 0.0)
+                 & (opp <= uu + vv + slack) & (uu <= opp + vv + slack) & (vv <= opp + uu + slack))
         if k.ndim:
             defined = (k <= 0.0) | (per < 2.0 * math.pi / np.sqrt(k))
             big = (k < 0.0) & (np.sqrt(-k) * per > _HYP_RESCALE)
@@ -607,27 +605,13 @@ def batch_cos_angle(kappa, opposite, u, v):
             big = np.sqrt(-k) * per > _HYP_RESCALE if k < 0.0 else None
         # where the md form would overflow, the exponentially rescaled form
         if big is None or not big.any():
-            return _cosine_law(k, opp, uu, vv), valid, defined
-        cosang = np.empty(per.shape)
-        rest = ~big
-        cosang[rest] = _cosine_law(*(a[rest] if a.ndim else a for a in (k, opp, uu, vv)))
-        kb, ob, ub, vb = (a[big] if a.ndim else a for a in (k, opp, uu, vv))
-        cosang[big] = _cos_angle_hyp_scaled(np.sqrt(-kb), ob, ub, vb)
-    return cosang, valid, defined
-
-
-def batch_angle(
-    kappa, opposite: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Array ``angle_from_sides``: angles plus the mask of entries that have one.
-
-    An entry is masked off, with a NaN angle, when its model angle does not
-    exist (positive curvature with perimeter >= 2*pi/sqrt(kappa)), when an
-    adjacent side vanishes, or when the sides break the triangle inequality
-    beyond the slack.  Cosines just outside [-1, 1] are clipped.
-    """
-    cosang, valid, defined = batch_cos_angle(kappa, opposite, u, v)
-    ok = valid & defined
-    with np.errstate(invalid="ignore"):
-        out = np.where(ok, np.arccos(np.clip(cosang, -1.0, 1.0)), np.nan)
-    return out, ok
+            cosang = _cosine_law(k, opp, uu, vv)
+        else:
+            cosang = np.empty(per.shape)
+            rest = ~big
+            cosang[rest] = _cosine_law(*(a[rest] if a.ndim else a for a in (k, opp, uu, vv)))
+            kb, ob, ub, vb = (a[big] if a.ndim else a for a in (k, opp, uu, vv))
+            cosang[big] = _cos_angle_hyp_scaled(np.sqrt(-kb), ob, ub, vb)
+        ok = valid & defined & (np.abs(cosang) <= 1.0 + 1e-9)
+        angle = np.where(ok, np.arccos(np.clip(cosang, -1.0, 1.0)), np.nan)
+    return angle, valid & ~defined

@@ -54,6 +54,42 @@ def test_lemma_verify_other_sweeps(runner, tmp_path, which):
     assert rep["config"].get("scale") == {"extension": 1e-3, "alexandrov": None}.get(which, 1e-2)
 
 
+# the constants each sweep's verdict reads, echoed under the envelope's tolerances
+_SWEEP_TOLERANCES = {
+    "weighted2": {"budget_exponent": 2.5},
+    "multi": {"budget_exponent": 2.5},
+    "alternating": {"budget_exponent": 2.5},
+    "extension": {"budget_exponent": 2.0, "budget_factor": 50.0},
+    "alexandrov": {"tol": 1e-9},
+}
+
+
+@pytest.mark.parametrize("which", list(_SWEEP_TOLERANCES))
+def test_sweep_reports_hold_only_measured_fields(runner, tmp_path, which):
+    out = tmp_path / f"{which}.json"
+    res = _run(runner, ["lemma", "verify", "--which", which, "--trials", "300",
+                        "--seed", "2", "-o", str(out), "--no-timestamp"])
+    assert res.exit_code == 0
+    env = json.loads(out.read_text())
+    result = env["result"]
+    assert env["tolerances"] == _SWEEP_TOLERANCES[which]
+    for key in ("seed", "scale", "budget", "budget_exponent", "budget_factor", "max_defect",
+                "tolerance"):
+        assert key not in result
+    assert result["trials"] == 300
+    comparisons = 300 * (3 if which == "alexandrov" else 1)
+    assert result["evaluated"] + result["vacuous"] + result["skipped"] == comparisons
+    assert math.isfinite(result["min_signed_defect"])
+    if which == "alexandrov":
+        # no budget: the verdict reads the disagreement audit alone
+        assert result["budget_violations"] is None
+        assert "budget" not in result["worst_case"]
+        assert result["disagreement_failures"] == 0
+    else:
+        assert result["budget_violations"] == 0
+        assert result["worst_case"]["budget"] > 0.0
+
+
 @pytest.mark.parametrize("argv", [
     ["--which", "bogus"],
     ["--which", "multi", "--segments", "1"],
@@ -288,7 +324,7 @@ def test_convexity_ae_and_search(runner, tmp_path, cap_file):
                         "--epsilon", "0.3", "--candidates", "6", "--seed", "0",
                         "-o", str(out), "--no-timestamp"])
     assert res.exit_code == 0
-    assert json.loads(out.read_text())["result"]["lambda_hat"] == 1.0
+    assert json.loads(out.read_text())["result"]["probability"] == 1.0
 
 
 def test_completion_and_area(runner, tmp_path):

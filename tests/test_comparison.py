@@ -21,7 +21,7 @@ from alexkit.comparison import (
     verify_weighted_multi,
     verify_weighted_pair,
 )
-from alexkit.errors import GeometryError, InverseRangeError
+from alexkit.errors import GeometryError, InverseRangeError, UndefinedModelAngleError
 from alexkit.trig import angle_from_sides, f, f_inverse, model_side
 
 
@@ -346,25 +346,47 @@ def test_chain_without_room_returns_none():
 # the batch engine against the scalar kernels
 
 _PARAMS = {"scale": 1e-2, "kappa_range": (-2.0, 2.0), "a_range": (0.5, 2.0)}
+# each sweep's block factory, its default parameters and its chain width
 _BLOCKS = {
-    "weighted2": (lambda: comparison._weighted2(**_PARAMS), 2),
-    "multi": (lambda: comparison._multi(**_PARAMS, max_segments=6), 6),
-    "alternating": (lambda: comparison._alternating(**_PARAMS), 6),
-    "extension": (lambda: comparison._extension(1e-3, (-2.0, 2.0)), 1),
-    "alexandrov": (lambda: comparison._alexandrov((-1.0, 0.0, 1.0), 1e-9), 1),
+    "weighted2": (comparison._weighted2, _PARAMS, 2),
+    "multi": (comparison._multi, {**_PARAMS, "max_segments": 6}, 6),
+    "alternating": (comparison._alternating, _PARAMS, 6),
+    "extension": (comparison._extension, {"scale": 1e-3, "kappa_range": (-2.0, 2.0)}, 1),
+    "alexandrov": (comparison._alexandrov, {"kappas": (-1.0, 0.0, 1.0), "tol": 1e-9}, 1),
+}
+# parameters at which some comparison angles do not exist: curvatures just
+# below f's pole, or above the configurations' perimeter bound.  The
+# alternating and extension comparison triangles existed wherever their
+# configurations did, over every range tried up to f's pole.
+_NEAR_THE_LIMIT = {
+    "weighted2": {"scale": 0.5, "kappa_range": (2.2, 2.4), "a_range": (1.9, 2.0)},
+    "multi": {"scale": 0.5, "kappa_range": (2.2, 2.4), "a_range": (1.9, 2.0),
+              "max_segments": 6},
+    "alexandrov": {"kappas": (1.0, 9.0, 30.0), "tol": 1e-9},
 }
 
 
-def _per_trial(which, trials, seed, rows=None):
-    """Each block's outcome arrays, concatenated over the trials."""
-    make, width = _BLOCKS[which]
-    block = make()
+def _outcomes(which, trials, seed, rows=None, **params):
+    """Each block's rows, concatenated: defect, vacuous mask and inputs."""
+    make, defaults, width = _BLOCKS[which]
+    block = make(**{**defaults, **params})
     rows = rows or comparison._block_rows(width)
     outs = [block(stream) for stream in comparison._streams(trials, seed, rows)]
-    if which == "alexandrov":
-        return {k: np.concatenate([o[k] for o in outs], axis=-1) for k in outs[0]}
     inputs = {k: np.concatenate([o.inputs[k] for o in outs]) for k in outs[0].inputs}
-    return {"defect": np.concatenate([o.defect for o in outs]), **inputs}
+    return {"defect": np.concatenate([o.defect for o in outs]),
+            "vacuous": np.concatenate([o.vacuous for o in outs]), **inputs}
+
+
+class _Vacuous(Exception):
+    """The replayed comparison's model angle does not exist."""
+
+
+def _comparison_angle(kappa, opposite, u, v):
+    """The replayed comparison angle; raises ``_Vacuous`` where its model angle does not exist."""
+    try:
+        return angle_from_sides(kappa, opposite, u, v)
+    except UndefinedModelAngleError:
+        raise _Vacuous from None
 
 
 class _Replay:
@@ -384,7 +406,7 @@ def _scalar_weighted2(x, i):
     chain = _chain(_Replay(x["junction"][i]), a, (b, d), (k1, k2), theta1)
     if chain is None:
         return None
-    return theta1 - angle_from_sides(kappa_bar_two(a, b, d, k1, k2), chain[0], a, b + d)
+    return theta1 - _comparison_angle(kappa_bar_two(a, b, d, k1, k2), chain[0], a, b + d)
 
 
 def _scalar_multi(x, i):
@@ -396,7 +418,7 @@ def _scalar_multi(x, i):
     kf, _ = kappa_bar_multi(HingeConfig(base=a, segments=tuple(zip(lengths, kappas))))
     if n == 2:
         kappa_bar_two(a, lengths[0], lengths[1], kappas[0], kappas[1])
-    return theta1 - angle_from_sides(kf, chain[0], a, sum(lengths))
+    return theta1 - _comparison_angle(kf, chain[0], a, sum(lengths))
 
 
 def _scalar_alternating(x, i):
@@ -408,13 +430,13 @@ def _scalar_alternating(x, i):
     blocks = tuple(zip(lengths[0::2], lengths[1::2]))
     kalt = kappa_bar_alternating(AlternatingConfig(
         base=a, blocks=blocks, kappa=float(x["kappa"][i]), kappa_star=float(x["kappa_star"][i])))
-    return theta1 - angle_from_sides(kalt, chain[0], a, sum(lengths))
+    return theta1 - _comparison_angle(kalt, chain[0], a, sum(lengths))
 
 
 def _scalar_extension(x, i):
     a, r, kappa, u, theta = (float(x[k][i]) for k in ("a", "r", "kappa", "u", "theta"))
     far = (a - r) + model_side(kappa, r, u, theta)
-    return theta - angle_from_sides(kappa_star_extension(a, r, kappa), far, a, u)
+    return theta - _comparison_angle(kappa_star_extension(a, r, kappa), far, a, u)
 
 
 _SCALAR = {"weighted2": _scalar_weighted2, "multi": _scalar_multi,
@@ -436,30 +458,51 @@ def _condition(which, x, i):
     return x["a"][i] / (leg * math.sin(x["theta1"][i]))
 
 
+def _assert_replays(which, x):
+    """Every row's skip decision, vacuous flag and defect equal the scalar path's.
+
+    numpy's sinh, cosh, arcsin and arcsinh may differ from the math
+    module's by a few ulps, which the trial's angle-from-sides steps amplify
+    by their condition number; 16 ulps of it is the allowance.  Returns the
+    number of vacuous rows.
+    """
+    eps = np.finfo(float).eps
+    for i in range(len(x["defect"])):
+        vacuous = False
+        try:
+            want = _SCALAR[which](x, i)
+        except _Vacuous:
+            want, vacuous = None, True
+        except GeometryError:
+            want = None
+        got = x["defect"][i]
+        assert (want is None) == bool(np.isnan(got)), (which, i, want, got)
+        assert bool(x["vacuous"][i]) == vacuous, (which, i)
+        if want is not None:
+            assert abs(got - want) <= 1e-12 + 16 * eps * _condition(which, x, i), (i, got, want)
+    return int(x["vacuous"].sum())
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("which", list(_SCALAR))
 def test_batch_engine_replays_through_scalar_kernels(which, seed):
     # the drawn inputs of every trial, fed through _chain and the scalar
-    # calculators, give the same skip decision and the same defect.  numpy's
-    # sinh, cosh, arcsin and arcsinh may differ from the math module's by a
-    # few ulps, which the trial's angle-from-sides steps amplify by their
-    # condition number; 16 ulps of it is the allowance.
-    x = _per_trial(which, 2000, seed)
-    eps = np.finfo(float).eps
-    for i in range(2000):
-        try:
-            want = _SCALAR[which](x, i)
-        except GeometryError:
-            want = None
-        got = x["defect"][i]
-        assert (want is None) == bool(np.isnan(got)), (which, seed, i, want, got)
-        if want is not None:
-            assert abs(got - want) <= 1e-12 + 16 * eps * _condition(which, x, i), (i, got, want)
+    # calculators, give the same skip decision, the same vacuous flag (the
+    # scalar comparison angle raises UndefinedModelAngleError) and the same
+    # defect
+    _assert_replays(which, _outcomes(which, 2000, seed))
+
+
+@pytest.mark.parametrize("which", ["weighted2", "multi"])
+def test_vacuous_rows_replay_through_scalar_kernels(which):
+    # near the curvature limits some comparison angles do not exist
+    x = _outcomes(which, 2000, 7, **_NEAR_THE_LIMIT[which])
+    assert _assert_replays(which, x) > 0
 
 
 def test_batch_blends_match_scalar_calculators():
-    pair = _per_trial("weighted2", 2000, 4)
-    ext = _per_trial("extension", 2000, 4)
+    pair = _outcomes("weighted2", 2000, 4)
+    ext = _outcomes("extension", 2000, 4)
     worst = 0.0
     for i in np.flatnonzero(~np.isnan(pair["defect"])):
         a, b, d, k1, k2 = (float(pair[k][i]) for k in ("a", "b", "d", "k1", "k2"))
@@ -470,45 +513,91 @@ def test_batch_blends_match_scalar_calculators():
     assert worst <= 1e-13, worst
 
 
+def _assert_alexandrov_replays(x, tol=1e-9):
+    """Every row against alexandrov_lemma_check on the scalar kernels' distances.
+
+    Returns the number of vacuous rows.
+    """
+    worst = 0.0
+    for i in range(len(x["defect"])):
+        kappa, ambient, px, qx, xs, phi = (float(x[k][i]) for k in
+                                           ("kappa", "ambient", "px", "qx", "xs", "phi"))
+        defect, vacuous = x["defect"][i], bool(x["vacuous"][i])
+        try:
+            pq = model_side(ambient, px, qx, phi)
+            ps = model_side(ambient, px, xs, math.pi - phi)
+            rep = alexandrov_lemma_check(kappa, pq=pq, ps=ps, px=px, qx=qx, xs=xs, tol=tol)
+        except GeometryError:
+            assert np.isnan(defect) and not vacuous
+            continue
+        assert vacuous == rep.vacuous
+        assert bool(np.isnan(defect)) == rep.vacuous
+        if not rep.vacuous:
+            assert bool(defect < -tol) == (not rep.agree)
+            worst = max(worst, abs(x["margin_base"][i] - rep.margin_base),
+                        abs(x["margin_split"][i] - rep.margin_split))
+    assert worst <= 1e-12, worst
+    return int(x["vacuous"].sum())
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_alexandrov_batch_replays_through_scalar_check(seed):
-    x = _per_trial("alexandrov", 2000, seed)
-    kappas = (-1.0, 0.0, 1.0)
-    worst = 0.0
-    for i in range(2000):
-        ambient, b, d, e, phi = (float(x[k][i]) for k in ("ambient", "b", "d", "e", "phi"))
-        try:
-            pq = model_side(ambient, e, b, phi)
-            ps = model_side(ambient, e, d, math.pi - phi)
-        except GeometryError:
-            assert not x["built"][i]
-            continue
-        assert x["built"][i]
-        for j, kappa in enumerate(kappas):
-            try:
-                rep = alexandrov_lemma_check(kappa, pq=pq, ps=ps, px=e, qx=b, xs=d)
-            except GeometryError:
-                assert not x["evaluated"][j, i] and not x["vacuous"][j, i]
-                continue
-            assert bool(x["vacuous"][j, i]) == rep.vacuous
-            assert bool(x["evaluated"][j, i]) == (not rep.vacuous)
-            if not rep.vacuous:
-                assert bool(x["disagree"][j, i]) == (not rep.agree)
-                worst = max(worst, abs(x["margin_base"][j, i] - rep.margin_base),
-                            abs(x["margin_split"][j, i] - rep.margin_split))
-    assert worst <= 1e-12, worst
+    # one row per (trial, kappa), trial-major
+    x = _outcomes("alexandrov", 2000, seed)
+    assert len(x["defect"]) == 3 * 2000
+    assert np.array_equal(x["kappa"][:6], [-1.0, 0.0, 1.0] * 2)
+    _assert_alexandrov_replays(x)
+
+
+def test_alexandrov_vacuous_rows_replay_through_scalar_check():
+    x = _outcomes("alexandrov", 2000, 7, **_NEAR_THE_LIMIT["alexandrov"])
+    assert _assert_alexandrov_replays(x) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_alexandrov_worst_case_is_the_least_signed_defect(seed):
+    rep = verify_alexandrov(3000, seed=seed)
+    w = rep.worst_case
+    mb, ms = w["margin_base"], w["margin_split"]
+    assert w["signed_defect"] == rep.min_signed_defect
+    assert w["signed_defect"] == math.copysign(1.0, mb * ms) * min(abs(mb), abs(ms))
+    check = alexandrov_lemma_check(w["kappa"], pq=w["pq"], ps=w["ps"], px=w["px"],
+                                   qx=w["qx"], xs=w["xs"])
+    assert abs(check.margin_base - mb) <= 1e-12 and abs(check.margin_split - ms) <= 1e-12
+    # the sweep has no budget
+    assert "budget" not in w and rep.budget_violations is None
+    assert rep.to_dict()["budget_violations"] is None
+    assert rep.tolerances == {"tol": 1e-9}
 
 
 @pytest.mark.parametrize("rows", [None, 512])
 @pytest.mark.parametrize("which", list(_BLOCKS))
 def test_trial_outcomes_do_not_depend_on_the_trial_count(which, rows):
     # 1500 is not a multiple of either block size
-    short = _per_trial(which, 1500, 5, rows)
-    long = _per_trial(which, 3000, 5, rows)
+    short = _outcomes(which, 1500, 5, rows)
+    long = _outcomes(which, 3000, 5, rows)
     for key, got in short.items():
-        # alexandrov's per-curvature arrays hold trials along the last axis
-        head = long[key][..., :1500] if which == "alexandrov" else long[key][:1500]
-        assert np.array_equal(got, head, equal_nan=True), key
+        assert np.array_equal(got, long[key][:len(got)], equal_nan=True), key
+
+
+_SWEEPS = {"weighted2": verify_weighted_pair, "multi": verify_weighted_multi,
+           "alternating": verify_alternating, "extension": verify_extension,
+           "alexandrov": verify_alexandrov}
+
+
+@pytest.mark.parametrize("which, params", [
+    *((which, "defaults") for which in _SWEEPS),
+    *((which, "near_the_limit") for which in _NEAR_THE_LIMIT),
+])
+def test_sweep_counts_every_comparison_once(which, params):
+    kwargs = _NEAR_THE_LIMIT[which] if params == "near_the_limit" else {}
+    rep = _SWEEPS[which](1500, seed=6, **kwargs)
+    comparisons = 1500 * len(kwargs.get("kappas", (-1.0, 0.0, 1.0))) if which == "alexandrov" \
+        else 1500
+    assert rep.trials == 1500
+    assert rep.evaluated + rep.vacuous + rep.skipped == comparisons
+    assert min(rep.evaluated, rep.vacuous, rep.skipped) >= 0
+    assert (rep.vacuous > 0) == (params == "near_the_limit")
 
 
 def test_sweep_reports_count_their_work():

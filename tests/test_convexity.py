@@ -184,7 +184,7 @@ def test_weak_lambda_search_convex_domain(full_square):
     q = _pick_u(sp, [0.8, 0.2])
     s = _pick_u(sp, [0.2, 0.8])
     rep = weak_lambda_search(sp, p, q, s, epsilon=0.1, candidates=8, seed=0)
-    assert rep.lambda_hat == 1.0
+    assert rep.probability == 1.0
     assert rep.epsilon == 0.1
 
 
@@ -207,7 +207,7 @@ def test_weak_lambda_search_tube_adapted(dense_square):
     q = sp.nearest_vertex(a + 0.15 * direction, require_in_U=True)
     s = sp.nearest_vertex(a + 0.85 * direction, require_in_U=True)
     rep = weak_lambda_search(sp, p, q, s, epsilon=0.08, candidates=48, seed=0)
-    assert rep.lambda_hat >= 1.0 - 1e-9
+    assert rep.probability >= 1.0 - 1e-9
 
 
 def test_weak_lambda_search_slit_stays_below_one(slit_square):
@@ -216,7 +216,7 @@ def test_weak_lambda_search_slit_stays_below_one(slit_square):
     q = _pick_u(sp, [0.85, 0.1])
     s = _pick_u(sp, [0.85, 0.55])
     rep = weak_lambda_search(sp, p, q, s, epsilon=2.5 * sp.h, candidates=40, seed=0)
-    assert rep.lambda_hat < 1.0
+    assert rep.probability < 1.0
 
 
 def test_weak_lambda_search_deterministic(punctured_square):
@@ -239,7 +239,7 @@ def test_corollary_direction_ae_one_implies_lambda_one(full_square, punctured_sq
         ae = ae_convexity_estimate(sp, p, samples=1500, seed=1)
         if ae.probability >= 0.98:
             rep = weak_lambda_search(sp, p, q, s, epsilon=0.08, candidates=24, seed=2)
-            assert rep.lambda_hat >= 1.0 - 1e-9
+            assert rep.probability >= 1.0 - 1e-9
 
 
 # ---------------------------------------------------------------------------

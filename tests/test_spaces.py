@@ -75,6 +75,13 @@ def test_sphere_point_set_distances():
     assert sub[0, 2] == pytest.approx(math.pi, abs=1e-12)
 
 
+def test_sphere_point_set_distance_equals_its_submatrix():
+    pts = unit_sphere_points(120, seed=3)
+    sub = pts.submatrix(np.arange(120))
+    pairwise = np.array([[pts.distance(i, j) for j in range(120)] for i in range(120)])
+    assert np.array_equal(pairwise, sub)
+
+
 # ---------------------------------------------------------------------------
 # paths
 
@@ -574,20 +581,26 @@ def test_scan_wide_cap_completion_violates_unit_curvature(wide_cap, convex_cap):
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, 2.0])
-@pytest.mark.parametrize("carrier", ["sphere", "wide_cap"])
+@pytest.mark.parametrize("carrier", ["sphere", "wide_cap", "sphere_points"])
 def test_scan_defects_match_scalar_quadruple_defect(carrier, kappa, wide_cap):
-    space = unit_sphere_points(40, seed=0) if carrier == "sphere" else wide_cap
-    dist, _, quads, _, _ = _scan_distances(space, 60, 3, 3000)
+    space = wide_cap if carrier == "wide_cap" else unit_sphere_points(40, seed=0)
+    dist, idx, quads, _, _ = _scan_distances(space, 60, 3, 3000)
     defects, defined = _quad_defects(_quad_sides(dist, quads), kappa)
-    # the scalar oracle reads the scan's own distance block, so the two differ
-    # only in the cosine-law arithmetic; below zero curvature, math.sinh and
-    # np.sinh may round apart, and arccos near 1 on a graph-collinear triple
-    # turns one ulp into 1e-7, so this bound holds only for kappa >= 0
-    block = FiniteMetricSpace(dist, validate=False)
+    # the scalar oracle reads the scan's own distance block, or, for
+    # sphere_points, the point set itself, whose distances equal the block's
+    # bit for bit; so the two differ only in the cosine-law arithmetic.
+    # Below zero curvature, math.sinh and np.sinh may round apart, and
+    # arccos near 1 on a graph-collinear triple turns one ulp into 1e-7, so
+    # this bound holds only for kappa >= 0
+    if carrier == "sphere_points":
+        oracle = space
+        assert np.array_equal(idx, np.arange(space.n_points))  # block ids are point ids
+    else:
+        oracle = FiniteMetricSpace(dist, validate=False)
     # at kappa 2 perimeters past pi*sqrt(2) leave some quadruples undefined
     assert defined.any() and (kappa < 2.0 or not defined.all())
     for row, quad in enumerate(quads.tolist()):
-        scalar = quadruple_defect(block, *quad, kappa)
+        scalar = quadruple_defect(oracle, *quad, kappa)
         assert (scalar is None) == (not defined[row])
         if scalar is not None:
             assert abs(scalar - defects[row]) <= 1e-12
@@ -640,7 +653,7 @@ def _kappa_max_reference(space, kappa, samples, seed, subset=600, tol=None, exha
         while step <= 8.0 and holds(hi + step):
             hi += step
             step *= 2.0
-        hi_bad = hi + step
+        lo, hi_bad = hi, hi + step
     else:
         step = 1.0
         while step <= 8.0 and not holds(lo - step):
@@ -757,6 +770,33 @@ def test_scan_kappa_max_matches_full_pass_bisection_property(n, dim, seed, kappa
         space = FiniteMetricSpace(np.linalg.norm(pts[:, None] - pts[None], axis=-1))
     with pytest.MonkeyPatch.context() as monkeypatch:
         _assert_matches_reference(monkeypatch, space, kappa, samples=300, seed=seed)
+
+
+@given(kappa=st.floats(-5.0, 5.0),
+       switches=st.lists(st.tuples(st.integers(-40, 40), st.floats(0.0, 1e-12)), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_kappa_max_is_never_below_a_probe_that_held(kappa, switches):
+    # holds() switches at each break, on or just above the steps' grid, so it
+    # need not be monotone and a step can hold just below a switch
+    breaks = [kappa + step + tiny for step, tiny in switches]
+    probes = []
+
+    def holds(k):
+        result = sum(b <= k for b in breaks) % 2 == 0
+        probes.append((k, result))
+        return result
+
+    kappa_max, _ = spaces._kappa_max(holds, kappa, holds(kappa))
+    first_failure = min((k for k, ok in probes if not ok), default=math.inf)
+    assert kappa_max >= max((k for k, ok in probes if ok and k < first_failure),
+                            default=-math.inf)
+
+
+def test_scan_kappa_max_is_not_below_the_step_that_held_on_the_sphere():
+    # from kappa 0 the step to 1 holds on exact sphere distances; bisecting
+    # from 0 instead of from that step reported 1 - 9.1e-13
+    rep = scan_quadruples(unit_sphere_points(200, seed=0), 0.0, samples=6_000, seed=7)
+    assert rep.kappa_max >= 1.0
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])

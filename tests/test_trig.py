@@ -318,8 +318,8 @@ def test_batch_angle_matches_scalar():
         u = rng.uniform(0.2, 1.0, 200)
         v = rng.uniform(0.2, 1.0, 200)
         opp = np.abs(u - v) + rng.uniform(0.05, 0.9, 200) * (u + v - np.abs(u - v) - 0.1)
-        angles, ok = batch_angle(kappa, opp, u, v)
-        assert ok.all()
+        angles, undefined = batch_angle(kappa, opp, u, v)
+        assert not np.isnan(angles).any() and not undefined.any()
         for i in range(0, 200, 17):
             assert angles[i] == pytest.approx(
                 angle_from_sides(kappa, opp[i], u[i], v[i]), abs=1e-12
@@ -353,7 +353,10 @@ def _md_ref(k, x):
 
 
 def _batch_angle_reference(k, opp, uu, vv):
-    """``batch_angle``'s arithmetic as it stood with one curvature and both branches."""
+    """``batch_angle``'s arithmetic as it stood with one curvature and both branches.
+
+    Returns the angles and the mask of entries that have one.
+    """
     per = opp + uu + vv
     slack = _TRI_SLACK * per
     ok = (
@@ -396,20 +399,23 @@ def test_batch_angle_bit_identical_to_reference(kappa):
     zero = rng.integers(0, 3, size=n // 10)
     sides[zero, np.arange(n - n // 10, n)] = 0.0
     opp, u, v = sides
-    angles, ok = batch_angle(kappa, opp, u, v)
+    angles, undefined = batch_angle(kappa, opp, u, v)
     ref_angles, ref_ok = _batch_angle_reference(kappa, opp, u, v)
+    ok = ~np.isnan(angles)
     assert np.array_equal(ok, ref_ok)
     assert np.array_equal(angles, ref_angles, equal_nan=True)
     # the draw reaches valid, invalid and zero-side triangles alike
     assert ok.any() and not ok.all()
     assert (~ok[n - n // 10:]).all()
+    assert np.array_equal(undefined, _raises_undefined(kappa, opp, u, v))
 
 
 def test_batch_angle_flags_undefined():
-    angles, ok = batch_angle(1.0, np.array([2.2, 1.0]), np.array([2.1, 1.0]),
-                             np.array([2.1, 1.0]))
-    assert not ok[0] and math.isnan(angles[0])
-    assert ok[1] and not math.isnan(angles[1])
+    # an undefined model angle, a defined one, and a broken triangle inequality
+    angles, undefined = batch_angle(1.0, np.array([2.2, 1.0, 5.0]), np.array([2.1, 1.0, 1.0]),
+                                    np.array([2.1, 1.0, 1.0]))
+    assert undefined.tolist() == [True, False, False]
+    assert np.isnan(angles).tolist() == [True, False, True]
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +430,21 @@ def _oracle(fn, *columns):
             out.append(fn(*(float(a) for a in args)))
         except GeometryError:
             out.append(math.nan)
+    return np.array(out)
+
+
+def _raises_undefined(*columns):
+    """Entry by entry, whether ``angle_from_sides`` raises :class:`UndefinedModelAngleError`."""
+    out = []
+    for args in zip(*(np.broadcast_arrays(*columns))):
+        try:
+            angle_from_sides(*(float(a) for a in args))
+        except UndefinedModelAngleError:
+            out.append(True)
+            continue
+        except GeometryError:
+            pass
+        out.append(False)
     return np.array(out)
 
 
@@ -523,7 +544,14 @@ def test_batch_angle_matches_scalar_with_curvature_per_entry():
     kappa = _curvatures(rng, u + v + opp, n)
     kappa[-100:] = -rng.uniform(1e4, 1e6, 100)
     assert (np.sqrt(-kappa[-100:]) * (opp + u + v)[-100:] > _HYP_RESCALE).all()
-    angles, ok = batch_angle(kappa, opp, u, v)
+    # entries the scalar kernel refuses before its perimeter test, and one
+    # undefined model angle
+    kappa[300:307] = (math.nan, math.inf, 1.0, 1.0, 1.0, 1.0, 5.0)
+    opp[300:307] = (1.0, 1.0, math.inf, -0.5, 1.0, 2.5, 1.0)
+    u[300:307] = (1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0)
+    v[300:307] = 1.0
+    angles, undefined = batch_angle(kappa, opp, u, v)
     want = _oracle(angle_from_sides, kappa, opp, u, v)
-    assert np.array_equal(ok, ~np.isnan(want))
+    assert np.array_equal(np.isnan(angles), np.isnan(want))
+    assert np.array_equal(undefined, _raises_undefined(kappa, opp, u, v))
     _assert_matches(angles, want, rtol=0.0, atol=1e-12)
