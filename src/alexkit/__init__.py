@@ -13,17 +13,14 @@ from .errors import (
     UnreachableError,
 )
 from .trig import (
-    TriangleSides,
     angle_from_sides,
     cs,
     f,
     f_inverse,
     md,
     md_inverse,
-    model_angle,
     model_side,
     sn,
-    taylor_side_expansion,
 )
 
 __all__ = [
@@ -36,7 +33,6 @@ __all__ = [
     "InverseRangeError",
     "UnreachableError",
     "ResolutionError",
-    "TriangleSides",
     "sn",
     "cs",
     "md",
@@ -44,7 +40,5 @@ __all__ = [
     "f",
     "f_inverse",
     "model_side",
-    "model_angle",
     "angle_from_sides",
-    "taylor_side_expansion",
 ]

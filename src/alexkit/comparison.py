@@ -107,7 +107,8 @@ def kappa_bar_two(a: float, b: float, d: float, k1: float, k2: float) -> float:
 
     Solves f_a(kbar) = ((b^2 + 2bd) f_a(k1) + d^2 f_a(k2)) / (b+d)^2.
     Nondecreasing in both curvatures; dominates the plain weighted average
-    of k1, k2 by concavity of f.
+    of k1, k2 by concavity of f.  No CLI command calls it: it is library API
+    and the test oracle of the sweeps' array blend.
     """
     k1 = check_curvature(k1)
     k2 = check_curvature(k2)
@@ -143,6 +144,8 @@ def kappa_bar_multi(config: HingeConfig) -> tuple[float, float]:
     f-weighted equation, and the plain weighted average of the segment
     curvatures.  Concavity of f forces kappa_bar_f >= kappa_bar_lower, and
     for two segments kappa_bar_f coincides with :func:`kappa_bar_two`.
+    No CLI command calls it: it is library API and the test oracle of the
+    multi-hinge sweep's array blends.
     """
     lengths = [seg[0] for seg in config.segments]
     kappas = [seg[1] for seg in config.segments]
@@ -164,7 +167,8 @@ def kappa_bar_alternating(config: AlternatingConfig) -> float:
 
     (sum b)^2 (kappa - kappa_star) / (sum b + sum d)^2 + kappa_star; equal to
     kappa when nothing is uncontrolled, to kappa_star when nothing is good,
-    and always between the two.
+    and always between the two.  No CLI command calls it: it is library API
+    and the test oracle of the alternating sweep's array blend.
     """
     bsum = sum(b for b, _ in config.blocks)
     total = sum(b + d for b, d in config.blocks)
@@ -176,7 +180,8 @@ def kappa_star_extension(a: float, r: float, kappa: float) -> float:
     """Comparison curvature surviving an extension of a hinge leg from r to a.
 
     Returns f_a^{-1}(f_r(kappa)); equals kappa at a = r and decreases as the
-    leg grows.
+    leg grows.  No CLI command calls it: it is library API and the test
+    oracle of the extension sweep's array form.
     """
     if not (0.0 < r <= a):
         raise GeometryError(f"need 0 < r <= a, got r={r!r}, a={a!r}")
@@ -221,7 +226,8 @@ def alexandrov_lemma_check(
     [qs] (so |qs| = qx + xs).  Checks that the angle condition at the base
     vertex q and the angle-sum condition at the split vertex x agree in
     sign, up to ``tol`` on the margins.  An undefined model angle makes the
-    comparison vacuous.
+    comparison vacuous.  No CLI command calls it: it is library API and the
+    test oracle of the ``alexandrov`` sweep.
     """
     k = check_curvature(kappa)
     if qx <= 0.0 or xs <= 0.0:

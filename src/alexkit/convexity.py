@@ -87,19 +87,13 @@ def _binomial_margin(p: float, n: int, z: float = _Z95) -> float:
     return z * math.sqrt(max(p * (1.0 - p), 0.0) / n + 0.25 / (n * n))
 
 
-def connectable(space: DiscreteLengthSpace, p: int, x: int, slack: float | None = None) -> bool:
-    """True when x can be reached from p by a surviving in-domain minimizer.
+def _connectable_mask(space: DiscreteLengthSpace, p: int, xs: np.ndarray,
+                      slack: float) -> np.ndarray:
+    """Which of the vertices ``xs`` a surviving in-domain minimizer reaches from p.
 
     Monotone nondecreasing in ``slack``; unreachable (or boundary) targets
     count as False, and p itself as True.
     """
-    slack = _slack(space, slack)
-    return bool(_connectable_mask(space, p, np.array([x]), slack)[0])
-
-
-def _connectable_mask(space: DiscreteLengthSpace, p: int, xs: np.ndarray,
-                      slack: float) -> np.ndarray:
-    """Elementwise :func:`connectable` of the vertices ``xs`` to p."""
     d_rest = space.distance_field(p, restrict_to_U=True)[xs]
     d_full = space.distance_field(p)[xs]
     reached = np.isfinite(d_rest) & (d_rest <= d_full * (1.0 + slack) + 1e-12)

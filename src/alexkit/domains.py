@@ -89,20 +89,6 @@ class DomainSpec:
             "stencil_radius": self.stencil_radius,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DomainSpec":
-        return cls(
-            kind=data["kind"],
-            resolution=float(data["resolution"]),
-            cap_radius=float(data.get("cap_radius", 0.0)),
-            delta=float(data.get("delta", 0.0)),
-            num_segments=int(data.get("num_segments", 0)),
-            removed_points=tuple(tuple(p) for p in data.get("removed_points", [])),
-            removed_segments=tuple(tuple(s) for s in data.get("removed_segments", [])),
-            side=float(data.get("side", 1.0)),
-            stencil_radius=int(data.get("stencil_radius", 2)),
-        )
-
 
 # ---------------------------------------------------------------------------
 # rational segment family

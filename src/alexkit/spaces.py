@@ -162,6 +162,34 @@ def great_circle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
 
 
+# pairs per tile of the triangle check: its temporary holds rows * cols * n floats
+_TILE_ROWS, _TILE_COLS = 4, 32
+
+
+def _triangle_violation(d: np.ndarray, tol: float) -> tuple[int, int, int] | None:
+    """The first ``(i, j, k)`` in tile order with ``d[i, j] > d[i, k] + d[k, j] + tol``, or None.
+
+    k is the point of least ``d[i, k] + d[k, j]``.  See
+    :meth:`FiniteMetricSpace.validate`.
+    """
+    n = d.shape[0]
+    d_t = np.ascontiguousarray(d.T)  # d_t[j, k] == d[k, j]
+    symmetric = np.array_equal(d, d_t)
+    buf = np.empty((_TILE_ROWS, _TILE_COLS, n))
+    for i0 in range(0, n, _TILE_ROWS):
+        rows = d[i0:i0 + _TILE_ROWS]
+        first = i0 - i0 % _TILE_COLS if symmetric else 0
+        for j0 in range(first, n, _TILE_COLS):
+            cols = d_t[j0:j0 + _TILE_COLS]
+            sums = buf[:len(rows), :len(cols)]
+            np.add(rows[:, None, :], cols[None, :, :], out=sums)
+            bad = rows[:, j0:j0 + _TILE_COLS] > sums.min(axis=2) + tol
+            if bad.any():
+                a, b = np.argwhere(bad)[0]
+                return i0 + int(a), j0 + int(b), int(sums[a, b].argmin())
+    return None
+
+
 class FiniteMetricSpace:
     """Symmetric nonnegative distance matrix validated as a metric."""
 
@@ -178,6 +206,17 @@ class FiniteMetricSpace:
         return self.dist.shape[0]
 
     def validate(self, tol: float = 1e-9) -> None:
+        """Raise :class:`GeometryError` unless the matrix is a metric within ``tol``.
+
+        The triangle inequality is checked exactly: ``d[i, j] > d[i, k] +
+        d[k, j] + tol`` for some k if and only if ``d[i, j]`` exceeds the
+        min-plus product ``min_k (d[i, k] + d[k, j])`` plus ``tol``, since
+        adding ``tol`` rounds monotonically.  The product is formed one tile
+        of pairs at a time; when the matrix equals its transpose bit for bit,
+        tile (j, i) repeats tile (i, j) and only the tiles on or above the
+        diagonal run.  A failure names the first failing pair in tile order
+        and the point it fails through.
+        """
         d = self.dist
         if not np.all(np.isfinite(d)):
             raise GeometryError("distances must be finite")
@@ -187,10 +226,11 @@ class FiniteMetricSpace:
             raise GeometryError("diagonal must vanish")
         if np.abs(d - d.T).max(initial=0.0) > tol:
             raise GeometryError("matrix must be symmetric")
-        # triangle inequality through every intermediate point
-        for k in range(d.shape[0]):
-            if np.any(d > d[:, k][:, None] + d[k, :][None, :] + tol):
-                raise GeometryError(f"triangle inequality fails through point {k}")
+        bad = _triangle_violation(d, tol)
+        if bad is not None:
+            i, j, k = bad
+            raise GeometryError(f"triangle inequality fails: d({i}, {j}) > "
+                                f"d({i}, {k}) + d({k}, {j}) + {tol:g}")
 
     def distance(self, i: int, j: int) -> float:
         return float(self.dist[i, j])
@@ -468,6 +508,10 @@ class DiscreteLengthSpace:
         return cls(*_read_graph_file(path))
 
     def nearest_vertex(self, point, require_in_U: bool = False) -> int:
+        """Index of the vertex nearest to ``point`` in the embedding, first on ties.
+
+        Library API; the generators use its array form.
+        """
         if self.coords is None:
             raise GeometryError("space carries no coordinates")
         d2 = np.sum((self.coords - np.asarray(point, dtype=float)) ** 2, axis=1)
@@ -481,7 +525,11 @@ class DiscreteLengthSpace:
 
 
 def comparison_angle(space, q: int, p: int, s: int, kappa: float) -> float:
-    """Comparison angle at q between p and s from the space's own distances."""
+    """Comparison angle at q between p and s from the space's own distances.
+
+    No CLI command calls it: it is library API and, through
+    :func:`quadruple_defect`, the test oracle of the scan's array kernel.
+    """
     k = check_curvature(kappa)
     if len({q, p, s}) != 3:
         raise GeometryError("comparison angle needs three distinct points")
@@ -501,7 +549,8 @@ def quadruple_defect(space, p: int, x1: int, x2: int, x3: int, kappa: float) -> 
 
     Nonnegative values mean the quadruple condition holds at this
     curvature; None means at least one model angle is undefined, in which
-    case the condition is vacuously true.
+    case the condition is vacuously true.  No CLI command calls it: it is
+    library API and the test oracle of the scan's ``_quad_defects``.
     """
     k = check_curvature(kappa)
     ids = (p, x1, x2, x3)
@@ -609,10 +658,11 @@ def _quad_sides(dist: np.ndarray, quads: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _quad_defects(sides: tuple[np.ndarray, ...], kappa: float):
+    """Each row's ``2*pi`` minus the three model angles at p, with one kernel call."""
     px1, px2, px3, x12, x23, x31 = sides
-    a1, _ = batch_angle(kappa, x12, px1, px2)
-    a2, _ = batch_angle(kappa, x23, px2, px3)
-    a3, _ = batch_angle(kappa, x31, px3, px1)
+    angles, _ = batch_angle(kappa, np.concatenate((x12, x23, x31)),
+                            np.concatenate((px1, px2, px3)), np.concatenate((px2, px3, px1)))
+    a1, a2, a3 = angles.reshape(3, -1)
     defects = 2.0 * math.pi - (a1 + a2 + a3)
     return defects, ~np.isnan(defects)
 

@@ -20,8 +20,6 @@ kernel of its own: ``batch_f`` evaluates it inline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -224,51 +222,6 @@ def f_inverse(
     return root
 
 
-@dataclass(frozen=True)
-class TriangleSides:
-    """Three side lengths of a triangle, validated on construction.
-
-    The triangle inequality is enforced with a small relative slack so that
-    side triples produced by float summation are accepted.  The curvature
-    dependent admissibility (perimeter < 2*pi/sqrt(kappa) for kappa > 0) is
-    checked where an angle is actually computed.
-    """
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        for name, v in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if not math.isfinite(v) or v < 0.0:
-                raise InvalidTriangleError(
-                    f"side {name} must be a finite nonnegative length, got {v!r}"
-                )
-        slack = _TRI_SLACK * (self.a + self.b + self.c) + 1e-300
-        if (
-            self.a > self.b + self.c + slack
-            or self.b > self.a + self.c + slack
-            or self.c > self.a + self.b + slack
-        ):
-            raise InvalidTriangleError(
-                f"triangle inequality fails for sides ({self.a}, {self.b}, {self.c})"
-            )
-
-    @property
-    def perimeter(self) -> float:
-        return self.a + self.b + self.c
-
-    def side(self, i: int) -> float:
-        return (self.a, self.b, self.c)[i]
-
-    def admissible(self, kappa: float) -> bool:
-        """True when a model triangle with these sides exists in curvature kappa."""
-        k = check_curvature(kappa)
-        if k <= 0.0:
-            return True
-        return self.perimeter < 2.0 * math.pi / math.sqrt(k)
-
-
 # beyond this scaled size the hyperbolic cosine law is evaluated in
 # exponentially rescaled form to dodge cosh/sinh overflow
 _HYP_RESCALE = 300.0
@@ -332,20 +285,6 @@ def angle_from_sides(kappa: float, opposite: float, u: float, v: float) -> float
     return math.acos(cosang)
 
 
-def model_angle(kappa: float, sides: TriangleSides, at: int) -> float:
-    """Angle of the model triangle at the vertex opposite ``sides.side(at)``.
-
-    ``at`` indexes the opposite side: at=0 gives the angle between sides b
-    and c, and so on cyclically.
-    """
-    if at not in (0, 1, 2):
-        raise ValueError(f"vertex selector must be 0, 1 or 2, got {at!r}")
-    opp = sides.side(at)
-    u = sides.side((at + 1) % 3)
-    v = sides.side((at + 2) % 3)
-    return angle_from_sides(kappa, opp, u, v)
-
-
 def model_side(kappa: float, b: float, c: float, alpha: float) -> float:
     """Side opposite the hinge: lengths b, c enclosing the angle alpha.
 
@@ -370,19 +309,6 @@ def model_side(kappa: float, b: float, c: float, alpha: float) -> float:
     if m < 0.0:
         m = 0.0
     return md_inverse(k, m)
-
-
-def taylor_side_expansion(kappa: float, c: float, b: float, beta: float) -> float:
-    """Second-order expansion of the opposite side of a hinge in the short leg.
-
-    Returns c - b*cos(beta) + 0.5*sin(beta)^2 * f(c, kappa) * b^2; the true
-    side differs by O(b^3).
-    """
-    k = check_curvature(kappa)
-    cc = _check_length(c, "c")
-    bb = _check_length(b, "b")
-    s = math.sin(beta)
-    return cc - bb * math.cos(beta) + 0.5 * s * s * f(cc, k) * bb * bb
 
 
 # ---------------------------------------------------------------------------

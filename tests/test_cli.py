@@ -3,7 +3,11 @@
 import base64
 import json
 import math
+import os
+import pathlib
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alexkit
 from alexkit import comparison
 from alexkit.cli import main
 
@@ -430,6 +435,35 @@ def test_binary_graph_file_gives_one_short_error_line(runner, tmp_path, argv):
     errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1 and len(errors[0]) < 200, res.output
     assert "not UTF-8 text at byte" in errors[0]
+
+
+def test_csv_breaking_the_triangle_inequality_names_the_triple(runner, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("0,0,1\n0,0,3\n1,3,0\n")
+    res = _run(runner, ["space", "scan", "--input", str(path), "--kappa", "1"])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+    assert errors == ["Error: triangle inequality fails: d(1, 2) > d(1, 0) + d(0, 2) + 1e-09"]
+
+
+def test_csv_scan_imports_no_scipy(tmp_path):
+    # a fresh interpreter, so that no other test's import is counted
+    path = tmp_path / "pts.csv"
+    points = np.random.default_rng(0).normal(size=(12, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    chord = np.linalg.norm(points[:, None] - points[None], axis=-1)
+    np.savetxt(path, 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0)), delimiter=",")
+    child = ("import sys\n"
+             "from alexkit.cli import main\n"
+             "main.main(args=sys.argv[1:], standalone_mode=False)\n"
+             "print('scipy' in sys.modules)\n")
+    src = str(pathlib.Path(alexkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", child, "space", "scan", "--input", str(path),
+                          "--kappa", "0", "--samples", "200", "-o", str(tmp_path / "scan.json")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_old_list_form_file_names_the_command_that_rebuilds_it(runner, tmp_path):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from alexkit.convexity import (
+    _connectable_mask,
     _slack,
     _step,
     ae_convexity_estimate,
-    connectable,
     prob_convexity,
     weak_lambda_search,
 )
@@ -18,6 +18,11 @@ from alexkit.errors import GeometryError, ResolutionError, UnreachableError
 
 def _pick_u(space, point):
     return space.nearest_vertex(point, require_in_U=True)
+
+
+def connectable(space, p, x, slack=None):
+    """True when x can be reached from p by a surviving in-domain minimizer."""
+    return bool(_connectable_mask(space, p, np.array([x]), _slack(space, slack))[0])
 
 
 # ---------------------------------------------------------------------------

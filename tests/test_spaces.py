@@ -67,6 +67,94 @@ def test_finite_metric_csv_round_trip(tmp_path):
     assert path.read_bytes() == direct.read_bytes()
 
 
+def _triangle_violation_reference(d, tol=1e-9):
+    """The n-pass check: the first k through which some pair breaks the triangle inequality."""
+    for k in range(d.shape[0]):
+        if np.any(d > d[:, k][:, None] + d[k, :][None, :] + tol):
+            return k
+    return None
+
+
+def _assert_same_verdict(d, tol=1e-9):
+    """The tiled check agrees with the n-pass one, and the triple it names breaks the inequality."""
+    got = spaces._triangle_violation(d, tol)
+    assert (got is None) == (_triangle_violation_reference(d, tol) is None)
+    if got is not None:
+        i, j, k = got
+        assert d[i, j] > d[i, k] + d[k, j] + tol
+    return got
+
+
+@given(n=st.integers(1, 75), seed=st.integers(0, 10_000), sphere=st.booleans(),
+       excess=st.sampled_from([0.0, 5e-10, 1e-9, 1.5e-9, 1e-3]), both_sides=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_tiled_triangle_check_matches_the_loop(n, seed, sphere, excess, both_sides):
+    rng = np.random.default_rng(seed)
+    if sphere:
+        d = unit_sphere_points(n, seed=seed).submatrix(np.arange(n))
+    else:
+        pts = rng.normal(size=(n, 3))
+        d = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+    if n >= 2:
+        i, j = rng.choice(n, 2, replace=False)
+        d[i, j] += excess
+        if both_sides:
+            d[j, i] = d[i, j]
+    _assert_same_verdict(d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 31, 33, 37, 70])
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+@pytest.mark.parametrize("both_sides", [False, True])
+def test_tiled_triangle_check_at_the_tolerance(n, ulps, both_sides):
+    tol = 1e-9
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        # integer points on a line: every distance and two-hop sum is exact
+        x = rng.integers(0, 50, n).astype(float)
+        i, j, k = (list(rng.choice(n, 3, replace=False)) if n >= 3
+                   else [0, n - 1, None])
+        if k is not None:
+            x[k] = x[i]  # so the loop's bound for (i, j) is fl(d[i, j] + tol), through k
+        d = np.abs(x[:, None] - x[None, :])
+        bound = d[i, j] + tol
+        d[i, j] = bound if ulps == 0 else np.nextafter(bound, ulps * np.inf)
+        if both_sides:
+            d[j, i] = d[i, j]
+            assert np.array_equal(d, d.T)  # the halved path runs
+        got = _assert_same_verdict(d, tol)
+        if k is None or ulps < 1:
+            assert got is None
+        else:
+            # raising d[i, j] can break only the inequalities it bounds
+            assert got[:2] == (i, j) or (both_sides and got[:2] == (j, i))
+
+
+@given(n=st.integers(2, 40), seed=st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_tiled_triangle_check_with_coincident_points_and_negative_entries(n, seed):
+    tol = 1e-9
+    rng = np.random.default_rng(seed)
+    # few distinct positions, so many pairs coincide; their zeros move within +-tol
+    x = rng.integers(0, 4, n).astype(float)
+    d = np.abs(x[:, None] - x[None, :])
+    zero = d == 0.0
+    d[zero] = rng.choice([-tol, -0.5 * tol, 0.0, 0.5 * tol, tol], size=int(zero.sum()))
+    _assert_same_verdict(d, tol)
+    _assert_same_verdict(np.minimum(d, d.T), tol)
+
+
+def test_coincident_points_keep_their_zero_distance():
+    # a dense shortest-path closure would read the off-diagonal 0 as no edge
+    d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
+    assert _assert_same_verdict(d) == (1, 2, 0)
+    with pytest.raises(GeometryError) as err:
+        FiniteMetricSpace(d)
+    assert str(err.value) == "triangle inequality fails: d(1, 2) > d(1, 0) + d(0, 2) + 1e-09"
+    d[1, 2] = d[2, 1] = 1.0
+    FiniteMetricSpace(d)
+
+
 def test_sphere_point_set_distances():
     pts = SpherePointSet(np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0]]))
     assert pts.distance(0, 1) == pytest.approx(math.pi / 2, abs=1e-12)
