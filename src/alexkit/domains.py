@@ -7,6 +7,15 @@ countable family of rational-endpoint segments, and square domains with
 points or slits removed.  Companion operations estimate the area of the
 thin cover by Monte Carlo and compare completion distances against
 in-domain distances after rational perturbation.
+
+The generators are array code.  The cap's subdivision numbers each
+edge's midpoint at its first appearance and normalises it with the same
+dot kernel as a one-vector norm; its two-hop chords are the pattern of
+A + A², A the kept mesh's adjacency; its guard rings are sewn in one
+broadcast.  The slit cut evaluates its orientation tests over the whole
+edge array.  Each writes the same bytes as the loop it replaced, which
+the tests keep as its oracle.  A mesh whose vertex ids would not fit a
+graph file's int32 ids is refused before any of it is built.
 """
 
 from __future__ import annotations
@@ -21,6 +30,9 @@ from .errors import GeometryError, ResolutionError
 from .spaces import DiscreteLengthSpace, SpherePointSet, great_circle
 
 _MIN_U_VERTICES = 100
+
+# a bound on cells per mesh side, far past any mesh whose ids fit int32
+_MAX_CELLS = 2.0**40
 
 # tubes thinner than this fraction of a mesh cell cannot carry a connected
 # vertex chain and are left out of the discrete open set
@@ -174,22 +186,29 @@ def stencil_distortion(radius: int) -> float:
     return 1.0 / math.cos(stencil_gap(radius) / 2.0) - 1.0
 
 
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    """True when the open segments p1p2 and q1q2 properly intersect."""
+def _slit_crossings(coords: np.ndarray, edges: np.ndarray, slit) -> np.ndarray:
+    """Which edges properly cross the open slit ``(x1, y1, x2, y2)``.
 
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
+    An edge crosses when each segment's endpoints lie strictly on opposite
+    sides of the other's line, by more than 1e-12 in the orientation
+    determinant.
+    """
+    x1, y1, x2, y2 = slit
+    px, py = coords[edges[:, 0]].T
+    qx, qy = coords[edges[:, 1]].T
     eps = 1e-12
-    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
-        (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
-    ):
-        return True
-    return False
+
+    def opposite(d1, d2):
+        return ((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))
+
+    def orient_to_slit(x, y):
+        return (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+
+    def orient_to_edge(x, y):
+        return (qx - px) * (y - py) - (qy - py) * (x - px)
+
+    return (opposite(orient_to_slit(px, py), orient_to_slit(qx, qy))
+            & opposite(orient_to_edge(x1, y1), orient_to_edge(x2, y2)))
 
 
 @dataclass
@@ -201,8 +220,14 @@ class _Grid:
     nside: int
 
 
+def _grid_cells(side: float, h: float) -> int:
+    """Cells along each side of the square grid of spacing about ``h``."""
+    # the clamp keeps an overflowing ratio finite; generate() refuses it
+    return max(2, round(min(side / h, _MAX_CELLS)))
+
+
 def _square_grid(side: float, h: float, stencil_radius: int) -> _Grid:
-    n = max(2, round(side / h))
+    n = _grid_cells(side, h)
     spacing = side / n
     xs = np.arange(n + 1) * spacing
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
@@ -252,14 +277,8 @@ def _finalize_square(grid: _Grid, in_u, keep, spec: DomainSpec, seed: int,
         weights = weights[emask]
     if crossing_segments:
         emask = np.ones(len(edges), dtype=bool)
-        for k, (x1, y1, x2, y2) in enumerate(crossing_segments):
-            q1 = (x1, y1)
-            q2 = (x2, y2)
-            for idx in np.flatnonzero(emask):
-                a = coords[edges[idx, 0]]
-                b = coords[edges[idx, 1]]
-                if _segments_cross((a[0], a[1]), (b[0], b[1]), q1, q2):
-                    emask[idx] = False
+        for slit in crossing_segments:
+            emask &= ~_slit_crossings(coords, edges, slit)
         edges = edges[emask]
         weights = weights[emask]
     demoted = _demote_isolated(in_u, edges)
@@ -368,35 +387,87 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
     return np.array(verts), np.array(faces, dtype=np.int64)
 
 
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """Each row of ``m`` divided by its Euclidean norm.
+
+    ``np.vecdot`` takes each row's squared norm with the same dot kernel
+    as ``np.linalg.norm`` of that row alone, so every row rounds as the
+    one-vector normalisation does.
+    """
+    return m / np.sqrt(np.vecdot(m, m))[:, None]
+
+
 def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vlist = [tuple(v) for v in verts]
-    cache: dict[tuple[int, int], int] = {}
+    """One 4-to-1 split of every face, new vertices projected onto the sphere.
 
-    def midpoint(i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        if key in cache:
-            return cache[key]
-        m = 0.5 * (np.asarray(vlist[i]) + np.asarray(vlist[j]))
-        m /= np.linalg.norm(m)
-        vlist.append(tuple(m))
-        cache[key] = len(vlist) - 1
-        return cache[key]
+    Each face ``(a, b, c)`` contributes its edges ``ab``, ``bc``, ``ca`` in
+    that order; the midpoint of an edge is numbered at its first
+    appearance in that sequence, after the old vertices.
+    """
+    n = len(verts)
+    pairs = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys = pairs.min(axis=1) * n + pairs.max(axis=1)
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    mid = (n + rank[inverse]).reshape(-1, 3)
+    ends = uniq[order]
+    midpoints = _unit_rows(0.5 * (verts[ends // n] + verts[ends % n]))
+    a, b, c = faces.T
+    ab, bc, ca = mid.T
+    new_faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1)
+    return np.vstack([verts, midpoints]), new_faces.reshape(-1, 3)
 
-    new_faces = []
-    for a, b, c in faces:
-        ab = midpoint(int(a), int(b))
-        bc = midpoint(int(b), int(c))
-        ca = midpoint(int(c), int(a))
-        new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-    return np.array(vlist), np.array(new_faces, dtype=np.int64)
+
+def _cap_mesh_edges(faces: np.ndarray, keep: np.ndarray, remap: np.ndarray) -> np.ndarray:
+    """The kept faces' edges and the two-hop chords between kept vertices.
+
+    These are the pairs ``i < k`` that are adjacent in the kept
+    triangulation or share a neighbour there: the pattern of A + A² without
+    its diagonal, A the kept mesh's adjacency, in lexicographic order.
+    """
+    from scipy.sparse import csr_matrix
+
+    n = int(keep.sum())
+    pairs = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    i, j = remap[pairs[keep[pairs].all(axis=1)]].T
+    # an edge shared by two faces is summed; only the pattern counts
+    adj = csr_matrix((np.ones(2 * len(i), dtype=np.int64),
+                      (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))
+    reach = (adj + adj @ adj).tocoo()
+    upper = reach.row < reach.col
+    keys = np.unique(reach.row[upper].astype(np.int64) * n + reach.col[upper])
+    return np.column_stack([keys // n, keys % n])
+
+
+def _sew_guards(kept: np.ndarray, near_rim: np.ndarray, guards: np.ndarray,
+                first_id: int, reach: float) -> np.ndarray:
+    """Edges from each mesh vertex in ``near_rim`` to the guard vertices within ``reach``.
+
+    Guard vertex ``j`` has id ``first_id + j``.  The pairs come sorted by
+    mesh vertex, then by guard id.
+    """
+    sew = []
+    for rows in _row_blocks(len(near_rim), 3 * len(guards)):
+        arcs = great_circle(kept[near_rim[rows], None], guards[None])
+        i, j = np.nonzero(arcs <= reach)
+        sew.append(np.column_stack([near_rim[rows][i], first_id + j]))
+    return np.vstack(sew) if sew else np.empty((0, 2), dtype=np.int64)
+
+
+def _cap_levels(h: float) -> tuple[float, int]:
+    """The icosahedron's edge arc and the subdivisions that bring it to ``h`` or below."""
+    verts, _ = _icosahedron()
+    base_edge = 2.0 * math.asin(np.linalg.norm(verts[0] - verts[1]) / 2.0)
+    # the clamp keeps an overflowing ratio finite; generate() refuses it
+    return base_edge, max(0, math.ceil(math.log2(min(base_edge / h, _MAX_CELLS))))
 
 
 def _generate_cap(spec: DomainSpec, seed: int) -> DiscreteLengthSpace:
     r = spec.cap_radius
-    h = spec.resolution
     verts, faces = _icosahedron()
-    base_edge = 2.0 * math.asin(np.linalg.norm(verts[0] - verts[1]) / 2.0)
-    levels = max(0, math.ceil(math.log2(base_edge / h)))
+    base_edge, levels = _cap_levels(spec.resolution)
     for _ in range(levels):
         verts, faces = _subdivide(verts, faces)
     mesh_h = base_edge / 2 ** levels
@@ -405,28 +476,11 @@ def _generate_cap(spec: DomainSpec, seed: int) -> DiscreteLengthSpace:
     remap = -np.ones(len(verts), dtype=np.int64)
     remap[keep] = np.arange(int(keep.sum()))
     kept = verts[keep]
-    edge_set = set()
-    for a, b, c in faces:
-        for i, j in ((a, b), (b, c), (c, a)):
-            if keep[i] and keep[j]:
-                edge_set.add((min(int(i), int(j)), max(int(i), int(j))))
-    mesh_edges = np.array(sorted(edge_set), dtype=np.int64)
-    mesh_edges = remap[mesh_edges]
     n_mesh = len(kept)
     # widen the stencil with two-hop chords: the bare triangulation offers
     # only ~6 directions per vertex (over 15% length distortion); adding the
     # second ring brings the gaps down to ~30 degrees
-    adj: list[set[int]] = [set() for _ in range(n_mesh)]
-    for i, j in mesh_edges:
-        adj[int(i)].add(int(j))
-        adj[int(j)].add(int(i))
-    hop2 = set(map(tuple, mesh_edges.tolist()))
-    for i in range(n_mesh):
-        for j in adj[i]:
-            for k in adj[j]:
-                if k != i:
-                    hop2.add((min(i, k), max(i, k)))
-    mesh_edges = np.array(sorted(hop2), dtype=np.int64)
+    mesh_edges = _cap_mesh_edges(faces, keep, remap)
     # boundary ring at colatitude exactly r: the completion owns these points
     ring_n = max(12, int(round(2.0 * math.pi * math.sin(r) / (0.8 * mesh_h))))
     ang = 2.0 * math.pi * np.arange(ring_n) / ring_n
@@ -465,16 +519,8 @@ def _generate_cap(spec: DomainSpec, seed: int) -> DiscreteLengthSpace:
             edges.append(np.column_stack([a_ids, b_ids[(np.arange(ring_n) + shift) % ring_n]]))
     # sew the guard rings to nearby mesh vertices
     near_rim = np.flatnonzero(colat[keep] > r - 2.0 * s_ring - 2.2 * mesh_h)
-    sew = []
-    for layer, guard in enumerate(guards):
-        for j in range(ring_n):
-            if len(near_rim):
-                arcs = great_circle(kept[near_rim], guard[j])
-                close = near_rim[arcs <= 1.6 * mesh_h]
-                for i in close:
-                    sew.append((int(i), int(ids[1 + layer][j])))
-    if sew:
-        edges.append(np.array(sorted(set(sew)), dtype=np.int64))
+    edges.append(_sew_guards(kept, near_rim, np.vstack(guards), n_mesh + ring_n,
+                             1.6 * mesh_h))
     e = np.vstack(edges)
     w = great_circle(coords[e[:, 0]], coords[e[:, 1]])
     in_u_work = in_u.copy()
@@ -511,27 +557,25 @@ def _estimate_cap_distortion(space: DiscreteLengthSpace, r: float, seed: int) ->
     rng = np.random.default_rng([seed, 7])
     u_ids = np.flatnonzero(space.in_U)
     sources = rng.choice(u_ids, size=min(24, len(u_ids)), replace=False)
-    cos_r = math.cos(r)
-    worst = 0.0
     fields = space.distance_field(sources)
-    for row, src in enumerate(sources):
-        targets = rng.choice(u_ids, size=min(60, len(u_ids)), replace=False)
-        a = space.coords[src]
-        for t in targets:
-            if t == src:
-                continue
-            b = space.coords[t]
-            arc = float(great_circle(a, b))
-            if arc < 4.0 * space.meta["h"]:
-                continue
-            ts = np.linspace(0.0, 1.0, 17)
-            pts = np.outer(np.sin((1 - ts) * arc), a) + np.outer(np.sin(ts * arc), b)
-            pts /= np.sin(arc)
-            if np.any(pts[:, 2] < cos_r - 1e-9):
-                continue  # ambient arc exits the cap
-            g = float(fields[row, t])
-            if math.isfinite(g) and arc > 0.0:
-                worst = max(worst, g / arc - 1.0)
+    targets = np.array([rng.choice(u_ids, size=min(60, len(u_ids)), replace=False)
+                        for _ in sources])
+    a = space.coords[sources][:, None]
+    b = space.coords[targets]
+    arc = great_circle(a, b)
+    far = (targets != sources[:, None]) & (arc >= 4.0 * space.meta["h"])
+    # the height of 17 points along each pair's ambient arc
+    row, col = np.nonzero(far)
+    ts = np.linspace(0.0, 1.0, 17)
+    theta = arc[row, col][:, None]
+    z = (np.sin((1 - ts) * theta) * a[row, 0, 2][:, None]
+         + np.sin(ts * theta) * b[row, col, 2][:, None])
+    z /= np.sin(theta)
+    # leave out the pairs whose ambient arc exits the cap
+    far[row, col] = ~np.any(z < math.cos(r) - 1e-9, axis=1)
+    g = fields[np.arange(len(sources))[:, None], targets]
+    ok = far & np.isfinite(g) & (arc > 0.0)
+    worst = float(np.max(g[ok] / arc[ok] - 1.0, initial=0.0))
     return 1.15 * worst if worst > 0.0 else 0.03
 
 
@@ -539,8 +583,23 @@ def _estimate_cap_distortion(space: DiscreteLengthSpace, r: float, seed: int) ->
 # public entry points
 
 
+def _mesh_vertices(spec: DomainSpec) -> int:
+    """Vertices of the whole mesh that ``spec`` starts from, before any is cut away."""
+    if spec.kind == "cap":
+        return 10 * 4 ** _cap_levels(spec.resolution)[1] + 2
+    return (_grid_cells(spec.side, spec.resolution) + 1) ** 2
+
+
 def generate(spec: DomainSpec, seed: int = 0) -> DiscreteLengthSpace:
-    """Build the discretized domain described by ``spec`` deterministically."""
+    """Build the discretized domain described by ``spec`` deterministically.
+
+    A mesh whose vertex ids would not fit a graph file's int32 ids is
+    refused before any of it is built.
+    """
+    count = _mesh_vertices(spec)
+    if count >= 2**31:
+        raise GeometryError(f"a mesh of {count} vertices does not fit the file's int32 "
+                            f"vertex ids; use a coarser --h")
     if spec.kind == "cap":
         return _generate_cap(spec, seed)
     if spec.kind == "dense_square":

@@ -479,7 +479,10 @@ class DiscreteLengthSpace:
         The vertex table and ``meta`` are plain JSON; the edge table is
         ``{"count": m, "ij": ..., "w": ...}`` with base64 of the m-by-2
         little-endian int32 endpoints and of the m little-endian float64
-        weights, so a load reads the arrays back bit for bit.
+        weights, so a load reads the arrays back bit for bit.  The base64
+        members hold nothing that JSON escapes, so they are spliced into
+        the text as they are; the bytes equal one sorted-key ``json.dumps``
+        of the whole payload.
         """
         if self._n >= 2**31:
             raise GeometryError(f"{self._n} vertices do not fit the file's int32 ids")
@@ -489,10 +492,12 @@ class DiscreteLengthSpace:
         else:
             key = "xy" if self.coords.shape[1] == 2 else "xyz"
             verts = [{"in_U": u, key: c} for u, c in zip(in_u, self.coords.tolist())]
-        edges = {"count": len(self.edges), "ij": _b64(self.edges, "<i4"),
-                 "w": _b64(self.weights, "<f8")}
-        payload = {"vertices": verts, "edges": edges, "meta": self.meta}
-        _atomic_write(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        # "edges" sorts before "meta" and "vertices"
+        rest = json.dumps({"meta": self.meta, "vertices": verts}, sort_keys=True,
+                          separators=(",", ":"))
+        _atomic_write(path, "".join([
+            f'{{"edges":{{"count":{len(self.edges)},"ij":"', _b64(self.edges, "<i4"),
+            '","w":"', _b64(self.weights, "<f8"), '"},', rest[1:], "\n"]))
 
     @classmethod
     def load(cls, path) -> "DiscreteLengthSpace":

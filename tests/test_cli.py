@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alexkit
-from alexkit import comparison
+from alexkit import comparison, domains
 from alexkit.cli import main
 
 
@@ -435,6 +435,23 @@ def test_binary_graph_file_gives_one_short_error_line(runner, tmp_path, argv):
     errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1 and len(errors[0]) < 200, res.output
     assert "not UTF-8 text at byte" in errors[0]
+
+
+@pytest.mark.parametrize("argv", [["--kind", "cap", "--r", "1.0", "--h", "1e-6"],
+                                  ["--kind", "punctured", "--h", "1e-6"],
+                                  ["--kind", "dense_square", "--h", "1e-310"]],
+                         ids=["cap", "punctured", "dense_square"])
+def test_mesh_past_int32_ids_exits_2_before_it_is_built(runner, tmp_path, monkeypatch, argv):
+    def reached(*args, **kwargs):
+        raise AssertionError("a mesh builder ran")
+
+    for name in ("_subdivide", "_square_grid"):
+        monkeypatch.setattr(domains, name, reached)
+    out = tmp_path / "mesh.json"
+    res = _run(runner, ["domain", "generate", *argv, "-o", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "does not fit the file's int32 vertex ids" in res.output
+    assert not out.exists()
 
 
 def test_csv_breaking_the_triangle_inequality_names_the_triple(runner, tmp_path):

@@ -20,6 +20,7 @@ from alexkit.domains import (
     unit_sphere_points,
 )
 from alexkit.errors import GeometryError, ResolutionError
+from alexkit.spaces import great_circle
 
 
 # ---------------------------------------------------------------------------
@@ -393,3 +394,216 @@ def test_unit_sphere_points_are_unit():
     assert np.allclose(np.linalg.norm(pts.points, axis=1), 1.0, atol=1e-12)
     again = unit_sphere_points(64, seed=0)
     assert np.array_equal(pts.points, again.points)
+
+
+# ---------------------------------------------------------------------------
+# array generators against the loops they replaced
+
+
+def _subdivide_loop(verts, faces):
+    vlist = [tuple(v) for v in verts]
+    cache = {}
+
+    def midpoint(i, j):
+        key = (i, j) if i < j else (j, i)
+        if key in cache:
+            return cache[key]
+        m = 0.5 * (np.asarray(vlist[i]) + np.asarray(vlist[j]))
+        m /= np.linalg.norm(m)
+        vlist.append(tuple(m))
+        cache[key] = len(vlist) - 1
+        return cache[key]
+
+    new_faces = []
+    for a, b, c in faces:
+        ab = midpoint(int(a), int(b))
+        bc = midpoint(int(b), int(c))
+        ca = midpoint(int(c), int(a))
+        new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    return np.array(vlist), np.array(new_faces, dtype=np.int64)
+
+
+def _cap_mesh_edges_loop(faces, keep, remap):
+    edge_set = set()
+    for a, b, c in faces:
+        for i, j in ((a, b), (b, c), (c, a)):
+            if keep[i] and keep[j]:
+                edge_set.add((min(int(i), int(j)), max(int(i), int(j))))
+    mesh_edges = remap[np.array(sorted(edge_set), dtype=np.int64)]
+    adj = [set() for _ in range(int(keep.sum()))]
+    for i, j in mesh_edges:
+        adj[int(i)].add(int(j))
+        adj[int(j)].add(int(i))
+    hop2 = set(map(tuple, mesh_edges.tolist()))
+    for i in range(len(adj)):
+        for j in adj[i]:
+            for k in adj[j]:
+                if k != i:
+                    hop2.add((min(i, k), max(i, k)))
+    return np.array(sorted(hop2), dtype=np.int64)
+
+
+def _sew_guards_loop(kept, near_rim, guards, first_id, reach):
+    sew = []
+    for j in range(len(guards)):
+        if len(near_rim):
+            arcs = great_circle(kept[near_rim], guards[j])
+            for i in near_rim[arcs <= reach]:
+                sew.append((int(i), first_id + j))
+    return np.array(sorted(set(sew)), dtype=np.int64).reshape(-1, 2)
+
+
+def _estimate_cap_distortion_loop(space, r, seed):
+    rng = np.random.default_rng([seed, 7])
+    u_ids = np.flatnonzero(space.in_U)
+    sources = rng.choice(u_ids, size=min(24, len(u_ids)), replace=False)
+    cos_r = math.cos(r)
+    worst = 0.0
+    fields = space.distance_field(sources)
+    for row, src in enumerate(sources):
+        targets = rng.choice(u_ids, size=min(60, len(u_ids)), replace=False)
+        a = space.coords[src]
+        for t in targets:
+            if t == src:
+                continue
+            b = space.coords[t]
+            arc = float(great_circle(a, b))
+            if arc < 4.0 * space.meta["h"]:
+                continue
+            ts = np.linspace(0.0, 1.0, 17)
+            pts = np.outer(np.sin((1 - ts) * arc), a) + np.outer(np.sin(ts * arc), b)
+            pts /= np.sin(arc)
+            if np.any(pts[:, 2] < cos_r - 1e-9):
+                continue  # ambient arc exits the cap
+            g = float(fields[row, t])
+            if math.isfinite(g) and arc > 0.0:
+                worst = max(worst, g / arc - 1.0)
+    return 1.15 * worst if worst > 0.0 else 0.03
+
+
+def _segments_cross(p1, p2, q1, q2):
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    d1 = orient(q1, q2, p1)
+    d2 = orient(q1, q2, p2)
+    d3 = orient(p1, p2, q1)
+    d4 = orient(p1, p2, q2)
+    eps = 1e-12
+    return bool(((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps))
+                and ((d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)))
+
+
+def _slit_crossings_loop(coords, edges, slit):
+    x1, y1, x2, y2 = slit
+    out = np.zeros(len(edges), dtype=bool)
+    for idx in range(len(edges)):
+        a = coords[edges[idx, 0]]
+        b = coords[edges[idx, 1]]
+        out[idx] = _segments_cross((a[0], a[1]), (b[0], b[1]), (x1, y1), (x2, y2))
+    return out
+
+
+_LOOPS = {"_subdivide": _subdivide_loop, "_cap_mesh_edges": _cap_mesh_edges_loop,
+          "_sew_guards": _sew_guards_loop,
+          "_estimate_cap_distortion": _estimate_cap_distortion_loop,
+          "_slit_crossings": _slit_crossings_loop}
+_CAP_LOOPS = ("_subdivide", "_cap_mesh_edges", "_sew_guards", "_estimate_cap_distortion")
+
+
+def _generated_file(monkeypatch, path, spec, seed, loops=()):
+    """The bytes and ``h_err`` bits of a file generated with the named loops patched in."""
+    with monkeypatch.context() as m:
+        for name in loops:
+            m.setattr(domains, name, _LOOPS[name])
+        sp = generate(spec, seed=seed)
+    sp.save(path)
+    return path.read_bytes(), float.hex(sp.meta["h_err"])
+
+
+def test_unit_rows_round_as_the_one_vector_norm():
+    rng = np.random.default_rng(0)
+    u = rng.normal(size=(30_000, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    # midpoints of unit vectors, as the subdivision forms them, and raw vectors
+    m = np.vstack([0.5 * (u[:15_000] + u[15_000:]), rng.normal(size=(5_000, 3)) * 1e3])
+    want = np.array([row / np.linalg.norm(row) for row in m])
+    assert domains._unit_rows(m).tobytes() == want.tobytes()
+
+
+def test_subdivide_matches_the_midpoint_loop():
+    verts, faces = domains._icosahedron()
+    loop_verts, loop_faces = verts, faces
+    for _ in range(5):
+        verts, faces = domains._subdivide(verts, faces)
+        loop_verts, loop_faces = _subdivide_loop(loop_verts, loop_faces)
+        assert verts.tobytes() == loop_verts.tobytes()
+        assert faces.dtype == loop_faces.dtype and np.array_equal(faces, loop_faces)
+
+
+@pytest.mark.parametrize("h", [0.04, 0.09, 0.12])
+@pytest.mark.parametrize("r", [0.35, 0.4 * math.pi, math.pi / 2, 1.2566, 0.9 * math.pi,
+                               2.8274])
+def test_cap_file_matches_the_loop_generator(tmp_path, monkeypatch, r, h):
+    """Every file byte and the h_err bits equal the loop generator's, at seeds 0-2.
+
+    Only the distortion estimate reads the seed, so the mesh loops run at
+    seed 0 and the estimate's loop at every seed.
+    """
+    spec = DomainSpec(kind="cap", resolution=h, cap_radius=r)
+    for seed in range(3):
+        loops = _CAP_LOOPS if seed == 0 else _CAP_LOOPS[-1:]
+        got = _generated_file(monkeypatch, tmp_path / "a.json", spec, seed)
+        assert got == _generated_file(monkeypatch, tmp_path / "b.json", spec, seed, loops)
+
+
+@pytest.mark.parametrize("slits", [
+    ((0.25, 0.5, 0.75, 0.5),),                          # axis-aligned, through vertices
+    ((0.2, 0.23, 0.81, 0.7),),                          # diagonal, off the lattice
+    ((0.25, 0.25, 0.625, 0.5),),                        # ends on vertices, passes through some
+    ((0.1, 0.12, 0.9, 0.85), (0.1, 0.85, 0.9, 0.1)),    # two slits that cross
+], ids=["axis-aligned", "diagonal", "vertex-touching", "two-crossing"])
+def test_slit_square_file_matches_the_loop_cut(tmp_path, monkeypatch, slits):
+    spec = DomainSpec(kind="punctured", resolution=1 / 32, stencil_radius=3,
+                      removed_segments=slits)
+    got = _generated_file(monkeypatch, tmp_path / "a.json", spec, 0)
+    assert got == _generated_file(monkeypatch, tmp_path / "b.json", spec, 0,
+                                  ["_slit_crossings"])
+    # each slit cuts some lattice edge
+    grid = domains._square_grid(spec.side, spec.resolution, spec.stencil_radius)
+    assert all(domains._slit_crossings(grid.coords, grid.edges, slit).any() for slit in slits)
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec(kind="cap", resolution=1e-6, cap_radius=1.0),
+    DomainSpec(kind="cap", resolution=1e-310, cap_radius=1.0),
+    DomainSpec(kind="punctured", resolution=1e-6),
+    DomainSpec(kind="punctured", resolution=1e-310, side=2.0),
+    DomainSpec(kind="dense_square", resolution=1e-6, delta=0.2, num_segments=5),
+    # the first counts past the limit: 46341**2 and 10 * 4**14 + 2 vertices
+    DomainSpec(kind="punctured", resolution=1 / 46340),
+    DomainSpec(kind="cap", resolution=domains._cap_levels(1.0)[0] / 2**14, cap_radius=1.0),
+], ids=["cap", "cap-overflow", "punctured", "punctured-overflow", "dense_square",
+        "punctured-first-past", "cap-first-past"])
+def test_meshes_past_int32_ids_are_refused_before_they_are_built(monkeypatch, spec):
+    def reached(*args, **kwargs):
+        raise AssertionError("a mesh builder ran")
+
+    for name in ("_subdivide", "_square_grid", "_generate_cap", "_generate_dense_square",
+                 "_generate_punctured"):
+        monkeypatch.setattr(domains, name, reached)
+    with pytest.raises(GeometryError, match="does not fit the file's int32 vertex ids"):
+        generate(spec, seed=0)
+
+
+def test_mesh_vertex_counts_at_the_int32_limit():
+    # counts only: none of these meshes is built
+    assert domains._mesh_vertices(DomainSpec(kind="punctured", resolution=1 / 46339)) \
+        == 46340 ** 2 < 2**31
+    assert domains._mesh_vertices(DomainSpec(kind="punctured", resolution=1 / 46340)) \
+        == 46341 ** 2 >= 2**31
+    for levels in (13, 14):
+        h = domains._cap_levels(1.0)[0] / 2 ** levels
+        assert domains._mesh_vertices(DomainSpec(kind="cap", resolution=h, cap_radius=1.0)) \
+            == 10 * 4 ** levels + 2
+    assert 10 * 4 ** 13 + 2 < 2**31 <= 10 * 4 ** 14 + 2

@@ -393,6 +393,36 @@ def test_space_json_round_trip(tmp_path, punctured_square):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def _dumps_save(space):
+    """The text of one sorted-key ``json.dumps`` of the whole payload, the earlier writer."""
+    in_u = space.in_U.tolist()
+    if space.coords is None:
+        verts = [{"in_U": u} for u in in_u]
+    else:
+        key = "xy" if space.coords.shape[1] == 2 else "xyz"
+        verts = [{"in_U": u, key: c} for u, c in zip(in_u, space.coords.tolist())]
+    edges = {"count": len(space.edges),
+             "ij": base64.b64encode(space.edges.astype("<i4").tobytes()).decode("ascii"),
+             "w": base64.b64encode(space.weights.astype("<f8").tobytes()).decode("ascii")}
+    payload = {"vertices": verts, "edges": edges, "meta": space.meta}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("name", ["punctured_square", "slit_square", "wide_cap",
+                                  "dense_square", "bare", "escaped-meta"])
+def test_save_writes_the_bytes_of_one_json_dumps(request, tmp_path, name):
+    if name == "bare":
+        sp = DiscreteLengthSpace(None, [True, False, True], [[0, 1], [1, 2]], [1.0, 2.5])
+    elif name == "escaped-meta":
+        sp = DiscreteLengthSpace(None, [True, True], [[0, 1]], [0.5],
+                                 meta={"note": 'é "quoted" \\ \n', "a": [1, {"z": 2}]})
+    else:
+        sp = request.getfixturevalue(name)
+    path = tmp_path / "space.json"
+    sp.save(path)
+    assert path.read_text(encoding="utf-8") == _dumps_save(sp)
+
+
 def _indented_save(space, path):
     """The indented writer of earlier versions, with edges as [i, j, w] triples."""
     verts = []
