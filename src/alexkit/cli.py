@@ -298,6 +298,10 @@ def convexity_estimate(path, kind, p_id, q_id, s_id, step, slack, samples, emit_
         rep = convexity.prob_convexity(sp, p_id, q_id, s_id, step=step, slack=slack,
                                        keep_series=emit_samples)
     else:
+        # the ae estimate samples no geodesic, but the config echoes a given
+        # step, so it is checked as the prob estimate checks it
+        if step is not None:
+            convexity._step(sp, step)
         rep = convexity.ae_convexity_estimate(sp, p_id, samples=samples, slack=slack,
                                               seed=seed)
     config = {"input": str(path), "kind": kind, "p": p_id, "q": q_id, "s": s_id,

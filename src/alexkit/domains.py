@@ -20,8 +20,9 @@ graph file's int32 ids is refused before any of it is built.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -88,19 +89,6 @@ class DomainSpec:
         if self.stencil_radius < 1:
             raise GeometryError("stencil radius must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "resolution": self.resolution,
-            "cap_radius": self.cap_radius,
-            "delta": self.delta,
-            "num_segments": self.num_segments,
-            "removed_points": [list(p) for p in self.removed_points],
-            "removed_segments": [list(s) for s in self.removed_segments],
-            "side": self.side,
-            "stencil_radius": self.stencil_radius,
-        }
-
 
 # ---------------------------------------------------------------------------
 # rational segment family
@@ -141,6 +129,12 @@ def segment_radii(delta: float, count: int) -> np.ndarray:
     i = np.arange(1, count + 1, dtype=float)
     w = np.power(2.0, -i)
     return (delta / 4.0) * w / w.sum()
+
+
+def _segment_family(spec: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """A dense_square spec's segments as rows ``(x1, y1, x2, y2)``, and their radii."""
+    segments = np.array(rational_segments(spec.num_segments), dtype=float)
+    return segments, segment_radii(spec.delta, spec.num_segments)
 
 
 def _point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -262,8 +256,26 @@ def _demote_isolated(in_u: np.ndarray, edges: np.ndarray) -> int:
         demoted += int(lonely.sum())
 
 
+def _finish(coords, in_u, edges, weights, spec: DomainSpec, seed: int, h: float,
+            meta: dict) -> DiscreteLengthSpace:
+    """The generated space, its isolated open vertices demoted.
+
+    Refuses a mesh left with too few open-domain vertices, and adds the
+    ``meta`` keys every generator writes.
+    """
+    demoted = _demote_isolated(in_u, edges)
+    if int(in_u.sum()) < _MIN_U_VERTICES:
+        raise ResolutionError(
+            f"resolution too coarse: only {int(in_u.sum())} open-domain vertices"
+        )
+    # the spec as a file holds it, so that a loaded space's meta equals this one
+    spec_json = json.loads(json.dumps(asdict(spec)))
+    meta.update(generator=spec.kind, h=h, seed=seed, demoted=demoted, spec=spec_json)
+    return DiscreteLengthSpace(coords, in_u, edges, weights, meta=meta)
+
+
 def _finalize_square(grid: _Grid, in_u, keep, spec: DomainSpec, seed: int,
-                     extra_meta: dict, exact: bool, crossing_segments=()) -> DiscreteLengthSpace:
+                     meta: dict, exact: bool, crossing_segments=()) -> DiscreteLengthSpace:
     coords = grid.coords
     edges = grid.edges
     weights = grid.weights
@@ -281,34 +293,17 @@ def _finalize_square(grid: _Grid, in_u, keep, spec: DomainSpec, seed: int,
             emask &= ~_slit_crossings(coords, edges, slit)
         edges = edges[emask]
         weights = weights[emask]
-    demoted = _demote_isolated(in_u, edges)
-    if int(in_u.sum()) < _MIN_U_VERTICES:
-        raise ResolutionError(
-            f"resolution too coarse: only {int(in_u.sum())} open-domain vertices"
-        )
-    meta = {
-        "generator": spec.kind,
-        "h": grid.spacing,
-        "h_err": stencil_distortion(spec.stencil_radius),
-        "stencil_gap": stencil_gap(spec.stencil_radius),
-        "seed": seed,
-        "side": spec.side,
-        "stencil_radius": spec.stencil_radius,
-        "demoted": demoted,
-        "spec": spec.to_dict(),
-    }
+    meta.update(h_err=stencil_distortion(spec.stencil_radius),
+                stencil_gap=stencil_gap(spec.stencil_radius), side=spec.side,
+                stencil_radius=spec.stencil_radius)
     if exact:
         meta["exact_metric"] = "euclidean"
-    meta.update(extra_meta)
-    return DiscreteLengthSpace(coords, in_u, edges, weights, meta=meta)
+    return _finish(coords, in_u, edges, weights, spec, seed, grid.spacing, meta)
 
 
 def _generate_dense_square(spec: DomainSpec, seed: int) -> DiscreteLengthSpace:
     grid = _square_grid(spec.side, spec.resolution, spec.stencil_radius)
-    segs = rational_segments(spec.num_segments)
-    radii = segment_radii(spec.delta, spec.num_segments)
-    seg_arr = np.array([[float(x1), float(y1), float(x2), float(y2)]
-                        for x1, y1, x2, y2 in segs])
+    seg_arr, radii = _segment_family(spec)
     cutoff = TUBE_CUTOFF_CELLS * grid.spacing
     in_u = np.zeros(len(grid.coords), dtype=bool)
     materialized = 0
@@ -333,14 +328,10 @@ def _generate_punctured(spec: DomainSpec, seed: int) -> DiscreteLengthSpace:
     grid = _square_grid(spec.side, spec.resolution, spec.stencil_radius)
     in_u = np.ones(len(grid.coords), dtype=bool)
     keep = np.ones(len(grid.coords), dtype=bool)
-    for px, py in spec.removed_points:
-        d2 = np.sum((grid.coords - np.array([px, py])) ** 2, axis=1)
-        in_u[int(np.argmin(d2))] = False
-    slits = []
-    for x1, y1, x2, y2 in spec.removed_segments:
-        a = np.array([float(x1), float(y1)])
-        b = np.array([float(x2), float(y2)])
-        slits.append((float(x1), float(y1), float(x2), float(y2)))
+    slits = [tuple(map(float, slit)) for slit in spec.removed_segments]
+    for x1, y1, x2, y2 in slits:
+        a = np.array([x1, y1])
+        b = np.array([x2, y2])
         d = _point_segment_distance(grid.coords, a, b)
         on_slit = d <= 1e-9
         d_end = np.minimum(
@@ -350,16 +341,15 @@ def _generate_punctured(spec: DomainSpec, seed: int) -> DiscreteLengthSpace:
         interior = on_slit & ~tips
         keep &= ~interior
         in_u[tips] = False
-        # vertices nearest the physical tips mark the completion boundary
-        for tip in (a, b):
-            d2 = np.sum((grid.coords - tip) ** 2, axis=1)
-            j = int(np.argmin(d2))
-            in_u[j] = False
-    extra = {
+    # the vertices nearest the removed points and the physical slit tips mark
+    # the completion boundary
+    marks = [*spec.removed_points, *(slit[i:i + 2] for slit in slits for i in (0, 2))]
+    in_u[_nearest_vertices(grid.coords, np.array(marks, dtype=float).reshape(-1, 2))] = False
+    meta = {
         "removed_points": [list(map(float, p)) for p in spec.removed_points],
         "removed_segments": [list(s) for s in slits],
     }
-    return _finalize_square(grid, in_u, keep, spec, seed, extra,
+    return _finalize_square(grid, in_u, keep, spec, seed, meta,
                             exact=not slits, crossing_segments=slits)
 
 
@@ -523,26 +513,10 @@ def _generate_cap(spec: DomainSpec, seed: int) -> DiscreteLengthSpace:
                              1.6 * mesh_h))
     e = np.vstack(edges)
     w = great_circle(coords[e[:, 0]], coords[e[:, 1]])
-    in_u_work = in_u.copy()
-    demoted = _demote_isolated(in_u_work, e)
-    if int(in_u_work.sum()) < _MIN_U_VERTICES:
-        raise ResolutionError(
-            f"resolution too coarse: only {int(in_u_work.sum())} open-domain vertices"
-        )
-    meta = {
-        "generator": "cap",
-        "h": mesh_h,
-        "seed": seed,
-        "cap_radius": r,
-        "ring_vertices": ring_n,
-        "guard_rings": 2,
-        "chord_corrected": True,
-        "demoted": demoted,
-        "spec": spec.to_dict(),
-    }
+    meta = {"cap_radius": r, "ring_vertices": ring_n, "guard_rings": 2, "chord_corrected": True}
     if r <= 0.5 * math.pi + 1e-12:
         meta["exact_metric"] = "sphere"
-    space = DiscreteLengthSpace(coords, in_u_work, e, w, meta=meta)
+    space = _finish(coords, in_u, e, w, spec, seed, mesh_h, meta)
     space.meta["h_err"] = _estimate_cap_distortion(space, r, seed)
     return space
 
@@ -640,10 +614,7 @@ def area_estimate(spec: DomainSpec, samples: int = 100_000, seed: int = 0) -> Ar
         raise GeometryError("area estimation applies to dense_square specs")
     if samples < 1:
         raise GeometryError("area estimation needs at least one sample")
-    segs = rational_segments(spec.num_segments)
-    radii = segment_radii(spec.delta, spec.num_segments)
-    seg_arr = np.array([[float(x1), float(y1), float(x2), float(y2)]
-                        for x1, y1, x2, y2 in segs])
+    seg_arr, radii = _segment_family(spec)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 1.0, size=(samples, 2))
     inside = np.zeros(samples, dtype=bool)

@@ -867,7 +867,7 @@ def scan_quadruples(
 # of a ball with fewer than four open-domain vertices, the rest in the order
 # the check meets them
 SKIP_REASONS = ("small_ball", "no_path", "short_path", "endpoint_near_p", "no_inner_vertex",
-                "undefined_angle")
+                "undefined_angle", "invalid_triangle")
 
 
 @dataclass
@@ -893,15 +893,6 @@ class LocalCheckReport:
     @property
     def passed(self) -> bool:
         return self.vacuous or (self.base_violations == 0 and self.split_violations == 0)
-
-
-def _discrete_angle(distance_field, toward_a: int, toward_b: int,
-                    d_at: np.ndarray, kappa: float) -> float:
-    """Comparison angle at a vertex from its graph distances ``d_at`` to two nearby points."""
-    da = float(d_at[toward_a])
-    db = float(d_at[toward_b])
-    dab = float(distance_field(toward_a, limit=da + db + 1e-9)[toward_b])
-    return angle_from_sides(kappa, dab, da, db)
 
 
 def local_kappa_domain_check(
@@ -934,9 +925,14 @@ def local_kappa_domain_check(
 
     The report counts each skipped sample under its reason (``skips``) and
     the distance fields computed (``work``): full fields, and fields cut off
-    at a distance limit.  A check none of whose samples is feasible (each
-    one skipped before its angles) is vacuous, like one on a ball too small
-    to sample.
+    at a distance limit.  A sample whose triangle has no comparison angle is
+    skipped: ``undefined_angle`` where the model triangle does not exist,
+    ``invalid_triangle`` where the sides break the triangle inequality.
+    The latter happens beside a slit or a removed point: |qs| is the length
+    of a geodesic in U, while |pq| and |ps| are completion distances, whose
+    paths may bend through a point outside U.  A check none of whose samples
+    is feasible (each one skipped before its angles) is vacuous, like one on
+    a ball too small to sample.
     """
     k = check_curvature(kappa)
     if samples < 1:
@@ -964,20 +960,24 @@ def local_kappa_domain_check(
         work["full_fields" if limit == np.inf else "bounded_fields"] += 1
         return space.distance_field(source, restrict_to_U=restrict_to_U, limit=limit)
 
-    def vacuous_report():
-        return LocalCheckReport(
-            kappa=k, center=center, radius=radius, trials=samples, evaluated=0,
-            skipped=samples, vacuous=True, angle_tol=angle_tol, split_tol=split_tol,
-            window=w,
-            base_violations=0, base_worst=0.0, split_violations=0, split_worst=0.0,
-            skips=skips, work=work,
-        )
+    def sides(a, b, d_at):
+        """Sides ``(|ab|, |ta|, |tb|)`` of the triangle at ``d_at``'s source t."""
+        da, db = d_at[a], d_at[b]
+        return distance_field(a, limit=da + db + 1e-9)[b], da, db
+
+    def angles(*triangles):
+        """Comparison angles of ``(opposite, u, v)`` triangles, or None once the skip is counted."""
+        angle, undefined = batch_angle(k, *zip(*triangles))
+        bad = np.flatnonzero(np.isnan(angle))
+        if len(bad):
+            skips["undefined_angle" if undefined[bad[0]] else "invalid_triangle"] += 1
+            return None
+        return angle.tolist()
 
     d_center = distance_field(center)
     ball = np.flatnonzero((d_center <= radius) & space.in_U)
     if len(ball) < 4:
         skips["small_ball"] = samples
-        return vacuous_report()
     # d_q and d_x are read only at path vertices within w + longest/2 < 2w of
     # their source, and a field cut off at a limit is exact up to it
     near = 3.0 * w
@@ -989,7 +989,7 @@ def local_kappa_domain_check(
     split_worst = -math.inf
     worst: dict = {}
     feasible = False
-    for _ in range(samples):
+    for _ in range(samples if len(ball) >= 4 else 0):
         q, s, p = (int(ball[j]) for j in rng.choice(len(ball), size=3, replace=False))
         try:
             path = space.shortest_path(q, s, restrict_to_U=True,
@@ -1005,35 +1005,34 @@ def local_kappa_domain_check(
             skips["endpoint_near_p"] += 1
             continue
         feasible = True
-        try:
-            # base condition: measured angle at q between [qp] and [qs]
-            path_qp = space.shortest_path(q, p, dist_to=d_p)
-            y_qp = path_qp.vertex_at_arc(w)
-            y_qs = path.vertex_at_arc(w)
-            d_q = distance_field(q, limit=near)
-            lhs = _discrete_angle(distance_field, y_qp, y_qs, d_q, k)
-            rhs = angle_from_sides(k, float(d_p[s]), float(d_p[q]), path.length)
-            base_gap = rhs - lhs
-            # split condition at an interior path vertex away from both ends
-            arcs = path.arc_lengths
-            mid = slice(1, len(arcs) - 1)
-            inner = 1 + np.flatnonzero((w <= arcs[mid]) & (arcs[mid] <= path.length - w)
-                                       & (d_p[path.vertices[mid]] >= 3.0 * w))
-            if not len(inner):
-                skips["no_inner_vertex"] += 1
-                continue
-            j = int(inner[int(rng.integers(0, len(inner)))])
-            x = path.vertices[j]
-            d_x = distance_field(x, limit=near)
-            y_back, y_fwd = path.vertices_at_arcs(np.array([arcs[j] - w, arcs[j] + w]))
-            path_xp = space.shortest_path(x, p, dist_to=d_p)
-            y_xp = path_xp.vertex_at_arc(w)
-            ang_back = _discrete_angle(distance_field, y_back, y_xp, d_x, k)
-            ang_fwd = _discrete_angle(distance_field, y_fwd, y_xp, d_x, k)
-            split_gap = abs(ang_back + ang_fwd - math.pi)
-        except UndefinedModelAngleError:
-            skips["undefined_angle"] += 1
+        # base condition: measured angle at q between [qp] and [qs], against
+        # the comparison angle at q of the triangle pqs
+        path_qp = space.shortest_path(q, p, dist_to=d_p)
+        y_qp = path_qp.vertex_at_arc(w)
+        y_qs = path.vertex_at_arc(w)
+        d_q = distance_field(q, limit=near)
+        base = angles(sides(y_qp, y_qs, d_q), (d_p[s], d_p[q], path.length))
+        if base is None:
             continue
+        base_gap = base[1] - base[0]
+        # split condition at an interior path vertex away from both ends
+        arcs = path.arc_lengths
+        mid = slice(1, len(arcs) - 1)
+        inner = 1 + np.flatnonzero((w <= arcs[mid]) & (arcs[mid] <= path.length - w)
+                                   & (d_p[path.vertices[mid]] >= 3.0 * w))
+        if not len(inner):
+            skips["no_inner_vertex"] += 1
+            continue
+        j = int(inner[int(rng.integers(0, len(inner)))])
+        x = path.vertices[j]
+        d_x = distance_field(x, limit=near)
+        y_back, y_fwd = path.vertices_at_arcs(np.array([arcs[j] - w, arcs[j] + w]))
+        path_xp = space.shortest_path(x, p, dist_to=d_p)
+        y_xp = path_xp.vertex_at_arc(w)
+        split = angles(sides(y_back, y_xp, d_x), sides(y_fwd, y_xp, d_x))
+        if split is None:
+            continue
+        split_gap = abs(split[0] + split[1] - math.pi)
         evaluated += 1
         if base_gap > base_worst:
             base_worst = base_gap
@@ -1047,11 +1046,9 @@ def local_kappa_domain_check(
             base_violations += 1
         if split_gap > split_tol:
             split_violations += 1
-    if not feasible:
-        return vacuous_report()
     return LocalCheckReport(
         kappa=k, center=center, radius=radius, trials=samples, evaluated=evaluated,
-        skipped=samples - evaluated, vacuous=False, angle_tol=float(angle_tol),
+        skipped=samples - evaluated, vacuous=not feasible, angle_tol=float(angle_tol),
         split_tol=float(split_tol), window=w,
         base_violations=base_violations,
         base_worst=base_worst if evaluated else 0.0,

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alexkit
-from alexkit import comparison, domains
+from alexkit import comparison, domains, spaces, trig
 from alexkit.cli import main
 
 
@@ -283,6 +283,23 @@ def test_space_local_check(runner, tmp_path):
     assert rep["result"]["passed"] is True
 
 
+def test_local_check_beside_a_slit_writes_its_report(runner, tmp_path):
+    # |qs| is measured in U, |pq| and |ps| through the slit's tips: the
+    # triangle pqs of one sample breaks the triangle inequality
+    grid, out = tmp_path / "slit.json", tmp_path / "check.json"
+    res = _run(runner, ["domain", "generate", "--kind", "punctured", "--h", "0.0625",
+                        "--side", "2", "--stencil-radius", "2", "--remove-point", "1,1",
+                        "--remove-segment", "0.5,1.3,1.5,1.3", "-o", str(grid)])
+    assert res.exit_code == 0
+    res = _run(runner, ["space", "local-check", "--input", str(grid), "--center", "544",
+                        "--radius", "1.6", "--kappa", "0", "--samples", "20", "--seed", "3",
+                        "-o", str(out), "--no-timestamp"])
+    assert res.exit_code in (0, 1), res.output
+    result = json.loads(out.read_text())["result"]
+    assert result["skips"]["invalid_triangle"] > 0
+    assert sum(result["skips"].values()) == result["skipped"]
+
+
 # ---------------------------------------------------------------------------
 # convexity and completion
 
@@ -483,11 +500,16 @@ def test_csv_scan_imports_no_scipy(tmp_path):
     assert out.stdout.splitlines()[-1] == "False"
 
 
-def test_old_list_form_file_names_the_command_that_rebuilds_it(runner, tmp_path):
+@pytest.mark.parametrize("options", [
+    ["--kind", "cap", "--r", "1.2566", "--h", "0.15"],
+    ["--kind", "dense_square", "--h", "0.015625", "--delta", "0.2", "--segments", "20"],
+    ["--kind", "punctured", "--h", "0.0625", "--stencil-radius", "3",
+     "--remove-point", "0.5,0.25", "--remove-point", "0.75,0.75",
+     "--remove-segment", "0.2,0.6,0.8,0.6"],
+], ids=["cap", "dense_square", "punctured"])
+def test_old_list_form_file_names_the_command_that_rebuilds_it(runner, tmp_path, options):
     new, old = tmp_path / "new.json", tmp_path / "old.json"
-    res = _run(runner, ["domain", "generate", "--kind", "punctured", "--h", "0.0625",
-                        "--stencil-radius", "3", "--remove-point", "0.5,0.25",
-                        "--seed", "4", "-o", str(new)])
+    res = _run(runner, ["domain", "generate", *options, "--seed", "4", "-o", str(new)])
     assert res.exit_code == 0
     data = json.loads(new.read_text())
     table = data["edges"]
@@ -562,6 +584,8 @@ _BAD_SEEDS = ("-1", str(2**64))
      "--slack", "inf"],
     ["convexity", "estimate", "--input", "CAP", "--kind", "ae", "--p", "0",
      "--samples", "0"],
+    ["convexity", "estimate", "--input", "CAP", "--kind", "ae", "--p", "0",
+     "--step", "nan"],
     ["convexity", "search", "--input", "CAP", "--p", "0", "--q", "1", "--s", "2",
      "--epsilon", "inf"],
     _LOCAL + ["0.3", "--samples", "0"],
@@ -574,6 +598,7 @@ _BAD_SEEDS = ("-1", str(2**64))
         "local-check-nan-radius", "local-check-zero-radius", "local-check-negative-radius",
         "search-zero-candidates", "completion-negative-epsilon", "completion-nan-epsilon",
         "estimate-nan-slack", "estimate-negative-slack", "ae-infinite-slack", "ae-zero-samples",
+        "ae-nan-step",
         "search-infinite-epsilon", "local-check-zero-samples", "local-check-negative-samples"]
     + [f"{name}-seed-{seed}" for name in _SEEDED for seed in _BAD_SEEDS])
 def test_bad_parameters_exit_2(runner, tmp_path, dense_file, cap_file, argv):
@@ -633,7 +658,8 @@ def readme_inputs(tmp_path_factory, cap_file, dense_file):
 _SWEEP = ["lemma", "verify", "--trials", "200", "--seed", "42", "--which"]
 
 
-@pytest.mark.parametrize("argv", [
+# small versions of the README commands that read an input or write a report
+_README_ARGV = [
     ["lemma", "verify", "--trials", "300", "--seed", "42", "--which", "weighted2"],
     _SWEEP + ["multi"],
     _SWEEP + ["alternating"],
@@ -652,9 +678,13 @@ _SWEEP = ["lemma", "verify", "--trials", "200", "--seed", "42", "--which"]
      "--epsilon", "0.1", "--candidates", "4"],
     ["completion", "compare", "--input", "DENSE", "--pairs", "40", "--epsilon", "0.05"],
     ["area", "estimate", "--delta", "0.2", "--segments", "50", "--samples", "5000"],
-], ids=["weighted2", "multi", "alternating", "extension", "alexandrov", "scan-csv",
-        "scan-json", "local-check", "convexity-prob", "convexity-ae", "convexity-search",
-        "completion", "area"])
+]
+_README_IDS = ["weighted2", "multi", "alternating", "extension", "alexandrov", "scan-csv",
+               "scan-json", "local-check", "convexity-prob", "convexity-ae",
+               "convexity-search", "completion", "area"]
+
+
+@pytest.mark.parametrize("argv", _README_ARGV, ids=_README_IDS)
 def test_reports_byte_identical_across_runs(runner, tmp_path, readme_inputs, argv):
     argv = [readme_inputs.get(a, a) for a in argv] + ["--no-timestamp"]
     reports = []
@@ -663,6 +693,35 @@ def test_reports_byte_identical_across_runs(runner, tmp_path, readme_inputs, arg
         assert res.exit_code in (0, 1), res.output
         reports.append((tmp_path / name).read_bytes())
     assert reports[0] == reports[1]
+
+
+# small versions of the README's domain generate commands, one per kind
+_GENERATE_ARGV = [
+    ["--kind", "cap", "--r", "1.2566", "--h", "0.15"],
+    ["--kind", "dense_square", "--h", "0.015625", "--delta", "0.2", "--segments", "20"],
+    ["--kind", "punctured", "--h", "0.0625", "--remove-point", "0.5,0.5",
+     "--remove-segment", "0.2,0.3,0.8,0.3"],
+    ["--kind", "sphere_points", "--n", "20"],
+]
+
+
+def test_commands_call_no_scalar_kernel(runner, tmp_path, monkeypatch, readme_inputs):
+    # the scalar kernels are the library calculators' and the oracles';
+    # every command evaluates its formulas with the trig.batch_* kernels
+    def scalar_kernel(*args, **kwargs):
+        raise AssertionError("a command called a scalar trig kernel")
+
+    for module in (trig, spaces, comparison):
+        for name in ("angle_from_sides", "model_side", "f", "f_inverse"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, scalar_kernel)
+    out = tmp_path / "out"
+    for argv in ([["domain", "generate", *options] for options in _GENERATE_ARGV]
+                 + [[readme_inputs.get(a, a) for a in argv] for argv in _README_ARGV]):
+        res = _run(runner, argv + ["-o", str(out)])
+        assert res.exit_code in (0, 1), (argv, res.output)
+        assert out.stat().st_size > 0, argv
+        out.unlink()
 
 
 def test_timestamp_present_by_default(runner, tmp_path):

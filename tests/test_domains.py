@@ -35,10 +35,7 @@ def test_spec_validation():
     with pytest.raises(GeometryError):
         DomainSpec(kind="nonsense", resolution=0.05)
     spec = DomainSpec(kind="cap", resolution=0.05, cap_radius=1.0)
-    data = spec.to_dict()
-    data["removed_points"] = tuple(map(tuple, data["removed_points"]))
-    data["removed_segments"] = tuple(map(tuple, data["removed_segments"]))
-    assert DomainSpec(**data) == spec
+    assert DomainSpec(**asdict(spec)) == spec
 
 
 def test_rational_segment_enumeration_prefix():

@@ -17,12 +17,19 @@ from scipy.sparse.csgraph import dijkstra
 
 from alexkit import spaces
 from alexkit.domains import DomainSpec, generate, unit_sphere_points
-from alexkit.errors import GeometryError, ResolutionError, UnreachableError
+from alexkit.errors import (
+    GeometryError,
+    InvalidTriangleError,
+    ResolutionError,
+    UndefinedModelAngleError,
+    UnreachableError,
+)
 from alexkit.spaces import (
     SKIP_REASONS,
     DiscreteLengthSpace,
     FiniteMetricSpace,
     GeodesicPath,
+    LocalCheckReport,
     SpherePointSet,
     _all_quadruples,
     _quad_defects,
@@ -34,6 +41,7 @@ from alexkit.spaces import (
     quadruple_defect,
     scan_quadruples,
 )
+from alexkit.trig import angle_from_sides
 
 
 # ---------------------------------------------------------------------------
@@ -1043,3 +1051,157 @@ def test_local_check_without_a_feasible_sample_is_vacuous():
     assert rep.evaluated == 0
     assert rep.skipped == 4
     assert rep.skips["short_path"] + rep.skips["endpoint_near_p"] == 4
+
+
+@pytest.fixture(scope="module")
+def slit_grid():
+    # a slit beside the centre: some sampled triangles pqs break the triangle
+    # inequality, since |qs| is measured in U and |pq|, |ps| are not
+    return generate(DomainSpec(kind="punctured", resolution=0.0625, side=2.0,
+                               stencil_radius=2, removed_points=((1.0, 1.0),),
+                               removed_segments=((0.5, 1.3, 1.5, 1.3),)), seed=0)
+
+
+def _local_check_reference(space, center, radius, kappa, samples, h_angle, seed):
+    """The local check one scalar ``angle_from_sides`` call at a time.
+
+    The oracle of ``local_kappa_domain_check``: the same samples, fields and
+    skips, except that a triangle that breaks the triangle inequality raises
+    :class:`InvalidTriangleError` instead of being skipped.
+    """
+    w = h_angle * space.h
+    angle_tol = 0.5 / h_angle + 6.0 * space.h_err + 1e-3
+    split_tol = 2.0 * angle_tol + space.stencil_gap
+    skips = dict.fromkeys(SKIP_REASONS, 0)
+    work = {"full_fields": 0, "bounded_fields": 0}
+
+    def distance_field(source, restrict_to_U=False, limit=np.inf):
+        work["full_fields" if limit == np.inf else "bounded_fields"] += 1
+        return space.distance_field(source, restrict_to_U=restrict_to_U, limit=limit)
+
+    def discrete_angle(toward_a, toward_b, d_at):
+        da = float(d_at[toward_a])
+        db = float(d_at[toward_b])
+        dab = float(distance_field(toward_a, limit=da + db + 1e-9)[toward_b])
+        return angle_from_sides(kappa, dab, da, db)
+
+    def report(evaluated, vacuous, base=(0, 0.0), split=(0, 0.0), worst=None):
+        return LocalCheckReport(
+            kappa=kappa, center=center, radius=radius, trials=samples, evaluated=evaluated,
+            skipped=samples - evaluated, vacuous=vacuous, angle_tol=angle_tol,
+            split_tol=split_tol, window=w, base_violations=base[0], base_worst=base[1],
+            split_violations=split[0], split_worst=split[1], worst_case=worst or {},
+            skips=skips, work=work)
+
+    d_center = distance_field(center)
+    ball = np.flatnonzero((d_center <= radius) & space.in_U)
+    if len(ball) < 4:
+        skips["small_ball"] = samples
+        return report(0, True)
+    near = 3.0 * w
+    rng = np.random.default_rng(seed)
+    evaluated = base_violations = split_violations = 0
+    base_worst = split_worst = -math.inf
+    worst: dict = {}
+    feasible = False
+    for _ in range(samples):
+        q, s, p = (int(ball[j]) for j in rng.choice(len(ball), size=3, replace=False))
+        try:
+            path = space.shortest_path(q, s, restrict_to_U=True,
+                                       dist_to=distance_field(s, restrict_to_U=True))
+        except UnreachableError:
+            skips["no_path"] += 1
+            continue
+        if path.length < 4.0 * w:
+            skips["short_path"] += 1
+            continue
+        d_p = distance_field(p)
+        if min(d_p[q], d_p[s]) < 3.0 * w:
+            skips["endpoint_near_p"] += 1
+            continue
+        feasible = True
+        try:
+            path_qp = space.shortest_path(q, p, dist_to=d_p)
+            d_q = distance_field(q, limit=near)
+            lhs = discrete_angle(path_qp.vertex_at_arc(w), path.vertex_at_arc(w), d_q)
+            rhs = angle_from_sides(kappa, float(d_p[s]), float(d_p[q]), path.length)
+            base_gap = rhs - lhs
+            arcs = path.arc_lengths
+            mid = slice(1, len(arcs) - 1)
+            inner = 1 + np.flatnonzero((w <= arcs[mid]) & (arcs[mid] <= path.length - w)
+                                       & (d_p[path.vertices[mid]] >= 3.0 * w))
+            if not len(inner):
+                skips["no_inner_vertex"] += 1
+                continue
+            j = int(inner[int(rng.integers(0, len(inner)))])
+            x = path.vertices[j]
+            d_x = distance_field(x, limit=near)
+            y_back, y_fwd = path.vertices_at_arcs(np.array([arcs[j] - w, arcs[j] + w]))
+            y_xp = space.shortest_path(x, p, dist_to=d_p).vertex_at_arc(w)
+            split_gap = abs(discrete_angle(y_back, y_xp, d_x)
+                            + discrete_angle(y_fwd, y_xp, d_x) - math.pi)
+        except UndefinedModelAngleError:
+            skips["undefined_angle"] += 1
+            continue
+        evaluated += 1
+        if base_gap > base_worst:
+            base_worst = base_gap
+            if base_gap > angle_tol:
+                worst = {"kind": "base", "q": q, "p": p, "s": s, "gap": base_gap}
+        if split_gap > split_worst:
+            split_worst = split_gap
+            if split_gap > split_tol and not worst:
+                worst = {"kind": "split", "q": q, "p": p, "s": s, "x": x, "gap": split_gap}
+        base_violations += base_gap > angle_tol
+        split_violations += split_gap > split_tol
+    if not evaluated:
+        return report(0, not feasible)
+    return report(evaluated, False, (base_violations, base_worst),
+                  (split_violations, split_worst), worst)
+
+
+_ANGLES = ("base_worst", "split_worst")
+
+
+@pytest.mark.parametrize("kappa", [-1.0, 0.0, 0.5])
+@pytest.mark.parametrize("grid, point, radius, samples, h_angle, seeds", [
+    ("flat_grid_fine", (1.0, 1.0), 1.6, 6, 8, range(3)),
+    ("punctured_square", (0.5, 0.5), 0.8, 8, 3, range(6)),
+    ("slit_grid", (1.0, 1.0), 1.6, 20, 3, range(6)),
+], ids=["flat", "punctured", "slit"])
+def test_local_check_matches_the_scalar_reference(request, kappa, grid, point, radius,
+                                                  samples, h_angle, seeds):
+    space = request.getfixturevalue(grid)
+    center = space.nearest_vertex(point)
+    # the array kernel's md rounds one ulp off the scalar one at kappa < 0,
+    # which arccos near +-1 amplifies
+    tol = 1e-12 if kappa >= 0.0 else 1e-7
+    completed = 0
+    for seed in seeds:
+        case = dict(center=center, radius=radius, kappa=kappa, samples=samples,
+                    h_angle=h_angle, seed=seed)
+        try:
+            ref = asdict(_local_check_reference(space, **case))
+        except InvalidTriangleError:
+            continue
+        completed += 1
+        rep = asdict(local_kappa_domain_check(space, **case))
+        for key in _ANGLES:
+            assert rep[key] == pytest.approx(ref[key], rel=0.0, abs=tol), (seed, key)
+        assert rep["worst_case"].pop("gap", 0.0) == pytest.approx(
+            ref["worst_case"].pop("gap", 0.0), rel=0.0, abs=tol)
+        assert ({k: v for k, v in rep.items() if k not in _ANGLES}
+                == {k: v for k, v in ref.items() if k not in _ANGLES}), seed
+    assert completed >= len(seeds) // 2
+
+
+def test_local_check_skips_a_triangle_that_breaks_the_triangle_inequality(slit_grid):
+    case = dict(center=slit_grid.nearest_vertex((1.0, 1.0)), radius=1.6, samples=20,
+                h_angle=3, seed=3)
+    for kappa in (-1.0, 0.0, 0.5):
+        with pytest.raises(InvalidTriangleError):
+            _local_check_reference(slit_grid, kappa=kappa, **case)
+        rep = local_kappa_domain_check(slit_grid, kappa=kappa, **case)
+        assert rep.skips["invalid_triangle"] > 0
+        assert rep.evaluated > 0 and not rep.vacuous
+        assert sum(rep.skips.values()) == rep.skipped == rep.trials - rep.evaluated
