@@ -8,6 +8,7 @@ from .errors import (
     InvalidTriangleError,
     InverseRangeError,
     ResolutionError,
+    TickBoundError,
     TrigDomainError,
     UndefinedModelAngleError,
     UnreachableError,
@@ -33,6 +34,7 @@ __all__ = [
     "InverseRangeError",
     "UnreachableError",
     "ResolutionError",
+    "TickBoundError",
     "sn",
     "cs",
     "md",

@@ -16,10 +16,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import GeometryError, ResolutionError, UnreachableError
+from .errors import GeometryError, ResolutionError, TickBoundError, UnreachableError
 from .spaces import DiscreteLengthSpace
 
 _Z95 = 1.959963984540054
+# the most points a geodesic is sampled at; a finer step is refused
+_MAX_TICKS = 1_000_000
 
 
 def _slack(space: DiscreteLengthSpace, slack: float | None) -> float:
@@ -112,9 +114,10 @@ def prob_convexity(
     """Fraction of a fixed completion geodesic [qs] connectable to p.
 
     Samples the geodesic at arc spacing at most ``step`` (one mesh cell by
-    default), counting each sample point by measure.  Deterministic for
-    fixed inputs: the geodesic itself is the deterministic shortest-path
-    walk.
+    default), counting each sample point by measure; a step that would need
+    more than ``_MAX_TICKS`` points raises :class:`TickBoundError` before
+    they are built.  Deterministic for fixed inputs: the geodesic itself is
+    the deterministic shortest-path walk.
     """
     if q == s:
         raise GeometryError("probability needs distinct geodesic endpoints")
@@ -122,7 +125,13 @@ def prob_convexity(
     slack = _slack(space, slack)
     path = space.shortest_path(q, s, restrict_to_U=False)
     length = path.length
-    n_ticks = max(2, int(math.ceil(length / step)) + 1)
+    spans = length / step
+    if spans > _MAX_TICKS - 1:
+        raise TickBoundError(
+            f"step {step!r} would sample the geodesic of length {length!r} at "
+            f"{spans + 1:.4g} ticks, above the bound of {_MAX_TICKS}"
+        )
+    n_ticks = max(2, int(math.ceil(spans)) + 1)
     ticks = np.linspace(0.0, length, n_ticks)
     xs = path.vertices_at_arcs(ticks)
     flags = _connectable_mask(space, p, xs, slack)
@@ -196,7 +205,6 @@ def weak_lambda_search(
         return int(members[int(rng.integers(0, len(members)))])
 
     best: ConvexityReport | None = None
-    best_key = None
     triples = {(p, q, s)}
     for _ in range(candidates - 1):
         triples.add((draw(balls[0], rng), draw(balls[1], rng), draw(balls[2], rng)))
@@ -206,17 +214,17 @@ def weak_lambda_search(
             continue
         try:
             rep = prob_convexity(space, pp, qq, ss, step=step, slack=slack)
-        except (UnreachableError, GeometryError):
+        except TickBoundError:
+            raise
+        except GeometryError:
             continue
         evaluated += 1
-        key = (-rep.probability, pp, qq, ss)
-        if best_key is None or key < best_key:
-            best_key = key
+        # triples come in ascending order, so the first of equal probability is kept
+        if best is None or rep.probability > best.probability:
             best = rep
             best_triple = (pp, qq, ss)
         if rep.probability == 1.0:
-            # every later triple has a larger key
-            break
+            break  # no later triple can do better
     if best is None:
         raise UnreachableError("no candidate triple admitted a geodesic")
     return replace(

@@ -471,30 +471,23 @@ def _generate_cap(spec: DomainSpec, seed: int) -> DiscreteLengthSpace:
     # only ~6 directions per vertex (over 15% length distortion); adding the
     # second ring brings the gaps down to ~30 degrees
     mesh_edges = _cap_mesh_edges(faces, keep, remap)
-    # boundary ring at colatitude exactly r: the completion owns these points
-    ring_n = max(12, int(round(2.0 * math.pi * math.sin(r) / (0.8 * mesh_h))))
-    ang = 2.0 * math.pi * np.arange(ring_n) / ring_n
-    ring = np.column_stack([
-        math.sin(r) * np.cos(ang), math.sin(r) * np.sin(ang),
-        np.full(ring_n, math.cos(r)),
-    ])
-    # two smooth guard rings just inside the boundary keep near-boundary
-    # traffic on open-domain vertices: without them the evenly spaced rim is
-    # a smoother highway than the ragged triangulation and sub-half-sphere
+    # a boundary ring at colatitude exactly r, which the completion owns, and
+    # two smooth guard rings just inside it: they keep near-boundary traffic
+    # on open-domain vertices; without them the evenly spaced rim is a
+    # smoother highway than the ragged triangulation and sub-half-sphere
     # geodesics would clip through completion-only vertices
     s_ring = 0.9 * mesh_h
     if r - 2.0 * s_ring <= 0.5 * mesh_h:
         raise ResolutionError(
             f"cap radius {r!r} too small for mesh size {mesh_h!r}; refine the mesh"
         )
-    guards = []
-    for depth in (1, 2):
-        colat_g = r - depth * s_ring
-        guards.append(np.column_stack([
-            math.sin(colat_g) * np.cos(ang), math.sin(colat_g) * np.sin(ang),
-            np.full(ring_n, math.cos(colat_g)),
-        ]))
-    coords = np.vstack([kept, ring, guards[0], guards[1]])
+    ring_n = max(12, int(round(2.0 * math.pi * math.sin(r) / (0.8 * mesh_h))))
+    ang = 2.0 * math.pi * np.arange(ring_n) / ring_n
+    colats = (r, r - s_ring, r - 2.0 * s_ring)
+    sines = np.array([[math.sin(c)] for c in colats])
+    rings = np.column_stack([(sines * np.cos(ang)).ravel(), (sines * np.sin(ang)).ravel(),
+                             np.repeat([math.cos(c) for c in colats], ring_n)])
+    coords = np.vstack([kept, rings])
     in_u = np.zeros(len(coords), dtype=bool)
     in_u[:n_mesh] = True
     in_u[n_mesh + ring_n:] = True
@@ -509,7 +502,7 @@ def _generate_cap(spec: DomainSpec, seed: int) -> DiscreteLengthSpace:
             edges.append(np.column_stack([a_ids, b_ids[(np.arange(ring_n) + shift) % ring_n]]))
     # sew the guard rings to nearby mesh vertices
     near_rim = np.flatnonzero(colat[keep] > r - 2.0 * s_ring - 2.2 * mesh_h)
-    edges.append(_sew_guards(kept, near_rim, np.vstack(guards), n_mesh + ring_n,
+    edges.append(_sew_guards(kept, near_rim, rings[ring_n:], n_mesh + ring_n,
                              1.6 * mesh_h))
     e = np.vstack(edges)
     w = great_circle(coords[e[:, 0]], coords[e[:, 1]])
@@ -764,23 +757,25 @@ def completion_compare(
         fields = space.distance_field(sources[rows])
         picked = (which >= rows.start) & (which < rows.stop)
         d_bar[picked] = fields[which[picked] - rows.start, q_hit[picked]]
-    seg_len = {k: float(np.linalg.norm(ends[k] - starts[k])) for k in set(ks[hit].tolist())}
+    p_hit, k_hit = p_ids[hit], ks[hit]
+    # vecdot rounds each length as the one-vector norm does (see _unit_rows)
+    seg = ends[k_hit] - starts[k_hit]
+    seg_len = np.sqrt(np.vecdot(seg, seg))
+    chord = space.coords[p_hit] - space.coords[q_hit]
+    d_x = np.sqrt(np.vecdot(chord, chord))
+    violation = d_bar - seg_len
+    # completion dominates the ambient metric, and the chain's second link
+    link = np.maximum(d_x - d_bar, (seg_len - 2.0 * epsilon) - d_x)
     matched = int(hit.sum())
     uniform_matched = int(hit[:n_uniform].sum())
-    max_violation = -math.inf
-    max_link = -math.inf
+    max_violation = max_link = 0.0
     worst: dict = {}
-    for p_i, q_i, k, d_pq in zip(p_ids[hit].tolist(), q_hit.tolist(), ks[hit].tolist(),
-                                 d_bar.tolist()):
-        d_x = float(np.linalg.norm(space.coords[p_i] - space.coords[q_i]))
-        violation = d_pq - seg_len[k]
-        link1 = d_x - d_pq                  # completion dominates the ambient metric
-        link2 = (seg_len[k] - 2.0 * epsilon) - d_x
-        if violation > max_violation:
-            max_violation = violation
-            worst = {"p": p_i, "q": q_i, "segment": k, "segment_length": seg_len[k],
-                     "d_ambient": d_x, "d_completion": d_pq, "violation": violation}
-        max_link = max(max_link, link1, link2)
+    if matched:
+        i = int(np.argmax(violation))  # the first on ties
+        max_violation, max_link = float(violation[i]), float(link.max())
+        worst = {"p": int(p_hit[i]), "q": int(q_hit[i]), "segment": int(k_hit[i]),
+                 "segment_length": float(seg_len[i]), "d_ambient": float(d_x[i]),
+                 "d_completion": float(d_bar[i]), "violation": max_violation}
     return CompletionReport(
         pairs=pairs,
         matched=matched,
@@ -788,8 +783,8 @@ def completion_compare(
         uniform_matched=uniform_matched,
         uniform_misses=n_uniform - uniform_matched,
         epsilon=epsilon,
-        max_violation=max_violation if matched else 0.0,
-        max_link_violation=max_link if matched else 0.0,
+        max_violation=max_violation,
+        max_link_violation=max_link,
         h_err=space.h_err,
         worst_case=worst,
         work={"distance_sources": len(sources)},

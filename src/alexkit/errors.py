@@ -45,3 +45,7 @@ class UnreachableError(GeometryError):
 
 class ResolutionError(GeometryError):
     """Mesh too coarse for the requested operation."""
+
+
+class TickBoundError(GeometryError):
+    """A geodesic would be sampled at more points than the fixed bound allows."""

@@ -699,25 +699,26 @@ class _ActiveSet:
     ``_WITNESSES`` that failed worst at the last failing probe, and the rest
     of the active set only if every witness holds.
 
-    The set starts from a first pass over every row at ``kappa``, whose
-    defects and mask it returns through ``first`` and whose outcome is
-    ``held_first``.  ``probes`` counts that pass and every ``holds`` call;
-    ``evaluations`` counts the rows handed to ``_quad_defects``.
+    ``last`` holds the ``(defects, defined)`` of the latest evaluation; the
+    first probe evaluates every row, so after it ``last`` covers the whole
+    table.  ``probes`` counts the ``holds`` calls and ``evaluations`` the
+    rows handed to ``_quad_defects``.
     """
 
-    def __init__(self, sides: tuple[np.ndarray, ...], tol: float, kappa: float):
+    def __init__(self, sides: tuple[np.ndarray, ...], tol: float):
         self.sides = sides
         self.tol = tol
         n = len(sides[0])
         self.vacuous_from = np.full(n, np.inf)
         self.holds_to = np.full(n, -np.inf)
         self.witnesses = np.empty(0, dtype=np.intp)
-        self.probes, self.evaluations = 1, n
-        defects, defined = self.first = _quad_defects(sides, kappa)
-        self.held_first = self._record(np.arange(n), defects, defined, kappa)
+        self.probes, self.evaluations = 0, 0
+        self.last = (np.empty(0), np.empty(0, dtype=bool))
 
-    def _record(self, rows, defects, defined, kappa: float) -> bool:
-        """Store what one evaluation proved; true when none of the rows fails."""
+    def _holds_on(self, rows: np.ndarray, kappa: float) -> bool:
+        """Evaluate ``rows`` at kappa and store what that proved; true when none fails."""
+        self.evaluations += len(rows)
+        defects, defined = self.last = _quad_defects(tuple(s[rows] for s in self.sides), kappa)
         self.vacuous_from[rows[~defined]] = kappa
         self.holds_to[rows[defects >= -self.tol + _PRUNE_MARGIN]] = kappa
         failing = defects < -self.tol
@@ -726,11 +727,6 @@ class _ActiveSet:
         worst = np.argsort(defects[failing], kind="stable")[:_WITNESSES]
         self.witnesses = rows[failing][worst]
         return False
-
-    def _holds_on(self, rows: np.ndarray, kappa: float) -> bool:
-        self.evaluations += len(rows)
-        defects, defined = _quad_defects(tuple(s[rows] for s in self.sides), kappa)
-        return self._record(rows, defects, defined, kappa)
 
     def holds(self, kappa: float) -> bool:
         self.probes += 1
@@ -746,33 +742,28 @@ class _ActiveSet:
 def _kappa_max(holds, kappa: float, held: bool) -> tuple[float, bool]:
     """Bracket and bisect the largest curvature at which ``holds`` is true.
 
-    ``held`` is the outcome of the first probe, at ``kappa``.  The
-    bisection runs from the highest step that held to the first that
-    failed, so ``kappa_max`` is never below a step that held.  Returns
-    ``(kappa_max, censored)``: censored when every probe held, so that
-    ``kappa_max`` is only the top of the probed range (just below
-    ``kappa + 31``), or when even ``kappa - 31`` failed and ``kappa_max``
-    is -inf.
+    ``held`` is the outcome of the first probe, at ``kappa``.  One ladder
+    steps away from kappa by 1, 2, 4 and 8, upward when that probe held and
+    downward when it failed, while the probes agree with it.  The bisection
+    runs from the highest step that held to the first that failed, so
+    ``kappa_max`` is never below a step that held.  Returns ``(kappa_max,
+    censored)``: censored when every probe held, so that ``kappa_max`` is
+    only the top of the probed range (just below ``kappa + 31``), or when
+    even ``kappa - 31`` failed and ``kappa_max`` is -inf.
     """
-    lo, hi = kappa, kappa
-    censored = False
+    sign = 1.0 if held else -1.0
+    edge, step = kappa, 1.0
+    while step <= 8.0 and holds(edge + sign * step) == held:
+        edge += sign * step
+        step *= 2.0
+    far = edge + sign * step
     if held:
-        step = 1.0
-        while step <= 8.0 and holds(hi + step):
-            hi += step
-            step *= 2.0
-        lo, hi_bad = hi, hi + step
-        censored = step > 8.0  # hi_bad was never probed
+        a, b, censored = edge, far, step > 8.0  # far was never probed
     else:
-        step = 1.0
-        while step <= 8.0 and not holds(lo - step):
-            lo -= step
-            step *= 2.0
-        hi_bad = lo
-        lo = lo - step
-        if not holds(lo):
+        # far held if the ladder stopped short of 16, and is probed again
+        if not holds(far):
             return -math.inf, True
-    a, b = lo, hi_bad
+        a, b, censored = far, edge, False
     for _ in range(40):
         mid = 0.5 * (a + b)
         if holds(mid):
@@ -796,10 +787,11 @@ def scan_quadruples(
 
     ``kappa_max`` is the largest curvature on a bisection grid for which
     no sampled quadruple defined there has a defect below -tol (vacuous
-    quadruples count as satisfied).  The first pass at ``kappa`` gives the
-    minimum defect, the worst case and the first probe's outcome; each
-    later probe evaluates only its active set (see ``_ActiveSet``), witness
-    rows first, and its outcome equals a pass over every quadruple.
+    quadruples count as satisfied).  The first probe, at ``kappa``,
+    evaluates every quadruple and gives the minimum defect and the worst
+    case; each later probe evaluates only its active set (see
+    ``_ActiveSet``), witness rows first, and its outcome equals a pass over
+    every quadruple.
     ``censored`` marks a ``kappa_max`` that no failing probe bracketed from
     above (every probe held), or that is -inf; ``work`` counts the probes and the quadruple
     rows evaluated.  ``tol`` must be finite and nonnegative.  Exhaustive
@@ -820,8 +812,9 @@ def scan_quadruples(
         quads = _all_quadruples(m)
     if tol is None:
         tol = 1e-9 if exact else max(1e-9, 24.0 * h_err)
-    search = _ActiveSet(_quad_sides(dist, quads), tol, k)
-    defects, defined = search.first
+    search = _ActiveSet(_quad_sides(dist, quads), tol)
+    held = search.holds(k)
+    defects, defined = search.last
     vacuous = int((~defined).sum())
     evaluated = int(defined.sum())
     if evaluated:
@@ -841,7 +834,7 @@ def scan_quadruples(
     else:
         min_defect = math.inf
         worst = {}
-    kappa_max, censored = _kappa_max(search.holds, k, search.held_first)
+    kappa_max, censored = _kappa_max(search.holds, k, held)
     return ScanReport(
         kappa=k,
         samples=len(quads),
@@ -982,12 +975,8 @@ def local_kappa_domain_check(
     # their source, and a field cut off at a limit is exact up to it
     near = 3.0 * w
     rng = np.random.default_rng(seed)
-    evaluated = 0
-    base_violations = 0
-    split_violations = 0
-    base_worst = -math.inf
-    split_worst = -math.inf
-    worst: dict = {}
+    # (base gap, split gap, sample ids) of each evaluated sample
+    gaps = []
     feasible = False
     for _ in range(samples if len(ball) >= 4 else 0):
         q, s, p = (int(ball[j]) for j in rng.choice(len(ball), size=3, replace=False))
@@ -1032,27 +1021,26 @@ def local_kappa_domain_check(
         split = angles(sides(y_back, y_xp, d_x), sides(y_fwd, y_xp, d_x))
         if split is None:
             continue
-        split_gap = abs(split[0] + split[1] - math.pi)
-        evaluated += 1
-        if base_gap > base_worst:
-            base_worst = base_gap
-            if base_gap > angle_tol:
-                worst = {"kind": "base", "q": q, "p": p, "s": s, "gap": base_gap}
-        if split_gap > split_worst:
-            split_worst = split_gap
-            if split_gap > split_tol and not worst:
-                worst = {"kind": "split", "q": q, "p": p, "s": s, "x": x, "gap": split_gap}
-        if base_gap > angle_tol:
-            base_violations += 1
-        if split_gap > split_tol:
-            split_violations += 1
+        gaps.append((base_gap, abs(split[0] + split[1] - math.pi), q, p, s, x))
+    base_gaps = [g[0] for g in gaps]
+    split_gaps = [g[1] for g in gaps]
+    base_violations = sum(g > angle_tol for g in base_gaps)
+    split_violations = sum(g > split_tol for g in split_gaps)
+    # the worst base violation, else the worst split violation; the first sample on ties
+    worst: dict = {}
+    if base_violations:
+        _, _, q, p, s, _ = gaps[base_gaps.index(max(base_gaps))]
+        worst = {"kind": "base", "q": q, "p": p, "s": s, "gap": max(base_gaps)}
+    elif split_violations:
+        _, _, q, p, s, x = gaps[split_gaps.index(max(split_gaps))]
+        worst = {"kind": "split", "q": q, "p": p, "s": s, "x": x, "gap": max(split_gaps)}
     return LocalCheckReport(
-        kappa=k, center=center, radius=radius, trials=samples, evaluated=evaluated,
-        skipped=samples - evaluated, vacuous=not feasible, angle_tol=float(angle_tol),
+        kappa=k, center=center, radius=radius, trials=samples, evaluated=len(gaps),
+        skipped=samples - len(gaps), vacuous=not feasible, angle_tol=float(angle_tol),
         split_tol=float(split_tol), window=w,
         base_violations=base_violations,
-        base_worst=base_worst if evaluated else 0.0,
+        base_worst=max(base_gaps, default=0.0),
         split_violations=split_violations,
-        split_worst=split_worst if evaluated else 0.0,
+        split_worst=max(split_gaps, default=0.0),
         worst_case=worst, skips=skips, work=work,
     )

@@ -590,6 +590,9 @@ _BAD_SEEDS = ("-1", str(2**64))
      "--epsilon", "inf"],
     _LOCAL + ["0.3", "--samples", "0"],
     _LOCAL + ["0.3", "--samples", "-3"],
+    _PQS + ["--step", "1e-300"],
+    ["convexity", "search", "--input", "CAP", "--p", "0", "--q", "1", "--s", "2",
+     "--epsilon", "0.3", "--step", "1e-300"],
 ] + [argv + ["--seed", seed] for argv in _SEEDED.values() for seed in _BAD_SEEDS],
     ids=["sphere-negative-n", "cap-nan-h", "cap-infinite-h", "punctured-nan-side",
         "point-not-numbers", "point-three-coords", "segment-two-coords",
@@ -599,7 +602,8 @@ _BAD_SEEDS = ("-1", str(2**64))
         "search-zero-candidates", "completion-negative-epsilon", "completion-nan-epsilon",
         "estimate-nan-slack", "estimate-negative-slack", "ae-infinite-slack", "ae-zero-samples",
         "ae-nan-step",
-        "search-infinite-epsilon", "local-check-zero-samples", "local-check-negative-samples"]
+        "search-infinite-epsilon", "local-check-zero-samples", "local-check-negative-samples",
+        "estimate-tiny-step", "search-tiny-step"]
     + [f"{name}-seed-{seed}" for name in _SEEDED for seed in _BAD_SEEDS])
 def test_bad_parameters_exit_2(runner, tmp_path, dense_file, cap_file, argv):
     not_json = tmp_path / "notes.txt"
@@ -612,6 +616,8 @@ def test_bad_parameters_exit_2(runner, tmp_path, dense_file, cap_file, argv):
     assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1, res.output
     if "--samples" in argv and argv[1] == "local-check":
         assert "at least one sample" in res.output
+    if "1e-300" in argv:
+        assert "step 1e-300 would sample the geodesic of length" in res.output
 
 
 @pytest.mark.parametrize("argv", [

@@ -351,6 +351,7 @@ def _completion_by_rows(space, pairs, epsilon, seed):
 
 @pytest.mark.parametrize("pairs,epsilon,seed", [
     (200, 0.05, 0), (201, 0.05, 1), (300, 0.1, 2), (1, 0.05, 3), (2, 0.3, 4), (150, 0.02, 5),
+    (4, 0.001, 5),  # no pair matches
 ])
 def test_completion_compare_matches_the_per_row_loop(dense_square, pairs, epsilon, seed):
     rep = asdict(completion_compare(dense_square, pairs=pairs, epsilon=epsilon, seed=seed))

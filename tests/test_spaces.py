@@ -754,6 +754,39 @@ def _loop_quadruples(m):
     return np.array(rows, dtype=np.int64)
 
 
+def _reference_ladder(holds, kappa):
+    """Oracle for ``_kappa_max``: its step ladder and bisection over a ``holds`` callable.
+
+    Returns ``kappa_max``.
+    """
+    lo, hi = kappa, kappa
+    if holds(kappa):
+        step = 1.0
+        while step <= 8.0 and holds(hi + step):
+            hi += step
+            step *= 2.0
+        lo, hi_bad = hi, hi + step
+    else:
+        step = 1.0
+        while step <= 8.0 and not holds(lo - step):
+            lo -= step
+            step *= 2.0
+        hi_bad = lo
+        lo = lo - step
+        if not holds(lo):
+            lo = -math.inf
+    if not math.isfinite(lo):
+        return -math.inf
+    a, b = lo, hi_bad
+    for _ in range(40):
+        mid = 0.5 * (a + b)
+        if holds(mid):
+            a = mid
+        else:
+            b = mid
+    return a
+
+
 def _kappa_max_reference(space, kappa, samples, seed, subset=600, tol=None, exhaustive=False):
     """Oracle for the scan's bisection: every probe evaluates every quadruple.
 
@@ -773,32 +806,7 @@ def _kappa_max_reference(space, kappa, samples, seed, subset=600, tol=None, exha
         outcomes.append((kprobe, result))
         return result
 
-    lo, hi = kappa, kappa
-    if holds(kappa):
-        step = 1.0
-        while step <= 8.0 and holds(hi + step):
-            hi += step
-            step *= 2.0
-        lo, hi_bad = hi, hi + step
-    else:
-        step = 1.0
-        while step <= 8.0 and not holds(lo - step):
-            lo -= step
-            step *= 2.0
-        hi_bad = lo
-        lo = lo - step
-        if not holds(lo):
-            lo = -math.inf
-    if not math.isfinite(lo):
-        return -math.inf, outcomes
-    a, b = lo, hi_bad
-    for _ in range(40):
-        mid = 0.5 * (a + b)
-        if holds(mid):
-            a = mid
-        else:
-            b = mid
-    return a, outcomes
+    return _reference_ladder(holds, kappa), outcomes
 
 
 def _scan_with_outcomes(monkeypatch, space, kappa, **kwargs):
@@ -916,6 +924,41 @@ def test_kappa_max_is_never_below_a_probe_that_held(kappa, switches):
     first_failure = min((k for k, ok in probes if not ok), default=math.inf)
     assert kappa_max >= max((k for k, ok in probes if ok and k < first_failure),
                             default=-math.inf)
+
+
+_K0 = 0.3
+# predicates and whether _kappa_max reports censored from _K0
+_LADDER_CASES = {
+    # kappa <= t with t in each gap of the upward ladder
+    **{f"up-{d}": (lambda k, t=_K0 + d: k <= t, False)
+       for d in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)},
+    # in each gap of the downward ladder, and on its steps, which it probes twice
+    **{f"down-{d}": (lambda k, t=_K0 - d: k <= t, False)
+       for d in (0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 31.0)},
+    "up-31": (lambda k: k <= _K0 + 31.0, True),
+    "up-100": (lambda k: k <= _K0 + 100.0, True),
+    "minus-inf": (lambda k: k <= _K0 - 31.5, True),
+    # fails only on a band that the upward steps jump over
+    "skipped-band": (lambda k: not _K0 + 0.5 <= k < _K0 + 0.8, True),
+    "odd-floor": (lambda k: math.floor(k) % 2 == 1, False),
+}
+
+
+@pytest.mark.parametrize("holds, censored", _LADDER_CASES.values(), ids=_LADDER_CASES)
+def test_kappa_max_walks_the_reference_ladder(holds, censored):
+    probes, ref_probes = [], []
+
+    def recorded(log):
+        def probe(k):
+            log.append(k)
+            return holds(k)
+        return probe
+
+    probe = recorded(probes)
+    kappa_max, got_censored = spaces._kappa_max(probe, _K0, probe(_K0))
+    assert kappa_max == _reference_ladder(recorded(ref_probes), _K0)  # -inf included
+    assert probes == ref_probes
+    assert got_censored == censored
 
 
 def test_scan_kappa_max_is_not_below_the_step_that_held_on_the_sphere():
@@ -1102,7 +1145,8 @@ def _local_check_reference(space, center, radius, kappa, samples, h_angle, seed)
     rng = np.random.default_rng(seed)
     evaluated = base_violations = split_violations = 0
     base_worst = split_worst = -math.inf
-    worst: dict = {}
+    worst_base: dict = {}
+    worst_split: dict = {}
     feasible = False
     for _ in range(samples):
         q, s, p = (int(ball[j]) for j in rng.choice(len(ball), size=3, replace=False))
@@ -1147,17 +1191,18 @@ def _local_check_reference(space, center, radius, kappa, samples, h_angle, seed)
         if base_gap > base_worst:
             base_worst = base_gap
             if base_gap > angle_tol:
-                worst = {"kind": "base", "q": q, "p": p, "s": s, "gap": base_gap}
+                worst_base = {"kind": "base", "q": q, "p": p, "s": s, "gap": base_gap}
         if split_gap > split_worst:
             split_worst = split_gap
-            if split_gap > split_tol and not worst:
-                worst = {"kind": "split", "q": q, "p": p, "s": s, "x": x, "gap": split_gap}
+            if split_gap > split_tol:
+                worst_split = {"kind": "split", "q": q, "p": p, "s": s, "x": x,
+                               "gap": split_gap}
         base_violations += base_gap > angle_tol
         split_violations += split_gap > split_tol
     if not evaluated:
         return report(0, not feasible)
     return report(evaluated, False, (base_violations, base_worst),
-                  (split_violations, split_worst), worst)
+                  (split_violations, split_worst), worst_base or worst_split)
 
 
 _ANGLES = ("base_worst", "split_worst")
@@ -1193,6 +1238,40 @@ def test_local_check_matches_the_scalar_reference(request, kappa, grid, point, r
         assert ({k: v for k, v in rep.items() if k not in _ANGLES}
                 == {k: v for k, v in ref.items() if k not in _ANGLES}), seed
     assert completed >= len(seeds) // 2
+
+
+@pytest.mark.parametrize("base_gaps, split_gaps, kind, gap", [
+    # the third split gap is the worst; the second was the first violation
+    ((0.0,) * 7, (0.9, 1.2, 1.5, 1.0, 1.3, 0.0, 0.0), "split", 1.5),
+    # a base violation after a split violation is the worst case
+    ((0.0, 0.5, 0.4, 0.0, 0.0, 0.0, 0.0), (1.5,) + (0.0,) * 6, "base", 0.5),
+], ids=["worst-split", "base-after-split"])
+def test_local_check_worst_case_is_the_worst_violation(monkeypatch, base_gaps, split_gaps,
+                                                       kind, gap):
+    grid = generate(DomainSpec(kind="punctured", resolution=0.03125, side=2.0,
+                               stencil_radius=2), seed=0)
+    calls = []
+
+    def gaps(kappa, opposite, u, v):
+        """Angles of a base call, then of a split call, per sample, with the given gaps."""
+        sample, is_split = divmod(len(calls), 2)
+        calls.append(is_split)
+        angles = [math.pi, split_gaps[sample]] if is_split else [1.0, 1.0 + base_gaps[sample]]
+        return np.array(angles), np.zeros(2, dtype=bool)
+
+    monkeypatch.setattr(spaces, "batch_angle", gaps)
+    rep = local_kappa_domain_check(grid, grid.nearest_vertex((1.0, 1.0)), radius=1.6,
+                                   kappa=0.0, samples=8, h_angle=3, seed=1)
+    # seven samples reach both angle calls, one is skipped before them
+    assert rep.evaluated == 7 and len(calls) == 14
+    assert rep.split_tol == pytest.approx(1.129, abs=1e-3)
+    assert rep.angle_tol == pytest.approx(0.333, abs=1e-3)
+    assert rep.base_violations == sum(g > rep.angle_tol for g in base_gaps)
+    assert rep.split_violations == sum(g > rep.split_tol for g in split_gaps)
+    assert rep.split_worst == pytest.approx(1.5)
+    assert rep.worst_case["kind"] == kind
+    assert rep.worst_case["gap"] == pytest.approx(gap)
+    assert rep.worst_case["gap"] == (rep.split_worst if kind == "split" else rep.base_worst)
 
 
 def test_local_check_skips_a_triangle_that_breaks_the_triangle_inequality(slit_grid):
