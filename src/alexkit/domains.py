@@ -380,11 +380,11 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
 def _unit_rows(m: np.ndarray) -> np.ndarray:
     """Each row of ``m`` divided by its Euclidean norm.
 
-    ``np.vecdot`` takes each row's squared norm with the same dot kernel
-    as ``np.linalg.norm`` of that row alone, so every row rounds as the
-    one-vector normalisation does.
+    The squared norm is the fixed-order sum ``x*x + y*y + z*z``, so every
+    row rounds the same under every BLAS kernel.
     """
-    return m / np.sqrt(np.vecdot(m, m))[:, None]
+    x, y, z = m.T
+    return m / np.sqrt(x * x + y * y + z * z)[:, None]
 
 
 def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -758,11 +758,11 @@ def completion_compare(
         picked = (which >= rows.start) & (which < rows.stop)
         d_bar[picked] = fields[which[picked] - rows.start, q_hit[picked]]
     p_hit, k_hit = p_ids[hit], ks[hit]
-    # vecdot rounds each length as the one-vector norm does (see _unit_rows)
-    seg = ends[k_hit] - starts[k_hit]
-    seg_len = np.sqrt(np.vecdot(seg, seg))
-    chord = space.coords[p_hit] - space.coords[q_hit]
-    d_x = np.sqrt(np.vecdot(chord, chord))
+    # fixed-order sums, which round the same under every BLAS kernel
+    sx, sy = (ends[k_hit] - starts[k_hit]).T
+    cx, cy = (space.coords[p_hit] - space.coords[q_hit]).T
+    seg_len = np.sqrt(sx * sx + sy * sy)
+    d_x = np.sqrt(cx * cx + cy * cy)
     violation = d_bar - seg_len
     # completion dominates the ambient metric, and the chain's second link
     link = np.maximum(d_x - d_bar, (seg_len - 2.0 * epsilon) - d_x)

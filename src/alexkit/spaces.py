@@ -157,9 +157,14 @@ def _read_graph_file(path):
 
 
 def great_circle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Great-circle distances between unit vectors, broadcast over leading axes."""
-    chord = np.linalg.norm(u - v, axis=-1)
-    return 2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0))
+    """Great-circle distances between unit vectors, broadcast over leading axes.
+
+    ``atan2(|u x v|, u . v)`` with fixed-order sums: a few ulp at every
+    separation, antipodal pairs included, and the same bits under every BLAS.
+    """
+    (u0, u1, u2), (v0, v1, v2) = np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0)
+    c0, c1, c2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+    return np.arctan2(np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), u0 * v0 + u1 * v1 + u2 * v2)
 
 
 # pairs per tile of the triangle check: its temporary holds rows * cols * n floats
@@ -588,6 +593,8 @@ class ScanReport:
     exact_metric: str | None = None
     subset_size: int = 0
     censored: bool = False
+    perimeter_bound: float = math.inf
+    kappa_max_rule: str = "defect"
     work: dict = field(default_factory=dict)
 
     @property
@@ -632,11 +639,8 @@ def _scan_distances(space, subset: int, seed: int, samples: int):
     if m < 4:
         raise GeometryError("quadruple scan needs at least four points")
     quads = rng.integers(0, m, size=(samples, 4))
-    ok = (
-        (quads[:, 0] != quads[:, 1]) & (quads[:, 0] != quads[:, 2]) & (quads[:, 0] != quads[:, 3])
-        & (quads[:, 1] != quads[:, 2]) & (quads[:, 1] != quads[:, 3]) & (quads[:, 2] != quads[:, 3])
-    )
-    quads = quads[ok]
+    # rows of four distinct points
+    quads = quads[(np.diff(np.sort(quads, axis=1), axis=1) != 0).all(axis=1)]
     return dist, idx, quads, exact, h_err
 
 
@@ -672,11 +676,24 @@ def _quad_defects(sides: tuple[np.ndarray, ...], kappa: float):
     return defects, ~np.isnan(defects)
 
 
-# A row that is defined at a probe with defect >= -tol + _PRUNE_MARGIN is
-# taken to hold at every smaller curvature.  The defect decreases in kappa
-# wherever it is defined, but not exactly in floating point: the kernel's
-# worst non-monotonicity is about 1e-7, from arccos near +-1 on nearly
-# collinear triples, four orders of magnitude below this margin.
+def _perimeter_bound(sides: tuple[np.ndarray, ...]) -> float:
+    """The least ``(2*pi / P)**2`` over rows, P a row's longest triangle perimeter (+inf if 0).
+
+    A length space of curvature >= kappa > 0 has no triangle of perimeter
+    over ``2*pi/sqrt(kappa)`` (Burago, Gromov and Perelman 1992).
+    """
+    px1, px2, px3, x12, x23, x31 = sides
+    longest = max(float(np.max(opp + u + v, initial=0.0))
+                  for opp, u, v in ((x12, px1, px2), (x23, px2, px3), (x31, px3, px1)))
+    if not longest:
+        return math.inf
+    root = 2.0 * math.pi / longest
+    return min(root * root, float(np.finfo(float).max))
+
+
+# A row whose defect at a probe is at least -tol + _PRUNE_MARGIN holds at every
+# smaller curvature: the defect decreases in kappa up to the kernel's rounding,
+# at worst 1e-7 (arccos near +-1 on nearly collinear triples).
 _PRUNE_MARGIN = 1e-3
 # rows a probe evaluates before the rest: the worst failures of the last failing probe
 _WITNESSES = 256
@@ -685,32 +702,23 @@ _WITNESSES = 256
 class _ActiveSet:
     """``holds(kappa)`` over a fixed table of quadruples, evaluating only rows that can decide it.
 
-    ``holds(kappa)`` is true when no quadruple defined at kappa has a defect
-    below -tol (vacuous quadruples count as satisfied).  Each row keeps what
-    the probes proved about it: ``vacuous_from``, the least probed kappa at
-    which it was undefined, and ``holds_to``, the greatest at which it was
-    defined with a defect of at least -tol + ``_PRUNE_MARGIN``.  The test
-    ``per < 2*pi/sqrt(kappa)`` is exactly monotone in floating point and the
-    defect decreases in kappa where it is defined, so the row is vacuous at
-    every kappa >= ``vacuous_from`` and holds at every kappa <= ``holds_to``.
-    A probe evaluates only the rows strictly between the two, its active
-    set, so each outcome equals that of a pass over every row, whatever the
-    order of the probes.  It evaluates first the witness rows, up to
-    ``_WITNESSES`` that failed worst at the last failing probe, and the rest
-    of the active set only if every witness holds.
-
-    ``last`` holds the ``(defects, defined)`` of the latest evaluation; the
-    first probe evaluates every row, so after it ``last`` covers the whole
-    table.  ``probes`` counts the ``holds`` calls and ``evaluations`` the
-    rows handed to ``_quad_defects``.
+    ``holds(kappa)`` is true when kappa is below ``bound`` and no quadruple
+    defined at kappa has a defect below -tol.  Below the bound every row is
+    defined, up to rounding at the bound, and each defect decreases in
+    kappa, so the predicate is monotone.  A row holds at every kappa up to
+    its ``holds_to``, the greatest probe at which its defect was at least
+    -tol + ``_PRUNE_MARGIN``, and a probe evaluates only the other rows:
+    first the witnesses, up to ``_WITNESSES`` rows that failed worst at the
+    last failing probe below the bound, and the rest only if every witness
+    holds.  The first probe evaluates every row, even at or above the bound,
+    and the scan reads its verdict from ``last``, the ``(defects, defined)``
+    of the latest evaluation; the search probes only below the bound.
+    ``probes`` counts the probes and ``evaluations`` the rows evaluated.
     """
 
-    def __init__(self, sides: tuple[np.ndarray, ...], tol: float):
-        self.sides = sides
-        self.tol = tol
-        n = len(sides[0])
-        self.vacuous_from = np.full(n, np.inf)
-        self.holds_to = np.full(n, -np.inf)
+    def __init__(self, sides: tuple[np.ndarray, ...], tol: float, bound: float):
+        self.sides, self.tol, self.bound = sides, tol, bound
+        self.holds_to = np.full(len(sides[0]), -np.inf)
         self.witnesses = np.empty(0, dtype=np.intp)
         self.probes, self.evaluations = 0, 0
         self.last = (np.empty(0), np.empty(0, dtype=bool))
@@ -718,60 +726,67 @@ class _ActiveSet:
     def _holds_on(self, rows: np.ndarray, kappa: float) -> bool:
         """Evaluate ``rows`` at kappa and store what that proved; true when none fails."""
         self.evaluations += len(rows)
-        defects, defined = self.last = _quad_defects(tuple(s[rows] for s in self.sides), kappa)
-        self.vacuous_from[rows[~defined]] = kappa
+        defects, _ = self.last = _quad_defects(tuple(s[rows] for s in self.sides), kappa)
         self.holds_to[rows[defects >= -self.tol + _PRUNE_MARGIN]] = kappa
         failing = defects < -self.tol
         if not failing.any():
             return True
-        worst = np.argsort(defects[failing], kind="stable")[:_WITNESSES]
-        self.witnesses = rows[failing][worst]
+        # failures at or above the bound make no witnesses, so that the probe
+        # at top evaluates, and settles, every row a witness would skip
+        if kappa < self.bound:
+            worst = np.argsort(defects[failing], kind="stable")[:_WITNESSES]
+            self.witnesses = rows[failing][worst]
         return False
 
     def holds(self, kappa: float) -> bool:
         self.probes += 1
-        active = (self.holds_to < kappa) & (kappa < self.vacuous_from)
+        active = self.holds_to < kappa
         witnesses = self.witnesses[active[self.witnesses]]
         active[witnesses] = False
         for rows in (witnesses, np.flatnonzero(active)):
             if len(rows) and not self._holds_on(rows, kappa):
                 return False
-        return True
+        return kappa < self.bound
 
 
-def _kappa_max(holds, kappa: float, held: bool) -> tuple[float, bool]:
-    """Bracket and bisect the largest curvature at which ``holds`` is true.
+def _kappa_max(holds, kappa: float, held: bool, bound: float) -> tuple[float, str]:
+    """The largest probed curvature at which the monotone ``holds`` is true, and its rule.
 
-    ``held`` is the outcome of the first probe, at ``kappa``.  One ladder
-    steps away from kappa by 1, 2, 4 and 8, upward when that probe held and
-    downward when it failed, while the probes agree with it.  The bisection
-    runs from the highest step that held to the first that failed, so
-    ``kappa_max`` is never below a step that held.  Returns ``(kappa_max,
-    censored)``: censored when every probe held, so that ``kappa_max`` is
-    only the top of the probed range (just below ``kappa + 31``), or when
-    even ``kappa - 31`` failed and ``kappa_max`` is -inf.
+    ``held`` is the first probe's outcome, at kappa.  ``top``, the largest
+    float below ``bound``, is probed unless the first probe failed at or
+    below it; if it holds, it is the result by the ``"perimeter"`` rule.
+    Otherwise the bracket, bisected for at most 64 steps or until the
+    midpoint rounds to an end, is [kappa, top] if the first probe held, and
+    else the first holding step down from min(kappa, top) by ``bound * 2**j``
+    (at most 64 steps, else -inf) with the step before it; the rule is then
+    ``"defect"``.  Steps scale with the bound, so the search is scale-free.
+    +inf when the bound is.
     """
-    sign = 1.0 if held else -1.0
-    edge, step = kappa, 1.0
-    while step <= 8.0 and holds(edge + sign * step) == held:
-        edge += sign * step
-        step *= 2.0
-    far = edge + sign * step
+    if bound == math.inf:
+        return math.inf, "perimeter"
+    top = math.nextafter(bound, -math.inf)
+    if (held or kappa > top) and holds(top):
+        return top, "perimeter"
     if held:
-        a, b, censored = edge, far, step > 8.0  # far was never probed
+        a, b = kappa, top
     else:
-        # far held if the ladder stopped short of 16, and is probed again
-        if not holds(far):
-            return -math.inf, True
-        a, b, censored = far, edge, False
-    for _ in range(40):
-        mid = 0.5 * (a + b)
+        b = start = min(kappa, top)
+        for j in range(64):
+            a = start - bound * 2.0**j
+            if holds(a):
+                break
+            b = a
+        else:
+            return -math.inf, "defect"
+    for _ in range(64):
+        mid = 0.5 * a + 0.5 * b
+        if mid in (a, b):
+            break
         if holds(mid):
             a = mid
         else:
             b = mid
-            censored = False
-    return a, censored
+    return a, "defect"
 
 
 def scan_quadruples(
@@ -785,17 +800,13 @@ def scan_quadruples(
 ) -> ScanReport:
     """Minimum quadruple defect over sampled quadruples, plus kappa_max.
 
-    ``kappa_max`` is the largest curvature on a bisection grid for which
-    no sampled quadruple defined there has a defect below -tol (vacuous
-    quadruples count as satisfied).  The first probe, at ``kappa``,
-    evaluates every quadruple and gives the minimum defect and the worst
-    case; each later probe evaluates only its active set (see
-    ``_ActiveSet``), witness rows first, and its outcome equals a pass over
-    every quadruple.
-    ``censored`` marks a ``kappa_max`` that no failing probe bracketed from
-    above (every probe held), or that is -inf; ``work`` counts the probes and the quadruple
-    rows evaluated.  ``tol`` must be finite and nonnegative.  Exhaustive
-    enumeration is available for small point sets.
+    The first probe, at ``kappa``, evaluates every quadruple and gives the
+    verdict, over the quadruples defined there; the rest are ``vacuous``.
+    ``kappa_max`` is the largest probed curvature below ``perimeter_bound``
+    at which no quadruple fails, and ``kappa_max_rule`` names what bounded
+    it (see ``_kappa_max``); ``censored`` marks an infinite one.  ``work``
+    counts the probes and the quadruple rows evaluated.  ``tol`` must be
+    finite and nonnegative.  Exhaustive enumeration suits small point sets.
     """
     k = check_curvature(kappa)
     if samples < 1:
@@ -812,7 +823,9 @@ def scan_quadruples(
         quads = _all_quadruples(m)
     if tol is None:
         tol = 1e-9 if exact else max(1e-9, 24.0 * h_err)
-    search = _ActiveSet(_quad_sides(dist, quads), tol)
+    sides = _quad_sides(dist, quads)
+    bound = _perimeter_bound(sides)
+    search = _ActiveSet(sides, tol, bound)
     held = search.holds(k)
     defects, defined = search.last
     vacuous = int((~defined).sum())
@@ -821,33 +834,18 @@ def scan_quadruples(
         finite = np.where(defined, defects, np.inf)
         i = int(np.argmin(finite))
         min_defect = float(finite[i])
-        q = quads[i]
-        worst = {
-            "p": int(idx[q[0]]),
-            "x": [int(idx[q[1]]), int(idx[q[2]]), int(idx[q[3]])],
-            "distances": {
-                "px": [float(dist[q[0], q[j]]) for j in (1, 2, 3)],
-                "xx": [float(dist[q[1], q[2]]), float(dist[q[2], q[3]]),
-                       float(dist[q[3], q[1]])],
-            },
-        }
+        worst = {"p": int(idx[quads[i, 0]]), "x": idx[quads[i, 1:]].tolist(),
+                 "distances": {"px": [float(d[i]) for d in sides[:3]],
+                               "xx": [float(d[i]) for d in sides[3:]]}}
     else:
         min_defect = math.inf
         worst = {}
-    kappa_max, censored = _kappa_max(search.holds, k, held)
+    kappa_max, rule = _kappa_max(search.holds, k, held, bound)
     return ScanReport(
-        kappa=k,
-        samples=len(quads),
-        evaluated=evaluated,
-        vacuous=vacuous,
-        min_defect=min_defect,
-        worst_case=worst,
-        kappa_max=kappa_max,
-        tol=float(tol),
-        h_err=h_err,
-        exact_metric=exact,
-        subset_size=m,
-        censored=censored,
+        kappa=k, samples=len(quads), evaluated=evaluated, vacuous=vacuous,
+        min_defect=min_defect, worst_case=worst, kappa_max=kappa_max, tol=float(tol),
+        h_err=h_err, exact_metric=exact, subset_size=m, censored=math.isinf(kappa_max),
+        perimeter_bound=bound, kappa_max_rule=rule,
         work={"probes": search.probes, "quadruple_evaluations": search.evaluations},
     )
 
@@ -916,16 +914,15 @@ def local_kappa_domain_check(
     angles are known: measured deviations stay under half the tolerance at
     every window size tried.
 
-    The report counts each skipped sample under its reason (``skips``) and
-    the distance fields computed (``work``): full fields, and fields cut off
-    at a distance limit.  A sample whose triangle has no comparison angle is
-    skipped: ``undefined_angle`` where the model triangle does not exist,
-    ``invalid_triangle`` where the sides break the triangle inequality.
-    The latter happens beside a slit or a removed point: |qs| is the length
-    of a geodesic in U, while |pq| and |ps| are completion distances, whose
-    paths may bend through a point outside U.  A check none of whose samples
-    is feasible (each one skipped before its angles) is vacuous, like one on
-    a ball too small to sample.
+    Every distance and geodesic of a sample is one of U's own graph metric;
+    only the ball is measured in the completion, so its centre may lie
+    outside U.  The report counts the distance fields computed (``work``),
+    full and cut off at a limit, and each skipped sample under its reason
+    (``skips``): ``no_path`` where U separates q, s or p, ``undefined_angle``
+    where a model triangle does not exist, ``invalid_triangle`` where the
+    sides break the triangle inequality, which one metric's do only by
+    rounding.  A check none of whose samples is feasible (each one skipped
+    before its angles) is vacuous, like one on a ball too small to sample.
     """
     k = check_curvature(kappa)
     if samples < 1:
@@ -949,7 +946,7 @@ def local_kappa_domain_check(
     skips = dict.fromkeys(SKIP_REASONS, 0)
     work = {"full_fields": 0, "bounded_fields": 0}
 
-    def distance_field(source, restrict_to_U=False, limit=np.inf):
+    def distance_field(source, restrict_to_U=True, limit=np.inf):
         work["full_fields" if limit == np.inf else "bounded_fields"] += 1
         return space.distance_field(source, restrict_to_U=restrict_to_U, limit=limit)
 
@@ -967,7 +964,7 @@ def local_kappa_domain_check(
             return None
         return angle.tolist()
 
-    d_center = distance_field(center)
+    d_center = distance_field(center, restrict_to_U=False)
     ball = np.flatnonzero((d_center <= radius) & space.in_U)
     if len(ball) < 4:
         skips["small_ball"] = samples
@@ -981,8 +978,7 @@ def local_kappa_domain_check(
     for _ in range(samples if len(ball) >= 4 else 0):
         q, s, p = (int(ball[j]) for j in rng.choice(len(ball), size=3, replace=False))
         try:
-            path = space.shortest_path(q, s, restrict_to_U=True,
-                                       dist_to=distance_field(s, restrict_to_U=True))
+            path = space.shortest_path(q, s, restrict_to_U=True, dist_to=distance_field(s))
         except UnreachableError:
             skips["no_path"] += 1
             continue
@@ -990,13 +986,16 @@ def local_kappa_domain_check(
             skips["short_path"] += 1
             continue
         d_p = distance_field(p)
+        if math.isinf(d_p[q]):
+            skips["no_path"] += 1
+            continue
         if min(d_p[q], d_p[s]) < 3.0 * w:
             skips["endpoint_near_p"] += 1
             continue
         feasible = True
         # base condition: measured angle at q between [qp] and [qs], against
         # the comparison angle at q of the triangle pqs
-        path_qp = space.shortest_path(q, p, dist_to=d_p)
+        path_qp = space.shortest_path(q, p, restrict_to_U=True, dist_to=d_p)
         y_qp = path_qp.vertex_at_arc(w)
         y_qs = path.vertex_at_arc(w)
         d_q = distance_field(q, limit=near)
@@ -1016,7 +1015,7 @@ def local_kappa_domain_check(
         x = path.vertices[j]
         d_x = distance_field(x, limit=near)
         y_back, y_fwd = path.vertices_at_arcs(np.array([arcs[j] - w, arcs[j] + w]))
-        path_xp = space.shortest_path(x, p, dist_to=d_p)
+        path_xp = space.shortest_path(x, p, restrict_to_U=True, dist_to=d_p)
         y_xp = path_xp.vertex_at_arc(w)
         split = angles(sides(y_back, y_xp, d_x), sides(y_fwd, y_xp, d_x))
         if split is None:

@@ -224,8 +224,11 @@ def test_space_scan_exit_codes(runner, tmp_path):
     rep = json.loads(good.read_text())
     assert rep["result"]["min_defect"] >= -1e-6
     assert rep["result"]["censored"] is False
+    # a defect fails just above 1, below the perimeter bound
+    assert rep["result"]["kappa_max_rule"] == "defect"
+    assert 1.0 <= rep["result"]["kappa_max"] < rep["result"]["perimeter_bound"]
     work = rep["result"]["work"]
-    assert set(work) == {"probes", "quadruple_evaluations"} and work["probes"] > 40
+    assert set(work) == {"probes", "quadruple_evaluations"} and work["probes"] > 2
 
     bad = tmp_path / "scan2.json"
     res = _run(runner, ["space", "scan", "--input", str(pts), "--kappa", "1.5",
@@ -284,8 +287,9 @@ def test_space_local_check(runner, tmp_path):
 
 
 def test_local_check_beside_a_slit_writes_its_report(runner, tmp_path):
-    # |qs| is measured in U, |pq| and |ps| through the slit's tips: the
-    # triangle pqs of one sample breaks the triangle inequality
+    # every side is measured in U: the sample whose triangle pqs broke the
+    # triangle inequality while |pq| and |ps| ran through the slit's tips is
+    # evaluated
     grid, out = tmp_path / "slit.json", tmp_path / "check.json"
     res = _run(runner, ["domain", "generate", "--kind", "punctured", "--h", "0.0625",
                         "--side", "2", "--stencil-radius", "2", "--remove-point", "1,1",
@@ -296,7 +300,7 @@ def test_local_check_beside_a_slit_writes_its_report(runner, tmp_path):
                         "-o", str(out), "--no-timestamp"])
     assert res.exit_code in (0, 1), res.output
     result = json.loads(out.read_text())["result"]
-    assert result["skips"]["invalid_triangle"] > 0
+    assert result["skips"]["invalid_triangle"] == 0 and result["evaluated"] == 12
     assert sum(result["skips"].values()) == result["skipped"]
 
 
@@ -498,6 +502,48 @@ def test_csv_scan_imports_no_scipy(tmp_path):
                           "--kappa", "0", "--samples", "200", "-o", str(tmp_path / "scan.json")],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "False"
+
+
+# set-ups and commands of the BLAS lever test, each run in its working directory
+_LEVER_ARGVS = [
+    ["domain", "generate", "--kind", "cap", "--r", "1.2566", "--h", "0.12", "--seed", "3",
+     "-o", "cap.json"],
+    ["domain", "generate", "--kind", "cap", "--r", "2.8274", "--h", "0.3", "--seed", "4",
+     "-o", "wide_cap.json"],
+    ["space", "scan", "--input", "wide_cap.json", "--kappa", "1", "--samples", "5000",
+     "--subset", "200", "--seed", "5", "--no-timestamp", "-o", "scan.json"],
+    ["convexity", "estimate", "--input", "cap.json", "--kind", "prob", "--p", "10", "--q", "100",
+     "--s", "200", "--no-timestamp", "-o", "convexity.json"],
+]
+
+
+def test_files_and_reports_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OPENBLAS_CORETYPE acts only on the child that sets it; at the parent of
+    # this test all four files differed under it, through the cap generator's
+    # BLAS dot products
+    child = ("import json, sys\n"
+             "from alexkit.cli import main\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    try:\n"
+             "        main.main(args=argv, prog_name='alexkit', standalone_mode=True)\n"
+             "    except SystemExit as exc:\n"
+             "        assert exc.code in (0, 1), (argv, exc.code)\n")
+    src = str(pathlib.Path(alexkit.__file__).resolve().parent.parent)
+    files = {}
+    for lever in ("native", "Haswell"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = src
+        if lever != "native":
+            env["OPENBLAS_CORETYPE"] = lever
+        cwd = tmp_path / lever
+        cwd.mkdir()
+        subprocess.run([sys.executable, "-c", child, json.dumps(_LEVER_ARGVS)], cwd=cwd,
+                       env=env, capture_output=True, text=True, check=True)
+        files[lever] = {f.name: f.read_bytes() for f in sorted(cwd.iterdir())}
+    assert sorted(files["native"]) == ["cap.json", "convexity.json", "scan.json",
+                                       "wide_cap.json"]
+    for name, data in files["native"].items():
+        assert files["Haswell"][name] == data, name
 
 
 @pytest.mark.parametrize("options", [
