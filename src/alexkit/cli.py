@@ -76,6 +76,15 @@ def _report_command(group, name):
     return decorate
 
 
+def _refuse_unread(mode, unread):
+    """A usage error for the first ``unread`` parameter given on the command line."""
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        source = ctx.get_parameter_source(param.name)
+        if param.name in unread and source is ParameterSource.COMMANDLINE:
+            raise GeometryError(f"the {mode} does not read {param.opts[0]}")
+
+
 @click.group()
 def main():
     """Comparison-geometry toolkit."""
@@ -129,10 +138,7 @@ def lemma_verify(which, trials, scale, kappa_min, kappa_max, a_min, a_max, segme
         "alexandrov": (comparison.verify_alexandrov,
                        {"kappas": (-1.0, 0.0, 1.0), "tol": 1e-9}, {}),
     }[which]
-    ctx = click.get_current_context()
-    for option, param in _SWEEP_OPTIONS.items():
-        if param not in params and ctx.get_parameter_source(option) is ParameterSource.COMMANDLINE:
-            raise GeometryError(f"the {which} sweep does not read --{option.replace('_', '-')}")
+    _refuse_unread(f"{which} sweep", {o for o, p in _SWEEP_OPTIONS.items() if p not in params})
     rep = sweep(trials, seed=seed, **params)
     config = {"which": which, "trials": trials, "seed": seed, **params, **constants}
     return config, rep.to_dict(), rep.passed, {"tolerances": rep.tolerances}
@@ -291,21 +297,20 @@ def convexity_group():
 def convexity_estimate(path, kind, p_id, q_id, s_id, step, slack, samples, emit_samples,
                        seed):
     """Estimate the connectable fraction along a geodesic or over the domain."""
+    _refuse_unread(f"{kind} estimate", {"prob": ("samples", "seed"),
+                                        "ae": ("q_id", "s_id", "step", "emit_samples")}[kind])
     sp = _load_graph(path, p=p_id, q=q_id, s=s_id)
     if kind == "prob":
         if q_id is None or s_id is None:
             raise GeometryError("prob estimate needs --q and --s")
         rep = convexity.prob_convexity(sp, p_id, q_id, s_id, step=step, slack=slack,
                                        keep_series=emit_samples)
+        read = {"q": q_id, "s": s_id, "step": step}
     else:
-        # the ae estimate samples no geodesic, but the config echoes a given
-        # step, so it is checked as the prob estimate checks it
-        if step is not None:
-            convexity._step(sp, step)
         rep = convexity.ae_convexity_estimate(sp, p_id, samples=samples, slack=slack,
                                               seed=seed)
-    config = {"input": str(path), "kind": kind, "p": p_id, "q": q_id, "s": s_id,
-              "step": step, "slack": slack, "samples": samples, "seed": seed}
+        read = {"samples": samples, "seed": seed}
+    config = {"input": str(path), "kind": kind, "p": p_id, "slack": slack, **read}
     return config, rep.to_dict(), None, {"tolerances": {"slack": rep.slack}, "h_err": sp.h_err}
 
 

@@ -156,6 +156,14 @@ def _read_graph_file(path):
     return coords, in_u, edges, weights, meta
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added left to right: the same bits under every kernel."""
+    total = a[..., 0]
+    for i in range(1, a.shape[-1]):
+        total = total + a[..., i]
+    return total
+
+
 def great_circle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Great-circle distances between unit vectors, broadcast over leading axes.
 
@@ -413,17 +421,14 @@ class DiscreteLengthSpace:
                       dist_to: np.ndarray | None = None) -> GeodesicPath:
         """Deterministic minimal path from src to dst.
 
-        Walks the shortest-path DAG from the source over the CSR matrix of
-        the requested graph (the restricted matrix holds exactly the U-U
-        edges), preferring at each step the neighbor nearest the straight
-        chord between the endpoint embeddings; ties and coordinate-free
-        spaces fall back to the lowest vertex index.  The chord key is
-        computed with ``np.dot``, so which of two exactly tied neighbors
-        wins is decided by its rounding and may differ between BLAS kernels
-        and CPUs.  A caller that already holds ``distance_field(dst,
-        restrict_to_U)`` passes it as ``dist_to``.  Raises
-        :class:`UnreachableError` when the requested subgraph separates the
-        endpoints.
+        Walks the CSR rows of the requested graph (the restricted matrix holds the
+        U-U edges).  With D the distances to dst, v is a DAG neighbor of u at weight
+        w when ``|w + D[v] - D[u]| <= 1e-12 * total`` and ``D[v] < D[u]``.  Their key
+        is the squared distance to the chord between the endpoint embeddings, in
+        fixed-order arithmetic; keys within ``1e-12 * total**2`` of the least tie,
+        and the lowest id wins, as it does without coordinates.  Takes ``dist_to =
+        distance_field(dst, restrict_to_U)`` when the caller holds it, and raises
+        :class:`UnreachableError` when the requested subgraph separates the ends.
         """
         if restrict_to_U and not (self.in_U[src] and self.in_U[dst]):
             raise UnreachableError("endpoints must carry the in_U flag for restricted paths")
@@ -434,47 +439,33 @@ class DiscreteLengthSpace:
             raise UnreachableError(f"no path from {src} to {dst} in the requested subgraph")
         g = self._graph_u if restrict_to_U else self._graph
         indptr, indices, data = g.indptr, g.indices, g.data
-        chord = None
-        if self.coords is not None and src != dst:
-            p0 = self.coords[src]
-            p1 = self.coords[dst]
-            direction = p1 - p0
-            nrm = np.linalg.norm(direction)
-            if nrm > 0.0:
-                chord = (p0, direction / nrm)
-        verts = [src]
-        arcs = [0.0]
-        u = src
-        walked = 0.0
-        # strict per-step tolerance: edges on a true shortest path satisfy
-        # w + D[v] = D[u] up to summation roundoff only; anything looser
-        # accumulates into a genuinely longer walk
-        tol = 1e-12 * (1.0 + total)
+        coords, proj = self.coords, None
+        if coords is not None:
+            p0, chord = coords[src], coords[dst] - coords[src]
+            chord2 = _row_sums(chord * chord)
+            if chord2 > 0.0:
+                proj = chord / chord2
+        tol = 1e-12 * total
+        verts, steps, u = [src], [0.0], src
         while u != dst:
             lo, hi = indptr[u], indptr[u + 1]
-            nbrs = indices[lo:hi]
-            ws = data[lo:hi]
-            dv = dist_to[nbrs]
-            du = dist_to[u]
-            on_dag = np.isfinite(dv) & (np.abs((ws + dv) - du) <= tol) & (dv < du)
-            candidates = []
-            for v, w in zip(nbrs[on_dag].tolist(), ws[on_dag].tolist()):
-                key = 0.0
-                if chord is not None:
-                    off = self.coords[v] - chord[0]
-                    perp = off - np.dot(off, chord[1]) * chord[1]
-                    key = float(np.dot(perp, perp))
-                candidates.append((key, v, w))
-            if not candidates:
-                raise UnreachableError(
-                    f"shortest-path walk stalled at vertex {u}; inconsistent field"
-                )
-            _, v, w = min(candidates)
-            walked += w
-            verts.append(v)
-            arcs.append(walked)
-            u = v
-        return GeodesicPath(vertices=verts, arc_lengths=np.asarray(arcs), length=total)
+            nbrs, ws = indices[lo:hi], data[lo:hi]
+            dv, du = dist_to.take(nbrs), dist_to[u]
+            on = ((abs(ws + dv - du) <= tol) & (dv < du)).nonzero()[0]
+            if not len(on):
+                raise UnreachableError(f"walk stalled at vertex {u}; inconsistent field")
+            if len(on) > 1 and proj is not None:
+                off = coords.take(nbrs[on], axis=0) - p0
+                perp = off - _row_sums(off * proj)[:, None] * chord
+                key = _row_sums(perp * perp)
+                on = on[key <= min(key.tolist()) + tol * total]
+            # a CSR row lists its column ids in ascending order
+            j = on[0]
+            u = int(nbrs[j])
+            verts.append(u)
+            steps.append(ws[j])
+        # cumsum adds in order, as a running sum would
+        return GeodesicPath(vertices=verts, arc_lengths=np.cumsum(steps), length=total)
 
     # -- serialization
 
@@ -982,14 +973,16 @@ def local_kappa_domain_check(
         except UnreachableError:
             skips["no_path"] += 1
             continue
-        if path.length < 4.0 * w:
+        # a lattice length often equals a window multiple: the slack outlasts rescaling
+        slack = 1e-12 * path.length
+        if path.length < 4.0 * w - slack:
             skips["short_path"] += 1
             continue
         d_p = distance_field(p)
         if math.isinf(d_p[q]):
             skips["no_path"] += 1
             continue
-        if min(d_p[q], d_p[s]) < 3.0 * w:
+        if min(d_p[q], d_p[s]) < 3.0 * w - slack:
             skips["endpoint_near_p"] += 1
             continue
         feasible = True
@@ -1006,8 +999,9 @@ def local_kappa_domain_check(
         # split condition at an interior path vertex away from both ends
         arcs = path.arc_lengths
         mid = slice(1, len(arcs) - 1)
-        inner = 1 + np.flatnonzero((w <= arcs[mid]) & (arcs[mid] <= path.length - w)
-                                   & (d_p[path.vertices[mid]] >= 3.0 * w))
+        inner = 1 + np.flatnonzero((w - slack <= arcs[mid])
+                                   & (arcs[mid] <= path.length - w + slack)
+                                   & (d_p[path.vertices[mid]] >= 3.0 * w - slack))
         if not len(inner):
             skips["no_inner_vertex"] += 1
             continue

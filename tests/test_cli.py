@@ -327,12 +327,30 @@ def test_convexity_estimate_and_series(runner, tmp_path, cap_file):
     assert res.exit_code == 0
     rep = json.loads(out.read_text())
     assert rep["result"]["probability"] == 1.0
+    assert sorted(rep["config"]) == ["input", "kind", "p", "q", "s", "slack", "step"]
     csv_out = tmp_path / "conv.csv"
     res = _run(runner, ["plot", "emit", "--input", str(out), "--series", "series",
                         "-o", str(csv_out)])
     assert res.exit_code == 0
     header = csv_out.read_text().splitlines()[0]
     assert header == "arc_length,connectable"
+
+
+_PROB = ["--p", "0", "--q", "1", "--s", "2"]
+_AE_P = ["--kind", "ae", "--p", "0"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (_PROB + ["--samples", "10"], "--samples"), (_PROB + ["--seed", "3"], "--seed"),
+    (_AE_P + ["--q", "1"], "--q"), (_AE_P + ["--s", "2"], "--s"),
+    (_AE_P + ["--emit-samples"], "--emit-samples"),
+], ids=["prob-samples", "prob-seed", "ae-q", "ae-s", "ae-emit-samples"])
+def test_convexity_estimate_names_an_option_its_kind_does_not_read(runner, cap_file, argv,
+                                                                   option):
+    res = _run(runner, ["convexity", "estimate", "--input", str(cap_file), *argv])
+    kind = "ae" if "ae" in argv else "prob"
+    assert res.exit_code == 2
+    assert f"Error: the {kind} estimate does not read {option}" in res.output.splitlines()
 
 
 def test_convexity_ae_and_search(runner, tmp_path, cap_file):
@@ -343,7 +361,9 @@ def test_convexity_ae_and_search(runner, tmp_path, cap_file):
                         "--kind", "ae", "--p", str(in_u[5]), "--samples", "300",
                         "-o", str(out), "--no-timestamp"])
     assert res.exit_code == 0
-    assert json.loads(out.read_text())["result"]["probability"] == 1.0
+    rep = json.loads(out.read_text())
+    assert rep["result"]["probability"] == 1.0
+    assert sorted(rep["config"]) == ["input", "kind", "p", "samples", "seed", "slack"]
     out = tmp_path / "search.json"
     res = _run(runner, ["convexity", "search", "--input", str(cap_file),
                         "--p", str(in_u[0]), "--q", str(in_u[7]), "--s", str(in_u[31]),
@@ -514,13 +534,19 @@ _LEVER_ARGVS = [
      "--subset", "200", "--seed", "5", "--no-timestamp", "-o", "scan.json"],
     ["convexity", "estimate", "--input", "cap.json", "--kind", "prob", "--p", "10", "--q", "100",
      "--s", "200", "--no-timestamp", "-o", "convexity.json"],
+    ["domain", "generate", "--kind", "punctured", "--h", "0.0625", "--side", "2",
+     "--stencil-radius", "3", "--remove-segment", "0.5,1.3,1.5,1.3", "-o", "slit.json"],
+    ["space", "local-check", "--input", "slit.json", "--center", "544", "--radius", "1.6",
+     "--kappa", "0", "--samples", "6", "--seed", "2", "--no-timestamp", "-o", "local.json"],
 ]
 
 
 def test_files_and_reports_do_not_depend_on_the_blas_kernel(tmp_path):
-    # OPENBLAS_CORETYPE acts only on the child that sets it; at the parent of
-    # this test all four files differed under it, through the cap generator's
-    # BLAS dot products
+    # OPENBLAS_CORETYPE acts only on the child that sets it, Haswell with FMA
+    # kernels and Nehalem without; when this test came in, the four cap,
+    # scan and convexity files differed under Haswell, through the cap
+    # generator's BLAS dot products.  The slit square's local check walks
+    # geodesics whose chord ties were once decided by np.dot.
     child = ("import json, sys\n"
              "from alexkit.cli import main\n"
              "for argv in json.loads(sys.argv[1]):\n"
@@ -530,7 +556,7 @@ def test_files_and_reports_do_not_depend_on_the_blas_kernel(tmp_path):
              "        assert exc.code in (0, 1), (argv, exc.code)\n")
     src = str(pathlib.Path(alexkit.__file__).resolve().parent.parent)
     files = {}
-    for lever in ("native", "Haswell"):
+    for lever in ("native", "Haswell", "Nehalem"):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
         env["PYTHONPATH"] = src
         if lever != "native":
@@ -540,10 +566,11 @@ def test_files_and_reports_do_not_depend_on_the_blas_kernel(tmp_path):
         subprocess.run([sys.executable, "-c", child, json.dumps(_LEVER_ARGVS)], cwd=cwd,
                        env=env, capture_output=True, text=True, check=True)
         files[lever] = {f.name: f.read_bytes() for f in sorted(cwd.iterdir())}
-    assert sorted(files["native"]) == ["cap.json", "convexity.json", "scan.json",
-                                       "wide_cap.json"]
-    for name, data in files["native"].items():
-        assert files["Haswell"][name] == data, name
+    assert sorted(files["native"]) == ["cap.json", "convexity.json", "local.json", "scan.json",
+                                       "slit.json", "wide_cap.json"]
+    for lever in ("Haswell", "Nehalem"):
+        for name, data in files["native"].items():
+            assert files[lever][name] == data, (lever, name)
 
 
 @pytest.mark.parametrize("options", [
@@ -664,6 +691,8 @@ def test_bad_parameters_exit_2(runner, tmp_path, dense_file, cap_file, argv):
         assert "at least one sample" in res.output
     if "1e-300" in argv:
         assert "step 1e-300 would sample the geodesic of length" in res.output
+    if "ae" in argv and "--step" in argv:  # refused unread, before the value is checked
+        assert "the ae estimate does not read --step" in res.output
 
 
 @pytest.mark.parametrize("argv", [
@@ -842,9 +871,9 @@ _FUZZ_COMMANDS = {
          "--kappa": ["0"], "--samples": ["4"]},
         {"--h-angle": ["3", "4"]}),
     ("convexity", "estimate"): (
-        {"--input": ["cap.json"], "--p": _IDS, "--q": _IDS, "--s": _IDS, "--samples": ["50"]},
-        {"--kind": ["prob", "ae"], "--step": ["0.05"],
-         "--slack": ["0.01"], "--emit-samples": []}),
+        {"--input": ["cap.json"], "--p": _IDS},
+        {"--kind": ["prob", "ae"], "--q": _IDS, "--s": _IDS, "--step": ["0.05"],
+         "--slack": ["0.01"], "--samples": ["50"], "--emit-samples": []}),
     ("convexity", "search"): (
         {"--input": ["cap.json"], "--p": _IDS, "--q": _IDS, "--s": _IDS, "--epsilon": ["0.3"],
          "--candidates": ["3"]},

@@ -240,8 +240,10 @@ def test_unreachable_raises(punctured_square):
 def _reference_walk(space, adj, src, dst, restrict_to_U):
     """Adjacency-list walk of the shortest-path DAG over undirected Dijkstra.
 
-    Pure-Python reference for ``shortest_path``; None when unreachable or
-    stalled.
+    Pure-Python reference for ``shortest_path`` with its DAG test and tie
+    rule, the chord keys summed by ``math.fsum``: a match also shows that
+    the choice does not depend on summation order.  None when unreachable
+    or stalled.
     """
     edges, weights = space.edges, space.weights
     if restrict_to_U:
@@ -253,28 +255,28 @@ def _reference_walk(space, adj, src, dst, restrict_to_U):
     total = float(dist_to[src])
     if not math.isfinite(total):
         return None
-    p0 = space.coords[src]
-    direction = space.coords[dst] - p0
-    unit = direction / np.linalg.norm(direction)
+    p0 = space.coords[src].tolist()
+    chord = [b - a for a, b in zip(p0, space.coords[dst].tolist())]
+    chord2 = math.fsum(c * c for c in chord)
     verts, arcs, u, walked = [src], [0.0], src, 0.0
-    tol = 1e-12 * (1.0 + total)
+    tol = 1e-12 * total
     while u != dst:
-        best_key, best = None, None
+        keys = {}
         for v, w in adj[u]:
             dv = dist_to[v]
             if restrict_to_U and not space.in_U[v] or not math.isfinite(dv):
                 continue
             if abs((w + dv) - dist_to[u]) > tol or dv >= dist_to[u]:
                 continue
-            off = space.coords[v] - p0
-            perp = off - np.dot(off, unit) * unit
-            key = (float(np.dot(perp, perp)), v)
-            if best_key is None or key < best_key:
-                best_key, best = key, (v, w)
-        if best is None:
+            off = [x - a for x, a in zip(space.coords[v].tolist(), p0)]
+            t = math.fsum(o * c for o, c in zip(off, chord)) / chord2
+            keys[v] = (math.fsum((o - t * c) ** 2 for o, c in zip(off, chord)), w)
+        if not keys:
             return None
-        u, w = best
-        walked += w
+        # keys within 1e-12 * total**2 of the least tie; the lowest id wins
+        least = min(key for key, _ in keys.values())
+        u = min(v for v, (key, _) in keys.items() if key <= least + tol * total)
+        walked += keys[u][1]
         verts.append(u)
         arcs.append(walked)
     return verts, arcs, total
@@ -1061,6 +1063,62 @@ def test_scan_is_scale_invariant_under_powers_of_two(wide_cap, k, carrier):
     assert rep.perimeter_bound * c**2 == ref.perimeter_bound
 
 
+@pytest.fixture(scope="module")
+def stencil3_grid():
+    # side 2, h 1/48, stencil radius 3, one point removed: most walk steps
+    # there choose among exactly tied chord keys
+    return generate(DomainSpec(kind="punctured", resolution=1 / 48, side=2.0,
+                               stencil_radius=3, removed_points=((1.13, 1.07),)), seed=0)
+
+
+@pytest.mark.parametrize("name", ["stencil3_grid", "wide_cap"])
+def test_geodesics_do_not_change_under_rescaling(request, name):
+    # with np.dot chord keys and an absolute DAG tolerance, 19-29 of 150 grid
+    # paths changed under each decimal scaling
+    sp = request.getfixturevalue(name)
+    rng = np.random.default_rng(7)
+    uids = np.flatnonzero(sp.in_U)
+    # 15 destinations with 5 sources each, restricted and not: 150 pairs
+    walks = []
+    for restrict in (False, True):
+        pool = uids if restrict else np.arange(sp.n_vertices)
+        for b in rng.choice(pool, 15, replace=False).tolist():
+            walks.append((restrict, b, rng.choice(pool, 5).tolist()))
+
+    def paths(space):
+        return [space.shortest_path(a, b, restrict, dist_to=field).vertices
+                for restrict, b, sources in walks
+                for field in [space.distance_field(b, restrict_to_U=restrict)]
+                for a in sources]
+
+    ref = paths(sp)
+    for c in (2**-4, 2**-1, 2**3, 0.01, 0.1, 3.0, 10.0, 100.0):
+        got = paths(_scaled(sp, c))
+        assert got == ref, (c, sum(g != r for g, r in zip(got, ref)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_local_check_is_scale_invariant(stencil3_grid, seed):
+    # angles, counts and ids are scale-free.  When walk ties were decided by
+    # rounding, seed 0 at c = 0.1 read base_worst 0.142 against 0.105; when
+    # the window tests had no slack, seed 3 at c = 0.1 or 10 split at another
+    # vertex
+    center = stencil3_grid.nearest_vertex([1.0, 1.0])
+    args = {"kappa": 0.0, "samples": 6, "h_angle": 3, "seed": seed}
+    ref = local_kappa_domain_check(stencil3_grid, center, 1.6, **args)
+    for c in (2**-3, 0.1, 10.0):
+        rep = local_kappa_domain_check(_scaled(stencil3_grid, c), center, 1.6 * c, **args)
+        for name in ("evaluated", "vacuous", "skips", "work", "base_violations",
+                     "split_violations"):
+            assert getattr(rep, name) == getattr(ref, name), (c, name)
+        assert rep.worst_case.keys() == ref.worst_case.keys()
+        for key, value in ref.worst_case.items():
+            assert rep.worst_case[key] == (pytest.approx(value, abs=1e-6) if key == "gap"
+                                           else value), (c, key)
+        for name in ("base_worst", "split_worst"):
+            assert getattr(rep, name) == pytest.approx(getattr(ref, name), abs=1e-6), (c, name)
+
+
 # perfbench's sphere scan at workload seeds 32, 67 and 82: (generator seed,
 # scan seed); the chord form of great_circle gave min_defect -1.6e-9, -2.7e-9
 # and -9.6e-9 there, below the tolerance of 1e-9
@@ -1297,14 +1355,15 @@ def _local_check_reference(space, center, radius, kappa, samples, h_angle, seed)
         except UnreachableError:
             skips["no_path"] += 1
             continue
-        if path.length < 4.0 * w:
+        slack = 1e-12 * path.length
+        if path.length < 4.0 * w - slack:
             skips["short_path"] += 1
             continue
         d_p = distance_field(p)
         if d_p[q] == np.inf:
             skips["no_path"] += 1
             continue
-        if min(d_p[q], d_p[s]) < 3.0 * w:
+        if min(d_p[q], d_p[s]) < 3.0 * w - slack:
             skips["endpoint_near_p"] += 1
             continue
         feasible = True
@@ -1316,8 +1375,9 @@ def _local_check_reference(space, center, radius, kappa, samples, h_angle, seed)
             base_gap = rhs - lhs
             arcs = path.arc_lengths
             mid = slice(1, len(arcs) - 1)
-            inner = 1 + np.flatnonzero((w <= arcs[mid]) & (arcs[mid] <= path.length - w)
-                                       & (d_p[path.vertices[mid]] >= 3.0 * w))
+            inner = 1 + np.flatnonzero((w - slack <= arcs[mid])
+                                       & (arcs[mid] <= path.length - w + slack)
+                                       & (d_p[path.vertices[mid]] >= 3.0 * w - slack))
             if not len(inner):
                 skips["no_inner_vertex"] += 1
                 continue
