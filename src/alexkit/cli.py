@@ -46,7 +46,8 @@ def _report_command(group, name):
     The decorated body takes its own options and ``seed``, and returns
     ``(config, result, passed, extras)``: the run configuration, the result
     dict, the report's verdict (``None`` for a report without one) and the
-    envelope's ``tolerances``/``h_err``.  The runner adds ``--seed``,
+    envelope's ``tolerances``/``h_err``.  The envelope records ``seed``
+    only when the configuration holds one.  The runner adds ``--seed``,
     ``-o/--output`` and ``--no-timestamp``, writes or echoes the envelope,
     and exits 1 exactly when the verdict is false.
     """
@@ -59,7 +60,8 @@ def _report_command(group, name):
         def run(output, no_timestamp, **params):
             with _usage_errors():
                 config, result, passed, extras = body(**params)
-                env = reporting.make_envelope(command_name, config, result, seed=params["seed"],
+                env = reporting.make_envelope(command_name, config, result,
+                                              seed=config.get("seed"),
                                               timestamp=not no_timestamp, **extras)
                 if output is None:
                     click.echo(reporting.dump_canonical(env), nl=False)

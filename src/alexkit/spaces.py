@@ -10,10 +10,21 @@ angles at a small fixed arc scale.
 
 A graph space is stored as one compact JSON object: a vertex table of
 ``{"in_U": bool, "xy"|"xyz": [...]}`` entries, the generator's ``meta``,
-and an ``edges`` object whose ``ij`` and ``w`` members are base64 strings
-of the little-endian int32 endpoint pairs and float64 weights, with their
-``count``.  Older files that list edges as ``[i, j, w]`` triples are
-refused with the ``domain generate`` command that rebuilds them.
+and an ``edges`` object holding the upper triangle of the weighted
+adjacency matrix in CSR form.  Each edge is stored once, in the row of its
+lower vertex id, and the columns of a row ascend.  Its members are base64
+strings of little-endian arrays: ``indptr``, the n + 1 int32 row offsets;
+``indices``, the ``indptr[-1]`` int32 columns; ``w``, the ``indptr[-1]``
+float64 weights.  A load decodes the three arrays and hands them to the
+space as they are; a space built from endpoint pairs sorts them into the
+same arrays once.  Either way the space checks that the offsets rise from
+0 to the column count, that every column lies above its row and below n
+and rises strictly within its row (no self-loops, no duplicate edges), that
+the weights are positive and finite, that the graph is connected, and that
+the weights match the embedding.  Files whose edge table is an ``ij``
+endpoint list or a list of ``[i, j, w]`` triples, both written by earlier
+versions, are refused with the ``domain generate`` command that rebuilds
+them.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ import json
 import math
 import shlex
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations
 
 import numpy as np
@@ -55,22 +67,36 @@ def dijkstra(csgraph, **options):
     return csgraph_dijkstra(csgraph, **options)
 
 
-def _symmetric_csr(edges: np.ndarray, weights: np.ndarray, n: int):
-    """n-by-n scipy CSR matrix holding each weighted edge in both directions."""
-    from scipy.sparse import csr_matrix
+def _upper_csr(edges, weights, n: int):
+    """The upper-triangle CSR arrays ``(indptr, indices, w)`` of weighted endpoint pairs.
 
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    vals = np.concatenate([weights, weights])
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+    A pair may come in either orientation and the pairs in any order: each
+    goes to the row of its lower id, and the rows and the columns within
+    each row ascend.  Self-loops and duplicates are kept, for
+    :meth:`DiscreteLengthSpace.validate` to refuse.
+    """
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (len(pairs),):
+        raise GeometryError(f"{len(pairs)} edges need as many weights, got shape {w.shape}")
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise GeometryError("edge endpoint out of range")
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    order = np.argsort(lo * n + hi, kind="stable")
+    index = np.int32 if max(n, len(pairs)) < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(lo, minlength=n), out=indptr[1:])
+    return indptr, hi[order].astype(index), w[order]
 
 
 def _induced_csr(graph, keep: np.ndarray):
     """The entries of a CSR matrix whose row and column both carry the ``keep`` flag.
 
-    Equals a fresh :func:`_symmetric_csr` build of the kept edges, array for
-    array, without a second COO-to-CSR conversion.
+    ``graph`` itself when every vertex is kept; otherwise the kept entries
+    in a new matrix, without a second transpose or sort.
     """
+    if keep.all():
+        return graph
     from scipy.sparse import csr_matrix
 
     indptr, indices = graph.indptr, graph.indices
@@ -84,12 +110,16 @@ def _b64(arr: np.ndarray, dtype: str) -> str:
     return base64.b64encode(np.ascontiguousarray(arr, dtype=dtype).tobytes()).decode("ascii")
 
 
-def _unb64(text, dtype: str, items: int, name: str) -> np.ndarray:
-    """``items`` values of ``dtype`` from a base64 member of a graph file's edge table."""
-    raw = base64.b64decode(text, validate=True)
-    need = np.dtype(dtype).itemsize * items
+def _unb64(table: dict, name: str, dtype: str, items: int | None = None) -> np.ndarray:
+    """The ``dtype`` values of the base64 member ``name`` of a graph file's edge table.
+
+    Exactly ``items`` of them when given, else any whole number.
+    """
+    raw = base64.b64decode(table[name], validate=True)
+    size = np.dtype(dtype).itemsize
+    need = size * (len(raw) // size if items is None else items)
     if len(raw) != need:
-        raise GeometryError(f"edges.{name} holds {len(raw)} bytes where its count needs {need}")
+        raise GeometryError(f"edges.{name} holds {len(raw)} bytes where {need} are needed")
     return np.frombuffer(raw, dtype=dtype)
 
 
@@ -117,10 +147,10 @@ def _regenerate_hint(meta, path) -> str:
 
 
 def _read_graph_file(path):
-    """The constructor arguments ``(coords, in_U, edges, weights, meta)`` of a graph file.
+    """The arguments ``(coords, in_U, indptr, indices, w, meta)`` of a graph file's space.
 
-    Checks the JSON types and the edge table's encoding; the constructor
-    checks the graph itself.
+    Checks the JSON types and the byte lengths of the edge table's arrays;
+    the space checks the graph itself.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -136,16 +166,14 @@ def _read_graph_file(path):
         if n and ("xy" in verts[0] or "xyz" in verts[0]):
             key = "xy" if "xy" in verts[0] else "xyz"
             coords = np.array([v[key] for v in verts], dtype=float)
-        if isinstance(table, list):
-            raise GeometryError(f"{path} lists its edges as [i, j, w] triples, a format "
-                                f"no longer read; {_regenerate_hint(meta, path)}")
+        if isinstance(table, list) or (isinstance(table, dict) and "ij" in table):
+            raise GeometryError(f"{path} holds an edge table in a format no longer read; "
+                                f"{_regenerate_hint(meta, path)}")
         if not isinstance(table, dict):
-            raise GeometryError('edges must be an object {"count", "ij", "w"}')
-        count = table["count"]
-        if type(count) is not int or count < 0:
-            raise GeometryError("edges.count must be a nonnegative integer")
-        edges = _unb64(table["ij"], "<i4", 2 * count, "ij")
-        weights = _unb64(table["w"], "<f8", count, "w")
+            raise GeometryError('edges must be an object {"indptr", "indices", "w"}')
+        indptr = _unb64(table, "indptr", "<i4", n + 1)
+        indices = _unb64(table, "indices", "<i4")
+        weights = _unb64(table, "w", "<f8", len(indices))
     except GeometryError:
         raise
     except UnicodeDecodeError as exc:
@@ -153,7 +181,7 @@ def _read_graph_file(path):
         raise GeometryError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     except (ValueError, KeyError, TypeError, IndexError, OverflowError) as exc:
         raise GeometryError(f"malformed length-space file: {exc!r}") from exc
-    return coords, in_u, edges, weights, meta
+    return coords, in_u, indptr, indices, weights, meta
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -342,27 +370,58 @@ class DiscreteLengthSpace:
     by the ``in_U`` flags stands for the open domain itself.  Edge weights
     must match embedded segment lengths when coordinates are present, so
     graph distances always dominate the ambient metric.
+
+    ``edges`` are endpoint pairs in any order and orientation; the space
+    holds them once, as the upper triangle of the weighted adjacency matrix
+    in CSR form (see the module docstring), which is what a graph file
+    stores and what :meth:`load` reads back without a sort.
     """
 
     def __init__(self, coords, in_U, edges, weights, meta=None):
+        in_u = np.asarray(in_U, dtype=bool)
+        self._setup(coords, in_u, *_upper_csr(edges, weights, len(in_u)), meta)
+
+    def _setup(self, coords, in_U, indptr, indices, weights, meta) -> None:
+        """Take the upper-triangle CSR arrays as they are, and validate them."""
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
         self.in_U = np.asarray(in_U, dtype=bool)
-        self.edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        self.weights = np.asarray(weights, dtype=float)
         self.meta = dict(meta or {})
-        n = self.in_U.shape[0]
-        self._n = n
-        if self.edges.max(initial=-1) >= n or self.edges.min(initial=0) < 0:
-            raise GeometryError("edge endpoint out of range")
-        self._graph = _symmetric_csr(self.edges, self.weights, n)
-        self._graph_u = _induced_csr(self._graph, self.in_U)
+        self._n = self.in_U.shape[0]
+        self._indptr, self._indices, self.weights = indptr, indices, weights
         self.validate()
+
+    @cached_property
+    def _graph(self):
+        """The symmetric CSR matrix, each edge in both directions: ``up + up.T``.
+
+        scipy transposes by counting, so the rows come out sorted with no
+        COO temporary and no index sort.  Built by :meth:`validate`, once
+        the arrays are known to form an upper triangle.
+        """
+        from scipy.sparse import csr_matrix
+
+        up = csr_matrix((self.weights, self._indices, self._indptr), shape=(self._n, self._n))
+        return up + up.T
+
+    @cached_property
+    def _graph_u(self):
+        """``_graph`` restricted to the edges between ``in_U`` vertices."""
+        return _induced_csr(self._graph, self.in_U)
 
     # -- basic facts
 
     @property
     def n_vertices(self) -> int:
         return self._n
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The (m, 2) endpoint pairs, lower id first, in the order of ``weights``."""
+        return np.column_stack([self._rows(), self._indices])
+
+    def _rows(self) -> np.ndarray:
+        """The row of each stored column."""
+        return np.repeat(np.arange(self._n), np.diff(self._indptr))
 
     @property
     def h(self) -> float:
@@ -378,32 +437,54 @@ class DiscreteLengthSpace:
         return float(self.meta.get("stencil_gap", 0.0))
 
     def validate(self) -> None:
-        if self._n == 0:
-            raise GeometryError("empty vertex set")
-        if np.any(self.weights <= 0.0) or not np.all(np.isfinite(self.weights)):
-            raise GeometryError("edge weights must be positive and finite")
-        # the CSR build sums repeated entries, so a duplicate edge or a
-        # self-loop shows up as a stored entry count short of two per edge
-        if self._graph.nnz != 2 * len(self.edges):
-            raise GeometryError("duplicate edges or self-loops in the edge list")
-        from scipy.sparse.csgraph import connected_components
+        """Raise :class:`GeometryError` unless the edge table is a connected, embedded graph.
 
-        ncomp, _ = connected_components(self._graph, directed=False)
-        if ncomp != 1:
-            raise GeometryError(f"completion graph must be connected, got {ncomp} components")
+        The table is checked as CSR arrays: offsets rising from 0 to the
+        column count, each column above its row and below n and rising
+        strictly within its row, weights positive and finite.  One
+        breadth-first search from vertex 0 must reach every vertex, and the
+        weights must match the embedding (dominate the chords when
+        ``meta["chord_corrected"]``), the segment lengths gathered one
+        coordinate at a time and summed in order.
+        """
+        n, indptr, cols, w = self._n, self._indptr, self._indices, self.weights
+        if n == 0:
+            raise GeometryError("empty vertex set")
+        if indptr[0] != 0 or indptr[-1] != len(cols) or np.any(indptr[1:] < indptr[:-1]):
+            raise GeometryError("edges.indptr must rise from 0 to the number of columns")
+        rows = self._rows()
+        if np.any((cols < 0) | (cols >= n)):
+            raise GeometryError("edge endpoint out of range")
+        below = np.flatnonzero(cols <= rows)
+        if len(below):
+            k = below[0]
+            raise GeometryError(f"self-loop or edge below the diagonal at row {rows[k]}, "
+                                f"column {cols[k]}: each edge is stored once, in the row "
+                                f"of its lower id")
+        repeat = np.flatnonzero((cols[1:] <= cols[:-1]) & (rows[1:] == rows[:-1]))
+        if len(repeat):
+            k = repeat[0] + 1
+            what = "duplicate edges" if cols[k] == cols[k - 1] else "columns out of order"
+            raise GeometryError(f"{what} at row {rows[k]}, column {cols[k]}")
+        if not np.all((w > 0.0) & (w < np.inf)):
+            raise GeometryError("edge weights must be positive and finite")
+        from scipy.sparse.csgraph import breadth_first_order
+
+        reached = len(breadth_first_order(self._graph, 0, directed=True,
+                                          return_predecessors=False))
+        if reached != n:
+            raise GeometryError(f"completion graph must be connected; vertex 0 reaches "
+                                f"{reached} of {n} vertices")
         if self.coords is not None:
-            seg = np.linalg.norm(
-                self.coords[self.edges[:, 0]] - self.coords[self.edges[:, 1]], axis=1
-            )
-            chordal = bool(self.meta.get("chord_corrected", False))
-            if not chordal:
-                err = np.abs(seg - self.weights).max(initial=0.0)
-                if err > 1e-9 * (1.0 + self.weights.max(initial=0.0)):
+            squares = [(x[rows] - x[cols]) ** 2 for x in np.ascontiguousarray(self.coords.T)]
+            seg = np.sqrt(sum(squares[1:], squares[0]))
+            if not self.meta.get("chord_corrected", False):
+                err = np.abs(seg - w).max(initial=0.0)
+                if err > 1e-9 * (1.0 + w.max(initial=0.0)):
                     raise GeometryError(f"edge weights disagree with embedding by {err!r}")
-            else:
+            elif np.any(w < seg - 1e-9):
                 # arc-weighted edges must dominate their chords
-                if np.any(self.weights < seg - 1e-9):
-                    raise GeometryError("arc weights shorter than chords")
+                raise GeometryError("arc weights shorter than chords")
 
     # -- metric queries
 
@@ -473,15 +554,16 @@ class DiscreteLengthSpace:
         """Write the graph file atomically: compact, sorted-key JSON.
 
         The vertex table and ``meta`` are plain JSON; the edge table is
-        ``{"count": m, "ij": ..., "w": ...}`` with base64 of the m-by-2
-        little-endian int32 endpoints and of the m little-endian float64
-        weights, so a load reads the arrays back bit for bit.  The base64
-        members hold nothing that JSON escapes, so they are spliced into
-        the text as they are; the bytes equal one sorted-key ``json.dumps``
-        of the whole payload.
+        ``{"indices": ..., "indptr": ..., "w": ...}``, the base64 of the
+        space's own upper-triangle CSR arrays (little-endian int32 columns
+        and row offsets, little-endian float64 weights), so a load reads
+        them back bit for bit.  The base64 members hold nothing that JSON
+        escapes, so they are spliced into the text as they are; the bytes
+        equal one sorted-key ``json.dumps`` of the whole payload.
         """
-        if self._n >= 2**31:
-            raise GeometryError(f"{self._n} vertices do not fit the file's int32 ids")
+        if max(self._n, len(self._indices)) >= 2**31:
+            raise GeometryError(f"{self._n} vertices and {len(self._indices)} edges do not "
+                                f"fit the file's int32 ids and offsets")
         in_u = self.in_U.tolist()
         if self.coords is None:
             verts = [{"in_U": u} for u in in_u]
@@ -492,21 +574,24 @@ class DiscreteLengthSpace:
         rest = json.dumps({"meta": self.meta, "vertices": verts}, sort_keys=True,
                           separators=(",", ":"))
         _atomic_write(path, "".join([
-            f'{{"edges":{{"count":{len(self.edges)},"ij":"', _b64(self.edges, "<i4"),
+            '{"edges":{"indices":"', _b64(self._indices, "<i4"),
+            '","indptr":"', _b64(self._indptr, "<i4"),
             '","w":"', _b64(self.weights, "<f8"), '"},', rest[1:], "\n"]))
 
     @classmethod
     def load(cls, path) -> "DiscreteLengthSpace":
         """Read a graph file written by :meth:`save`; malformed content is a GeometryError.
 
-        Vertex flags must be JSON booleans.  The edge table's base64 members
-        must decode to exactly ``count`` endpoint pairs and weights; the
-        constructor then checks the ids, weights, duplicates, connectivity
-        and embedding.  A file whose ``edges`` is a list of triples predates
-        this format and is refused with the command that regenerates it.
+        Vertex flags must be JSON booleans.  The edge table's members must
+        be valid base64 of n + 1 offsets and of as many weights as columns;
+        the decoded arrays are validated as they are, with no sort (see
+        :meth:`validate`).  A file whose edge table predates this format is
+        refused with the command that regenerates it.
         """
         # the parsed tree dies with the reader's frame, before the CSR builds
-        return cls(*_read_graph_file(path))
+        space = cls.__new__(cls)
+        space._setup(*_read_graph_file(path))
+        return space
 
     def nearest_vertex(self, point, require_in_U: bool = False) -> int:
         """Index of the vertex nearest to ``point`` in the embedding, first on ties.
@@ -914,6 +999,11 @@ def local_kappa_domain_check(
     sides break the triangle inequality, which one metric's do only by
     rounding.  A check none of whose samples is feasible (each one skipped
     before its angles) is vacuous, like one on a ball too small to sample.
+
+    The skips before the angles are decided before the full fields from s
+    and p: both ``no_path`` skips by U's component labels, ``short_path``
+    by a field from q cut off at 4w (which then serves as q's field), and
+    ``endpoint_near_p`` by a field from p cut off at 3w.
     """
     k = check_curvature(kappa)
     if samples < 1:
@@ -959,39 +1049,47 @@ def local_kappa_domain_check(
     ball = np.flatnonzero((d_center <= radius) & space.in_U)
     if len(ball) < 4:
         skips["small_ball"] = samples
-    # d_q and d_x are read only at path vertices within w + longest/2 < 2w of
-    # their source, and a field cut off at a limit is exact up to it
-    near = 3.0 * w
+    from scipy.sparse.csgraph import connected_components
+
+    # U's components decide both no_path skips without a field; the matrix is
+    # symmetric, so its strong components are its components, found without
+    # the transpose that an undirected search takes
+    _, component = connected_components(space._graph_u, directed=True, connection="strong")
+    # a lattice length often equals a window multiple: every window test
+    # allows a relative slack of 1e-12, which outlasts rescaling
+    short_cut, near_cut = 4.0 * w * (1.0 - 1e-12), 3.0 * w * (1.0 - 1e-12)
     rng = np.random.default_rng(seed)
     # (base gap, split gap, sample ids) of each evaluated sample
     gaps = []
     feasible = False
     for _ in range(samples if len(ball) >= 4 else 0):
         q, s, p = (int(ball[j]) for j in rng.choice(len(ball), size=3, replace=False))
-        try:
-            path = space.shortest_path(q, s, restrict_to_U=True, dist_to=distance_field(s))
-        except UnreachableError:
+        if component[q] != component[s]:
             skips["no_path"] += 1
             continue
-        # a lattice length often equals a window multiple: the slack outlasts rescaling
-        slack = 1e-12 * path.length
-        if path.length < 4.0 * w - slack:
+        # a field cut off at a limit is exact up to it: d_q (to 4w) and a
+        # field from p (to 3w) decide the other two skips, and d_q and d_x
+        # are read only at path vertices within w + longest/2 < 2w of q and x
+        d_q = distance_field(q, limit=4.0 * w)
+        if d_q[s] < short_cut:
             skips["short_path"] += 1
             continue
-        d_p = distance_field(p)
-        if math.isinf(d_p[q]):
+        if component[p] != component[q]:
             skips["no_path"] += 1
             continue
-        if min(d_p[q], d_p[s]) < 3.0 * w - slack:
+        near_p = distance_field(p, limit=3.0 * w)
+        if min(near_p[q], near_p[s]) < near_cut:
             skips["endpoint_near_p"] += 1
             continue
         feasible = True
+        path = space.shortest_path(q, s, restrict_to_U=True, dist_to=distance_field(s))
+        slack = 1e-12 * path.length
+        d_p = distance_field(p)
         # base condition: measured angle at q between [qp] and [qs], against
         # the comparison angle at q of the triangle pqs
         path_qp = space.shortest_path(q, p, restrict_to_U=True, dist_to=d_p)
         y_qp = path_qp.vertex_at_arc(w)
         y_qs = path.vertex_at_arc(w)
-        d_q = distance_field(q, limit=near)
         base = angles(sides(y_qp, y_qs, d_q), (d_p[s], d_p[q], path.length))
         if base is None:
             continue
@@ -1007,7 +1105,7 @@ def local_kappa_domain_check(
             continue
         j = int(inner[int(rng.integers(0, len(inner)))])
         x = path.vertices[j]
-        d_x = distance_field(x, limit=near)
+        d_x = distance_field(x, limit=3.0 * w)
         y_back, y_fwd = path.vertices_at_arcs(np.array([arcs[j] - w, arcs[j] + w]))
         path_xp = space.shortest_path(x, p, restrict_to_U=True, dist_to=d_p)
         y_xp = path_xp.vertex_at_arc(w)

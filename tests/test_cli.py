@@ -195,9 +195,11 @@ def test_domain_generate_schema(runner, tmp_path):
     assert set(data) == {"vertices", "edges", "meta"}
     assert all(set(v) == {"xyz", "in_U"} for v in data["vertices"][:5])
     table = data["edges"]
-    assert set(table) == {"count", "ij", "w"} and table["count"] > 0
-    assert len(base64.b64decode(table["ij"])) == 8 * table["count"]
-    assert len(base64.b64decode(table["w"])) == 8 * table["count"]
+    assert set(table) == {"indptr", "indices", "w"}
+    indptr = np.frombuffer(base64.b64decode(table["indptr"]), dtype="<i4")
+    assert len(indptr) == len(data["vertices"]) + 1 and indptr[0] == 0 and indptr[-1] > 0
+    assert len(base64.b64decode(table["indices"])) == 4 * indptr[-1]
+    assert len(base64.b64decode(table["w"])) == 8 * indptr[-1]
     for key in ("generator", "h", "h_err"):
         assert key in data["meta"]
 
@@ -328,6 +330,8 @@ def test_convexity_estimate_and_series(runner, tmp_path, cap_file):
     rep = json.loads(out.read_text())
     assert rep["result"]["probability"] == 1.0
     assert sorted(rep["config"]) == ["input", "kind", "p", "q", "s", "slack", "step"]
+    # the prob estimate reads no seed, so its envelope records none
+    assert "seed" not in rep
     csv_out = tmp_path / "conv.csv"
     res = _run(runner, ["plot", "emit", "--input", str(out), "--series", "series",
                         "-o", str(csv_out)])
@@ -364,6 +368,7 @@ def test_convexity_ae_and_search(runner, tmp_path, cap_file):
     rep = json.loads(out.read_text())
     assert rep["result"]["probability"] == 1.0
     assert sorted(rep["config"]) == ["input", "kind", "p", "samples", "seed", "slack"]
+    assert rep["seed"] == rep["config"]["seed"] == 0
     out = tmp_path / "search.json"
     res = _run(runner, ["convexity", "search", "--input", str(cap_file),
                         "--p", str(in_u[0]), "--q", str(in_u[7]), "--s", str(in_u[31]),
@@ -395,18 +400,24 @@ def test_completion_and_area(runner, tmp_path):
     assert rep["result"]["estimate"] <= 0.2
 
 
-def _graph(edges, weights, n=3, count=None, **members):
-    """Graph-file text over n open vertices with the given edge table."""
-    ij = np.asarray(edges, dtype="<i4").reshape(-1, 2)
-    table = {"count": len(ij) if count is None else count,
-             "ij": base64.b64encode(ij.tobytes()).decode(),
-             "w": base64.b64encode(np.asarray(weights, dtype="<f8").tobytes()).decode(),
-             **members}
+def _graph(offsets, columns, weights, n=3, **members):
+    """Graph-file text over n open vertices with the given upper-triangle CSR arrays."""
+    def b64(values, dtype):
+        return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode()
+
+    table = {"indptr": b64(offsets, "<i4"), "indices": b64(columns, "<i4"),
+             "w": b64(weights, "<f8"), **members}
     return json.dumps({"vertices": [{"in_U": True}] * n, "edges": table})
 
 
+# the path 0 - 1 - 2, as row offsets and columns
+_ROWS, _COLS = [0, 1, 2, 2], [1, 2]
 _STRING_FLAG = '{"vertices": [{"in_U": "false"}, {"in_U": true}], "edges": [[0, 1, 1.0]]}'
 _OLD_LIST_FORM = '{"vertices": [{"in_U": true}, {"in_U": true}], "edges": [[0, 1, 1.0]]}'
+# files of the format before this one, which stored the endpoint pairs
+_OLD_IJ_FORM = ('{"vertices": [{"in_U": true}, {"in_U": true}], '
+                '"edges": {"count": 1, "ij": "AAAAAAEAAAA=", "w": "AAAAAAAA8D8="}}')
+_OLD_IJ_SHORT = _OLD_IJ_FORM.replace('"count": 1', '"count": 2')
 _AE = ["convexity", "estimate", "--kind", "ae", "--p", "0"]
 
 
@@ -424,22 +435,29 @@ _AE = ["convexity", "estimate", "--kind", "ae", "--p", "0"]
     (["space", "local-check", "--center", "0", "--radius", "1", "--kappa", "0"],
      "bad.json", "[]"),
     (["completion", "compare"], "bad.json", '{"vertices": [{"xy": [0, 0]}]}'),
-    (["space", "scan", "--kappa", "1"], "bad.json", _graph([], [], n=0)),
+    (["space", "scan", "--kappa", "1"], "bad.json", _graph([0], [], [], n=0)),
     (["space", "scan", "--kappa", "1"], "bad.csv", "0,x\n1"),
-    (_AE, "bad.json", _graph([[0, 1], [1, 0]], [1.0, 1.0])),
+    (_AE, "bad.json", _graph([0, 2, 2, 2], [1, 1], [1.0, 1.0])),
     (_AE, "bad.json", _STRING_FLAG),
     (["space", "scan", "--kappa", "1", "--samples", "-5"], None, None),
     (["space", "scan", "--kappa", "1", "--subset", "-3"], None, None),
     (["space", "scan", "--kappa", "1", "--samples", "0"], None, None),
-    (_AE, "bad.json", _graph([[0, 1]], [1.0], ij="AAAA!AAAAAAA")),
-    (_AE, "bad.json", _graph([[0, 1], [1, 2]], [1.0, 1.0], count=3)),
-    (_AE, "bad.json", _graph([[0, 1], [1, 2]], [1.0])),
-    (_AE, "bad.json", _graph([[0, 1], [-1, 2]], [1.0, 1.0])),
-    (_AE, "bad.json", _graph([[0, 1], [1, 3]], [1.0, 1.0])),
-    (_AE, "bad.json", _graph([[0, 1], [1, 2]], [1.0, math.nan])),
-    (_AE, "bad.json", _graph([[0, 1], [1, 2]], [0.0, 1.0])),
+    (_AE, "bad.json", _graph(_ROWS, _COLS, [1.0, 1.0], indices="AAAA!AAAAAAA")),
+    (_AE, "bad.json", _OLD_IJ_SHORT),
+    (_AE, "bad.json", _graph([0, 1, 2], _COLS, [1.0, 1.0])),
+    (_AE, "bad.json", _graph(_ROWS, _COLS, [1.0, 1.0], indices="AAAAAAA=")),
+    (_AE, "bad.json", _graph(_ROWS, _COLS, [1.0])),
+    (_AE, "bad.json", _graph([1, 1, 2, 2], _COLS, [1.0, 1.0])),
+    (_AE, "bad.json", _graph([0, 2, 1, 2], _COLS, [1.0, 1.0])),
+    (_AE, "bad.json", _graph([0, 1, 2, 3], _COLS, [1.0, 1.0])),
+    (_AE, "bad.json", _graph(_ROWS, [1, 0], [1.0, 1.0])),
+    (_AE, "bad.json", _graph(_ROWS, [1, -1], [1.0, 1.0])),
+    (_AE, "bad.json", _graph(_ROWS, [1, 3], [1.0, 1.0])),
+    (_AE, "bad.json", _graph(_ROWS, _COLS, [1.0, math.nan])),
+    (_AE, "bad.json", _graph(_ROWS, _COLS, [0.0, 1.0])),
     (_AE, "bad.json", '{"vertices": [{"in_U": true}], "edges": 7}'),
     (["space", "scan", "--kappa", "1"], "bad.json", _OLD_LIST_FORM),
+    (["space", "scan", "--kappa", "1"], "bad.json", _OLD_IJ_FORM),
     (["space", "scan", "--kappa", "1"], "blank.txt", " \n\n"),
     (["space", "scan", "--kappa", "1", "--min-defect-tol", "nan"], None, None),
     (["space", "scan", "--kappa", "1", "--min-defect-tol", "-1"], None, None),
@@ -448,8 +466,11 @@ _AE = ["convexity", "estimate", "--kind", "ae", "--p", "0"]
         "empty-json", "truncated-json", "json-list", "vertex-without-flag", "no-vertices",
         "malformed-csv", "duplicate-edge", "string-flag", "scan-negative-samples",
         "scan-negative-subset", "scan-zero-samples", "invalid-base64", "ij-short-of-count",
-        "w-count-disagrees", "negative-id", "id-past-end", "nan-weight", "zero-weight",
-        "edges-number", "old-list-form", "blank-file", "scan-nan-tol", "scan-negative-tol",
+        "indptr-short",
+        "indices-ragged", "w-count-disagrees", "indptr-not-from-0", "indptr-not-monotone",
+        "indptr-past-columns", "column-below-row", "negative-id", "id-past-end",
+        "nan-weight", "zero-weight", "edges-number", "old-list-form", "old-ij-form",
+        "blank-file", "scan-nan-tol", "scan-negative-tol",
         "scan-infinite-tol"])
 def test_bad_vertex_ids_and_input_files_exit_2(runner, tmp_path, cap_file, argv, name,
                                                 content):
@@ -460,7 +481,7 @@ def test_bad_vertex_ids_and_input_files_exit_2(runner, tmp_path, cap_file, argv,
     res = _run(runner, argv + ["--input", str(path)])
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
-    if content == _OLD_LIST_FORM:
+    if content in (_OLD_LIST_FORM, _OLD_IJ_FORM, _OLD_IJ_SHORT):
         assert "domain generate" in res.output
 
 
@@ -586,18 +607,22 @@ def test_old_list_form_file_names_the_command_that_rebuilds_it(runner, tmp_path,
     assert res.exit_code == 0
     data = json.loads(new.read_text())
     table = data["edges"]
-    ij = np.frombuffer(base64.b64decode(table["ij"]), dtype="<i4").reshape(-1, 2)
+    indptr = np.frombuffer(base64.b64decode(table["indptr"]), dtype="<i4")
+    cols = np.frombuffer(base64.b64decode(table["indices"]), dtype="<i4")
+    rows = np.repeat(np.arange(len(indptr) - 1, dtype="<i4"), np.diff(indptr))
+    ij = np.column_stack([rows, cols]).astype("<i4")
     w = np.frombuffer(base64.b64decode(table["w"]), dtype="<f8")
-    data["edges"] = [[int(i), int(j), float(x)] for (i, j), x in zip(ij, w)]
-    old.write_text(json.dumps(data, indent=1))
-    res = _run(runner, ["space", "local-check", "--input", str(old), "--center", "0",
-                        "--radius", "1", "--kappa", "0"])
-    assert res.exit_code == 2
-    argv = shlex.split(" ".join(res.output.split("`")[1].split()))
-    assert argv[:3] == ["alexkit", "domain", "generate"]
-    res = _run(runner, argv[1:])
-    assert res.exit_code == 0
-    assert old.read_bytes() == new.read_bytes()
+    ij_form = {"count": len(w), "ij": base64.b64encode(ij.tobytes()).decode(), "w": table["w"]}
+    for edges in ([[int(i), int(j), float(x)] for (i, j), x in zip(ij, w)], ij_form):
+        old.write_text(json.dumps({**data, "edges": edges}, indent=1))
+        res = _run(runner, ["space", "local-check", "--input", str(old), "--center", "0",
+                            "--radius", "1", "--kappa", "0"])
+        assert res.exit_code == 2
+        argv = shlex.split(" ".join(res.output.split("`")[1].split()))
+        assert argv[:3] == ["alexkit", "domain", "generate"]
+        res = _run(runner, argv[1:])
+        assert res.exit_code == 0
+        assert old.read_bytes() == new.read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,9 @@ import itertools
 import json
 import math
 import shlex
+import tempfile
 import warnings
+from pathlib import Path
 from dataclasses import asdict
 
 import numpy as np
@@ -35,7 +37,6 @@ from alexkit.spaces import (
     _quad_defects,
     _quad_sides,
     _scan_distances,
-    _symmetric_csr,
     comparison_angle,
     local_kappa_domain_check,
     quadruple_defect,
@@ -337,16 +338,31 @@ def test_bounded_distance_field_is_the_full_field_up_to_its_limit(request, name)
                 assert np.all(np.isinf(bounded[~inside]))
 
 
+def _coo_symmetric(edges, weights, n):
+    """The symmetric CSR matrix of weighted pairs by a COO build, as an oracle."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    weights = np.asarray(weights, dtype=float)
+    return csr_matrix((np.concatenate([weights, weights]),
+                       (np.concatenate([edges[:, 0], edges[:, 1]]),
+                        np.concatenate([edges[:, 1], edges[:, 0]]))), shape=(n, n))
+
+
+def _assert_same_csr(got, want):
+    for attr in ("indptr", "indices", "data"):
+        x, y = getattr(got, attr), getattr(want, attr)
+        assert x.dtype == y.dtype, attr
+        assert np.array_equal(x, y), attr
+    assert got.shape == want.shape
+
+
 @pytest.mark.parametrize("name", _FIXTURES)
 def test_restricted_graph_equals_a_second_csr_build(request, name):
     sp = request.getfixturevalue(name)
+    _assert_same_csr(sp._graph, _coo_symmetric(sp.edges, sp.weights, sp.n_vertices))
     keep = sp.in_U[sp.edges[:, 0]] & sp.in_U[sp.edges[:, 1]]
-    fresh = _symmetric_csr(sp.edges[keep], sp.weights[keep], sp.n_vertices)
-    for attr in ("indptr", "indices", "data"):
-        got, want = getattr(sp._graph_u, attr), getattr(fresh, attr)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-    assert sp._graph_u.shape == fresh.shape
+    _assert_same_csr(sp._graph_u,
+                     _coo_symmetric(sp.edges[keep], sp.weights[keep], sp.n_vertices))
+    assert (sp._graph_u is sp._graph) == bool(sp.in_U.all())
 
 
 def _vertex_at_arc_by_tick(path, t):
@@ -386,7 +402,10 @@ def test_vertices_at_arcs_match_the_per_tick_rule(full_square, slit_square, wide
                                    [[0, 1], [2, 1], [1, 0]],   # same edge reversed
                                    [[0, 1], [1, 2], [2, 2]]])  # self-loop
 def test_duplicate_edges_and_self_loops_rejected(edges):
-    with pytest.raises(GeometryError, match="duplicate edges or self-loops"):
+    # pairs are sorted into the upper triangle first: a repeat shares its
+    # row and column with the pair before it, a self-loop sits on the diagonal
+    match = "self-loop" if [2, 2] in edges else "duplicate edges at row"
+    with pytest.raises(GeometryError, match=match):
         DiscreteLengthSpace(None, [True] * 3, edges, [1.0] * 3)
 
 
@@ -403,6 +422,62 @@ def test_space_json_round_trip(tmp_path, punctured_square):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@st.composite
+def _connected_graphs(draw):
+    """``(in_U, pairs, weights)`` of a connected graph, pairs in any order and orientation."""
+    n = draw(st.integers(1, 14))
+    # a spanning tree, each vertex joined to a lower one, then extra edges
+    edges = {frozenset((draw(st.integers(0, k - 1)), k)) for k in range(1, n)}
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=25)):
+        if i != j:
+            edges.add(frozenset((i, j)))
+    pairs = [sorted(e) for e in edges]
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    pairs = [pair[::-1] if flip else pair for pair, flip in zip(pairs, flips)]
+    pairs = [pairs[k] for k in draw(st.permutations(range(len(pairs))))]
+    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(pairs), max_size=len(pairs)))
+    in_u = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return in_u, pairs, weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(_connected_graphs())
+def test_graph_file_round_trip_keeps_the_matrices(graph):
+    in_u, pairs, weights = graph
+    n = len(in_u)
+    sp = DiscreteLengthSpace(None, in_u, pairs, weights)
+    _assert_same_csr(sp._graph, _coo_symmetric(pairs, weights, n))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+        sp.save(first)
+        back = DiscreteLengthSpace.load(first)
+        back.save(second)
+        assert first.read_bytes() == second.read_bytes()
+    _assert_same_csr(back._graph, sp._graph)
+    _assert_same_csr(back._graph_u, sp._graph_u)
+    assert back.edges.tolist() == sorted(sorted(pair) for pair in pairs)
+    for restrict in (False, True):
+        assert np.array_equal(back.distance_field(np.arange(n), restrict_to_U=restrict),
+                              sp.distance_field(np.arange(n), restrict_to_U=restrict))
+
+
+def _b64(values, dtype):
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _csr_table(indptr, indices, w):
+    """A graph file's edge table holding the given upper-triangle CSR arrays."""
+    return {"indptr": _b64(indptr, "<i4"), "indices": _b64(indices, "<i4"),
+            "w": _b64(w, "<f8")}
+
+
+def _ij_table(space):
+    """The edge table of the ``ij`` format: endpoint pairs, their count and weights."""
+    return {"count": len(space.edges), "ij": _b64(space.edges, "<i4"),
+            "w": _b64(space.weights, "<f8")}
+
+
 def _dumps_save(space):
     """The text of one sorted-key ``json.dumps`` of the whole payload, the earlier writer."""
     in_u = space.in_U.tolist()
@@ -411,9 +486,7 @@ def _dumps_save(space):
     else:
         key = "xy" if space.coords.shape[1] == 2 else "xyz"
         verts = [{"in_U": u, key: c} for u, c in zip(in_u, space.coords.tolist())]
-    edges = {"count": len(space.edges),
-             "ij": base64.b64encode(space.edges.astype("<i4").tobytes()).decode("ascii"),
-             "w": base64.b64encode(space.weights.astype("<f8").tobytes()).decode("ascii")}
+    edges = _csr_table(space._indptr, space._indices, space.weights)
     payload = {"vertices": verts, "edges": edges, "meta": space.meta}
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -476,10 +549,13 @@ def test_compact_file_decodes_like_indented_file(request, tmp_path, name):
     assert new_data["vertices"] == old_data["vertices"]
     assert new_data["meta"] == old_data["meta"]
     table = new_data["edges"]
-    assert list(table) == ["count", "ij", "w"] and table["count"] == len(sp.edges)
-    ij = np.frombuffer(base64.b64decode(table["ij"]), dtype="<i4").reshape(-1, 2)
+    assert list(table) == ["indices", "indptr", "w"]
+    indptr = np.frombuffer(base64.b64decode(table["indptr"]), dtype="<i4")
+    cols = np.frombuffer(base64.b64decode(table["indices"]), dtype="<i4")
     w = np.frombuffer(base64.b64decode(table["w"]), dtype="<f8")
-    assert [[int(i), int(j), float(x)] for (i, j), x in zip(ij, w)] == old_data["edges"]
+    assert len(indptr) == sp.n_vertices + 1 and len(cols) == len(w) == len(sp.edges)
+    rows = np.repeat(np.arange(sp.n_vertices), np.diff(indptr))
+    assert [[int(i), int(j), float(x)] for i, j, x in zip(rows, cols, w)] == old_data["edges"]
     assert len(first.read_bytes()) < len(old.read_bytes())
 
 
@@ -495,6 +571,19 @@ def test_old_list_form_file_is_refused_with_its_regeneration_argv(tmp_path, punc
     assert argv[-2:] == ["-o", str(path)]
 
 
+def test_ij_edge_table_is_refused_with_its_regeneration_argv(tmp_path, punctured_square):
+    path, fresh = tmp_path / "old.json", tmp_path / "fresh.json"
+    punctured_square.save(fresh)
+    data = json.loads(fresh.read_text())
+    path.write_text(json.dumps({**data, "edges": _ij_table(punctured_square)}))
+    with pytest.raises(GeometryError, match="format no longer read") as info:
+        DiscreteLengthSpace.load(path)
+    argv = shlex.split(str(info.value).split("`")[1])
+    assert argv[:3] == ["alexkit", "domain", "generate"]
+    assert argv[argv.index("--remove-point") + 1] == "0.5,0.5"
+    assert argv[-2:] == ["-o", str(path)]
+
+
 def test_failed_save_keeps_previous_file(tmp_path, full_square):
     path = tmp_path / "space.json"
     full_square.save(path)
@@ -507,36 +596,43 @@ def test_failed_save_keeps_previous_file(tmp_path, full_square):
     assert [p.name for p in tmp_path.iterdir()] == ["space.json"]
 
 
-def _table(ij, w, count=None):
-    """A graph file's edge table holding the given endpoint pairs and weights."""
-    ij = np.asarray(ij, dtype="<i4").reshape(-1, 2)
-    return {"count": len(ij) if count is None else count,
-            "ij": base64.b64encode(ij.tobytes()).decode(),
-            "w": base64.b64encode(np.asarray(w, dtype="<f8").tobytes()).decode()}
-
-
 _TWO = [{"in_U": True}, {"in_U": True}]
 _THREE = [{"in_U": True}] * 3
+# the edge 0 - 1, and the path 0 - 1 - 2
+_EDGE = ([0, 1, 1], [1], [1.0])
+_PATH = ([0, 1, 2, 2], [1, 2], [1.0, 1.0])
 
 
+# cases 3, 13 and 14 were checks of the ij table's count, which went with it
 @pytest.mark.parametrize("vertices, edges, match", [
     ([{"in_U": "false"}, {"in_U": True}], [[0, 1, 1.0]], "JSON booleans"),
     ([{"in_U": 1}, {"in_U": True}], [[0, 1, 1.0]], "JSON booleans"),
-    (_TWO, {**_table([[0, 1]], [1.0]), "ij": "AAAA!AAAAAAA"}, "malformed"),
-    (_TWO, {**_table([[0, 1]], [1.0]), "ij": "AAAAAAAAAAAAAAAA"}, "edges.ij holds 12 bytes"),
-    (_TWO, _table([[0, 2**31 - 1]], [1.0]), "out of range"),
-    (_TWO, _table([[-1, 1]], [1.0]), "out of range"),
-    (_THREE, _table([[0, 1], [1, 2]], [1.0]), "edges.w holds 8 bytes"),
-    (_THREE, _table([[0, 1]], [1.0, 1.0], count=1), "edges.w holds 16 bytes"),
-    (_TWO, _table([[0, 1]], [math.nan]), "positive and finite"),
-    (_TWO, _table([[0, 1]], [0.0]), "positive and finite"),
-    (_THREE, _table([[0, 1], [1, 2], [1, 0]], [1.0] * 3), "duplicate edges"),
+    (_TWO, {**_csr_table(*_EDGE), "indices": "AAAA!AAAAAAA"}, "malformed"),
+    (_TWO, _csr_table([0, 1], [1], [1.0]), "edges.indptr holds 8 bytes where 12"),
+    (_TWO, _csr_table([0, 1, 1], [2**31 - 1], [1.0]), "out of range"),
+    (_TWO, _csr_table([0, 1, 1], [-1], [1.0]), "out of range"),
+    (_THREE, _csr_table(_PATH[0], _PATH[1], [1.0]), "edges.w holds 8 bytes"),
+    (_THREE, _csr_table([0, 1, 1, 1], [1], [1.0, 1.0]), "edges.w holds 16 bytes"),
+    (_TWO, _csr_table(*_EDGE[:2], [math.nan]), "positive and finite"),
+    (_TWO, _csr_table(*_EDGE[:2], [0.0]), "positive and finite"),
+    (_THREE, _csr_table([0, 2, 2, 2], [1, 1], [1.0, 1.0]), "duplicate edges"),
     (_TWO, 5, "must be an object"),
     (_TWO, "edges", "must be an object"),
-    (_TWO, {**_table([[0, 1]], [1.0]), "count": True}, "nonnegative integer"),
-    (_TWO, {**_table([[0, 1]], [1.0]), "count": -1}, "nonnegative integer"),
-    (_TWO, {"count": 1, "ij": "AAAAAAAAAAA="}, "malformed"),
+    (_THREE, _csr_table([1, 1, 2, 2], *_PATH[1:]), "rise from 0"),
+    (_THREE, _csr_table([0, 2, 1, 2], *_PATH[1:]), "rise from 0"),
+    (_TWO, {"indptr": _b64([0, 1, 1], "<i4"), "w": _b64([1.0], "<f8")}, "malformed"),
     (_TWO, [[0, 1, 1.0]], "domain generate"),
+    (_THREE, _csr_table([0, 1, 2, 3], *_PATH[1:]), "rise from 0"),
+    (_THREE, _csr_table([0, 1, 1, 1], *_PATH[1:]), "rise from 0"),
+    (_THREE, {**_csr_table(*_PATH), "indices": "AAAAAAA="}, "indices holds 5 bytes where 4"),
+    (_THREE, {**_csr_table(*_PATH), "w": 7}, "malformed"),
+    (_THREE, _csr_table(_PATH[0], [1, 1], _PATH[2]), "self-loop .* row 1, column 1"),
+    (_THREE, _csr_table(_PATH[0], [1, 0], _PATH[2]), "below the diagonal at row 1"),
+    (_THREE, _csr_table([0, 2, 2, 2], [2, 1], _PATH[2]), "columns out of order"),
+    (_THREE, _csr_table(_PATH[0], [1, 3], _PATH[2]), "out of range"),
+    (_THREE, _csr_table([0, 1, 1, 1], [1], [1.0]), "reaches 2 of 3 vertices"),
+    (_THREE, _csr_table(*_PATH[:2], [1.0, -math.inf]), "positive and finite"),
+    (_TWO, {"count": 1, "ij": _b64([0, 1], "<i4"), "w": _b64([1.0], "<f8")}, "domain generate"),
 ])
 def test_load_rejects_malformed_values(tmp_path, vertices, edges, match):
     path = tmp_path / "bad.json"
@@ -1307,10 +1403,12 @@ def slit_grid():
 def _local_check_reference(space, center, radius, kappa, samples, h_angle, seed):
     """The local check one scalar ``angle_from_sides`` call at a time.
 
-    The oracle of ``local_kappa_domain_check``: the same samples, fields and
-    skips, every one but the ball's in U's metric, except that a triangle
-    that breaks the triangle inequality raises :class:`InvalidTriangleError`
-    instead of being skipped.
+    The oracle of ``local_kappa_domain_check``: the same samples and skips,
+    every field but the ball's in U's metric, except that a triangle that
+    breaks the triangle inequality raises :class:`InvalidTriangleError`
+    instead of being skipped.  It decides the skips after the full fields
+    from s and p, in the order the check keeps, so its ``work`` counts more
+    full fields than the check's.
     """
     w = h_angle * space.h
     angle_tol = 0.5 / h_angle + 6.0 * space.h_err + 1e-3
@@ -1439,8 +1537,9 @@ def test_local_check_matches_the_scalar_reference(request, kappa, grid, point, r
             assert rep[key] == pytest.approx(ref[key], rel=0.0, abs=tol), (seed, key)
         assert rep["worst_case"].pop("gap", 0.0) == pytest.approx(
             ref["worst_case"].pop("gap", 0.0), rel=0.0, abs=tol)
-        assert ({k: v for k, v in rep.items() if k not in _ANGLES}
-                == {k: v for k, v in ref.items() if k not in _ANGLES}), seed
+        assert ({k: v for k, v in rep.items() if k not in (*_ANGLES, "work")}
+                == {k: v for k, v in ref.items() if k not in (*_ANGLES, "work")}), seed
+        assert rep["work"]["full_fields"] <= ref["work"]["full_fields"]
     assert completed >= len(seeds) // 2
 
 
@@ -1490,6 +1589,32 @@ def test_local_check_beside_a_slit_measures_in_one_metric(slit_grid):
         assert rep["skips"]["invalid_triangle"] == 0
         assert rep["evaluated"] == ref["evaluated"] == 12
         assert sum(rep["skips"].values()) == rep["skipped"] == rep["trials"] - rep["evaluated"]
+
+
+@pytest.mark.parametrize("slit", [(0.5, 1.3, 1.5, 1.3), (0.0, 1.3, 2.0, 1.3)],
+                         ids=["beside", "across"])
+def test_local_check_decides_skips_as_the_full_fields_did(slit):
+    # the reference decides every skip after the full fields from s and p;
+    # the check decides them first, by U's components and cut-off fields.
+    # A slit across the square separates U, so samples meet no_path there
+    grid = generate(DomainSpec(kind="punctured", resolution=1 / 32, side=2.0,
+                               stencil_radius=2, removed_points=((1.0, 1.0),),
+                               removed_segments=(slit,)), seed=0)
+    case = dict(center=grid.nearest_vertex((1.0, 1.0)), radius=1.6, kappa=0.0, samples=6,
+                h_angle=3)
+    totals = dict.fromkeys(SKIP_REASONS, 0)
+    fields = {"check": 0, "reference": 0}
+    for seed in range(60):
+        rep = local_kappa_domain_check(grid, seed=seed, **case)
+        ref = _local_check_reference(grid, seed=seed, **case)
+        assert rep.skips == ref.skips, seed
+        assert (rep.evaluated, rep.vacuous) == (ref.evaluated, ref.vacuous), seed
+        totals = {k: totals[k] + v for k, v in rep.skips.items()}
+        fields["check"] += rep.work["full_fields"]
+        fields["reference"] += ref.work["full_fields"]
+    assert totals["short_path"] and totals["endpoint_near_p"]
+    assert bool(totals["no_path"]) == (slit[0] == 0.0)
+    assert fields["check"] < fields["reference"]
 
 
 def test_local_check_skips_a_triangle_that_breaks_the_triangle_inequality(monkeypatch):
