@@ -185,6 +185,8 @@ def domain_generate(kind, cap_radius, resolution, delta, num_segments, side,
                     seed, output):
     """Write a domain file: a graph file, or a CSV distance matrix."""
     with _usage_errors():
+        reads = spaces.KIND_OPTIONS
+        _refuse_unread(f"{kind} kind", set().union(*reads.values()) - set(reads[kind]))
         if kind == "sphere_points":
             pts = domains.unit_sphere_points(n_points, seed=seed)
             # exact great-circle distances form a metric; scans validate the CSV they read
@@ -218,8 +220,8 @@ def _load_graph(path, **vertex_ids):
     """Load a graph file and check the named vertex ids against it."""
     sp = spaces.DiscreteLengthSpace.load(path)
     for name, v in vertex_ids.items():
-        if v is not None and not 0 <= v < sp.n_vertices:
-            raise GeometryError(f"--{name} {v} is not a vertex id in [0, {sp.n_vertices})")
+        if v is not None and not 0 <= v < sp.n_points:
+            raise GeometryError(f"--{name} {v} is not a vertex id in [0, {sp.n_points})")
     return sp
 
 

@@ -211,7 +211,6 @@ class _Grid:
     edges: np.ndarray
     weights: np.ndarray
     spacing: float
-    nside: int
 
 
 def _grid_cells(side: float, h: float) -> int:
@@ -238,7 +237,7 @@ def _square_grid(side: float, h: float, stencil_radius: int) -> _Grid:
         edges.append(np.column_stack([src, dst]))
     e = np.vstack(edges)
     w = np.linalg.norm(coords[e[:, 0]] - coords[e[:, 1]], axis=1)
-    return _Grid(coords=coords, edges=e, weights=w, spacing=spacing, nside=n)
+    return _Grid(coords=coords, edges=e, weights=w, spacing=spacing)
 
 
 def _demote_isolated(in_u: np.ndarray, edges: np.ndarray) -> int:
@@ -730,7 +729,7 @@ def completion_compare(
     ends = segs[:, 2:]
     side = space.meta.get("side", 1.0)
     rng = np.random.default_rng(seed)
-    n = space.n_vertices
+    n = space.n_points
     n_uniform = pairs // 2
     p_ids = np.empty(pairs, dtype=np.int64)
     q_ids = np.empty(pairs, dtype=np.int64)

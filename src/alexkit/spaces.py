@@ -128,18 +128,28 @@ _SPEC_OPTIONS = (("kind", "--kind"), ("resolution", "--h"), ("cap_radius", "--r"
                  ("delta", "--delta"), ("num_segments", "--segments"), ("side", "--side"),
                  ("stencil_radius", "--stencil-radius"))
 _SPEC_LISTS = (("removed_points", "--remove-point"), ("removed_segments", "--remove-segment"))
+# the `domain generate` parameters each kind reads besides --kind, --seed and
+# -o; the command refuses the others
+KIND_OPTIONS = {"cap": ("resolution", "cap_radius"),
+                "dense_square": ("resolution", "delta", "num_segments", "side", "stencil_radius"),
+                "punctured": ("resolution", "side", "stencil_radius", "removed_points",
+                              "removed_segments"),
+                "sphere_points": ("n_points",)}
 
 
 def _regenerate_hint(meta, path) -> str:
     """The ``alexkit domain generate`` command line that rebuilds a generated file."""
     try:
         spec = meta["spec"]
+        reads = ("kind", *KIND_OPTIONS[spec["kind"]])
         argv = ["alexkit", "domain", "generate"]
         for key, opt in _SPEC_OPTIONS:
-            argv += [opt, str(spec[key])]
+            if key in reads:
+                argv += [opt, str(spec[key])]
         for key, opt in _SPEC_LISTS:
-            for item in spec[key]:
-                argv += [opt, ",".join(repr(float(x)) for x in item)]
+            if key in reads:
+                for item in spec[key]:
+                    argv += [opt, ",".join(repr(float(x)) for x in item)]
         argv += ["--seed", str(int(meta["seed"])), "-o", str(path)]
     except (KeyError, TypeError, ValueError, OverflowError):
         return "regenerate it with `alexkit domain generate`"
@@ -242,6 +252,9 @@ class FiniteMetricSpace:
         if validate:
             self.validate()
 
+    exact_metric = None
+    h_err = 0.0
+
     @property
     def n_points(self) -> int:
         return self.dist.shape[0]
@@ -273,10 +286,8 @@ class FiniteMetricSpace:
             raise GeometryError(f"triangle inequality fails: d({i}, {j}) > "
                                 f"d({i}, {k}) + d({k}, {j}) + {tol:g}")
 
-    def distance(self, i: int, j: int) -> float:
-        return float(self.dist[i, j])
-
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
+        """The distances among the points ``idx``, in their order."""
         return self.dist[np.ix_(idx, idx)]
 
     def to_csv(self, path) -> None:
@@ -295,6 +306,9 @@ class FiniteMetricSpace:
 
 class SpherePointSet:
     """Points on the unit sphere with exact great-circle distances."""
+
+    exact_metric = "sphere"
+    h_err = 0.0
 
     def __init__(self, points: np.ndarray):
         p = np.asarray(points, dtype=float)
@@ -315,10 +329,8 @@ class SpherePointSet:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    def distance(self, i: int, j: int) -> float:
-        return float(great_circle(self.points[i], self.points[j]))
-
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
+        """The great-circle distances among the points ``idx``, in their order."""
         p = self.points[idx]
         return great_circle(p[:, None, :], p[None, :, :])
 
@@ -411,7 +423,7 @@ class DiscreteLengthSpace:
     # -- basic facts
 
     @property
-    def n_vertices(self) -> int:
+    def n_points(self) -> int:
         return self._n
 
     @property
@@ -430,6 +442,11 @@ class DiscreteLengthSpace:
     @property
     def h_err(self) -> float:
         return float(self.meta.get("h_err", 0.0))
+
+    @property
+    def exact_metric(self) -> str | None:
+        """``"sphere"`` or ``"euclidean"`` when the generator recorded a closed-form metric."""
+        return self.meta.get("exact_metric")
 
     @property
     def stencil_gap(self) -> float:
@@ -497,6 +514,22 @@ class DiscreteLengthSpace:
         """
         g = self._graph_u if restrict_to_U else self._graph
         return dijkstra(g, directed=True, indices=sources, limit=limit)
+
+    def submatrix(self, idx: np.ndarray) -> np.ndarray:
+        """The distances among the vertices ``idx``, in their order.
+
+        The closed form named by ``exact_metric`` on the coordinates when the
+        generator recorded one, else the multi-source graph block, symmetrized.
+        """
+        exact = self.exact_metric
+        if exact == "sphere":
+            pts = self.coords[idx]
+            return great_circle(pts[:, None, :], pts[None, :, :])
+        if exact == "euclidean":
+            pts = self.coords[idx]
+            return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+        dist = self.distance_field(idx)[:, idx]
+        return 0.5 * (dist + dist.T)
 
     def shortest_path(self, src: int, dst: int, restrict_to_U: bool = False,
                       dist_to: np.ndarray | None = None) -> GeodesicPath:
@@ -611,23 +644,12 @@ class DiscreteLengthSpace:
 
 
 def comparison_angle(space, q: int, p: int, s: int, kappa: float) -> float:
-    """Comparison angle at q between p and s from the space's own distances.
-
-    No CLI command calls it: it is library API and, through
-    :func:`quadruple_defect`, the test oracle of the scan's array kernel.
-    """
+    """Comparison angle at q between p and s from the space's own distances; library API."""
     k = check_curvature(kappa)
     if len({q, p, s}) != 3:
         raise GeometryError("comparison angle needs three distinct points")
-    if isinstance(space, DiscreteLengthSpace):
-        dq = space.distance_field(q)
-        dp = space.distance_field(p)
-        qp, qs, ps = float(dq[p]), float(dq[s]), float(dp[s])
-    else:
-        qp = space.distance(q, p)
-        qs = space.distance(q, s)
-        ps = space.distance(p, s)
-    return angle_from_sides(k, ps, qp, qs)
+    d = space.submatrix(np.array([q, p, s]))
+    return angle_from_sides(k, d[1, 2], d[0, 1], d[0, 2])
 
 
 def quadruple_defect(space, p: int, x1: int, x2: int, x3: int, kappa: float) -> float | None:
@@ -635,17 +657,18 @@ def quadruple_defect(space, p: int, x1: int, x2: int, x3: int, kappa: float) -> 
 
     Nonnegative values mean the quadruple condition holds at this
     curvature; None means at least one model angle is undefined, in which
-    case the condition is vacuously true.  No CLI command calls it: it is
-    library API and the test oracle of the scan's ``_quad_defects``.
+    case the condition is vacuously true.  It reads the space's block of the
+    four points: it is library API and the oracle of the scan's ``_quad_defects``.
     """
     k = check_curvature(kappa)
     ids = (p, x1, x2, x3)
     if len(set(ids)) != 4:
         raise GeometryError("quadruple needs four distinct points")
+    d = space.submatrix(np.array(ids))
     total = 0.0
-    for i, j in ((x1, x2), (x2, x3), (x3, x1)):
+    for i, j in ((1, 2), (2, 3), (3, 1)):
         try:
-            total += comparison_angle(space, p, i, j, k)
+            total += angle_from_sides(k, d[i, j], d[0, i], d[0, j])
         except UndefinedModelAngleError:
             return None
     return 2.0 * math.pi - total
@@ -680,44 +703,18 @@ class ScanReport:
 
 
 def _scan_distances(space, subset: int, seed: int, samples: int):
-    """Dense distance block and quadruple index samples for any carrier.
-
-    Graph spaces with an exact ambient metric recorded by their generator
-    (convex domains whose intrinsic metric has a closed form) use it;
-    otherwise graph distances are used and the report carries the mesh
-    distortion bound.
-    """
+    """The carrier's distance block over a sorted point subset, and quadruple index samples."""
     rng = np.random.default_rng(seed)
-    graph = isinstance(space, DiscreteLengthSpace)
-    n = space.n_vertices if graph else space.n_points
-    idx = np.arange(n) if n <= subset else rng.choice(n, size=subset, replace=False)
-    idx = np.sort(idx)
-    exact = None
-    h_err = 0.0
-    if graph:
-        exact = space.meta.get("exact_metric")
-        h_err = space.h_err
-        if exact == "sphere":
-            pts = space.coords[idx]
-            dist = great_circle(pts[:, None, :], pts[None, :, :])
-        elif exact == "euclidean":
-            pts = space.coords[idx]
-            dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        else:
-            fields = space.distance_field(idx)
-            dist = fields[:, idx]
-            dist = 0.5 * (dist + dist.T)
-    else:
-        dist = space.submatrix(idx)
-        if isinstance(space, SpherePointSet):
-            exact = "sphere"
+    n = space.n_points
+    idx = np.sort(np.arange(n) if n <= subset else rng.choice(n, size=subset, replace=False))
     m = len(idx)
     if m < 4:
         raise GeometryError("quadruple scan needs at least four points")
+    dist = space.submatrix(idx)
     quads = rng.integers(0, m, size=(samples, 4))
     # rows of four distinct points
     quads = quads[(np.diff(np.sort(quads, axis=1), axis=1) != 0).all(axis=1)]
-    return dist, idx, quads, exact, h_err
+    return dist, idx, quads
 
 
 # each 4-subset {a, b, c, d} gives four oriented quadruples, one per apex p,
@@ -743,28 +740,34 @@ def _quad_sides(dist: np.ndarray, quads: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _quad_defects(sides: tuple[np.ndarray, ...], kappa: float):
-    """Each row's ``2*pi`` minus the three model angles at p, with one kernel call."""
+    """Each row's ``2*pi`` minus its model angles at p, and whether one is undefined; one call."""
     px1, px2, px3, x12, x23, x31 = sides
-    angles, _ = batch_angle(kappa, np.concatenate((x12, x23, x31)),
-                            np.concatenate((px1, px2, px3)), np.concatenate((px2, px3, px1)))
+    angles, undefined = batch_angle(kappa, np.concatenate((x12, x23, x31)),
+                                    np.concatenate((px1, px2, px3)),
+                                    np.concatenate((px2, px3, px1)))
     a1, a2, a3 = angles.reshape(3, -1)
-    defects = 2.0 * math.pi - (a1 + a2 + a3)
-    return defects, ~np.isnan(defects)
+    return 2.0 * math.pi - (a1 + a2 + a3), undefined.reshape(3, -1).any(axis=0)
 
 
-def _perimeter_bound(sides: tuple[np.ndarray, ...]) -> float:
-    """The least ``(2*pi / P)**2`` over rows, P a row's longest triangle perimeter (+inf if 0).
+def _perimeter_bound(sides: tuple[np.ndarray, ...]) -> tuple[float, float]:
+    """The least ``(2*pi / P)**2`` over rows, P a row's longest triangle perimeter, and ``top``.
 
     A length space of curvature >= kappa > 0 has no triangle of perimeter
-    over ``2*pi/sqrt(kappa)`` (Burago, Gromov and Perelman 1992).
+    over ``2*pi/sqrt(kappa)`` (Burago, Gromov and Perelman 1992).  ``top``
+    is the largest float below the bound at which the kernel's own test
+    defines P.  Both are +inf when every P is 0.
     """
     px1, px2, px3, x12, x23, x31 = sides
     longest = max(float(np.max(opp + u + v, initial=0.0))
                   for opp, u, v in ((x12, px1, px2), (x23, px2, px3), (x31, px3, px1)))
     if not longest:
-        return math.inf
+        return math.inf, math.inf
     root = 2.0 * math.pi / longest
-    return min(root * root, float(np.finfo(float).max))
+    bound = min(root * root, float(np.finfo(float).max))
+    top = math.nextafter(bound, -math.inf)
+    while top > 0.0 and not longest < 2.0 * math.pi / math.sqrt(top):
+        top = math.nextafter(top, -math.inf)
+    return bound, top
 
 
 # A row whose defect at a probe is at least -tol + _PRUNE_MARGIN holds at every
@@ -778,18 +781,18 @@ _WITNESSES = 256
 class _ActiveSet:
     """``holds(kappa)`` over a fixed table of quadruples, evaluating only rows that can decide it.
 
-    ``holds(kappa)`` is true when kappa is below ``bound`` and no quadruple
-    defined at kappa has a defect below -tol.  Below the bound every row is
-    defined, up to rounding at the bound, and each defect decreases in
-    kappa, so the predicate is monotone.  A row holds at every kappa up to
-    its ``holds_to``, the greatest probe at which its defect was at least
-    -tol + ``_PRUNE_MARGIN``, and a probe evaluates only the other rows:
-    first the witnesses, up to ``_WITNESSES`` rows that failed worst at the
-    last failing probe below the bound, and the rest only if every witness
-    holds.  The first probe evaluates every row, even at or above the bound,
-    and the scan reads its verdict from ``last``, the ``(defects, defined)``
-    of the latest evaluation; the search probes only below the bound.
-    ``probes`` counts the probes and ``evaluations`` the rows evaluated.
+    A row holds at kappa when the kernel defines its three model triangles
+    there and none of its defects is below -tol; ``holds(kappa)`` is true
+    when every row holds.  A row defined at kappa is defined below it, and
+    each defect decreases in kappa, so the predicate is monotone.  A row
+    holds at every kappa up to its ``holds_to``, the greatest probe at which
+    its defect was at least -tol + ``_PRUNE_MARGIN``, and a probe evaluates
+    only the other rows: first the witnesses, up to ``_WITNESSES`` rows that
+    failed worst at the last failing probe below ``bound``, and the rest
+    only if every witness holds.  The first probe evaluates every row, and
+    the scan reads its verdict from ``last``, the defects and undefined
+    mask of the latest evaluation.  ``probes`` counts the probes and
+    ``evaluations`` the rows evaluated.
     """
 
     def __init__(self, sides: tuple[np.ndarray, ...], tol: float, bound: float):
@@ -800,15 +803,16 @@ class _ActiveSet:
         self.last = (np.empty(0), np.empty(0, dtype=bool))
 
     def _holds_on(self, rows: np.ndarray, kappa: float) -> bool:
-        """Evaluate ``rows`` at kappa and store what that proved; true when none fails."""
+        """Evaluate ``rows`` at kappa and store what that proved; true when every one holds."""
         self.evaluations += len(rows)
-        defects, _ = self.last = _quad_defects(tuple(s[rows] for s in self.sides), kappa)
+        defects, undefined = self.last = _quad_defects(tuple(s[rows] for s in self.sides), kappa)
         self.holds_to[rows[defects >= -self.tol + _PRUNE_MARGIN]] = kappa
-        failing = defects < -self.tol
+        failing = undefined | (defects < -self.tol)
         if not failing.any():
             return True
         # failures at or above the bound make no witnesses, so that the probe
-        # at top evaluates, and settles, every row a witness would skip
+        # at top evaluates, and settles, every row a witness would skip; an
+        # undefined row's NaN defect sorts after every failing defect
         if kappa < self.bound:
             worst = np.argsort(defects[failing], kind="stable")[:_WITNESSES]
             self.witnesses = rows[failing][worst]
@@ -819,31 +823,28 @@ class _ActiveSet:
         active = self.holds_to < kappa
         witnesses = self.witnesses[active[self.witnesses]]
         active[witnesses] = False
-        for rows in (witnesses, np.flatnonzero(active)):
-            if len(rows) and not self._holds_on(rows, kappa):
-                return False
-        return kappa < self.bound
+        return all(self._holds_on(rows, kappa)
+                   for rows in (witnesses, np.flatnonzero(active)) if len(rows))
 
 
-def _kappa_max(holds, kappa: float, held: bool, bound: float) -> tuple[float, str]:
+def _kappa_max(holds, kappa: float, held: bool, bound: float, top: float) -> tuple[float, str]:
     """The largest probed curvature at which the monotone ``holds`` is true, and its rule.
 
     ``held`` is the first probe's outcome, at kappa.  ``top``, the largest
-    float below ``bound``, is probed unless the first probe failed at or
-    below it; if it holds, it is the result by the ``"perimeter"`` rule.
-    Otherwise the bracket, bisected for at most 64 steps or until the
-    midpoint rounds to an end, is [kappa, top] if the first probe held, and
-    else the first holding step down from min(kappa, top) by ``bound * 2**j``
-    (at most 64 steps, else -inf) with the step before it; the rule is then
-    ``"defect"``.  Steps scale with the bound, so the search is scale-free.
-    +inf when the bound is.
+    curvature below ``bound`` that the search probes, is probed unless the
+    first probe failed at or below it; if it holds, it is the result by the
+    ``"perimeter"`` rule.  Otherwise the bracket, bisected for at most 64
+    steps or until the midpoint rounds to an end, is [kappa, top] if the
+    first probe held there, and else the first holding step down from
+    min(kappa, top) by ``bound * 2**j`` (at most 64 steps, else -inf) with
+    the step before it; the rule is then ``"defect"``.  Steps scale with
+    the bound, so the search is scale-free.  +inf when the bound is.
     """
     if bound == math.inf:
         return math.inf, "perimeter"
-    top = math.nextafter(bound, -math.inf)
     if (held or kappa > top) and holds(top):
         return top, "perimeter"
-    if held:
+    if held and kappa <= top:
         a, b = kappa, top
     else:
         b = start = min(kappa, top)
@@ -879,8 +880,9 @@ def scan_quadruples(
     The first probe, at ``kappa``, evaluates every quadruple and gives the
     verdict, over the quadruples defined there; the rest are ``vacuous``.
     ``kappa_max`` is the largest probed curvature below ``perimeter_bound``
-    at which no quadruple fails, and ``kappa_max_rule`` names what bounded
-    it (see ``_kappa_max``); ``censored`` marks an infinite one.  ``work``
+    at which every quadruple holds: its three model triangles are defined
+    and none of its defects is below -tol.  ``kappa_max_rule`` names what
+    bounded it (see ``_kappa_max``); ``censored`` marks an infinite one.  ``work``
     counts the probes and the quadruple rows evaluated.  ``tol`` must be
     finite and nonnegative.  Exhaustive enumeration suits small point sets.
     """
@@ -891,19 +893,20 @@ def scan_quadruples(
         raise GeometryError("scan subset must hold at least four points")
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise GeometryError(f"scan tolerance must be finite and nonnegative, got {tol!r}")
-    dist, idx, quads, exact, h_err = _scan_distances(space, subset, seed, samples)
+    dist, idx, quads = _scan_distances(space, subset, seed, samples)
     m = dist.shape[0]
     if exhaustive:
         if m > 60:
             raise GeometryError("exhaustive scan limited to 60 points")
         quads = _all_quadruples(m)
     if tol is None:
-        tol = 1e-9 if exact else max(1e-9, 24.0 * h_err)
+        tol = 1e-9 if space.exact_metric else max(1e-9, 24.0 * space.h_err)
     sides = _quad_sides(dist, quads)
-    bound = _perimeter_bound(sides)
+    bound, top = _perimeter_bound(sides)
     search = _ActiveSet(sides, tol, bound)
     held = search.holds(k)
-    defects, defined = search.last
+    defects = search.last[0]
+    defined = ~np.isnan(defects)
     vacuous = int((~defined).sum())
     evaluated = int(defined.sum())
     if evaluated:
@@ -916,12 +919,12 @@ def scan_quadruples(
     else:
         min_defect = math.inf
         worst = {}
-    kappa_max, rule = _kappa_max(search.holds, k, held, bound)
+    kappa_max, rule = _kappa_max(search.holds, k, held, bound, top)
     return ScanReport(
         kappa=k, samples=len(quads), evaluated=evaluated, vacuous=vacuous,
         min_defect=min_defect, worst_case=worst, kappa_max=kappa_max, tol=float(tol),
-        h_err=h_err, exact_metric=exact, subset_size=m, censored=math.isinf(kappa_max),
-        perimeter_bound=bound, kappa_max_rule=rule,
+        h_err=space.h_err, exact_metric=space.exact_metric, subset_size=m,
+        censored=math.isinf(kappa_max), perimeter_bound=bound, kappa_max_rule=rule,
         work={"probes": search.probes, "quadruple_evaluations": search.evaluations},
     )
 

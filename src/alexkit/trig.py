@@ -35,7 +35,7 @@ from .errors import (
 # around (1e-6)^5 / 11!, far below double precision.
 SERIES_CUTOFF = 1e-6
 
-# Default tolerance on f-values for the monotone inverse.
+# Tolerance on f-values for the monotone inverse's image test.
 F_VALUE_TOL = 1e-12
 
 _TRI_SLACK = 1e-9
@@ -158,12 +158,7 @@ def f(c: float, kappa: float) -> float:
     return cs(k, cc) / sn(k, cc)
 
 
-def f_inverse(
-    c: float,
-    y: float,
-    bracket: tuple[float, float] | None = None,
-    tol: float = F_VALUE_TOL,
-) -> float:
+def f_inverse(c: float, y: float, bracket: tuple[float, float] | None = None) -> float:
     """Curvature kappa with f(c, kappa) = y, unique by strict monotonicity.
 
     Bisection on the bracket (default [-1e4, just below the pole (pi/c)^2])
@@ -188,7 +183,7 @@ def f_inverse(
     flo = f(cc, lo)
     fhi = f(cc, hi)
     # f decreasing: image over the bracket is [fhi, flo]
-    if not (fhi - tol <= yy <= flo + tol):
+    if not (fhi - F_VALUE_TOL <= yy <= flo + F_VALUE_TOL):
         raise InverseRangeError(
             f"target {yy!r} outside image [{fhi!r}, {flo!r}] of f over "
             f"bracket [{lo!r}, {hi!r}] at c={cc!r}",
@@ -439,7 +434,7 @@ def batch_f(c, kappa):
     return _f(cc, k, ok)
 
 
-def batch_f_inverse(c, y, lo=-1.0e4, hi=None, tol: float = F_VALUE_TOL):
+def batch_f_inverse(c, y, lo=-1.0e4, hi=None):
     """Array ``f_inverse`` over per-element brackets ``[lo, hi]``.
 
     ``hi=None`` is the scalar's default, just below the pole.  Every entry
@@ -458,7 +453,7 @@ def batch_f_inverse(c, y, lo=-1.0e4, hi=None, tol: float = F_VALUE_TOL):
     a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
     fa, fb = batch_f(cc, a), batch_f(cc, b)
     with np.errstate(invalid="ignore"):
-        ok = np.isfinite(yy) & (a < b) & (fb - tol <= yy) & (yy <= fa + tol)
+        ok = np.isfinite(yy) & (a < b) & (fb - F_VALUE_TOL <= yy) & (yy <= fa + F_VALUE_TOL)
         active = ok.copy()
         for _ in range(200):
             active &= b - a > 1e-12 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))

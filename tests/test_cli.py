@@ -1,6 +1,7 @@
 """CLI surface: schemas, exit codes, reproducibility, CSV emission."""
 
 import base64
+import dataclasses
 import json
 import math
 import os
@@ -212,6 +213,34 @@ def test_domain_generate_sphere_points_csv(runner, tmp_path):
     mat = np.loadtxt(out, delimiter=",")
     assert mat.shape == (40, 40)
     assert abs(mat - mat.T).max() == 0.0
+
+
+# every option each kind reads, --side and --stencil-radius away from their defaults
+_KIND_ARGV = {
+    "cap": ["--r", "1.2566", "--h", "0.15"],
+    "dense_square": ["--h", "0.015625", "--delta", "0.3", "--segments", "20", "--side", "1.5",
+                     "--stencil-radius", "3"],
+    "punctured": ["--h", "0.0625", "--side", "1.5", "--stencil-radius", "3",
+                  "--remove-point", "0.5,0.25", "--remove-point", "0.75,0.75",
+                  "--remove-segment", "0.2,0.6,0.8,0.6"],
+    "sphere_points": ["--n", "20"],
+}
+_OPTION_VALUES = {"--r": "1", "--h": "0.2", "--delta": "0.2", "--segments": "20", "--side": "2",
+                  "--stencil-radius": "4", "--remove-point": "0.5,0.5",
+                  "--remove-segment": "0.2,0.2,0.8,0.8", "--n": "20"}
+
+
+@pytest.mark.parametrize("kind, option", [
+    (kind, option) for kind, argv in _KIND_ARGV.items() for option in _OPTION_VALUES
+    if option not in argv])
+def test_domain_generate_refuses_an_option_its_kind_does_not_read(runner, tmp_path, kind,
+                                                                  option):
+    out = tmp_path / "out"
+    res = _run(runner, ["domain", "generate", "--kind", kind, *_KIND_ARGV[kind], option,
+                        _OPTION_VALUES[option], "-o", str(out)])
+    assert res.exit_code == 2
+    assert f"Error: the {kind} kind does not read {option}" in res.output.splitlines()
+    assert not out.exists()
 
 
 def test_space_scan_exit_codes(runner, tmp_path):
@@ -594,18 +623,15 @@ def test_files_and_reports_do_not_depend_on_the_blas_kernel(tmp_path):
             assert files[lever][name] == data, (lever, name)
 
 
-@pytest.mark.parametrize("options", [
-    ["--kind", "cap", "--r", "1.2566", "--h", "0.15"],
-    ["--kind", "dense_square", "--h", "0.015625", "--delta", "0.2", "--segments", "20"],
-    ["--kind", "punctured", "--h", "0.0625", "--stencil-radius", "3",
-     "--remove-point", "0.5,0.25", "--remove-point", "0.75,0.75",
-     "--remove-segment", "0.2,0.6,0.8,0.6"],
-], ids=["cap", "dense_square", "punctured"])
-def test_old_list_form_file_names_the_command_that_rebuilds_it(runner, tmp_path, options):
+@pytest.mark.parametrize("kind", ["cap", "dense_square", "punctured"])
+def test_old_list_form_file_names_the_command_that_rebuilds_it(runner, tmp_path, kind):
     new, old = tmp_path / "new.json", tmp_path / "old.json"
-    res = _run(runner, ["domain", "generate", *options, "--seed", "4", "-o", str(new)])
+    res = _run(runner, ["domain", "generate", "--kind", kind, *_KIND_ARGV[kind], "--seed", "4",
+                        "-o", str(new)])
     assert res.exit_code == 0
     data = json.loads(new.read_text())
+    # the spec keeps the fields its kind does not read; the command leaves them out
+    assert set(data["meta"]["spec"]) == {f.name for f in dataclasses.fields(domains.DomainSpec)}
     table = data["edges"]
     indptr = np.frombuffer(base64.b64decode(table["indptr"]), dtype="<i4")
     cols = np.frombuffer(base64.b64decode(table["indices"]), dtype="<i4")
@@ -619,7 +645,7 @@ def test_old_list_form_file_names_the_command_that_rebuilds_it(runner, tmp_path,
                             "--radius", "1", "--kappa", "0"])
         assert res.exit_code == 2
         argv = shlex.split(" ".join(res.output.split("`")[1].split()))
-        assert argv[:3] == ["alexkit", "domain", "generate"]
+        assert argv[:5] == ["alexkit", "domain", "generate", "--kind", kind]
         res = _run(runner, argv[1:])
         assert res.exit_code == 0
         assert old.read_bytes() == new.read_bytes()
@@ -882,11 +908,17 @@ _FUZZ_COMMANDS = {
          "--trials": ["20", "60"]},
         {"--scale": ["0.01", "0.002"], "--kappa-min": ["-1"], "--kappa-max": ["1"],
          "--a-min": ["0.5"], "--a-max": ["1.5"], "--segments": ["3"]}),
-    ("domain", "generate"): (
-        {"--kind": ["cap", "dense_square", "punctured", "sphere_points"],
-         "--h": ["0.2", "0.1"], "--n": ["20"], "--segments": ["20"]},
-        {"--r": ["1.2"], "--delta": ["0.2"], "--side": ["1", "2"], "--stencil-radius": ["2"],
-         "--remove-point": ["0.5,0.5"], "--remove-segment": ["0.2,0.2,0.8,0.8"]}),
+    # each kind with the options it reads, and one it does not read
+    ("domain", "generate", "--kind", "cap"): (
+        {"--r": ["1.2"], "--h": ["0.2", "0.1"]}, {"--segments": ["20"]}),
+    ("domain", "generate", "--kind", "dense_square"): (
+        {"--h": ["0.2", "0.1"], "--segments": ["20"]},
+        {"--delta": ["0.2"], "--side": ["1", "2"], "--stencil-radius": ["2"], "--n": ["20"]}),
+    ("domain", "generate", "--kind", "punctured"): (
+        {"--h": ["0.2", "0.1"]},
+        {"--side": ["1", "2"], "--stencil-radius": ["2"], "--remove-point": ["0.5,0.5"],
+         "--remove-segment": ["0.2,0.2,0.8,0.8"], "--r": ["1.2"]}),
+    ("domain", "generate", "--kind", "sphere_points"): ({"--n": ["20"]}, {"--h": ["0.2"]}),
     ("space", "scan"): (
         {"--input": ["sphere.csv", "cap.json", "grid.json"], "--kappa": ["1", "0", "-1"],
          "--samples": ["200"]},

@@ -177,7 +177,7 @@ def test_punctured_single_point_counts(punctured_square):
 
 def test_square_openness_no_isolated_u_vertices(dense_square, punctured_square):
     for sp in (dense_square, punctured_square):
-        adj_ok = np.zeros(sp.n_vertices, dtype=bool)
+        adj_ok = np.zeros(sp.n_points, dtype=bool)
         mask = sp.in_U[sp.edges[:, 0]] & sp.in_U[sp.edges[:, 1]]
         adj_ok[sp.edges[mask, 0]] = True
         adj_ok[sp.edges[mask, 1]] = True
@@ -294,7 +294,7 @@ def _completion_by_rows(space, pairs, epsilon, seed):
     starts = segs[:, :2]
     ends = segs[:, 2:]
     rng = np.random.default_rng(seed)
-    n = space.n_vertices
+    n = space.n_points
     n_uniform = pairs // 2
     p_ids = np.empty(pairs, dtype=np.int64)
     q_ids = np.empty(pairs, dtype=np.int64)
