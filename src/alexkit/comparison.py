@@ -35,6 +35,7 @@ from .trig import (
     check_curvature,
     f,
     f_inverse,
+    first_missing,
     model_side,
 )
 
@@ -150,12 +151,12 @@ def kappa_bar_multi(config: HingeConfig) -> tuple[float, float]:
     lengths = [seg[0] for seg in config.segments]
     kappas = [seg[1] for seg in config.segments]
     w = _hinge_weights(lengths)
-    lower = float(np.dot(w, kappas))
+    lower = float((w * kappas).sum())
     if max(kappas) == min(kappas):
         f(config.base, kappas[0])
         return kappas[0], lower
     fvals = np.array([f(config.base, k) for k in kappas])
-    y = float(np.dot(w, fvals))
+    y = float((w * fvals).sum())
     lo, hi = min(kappas), max(kappas)
     pad = 1e-9 * (1.0 + hi - lo)
     kf = f_inverse(config.base, y, bracket=(lo - pad, hi + pad))
@@ -811,17 +812,13 @@ def _alexandrov(kappas, tol):
         phi = stream.uniform(0.05, math.pi - 0.05)
         pq = batch_model_side(ambient, e, b, phi)
         ps = batch_model_side(ambient, e, d, math.pi - phi)
-        # alexandrov_lemma_check's four angles at every curvature, in its
-        # order: the first one that raises decides vacuous or skipped
-        angles = [batch_angle(ks, *sides) for sides in
-                  ((e, pq, b), (ps, pq, b + d), (pq, e, b), (ps, e, d))]
-        decided = np.zeros((ks.size, b.size), dtype=bool)
-        vacuous = np.zeros_like(decided)
-        for angle, undefined in angles:
-            fails = np.isnan(angle) & ~decided
-            vacuous |= fails & undefined
-            decided |= fails
-        near, far, back, forward = (angle for angle, _ in angles)
+        # alexandrov_lemma_check's four angles at every curvature, stacked in
+        # its order: the first one that raises decides vacuous or skipped
+        triangles = ((e, pq, b), (ps, pq, b + d), (pq, e, b), (ps, e, d))
+        angles, undefined = batch_angle(ks, *(np.stack(side)[:, None]
+                                              for side in zip(*triangles)))
+        _, vacuous = first_missing(angles, undefined)
+        near, far, back, forward = angles
         margin_base, margin_split = rows(near - far), rows(math.pi - (back + forward))
         # below -tol exactly where the two margins disagree in sign beyond tol
         defect = (np.sign(margin_base) * np.sign(margin_split)

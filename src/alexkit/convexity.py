@@ -12,7 +12,7 @@ restricted length is within slack of optimal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .spaces import DiscreteLengthSpace
 _Z95 = 1.959963984540054
 # the most points a geodesic is sampled at; a finer step is refused
 _MAX_TICKS = 1_000_000
+# a lattice length often equals a multiple of h exactly: the tick count and the
+# ring index allow this relative slack, so that rescaling cannot move them
+_REL_SLACK = 1e-12
 
 
 def _slack(space: DiscreteLengthSpace, slack: float | None) -> float:
@@ -46,47 +49,23 @@ def _step(space: DiscreteLengthSpace, step: float | None) -> float:
 
 @dataclass
 class ConvexityReport:
-    """Outcome of one convexity estimate along a geodesic or over the domain."""
+    """Outcome of one convexity estimate: the fields it measured, and None for the rest.
+
+    Geodesic estimates set ``step`` and, when asked, ``series``; the domain
+    estimate samples vertices and sets ``margin``.  README defines each field.
+    """
 
     probability: float
     samples: int
-    connected_measure: float
-    total_measure: float
-    margin: float
-    epsilon: float
     slack: float
-    step: float = 0.0
-    series: dict = field(default_factory=dict)
-    detail: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0.0 <= self.probability <= 1.0:
-            raise GeometryError("probability must lie in [0, 1]")
-        expect = self.probability * self.total_measure
-        if abs(self.connected_measure - expect) > 1e-9 * (1.0 + self.total_measure):
-            raise GeometryError("connected measure inconsistent with probability")
+    detail: dict
+    step: float | None = None
+    margin: float | None = None
+    series: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "probability": self.probability,
-            "samples": self.samples,
-            "connected_measure": self.connected_measure,
-            "total_measure": self.total_measure,
-            "margin": self.margin,
-            "epsilon": self.epsilon,
-            "slack": self.slack,
-            "step": self.step,
-            "detail": self.detail,
-        }
-        if self.series:
-            out["series"] = self.series
-        return out
-
-
-def _binomial_margin(p: float, n: int, z: float = _Z95) -> float:
-    if n <= 0:
-        return 1.0
-    return z * math.sqrt(max(p * (1.0 - p), 0.0) / n + 0.25 / (n * n))
+        """The fields that are set, sharing ``series`` rather than copying it."""
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def _connectable_mask(space: DiscreteLengthSpace, p: int, xs: np.ndarray,
@@ -98,7 +77,7 @@ def _connectable_mask(space: DiscreteLengthSpace, p: int, xs: np.ndarray,
     """
     d_rest = space.distance_field(p, restrict_to_U=True)[xs]
     d_full = space.distance_field(p)[xs]
-    reached = np.isfinite(d_rest) & (d_rest <= d_full * (1.0 + slack) + 1e-12)
+    reached = np.isfinite(d_rest) & (d_rest <= d_full * (1.0 + slack) * (1.0 + _REL_SLACK))
     return space.in_U[p] & space.in_U[xs] & ((xs == p) | reached)
 
 
@@ -114,10 +93,10 @@ def prob_convexity(
     """Fraction of a fixed completion geodesic [qs] connectable to p.
 
     Samples the geodesic at arc spacing at most ``step`` (one mesh cell by
-    default), counting each sample point by measure; a step that would need
-    more than ``_MAX_TICKS`` points raises :class:`TickBoundError` before
-    they are built.  Deterministic for fixed inputs: the geodesic itself is
-    the deterministic shortest-path walk.
+    default) up to a relative ``_REL_SLACK``, counting each sample point by
+    measure; a step that would need more than ``_MAX_TICKS`` points raises
+    :class:`TickBoundError` before they are built.  Deterministic for fixed
+    inputs: the geodesic itself is the deterministic shortest-path walk.
     """
     if q == s:
         raise GeometryError("probability needs distinct geodesic endpoints")
@@ -131,26 +110,37 @@ def prob_convexity(
             f"step {step!r} would sample the geodesic of length {length!r} at "
             f"{spans + 1:.4g} ticks, above the bound of {_MAX_TICKS}"
         )
-    n_ticks = max(2, int(math.ceil(spans)) + 1)
+    n_ticks = max(2, int(math.ceil(spans * (1.0 - _REL_SLACK))) + 1)
     ticks = np.linspace(0.0, length, n_ticks)
     xs = path.vertices_at_arcs(ticks)
     flags = _connectable_mask(space, p, xs, slack)
-    prob = float(np.mean(flags))
-    series = {}
+    series = None
     if keep_series:
         series = {"arc_length": ticks.tolist(), "connectable": flags.astype(int).tolist()}
     return ConvexityReport(
-        probability=prob,
-        samples=n_ticks,
-        connected_measure=prob * length,
-        total_measure=length,
-        margin=_binomial_margin(prob, n_ticks),
-        epsilon=0.0,
-        slack=slack,
-        step=step,
-        series=series,
-        detail={"p": p, "q": q, "s": s, "geodesic_length": length},
+        probability=float(np.mean(flags)), samples=n_ticks, slack=slack,
+        detail={"p": p, "q": q, "s": s, "geodesic_length": length}, step=step, series=series,
     )
+
+
+def _ball(space: DiscreteLengthSpace, center: int, epsilon: float):
+    """The open vertices within epsilon of center, and their rings of width h, by ring and id."""
+    d = space.distance_field(center)
+    ids = np.flatnonzero((d <= epsilon) & space.in_U)
+    if len(ids) == 0:
+        raise ResolutionError(f"no open-domain vertices within epsilon of {center}")
+    rings = np.minimum((d[ids] / max(space.h, 1e-300) * (1.0 + _REL_SLACK)).astype(int), 1_000_000)
+    order = np.lexsort((ids, rings))
+    return ids[order], rings[order]
+
+
+def _draw(ball, rng) -> int:
+    """A vertex of the ball: a uniform ring, then a uniform member of it."""
+    ids, rings = ball
+    ring_values = np.unique(rings)
+    rv = ring_values[int(rng.integers(0, len(ring_values)))]
+    members = ids[rings == rv]
+    return int(members[int(rng.integers(0, len(members)))])
 
 
 def weak_lambda_search(
@@ -187,27 +177,11 @@ def weak_lambda_search(
         )
     slack = _slack(space, slack)
     rng = np.random.default_rng(seed)
-    balls = []
-    for center in (p, q, s):
-        d = space.distance_field(center)
-        ids = np.flatnonzero((d <= epsilon) & space.in_U)
-        if len(ids) == 0:
-            raise ResolutionError(f"no open-domain vertices within epsilon of {center}")
-        rings = np.minimum((d[ids] / max(space.h, 1e-300)).astype(int), 1_000_000)
-        order = np.lexsort((ids, rings))
-        balls.append((ids[order], rings[order]))
-
-    def draw(ball, rng):
-        ids, rings = ball
-        ring_values = np.unique(rings)
-        rv = ring_values[int(rng.integers(0, len(ring_values)))]
-        members = ids[rings == rv]
-        return int(members[int(rng.integers(0, len(members)))])
-
+    balls = [_ball(space, center, epsilon) for center in (p, q, s)]
     best: ConvexityReport | None = None
     triples = {(p, q, s)}
     for _ in range(candidates - 1):
-        triples.add((draw(balls[0], rng), draw(balls[1], rng), draw(balls[2], rng)))
+        triples.add(tuple(_draw(ball, rng) for ball in balls))
     evaluated = 0
     for (pp, qq, ss) in sorted(triples):
         if qq == ss:
@@ -227,16 +201,11 @@ def weak_lambda_search(
             break  # no later triple can do better
     if best is None:
         raise UnreachableError("no candidate triple admitted a geodesic")
-    return replace(
-        best,
-        epsilon=epsilon,
-        detail={
-            "origin": {"p": p, "q": q, "s": s},
-            "best_triple": {"p": best_triple[0], "q": best_triple[1], "s": best_triple[2]},
-            "candidates_requested": candidates,
-            "candidates_evaluated": evaluated,
-        },
-    )
+    return replace(best, detail={
+        "origin": {"p": p, "q": q, "s": s}, "best_triple": dict(zip("pqs", best_triple)),
+        "geodesic_length": best.detail["geodesic_length"],
+        "candidates_requested": candidates, "candidates_evaluated": evaluated,
+    })
 
 
 def ae_convexity_estimate(
@@ -248,9 +217,11 @@ def ae_convexity_estimate(
 ) -> ConvexityReport:
     """Fraction of the open domain connectable to p (vertex-count measure).
 
-    Samples open-domain vertices uniformly (all of them when few enough).
-    Comparable against the perturbed-triple estimate on the same domain:
-    almost-everywhere connectability should force the latter toward one.
+    Samples open-domain vertices uniformly without replacement, or counts
+    all of them when there are at most ``samples``: the fraction is then
+    exact and its margin 0.  Comparable against the perturbed-triple
+    estimate on the same domain: almost-everywhere connectability should
+    force the latter toward one.
     """
     if not space.in_U[p]:
         raise GeometryError("base point must lie in the open domain")
@@ -259,18 +230,12 @@ def ae_convexity_estimate(
     slack = _slack(space, slack)
     rng = np.random.default_rng(seed)
     ids = np.flatnonzero(space.in_U)
-    if len(ids) > samples:
+    sampled = len(ids) > samples
+    if sampled:
         ids = np.sort(rng.choice(ids, size=samples, replace=False))
     prob = float(np.mean(_connectable_mask(space, p, ids, slack)))
     n = len(ids)
-    return ConvexityReport(
-        probability=prob,
-        samples=n,
-        connected_measure=prob * n,
-        total_measure=float(n),
-        margin=_binomial_margin(prob, n),
-        epsilon=0.0,
-        slack=slack,
-        step=0.0,
-        detail={"p": p, "mode": "vertex_fraction"},
-    )
+    # half-width of the 95% normal-approximation interval, with continuity term
+    margin = _Z95 * math.sqrt(prob * (1.0 - prob) / n + 0.25 / (n * n)) if sampled else 0.0
+    return ConvexityReport(probability=prob, samples=n, slack=slack,
+                           detail={"p": p, "mode": "vertex_fraction"}, margin=margin)

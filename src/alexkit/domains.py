@@ -448,7 +448,7 @@ def _sew_guards(kept: np.ndarray, near_rim: np.ndarray, guards: np.ndarray,
 def _cap_levels(h: float) -> tuple[float, int]:
     """The icosahedron's edge arc and the subdivisions that bring it to ``h`` or below."""
     verts, _ = _icosahedron()
-    base_edge = 2.0 * math.asin(np.linalg.norm(verts[0] - verts[1]) / 2.0)
+    base_edge = float(great_circle(verts[0], verts[1]))
     # the clamp keeps an overflowing ratio finite; generate() refuses it
     return base_edge, max(0, math.ceil(math.log2(min(base_edge / h, _MAX_CELLS))))
 

@@ -47,7 +47,7 @@ from .errors import (
     UnreachableError,
 )
 from .reporting import _atomic_write
-from .trig import angle_from_sides, batch_angle, check_curvature
+from .trig import angle_from_sides, batch_angle, check_curvature, first_missing
 
 _PATH_TOL = 1e-9
 
@@ -656,9 +656,10 @@ def quadruple_defect(space, p: int, x1: int, x2: int, x3: int, kappa: float) -> 
     """2*pi minus the comparison angle sum at p, or None when vacuous.
 
     Nonnegative values mean the quadruple condition holds at this
-    curvature; None means at least one model angle is undefined, in which
-    case the condition is vacuously true.  It reads the space's block of the
-    four points: it is library API and the oracle of the scan's ``_quad_defects``.
+    curvature.  Of the triangles opposite x1x2, x2x3 and x3x1, in that order,
+    the first that fails decides: None, vacuously true, when its model angle
+    is undefined, else the kernel's exception.  It reads the space's block of
+    the four points: it is library API and the oracle of ``_quad_defects``.
     """
     k = check_curvature(kappa)
     ids = (p, x1, x2, x3)
@@ -684,6 +685,7 @@ class ScanReport:
     samples: int
     evaluated: int
     vacuous: int
+    skipped: int
     min_defect: float
     worst_case: dict
     kappa_max: float
@@ -740,13 +742,12 @@ def _quad_sides(dist: np.ndarray, quads: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _quad_defects(sides: tuple[np.ndarray, ...], kappa: float):
-    """Each row's ``2*pi`` minus its model angles at p, and whether one is undefined; one call."""
+    """Each row's ``2*pi`` minus its model angles at p, and whether it is vacuous; one call."""
     px1, px2, px3, x12, x23, x31 = sides
-    angles, undefined = batch_angle(kappa, np.concatenate((x12, x23, x31)),
-                                    np.concatenate((px1, px2, px3)),
-                                    np.concatenate((px2, px3, px1)))
-    a1, a2, a3 = angles.reshape(3, -1)
-    return 2.0 * math.pi - (a1 + a2 + a3), undefined.reshape(3, -1).any(axis=0)
+    angles, undefined = batch_angle(kappa, np.stack((x12, x23, x31)),
+                                    np.stack((px1, px2, px3)), np.stack((px2, px3, px1)))
+    a1, a2, a3 = angles
+    return 2.0 * math.pi - (a1 + a2 + a3), first_missing(angles, undefined)[1]
 
 
 def _perimeter_bound(sides: tuple[np.ndarray, ...]) -> tuple[float, float]:
@@ -781,17 +782,17 @@ _WITNESSES = 256
 class _ActiveSet:
     """``holds(kappa)`` over a fixed table of quadruples, evaluating only rows that can decide it.
 
-    A row holds at kappa when the kernel defines its three model triangles
-    there and none of its defects is below -tol; ``holds(kappa)`` is true
-    when every row holds.  A row defined at kappa is defined below it, and
-    each defect decreases in kappa, so the predicate is monotone.  A row
+    A row fails at kappa when it is vacuous there or one of its defects is
+    below -tol, and a skipped row holds; ``holds(kappa)`` is true when every
+    row holds.  A row defined at kappa is defined below it, and each defect
+    decreases in kappa, so the predicate is monotone.  A row
     holds at every kappa up to its ``holds_to``, the greatest probe at which
     its defect was at least -tol + ``_PRUNE_MARGIN``, and a probe evaluates
     only the other rows: first the witnesses, up to ``_WITNESSES`` rows that
     failed worst at the last failing probe below ``bound``, and the rest
     only if every witness holds.  The first probe evaluates every row, and
-    the scan reads its verdict from ``last``, the defects and undefined
-    mask of the latest evaluation.  ``probes`` counts the probes and
+    the scan reads its verdict from ``last``, the defects and vacuous mask
+    of the latest evaluation.  ``probes`` counts the probes and
     ``evaluations`` the rows evaluated.
     """
 
@@ -805,14 +806,14 @@ class _ActiveSet:
     def _holds_on(self, rows: np.ndarray, kappa: float) -> bool:
         """Evaluate ``rows`` at kappa and store what that proved; true when every one holds."""
         self.evaluations += len(rows)
-        defects, undefined = self.last = _quad_defects(tuple(s[rows] for s in self.sides), kappa)
+        defects, vacuous = self.last = _quad_defects(tuple(s[rows] for s in self.sides), kappa)
         self.holds_to[rows[defects >= -self.tol + _PRUNE_MARGIN]] = kappa
-        failing = undefined | (defects < -self.tol)
+        failing = vacuous | (defects < -self.tol)
         if not failing.any():
             return True
         # failures at or above the bound make no witnesses, so that the probe
-        # at top evaluates, and settles, every row a witness would skip; an
-        # undefined row's NaN defect sorts after every failing defect
+        # at top evaluates, and settles, every row a witness would skip; a
+        # vacuous row's NaN defect sorts after every failing defect
         if kappa < self.bound:
             worst = np.argsort(defects[failing], kind="stable")[:_WITNESSES]
             self.witnesses = rows[failing][worst]
@@ -878,10 +879,11 @@ def scan_quadruples(
     """Minimum quadruple defect over sampled quadruples, plus kappa_max.
 
     The first probe, at ``kappa``, evaluates every quadruple and gives the
-    verdict, over the quadruples defined there; the rest are ``vacuous``.
+    verdict, over the quadruples defined there; each other one is
+    ``vacuous`` where ``quadruple_defect`` returns None, else ``skipped``.
     ``kappa_max`` is the largest probed curvature below ``perimeter_bound``
-    at which every quadruple holds: its three model triangles are defined
-    and none of its defects is below -tol.  ``kappa_max_rule`` names what
+    at which every quadruple holds: it is not vacuous there and none of its
+    defects is below -tol.  ``kappa_max_rule`` names what
     bounded it (see ``_kappa_max``); ``censored`` marks an infinite one.  ``work``
     counts the probes and the quadruple rows evaluated.  ``tol`` must be
     finite and nonnegative.  Exhaustive enumeration suits small point sets.
@@ -905,10 +907,9 @@ def scan_quadruples(
     bound, top = _perimeter_bound(sides)
     search = _ActiveSet(sides, tol, bound)
     held = search.holds(k)
-    defects = search.last[0]
+    defects, vacuous = search.last
     defined = ~np.isnan(defects)
-    vacuous = int((~defined).sum())
-    evaluated = int(defined.sum())
+    evaluated, vacuous = int(defined.sum()), int(vacuous.sum())
     if evaluated:
         finite = np.where(defined, defects, np.inf)
         i = int(np.argmin(finite))
@@ -922,6 +923,7 @@ def scan_quadruples(
     kappa_max, rule = _kappa_max(search.holds, k, held, bound, top)
     return ScanReport(
         kappa=k, samples=len(quads), evaluated=evaluated, vacuous=vacuous,
+        skipped=len(quads) - evaluated - vacuous,
         min_defect=min_defect, worst_case=worst, kappa_max=kappa_max, tol=float(tol),
         h_err=space.h_err, exact_metric=space.exact_metric, subset_size=m,
         censored=math.isinf(kappa_max), perimeter_bound=bound, kappa_max_rule=rule,
@@ -1042,9 +1044,9 @@ def local_kappa_domain_check(
     def angles(*triangles):
         """Comparison angles of ``(opposite, u, v)`` triangles, or None once the skip is counted."""
         angle, undefined = batch_angle(k, *zip(*triangles))
-        bad = np.flatnonzero(np.isnan(angle))
-        if len(bad):
-            skips["undefined_angle" if undefined[bad[0]] else "invalid_triangle"] += 1
+        missing, undefined = first_missing(angle, undefined)
+        if missing:
+            skips["undefined_angle" if undefined else "invalid_triangle"] += 1
             return None
         return angle.tolist()
 

@@ -536,3 +536,14 @@ def batch_angle(kappa, opposite, u, v) -> tuple[np.ndarray, np.ndarray]:
         ok = valid & defined & (np.abs(cosang) <= 1.0 + 1e-9)
         angle = np.where(ok, np.arccos(np.clip(cosang, -1.0, 1.0)), np.nan)
     return angle, valid & ~defined
+
+
+def first_missing(angle, undefined) -> tuple[np.ndarray, np.ndarray]:
+    """Along ``batch_angle``'s first axis: any angle missing, and the first one undefined.
+
+    A scalar oracle raises at its first failing triangle: vacuous where that
+    angle is undefined, skipped elsewhere.
+    """
+    missing = np.isnan(angle)
+    first = np.argmax(missing, axis=0)[None]
+    return missing.any(axis=0), np.take_along_axis(undefined, first, axis=0)[0]

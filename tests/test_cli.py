@@ -358,6 +358,8 @@ def test_convexity_estimate_and_series(runner, tmp_path, cap_file):
     assert res.exit_code == 0
     rep = json.loads(out.read_text())
     assert rep["result"]["probability"] == 1.0
+    assert sorted(rep["result"]) == ["detail", "probability", "samples", "series", "slack",
+                                     "step"]
     assert sorted(rep["config"]) == ["input", "kind", "p", "q", "s", "slack", "step"]
     # the prob estimate reads no seed, so its envelope records none
     assert "seed" not in rep
@@ -396,6 +398,7 @@ def test_convexity_ae_and_search(runner, tmp_path, cap_file):
     assert res.exit_code == 0
     rep = json.loads(out.read_text())
     assert rep["result"]["probability"] == 1.0
+    assert sorted(rep["result"]) == ["detail", "margin", "probability", "samples", "slack"]
     assert sorted(rep["config"]) == ["input", "kind", "p", "samples", "seed", "slack"]
     assert rep["seed"] == rep["config"]["seed"] == 0
     out = tmp_path / "search.json"
@@ -404,7 +407,9 @@ def test_convexity_ae_and_search(runner, tmp_path, cap_file):
                         "--epsilon", "0.3", "--candidates", "6", "--seed", "0",
                         "-o", str(out), "--no-timestamp"])
     assert res.exit_code == 0
-    assert json.loads(out.read_text())["result"]["probability"] == 1.0
+    result = json.loads(out.read_text())["result"]
+    assert result["probability"] == 1.0
+    assert sorted(result) == ["detail", "probability", "samples", "slack", "step"]
 
 
 def test_completion_and_area(runner, tmp_path):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from alexkit.convexity import (
+    _ball,
     _connectable_mask,
+    _draw,
     _slack,
     _step,
     ae_convexity_estimate,
@@ -14,6 +16,7 @@ from alexkit.convexity import (
     weak_lambda_search,
 )
 from alexkit.errors import GeometryError, ResolutionError, UnreachableError
+from alexkit.spaces import DiscreteLengthSpace
 
 
 def _pick_u(space, point):
@@ -80,7 +83,6 @@ def test_prob_convexity_full_square_is_one(full_square):
         p, q, s = (int(v) for v in rng.choice(uids, 3, replace=False))
         rep = prob_convexity(sp, p, q, s)
         assert rep.probability == 1.0
-        assert rep.connected_measure == pytest.approx(rep.total_measure, abs=1e-12)
         # restriction changes no distances here, so slack cannot matter
         assert prob_convexity(sp, p, q, s, slack=0.0).probability == 1.0
 
@@ -179,6 +181,17 @@ def test_ae_estimate_slit_strictly_below_one(slit_square):
     assert rep.probability < 1.0
 
 
+def test_ae_margin_is_zero_when_every_open_vertex_is_counted(slit_square):
+    sp = slit_square
+    p = _pick_u(sp, [0.15, 0.3])
+    n_open = int(sp.in_U.sum())
+    whole = ae_convexity_estimate(sp, p, samples=n_open, seed=0)
+    assert whole.samples == n_open and 0.0 < whole.probability < 1.0
+    assert whole.margin == 0.0
+    drawn = ae_convexity_estimate(sp, p, samples=n_open - 1, seed=0)
+    assert drawn.samples == n_open - 1 and drawn.margin > 0.0
+
+
 # ---------------------------------------------------------------------------
 # perturbation search
 
@@ -190,7 +203,7 @@ def test_weak_lambda_search_convex_domain(full_square):
     s = _pick_u(sp, [0.2, 0.8])
     rep = weak_lambda_search(sp, p, q, s, epsilon=0.1, candidates=8, seed=0)
     assert rep.probability == 1.0
-    assert rep.epsilon == 0.1
+    assert rep.detail["origin"] == {"p": p, "q": q, "s": s}
 
 
 def test_weak_lambda_search_requires_mesh_scale_epsilon(full_square):
@@ -259,25 +272,11 @@ def _full_search(space, p, q, s, epsilon, candidates, seed):
     step = _step(space, None)
     slack = _slack(space, None)
     rng = np.random.default_rng(seed)
-    balls = []
-    for center in (p, q, s):
-        d = space.distance_field(center)
-        ids = np.flatnonzero((d <= epsilon) & space.in_U)
-        rings = np.minimum((d[ids] / max(space.h, 1e-300)).astype(int), 1_000_000)
-        order = np.lexsort((ids, rings))
-        balls.append((ids[order], rings[order]))
-
-    def draw(ball, rng):
-        ids, rings = ball
-        ring_values = np.unique(rings)
-        rv = ring_values[int(rng.integers(0, len(ring_values)))]
-        members = ids[rings == rv]
-        return int(members[int(rng.integers(0, len(members)))])
-
+    balls = [_ball(space, center, epsilon) for center in (p, q, s)]
     best = best_key = best_triple = None
     triples = [(p, q, s)]
     for _ in range(candidates - 1):
-        triples.append((draw(balls[0], rng), draw(balls[1], rng), draw(balls[2], rng)))
+        triples.append(tuple(_draw(ball, rng) for ball in balls))
     evaluated = set()
     for (pp, qq, ss) in triples:
         if qq == ss:
@@ -323,11 +322,12 @@ def test_search_early_exit_matches_the_full_loop(request, name):
         for seed in (0, 1, 7):
             oracle, triple, evaluated = _full_search(sp, p, q, s, epsilon, candidates, seed)
             rep = weak_lambda_search(sp, p, q, s, epsilon, candidates=candidates, seed=seed)
-            best = rep.detail["best_triple"]
-            assert (best["p"], best["q"], best["s"]) == triple
-            assert rep.probability == oracle.probability
-            assert rep.samples == oracle.samples
-            assert rep.margin == oracle.margin
+            assert rep.to_dict() == {**oracle.to_dict(), "detail": {
+                "origin": {"p": p, "q": q, "s": s},
+                "best_triple": dict(zip("pqs", triple)),
+                "geodesic_length": oracle.detail["geodesic_length"],
+                "candidates_requested": candidates,
+                "candidates_evaluated": rep.detail["candidates_evaluated"]}}
             assert 1 <= rep.detail["candidates_evaluated"] <= evaluated
             if oracle.probability < 1.0:
                 # no early exit: each distinct triple is evaluated once
@@ -351,3 +351,72 @@ def test_search_without_a_triple_of_probability_one_evaluates_every_distinct_tri
     assert oracle.probability < 1.0
     assert rep.probability == oracle.probability
     assert rep.detail["candidates_evaluated"] == evaluated > 1
+
+
+# ---------------------------------------------------------------------------
+# what a report holds, and rescaling
+
+
+def test_each_estimate_reports_the_fields_it_measured(slit_square):
+    sp = slit_square
+    p, q, s = (_pick_u(sp, x) for x in ([0.15, 0.3], [0.85, 0.1], [0.85, 0.55]))
+    prob = prob_convexity(sp, p, q, s).to_dict()
+    assert prob.keys() == {"probability", "samples", "step", "slack", "detail"}
+    assert prob["detail"].keys() == {"p", "q", "s", "geodesic_length"}
+    kept = prob_convexity(sp, p, q, s, keep_series=True)
+    assert kept.to_dict() == {**prob, "series": kept.series}
+    assert kept.to_dict()["series"] is kept.series  # shared, not copied
+    search = weak_lambda_search(sp, p, q, s, 2.5 * sp.h, candidates=6, seed=0).to_dict()
+    assert search.keys() == prob.keys()
+    assert search["detail"].keys() == {"origin", "best_triple", "geodesic_length",
+                                       "candidates_requested", "candidates_evaluated"}
+    ae = ae_convexity_estimate(sp, p, samples=100, seed=0).to_dict()
+    assert ae.keys() == {"probability", "samples", "slack", "margin", "detail"}
+    assert ae["detail"] == {"p": p, "mode": "vertex_fraction"}
+
+
+def _scaled(space, c):
+    """``space`` with every length, the mesh size included, multiplied by c."""
+    return DiscreteLengthSpace(space.coords * c, space.in_U, space.edges, space.weights * c,
+                               {**space.meta, "h": space.meta["h"] * c})
+
+
+_SCALES = (2**-4, 2**-1, 2**3, 0.1, 10.0)
+
+
+def test_prob_convexity_is_scale_invariant(slit_square):
+    # (583, 480, 461): the geodesic spans exactly 19 steps, but 19.000000000000004
+    # at c = 0.1, and a tick count without slack took a 21st tick there
+    rng = np.random.default_rng(11)
+    uids = np.flatnonzero(slit_square.in_U)
+    triples = [(583, 480, 461)] + [tuple(int(v) for v in rng.choice(uids, 3, replace=False))
+                                   for _ in range(12)]
+    refs = [prob_convexity(slit_square, *t) for t in triples]
+    for c in _SCALES:
+        sp = _scaled(slit_square, c)
+        for t, ref in zip(triples, refs):
+            rep = prob_convexity(sp, *t)
+            assert (rep.probability, rep.samples) == (ref.probability, ref.samples), (c, t)
+            assert rep.step == sp.h == ref.step * c
+            assert rep.detail["geodesic_length"] == pytest.approx(
+                ref.detail["geodesic_length"] * c, rel=1e-12)
+
+
+def test_search_is_scale_invariant(slit_square):
+    # (397, 395, 425): vertex 421 lies exactly 4h from 425, which a ring index
+    # without slack put in ring 3 at c = 1 and in ring 4 at c = 10
+    rng = np.random.default_rng(11)
+    uids = np.flatnonzero(slit_square.in_U)
+    triples = [(397, 395, 425)] + [tuple(int(v) for v in rng.choice(uids, 3, replace=False))
+                                   for _ in range(4)]
+    refs = [weak_lambda_search(slit_square, *t, 0.2, candidates=8, seed=2) for t in triples]
+    for c in _SCALES:
+        sp = _scaled(slit_square, c)
+        for t, ref in zip(triples, refs):
+            rep = weak_lambda_search(sp, *t, 0.2 * c, candidates=8, seed=2)
+            for key in ("best_triple", "candidates_evaluated"):
+                assert rep.detail[key] == ref.detail[key], (c, t, key)
+            assert (rep.probability, rep.samples) == (ref.probability, ref.samples), (c, t)
+            assert rep.step == sp.h
+            assert rep.detail["geodesic_length"] == pytest.approx(
+                ref.detail["geodesic_length"] * c, rel=1e-12)

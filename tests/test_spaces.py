@@ -20,6 +20,7 @@ from scipy.sparse.csgraph import dijkstra
 from alexkit import spaces
 from alexkit.domains import DomainSpec, generate, unit_sphere_points
 from alexkit.errors import (
+    DegenerateAngleError,
     GeometryError,
     InvalidTriangleError,
     ResolutionError,
@@ -810,21 +811,46 @@ def test_scan_defects_match_scalar_quadruple_defect(request, carrier, kappa):
     # each graph oracle call computes a 4-source field: fewer rows there
     samples = 3000 if space is pts or carrier == "sphere" else 300
     dist, idx, quads = _scan_distances(space, 60, 3, samples)
-    defects, undefined = _quad_defects(_quad_sides(dist, quads), kappa)
+    defects, vacuous = _quad_defects(_quad_sides(dist, quads), kappa)
     # the scalar oracle reads the space's own block of the four points, whose
     # entries equal the scan block's bit for bit, so the two differ only in
     # the cosine-law arithmetic.  Below zero curvature, math.sinh and np.sinh
     # may round apart, and arccos near 1 on a graph-collinear triple turns
     # one ulp into 1e-7, so this bound holds only for kappa >= 0
-    assert not undefined.all()
+    assert not vacuous.all()
     # at kappa 2 perimeters past pi*sqrt(2) leave some quadruples of the
     # sphere and the caps undefined; the unit square has none so long
-    assert kappa < 2.0 or undefined.any() != (carrier == "full_square")
+    assert kappa < 2.0 or vacuous.any() != (carrier == "full_square")
     for row, quad in enumerate(idx[quads].tolist()):
         scalar = quadruple_defect(space, *quad, kappa)
-        assert (scalar is None) == undefined[row] == np.isnan(defects[row])
+        assert (scalar is None) == vacuous[row] == np.isnan(defects[row])
         if scalar is not None:
             assert abs(scalar - defects[row]) <= 1e-12
+
+
+def test_scan_counts_rows_with_a_zero_side_as_skipped():
+    # a pseudo-metric that validate accepts: 8 points of the plane, point 1
+    # moved onto point 0.  At kappa -1 every model triangle exists, yet the
+    # scan once counted the 11 rows with a zero adjacent side as vacuous
+    pts = np.random.default_rng(0).standard_normal((8, 2))
+    pts[1] = pts[0]
+    space = FiniteMetricSpace(np.linalg.norm(pts[:, None] - pts[None], axis=-1))
+    rep = scan_quadruples(space, -1.0, samples=400, seed=0)
+    assert (rep.samples, rep.evaluated, rep.vacuous, rep.skipped) == (173, 162, 0, 11)
+    # skipped rows hold at every probe
+    assert rep.kappa_max == 1.0547625037257062e-09
+    dist, idx, quads = _scan_distances(space, 600, 0, 400)
+    for kappa in (-1.0, 1.0, 4.0):
+        defects, vacuous = _quad_defects(_quad_sides(dist, quads), kappa)
+        for row, quad in enumerate(idx[quads].tolist()):
+            try:
+                scalar = quadruple_defect(space, *quad, kappa)
+            except (DegenerateAngleError, InvalidTriangleError):
+                assert np.isnan(defects[row]) and not vacuous[row], (kappa, quad)
+            else:
+                assert (scalar is None) == vacuous[row] == np.isnan(defects[row]), (kappa, quad)
+        if kappa == 4.0:
+            assert vacuous.any()
 
 
 @given(seed=st.integers(0, 10_000))
@@ -889,7 +915,7 @@ def _kappa_max_reference(space, kappa, samples, seed, subset=600, tol=None, exha
     The perimeter bound is the least ``(2*pi / P)**2`` over rows, row by row,
     and the top of the bracket the largest float below it at which every
     row's longest perimeter passes the kernel's test.  A row holds when it
-    is defined and fails by no more than the tolerance.  Returns
+    is not vacuous and fails by no more than the tolerance.  Returns
     ``(kappa_max, rule, bound, [(kappa, holds), ...])``, one pair per probe.
     """
     dist, _, quads = _scan_distances(space, subset, seed, samples)
@@ -906,8 +932,8 @@ def _kappa_max_reference(space, kappa, samples, seed, subset=600, tol=None, exha
     outcomes = []
 
     def holds(kprobe):
-        d, undefined = _quad_defects(sides, kprobe)
-        result = not (undefined | (d < -tol)).any()
+        d, vacuous = _quad_defects(sides, kprobe)
+        result = not (vacuous | (d < -tol)).any()
         outcomes.append((kprobe, result))
         return result
 

@@ -36,6 +36,7 @@ from alexkit.trig import (
     batch_model_side,
     batch_sn,
     f_pole,
+    first_missing,
     md_inverse,
 )
 from alexkit.errors import GeometryError
@@ -424,6 +425,27 @@ def test_batch_angle_flags_undefined():
                                     np.array([2.1, 1.0, 1.0]))
     assert undefined.tolist() == [True, False, False]
     assert np.isnan(angles).tolist() == [True, False, True]
+
+
+def test_first_missing_follows_the_first_triangle_that_raises():
+    # columns of three (opposite, u, v) triangles at kappa 1, taken in order
+    fine, zero_side, broken = (1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (5.0, 1.0, 1.0)
+    undefined = (2.2, 2.1, 2.1)  # perimeter past 2*pi
+    columns = [(fine, fine, fine), (undefined, zero_side, fine), (zero_side, undefined, fine),
+               (fine, broken, undefined), (fine, fine, undefined)]
+    opp, u, v = np.array(columns).transpose(2, 1, 0)
+    missing, first_undefined = first_missing(*batch_angle(1.0, opp, u, v))
+    for j, column in enumerate(columns):
+        try:
+            for triangle in column:
+                angle_from_sides(1.0, *triangle)
+        except UndefinedModelAngleError:
+            expect = (True, True)
+        except GeometryError:
+            expect = (True, False)
+        else:
+            expect = (False, False)
+        assert (missing[j], first_undefined[j]) == expect, column
 
 
 # ---------------------------------------------------------------------------
