@@ -123,6 +123,10 @@ def prob_convexity(
     )
 
 
+# why the search passes over a drawn triple without a probability
+DROP_REASONS = ("equal_endpoints", "unreachable", "geometry_error")
+
+
 def _ball(space: DiscreteLengthSpace, center: int, epsilon: float):
     """The open vertices within epsilon of center, and their rings of width h, by ring and id."""
     d = space.distance_field(center)
@@ -164,7 +168,10 @@ def weak_lambda_search(
 
     The distinct drawn triples are evaluated in ascending (p, q, s) order,
     so the first with probability 1 is the best one and the search stops
-    there; ``candidates_evaluated`` counts the triples evaluated until then.
+    there; ``candidates_evaluated`` counts the triples evaluated until then,
+    and ``candidates_dropped`` the ones passed over on the way, by reason
+    (:data:`DROP_REASONS`): q equal to s, no completion geodesic from q to
+    s, or another :class:`GeometryError` of the estimate.
     """
     if candidates < 1:
         raise GeometryError(f"search needs at least one candidate, got {candidates}")
@@ -183,14 +190,20 @@ def weak_lambda_search(
     for _ in range(candidates - 1):
         triples.add(tuple(_draw(ball, rng) for ball in balls))
     evaluated = 0
+    dropped = dict.fromkeys(DROP_REASONS, 0)
     for (pp, qq, ss) in sorted(triples):
         if qq == ss:
+            dropped["equal_endpoints"] += 1
             continue
         try:
             rep = prob_convexity(space, pp, qq, ss, step=step, slack=slack)
         except TickBoundError:
             raise
+        except UnreachableError:
+            dropped["unreachable"] += 1
+            continue
         except GeometryError:
+            dropped["geometry_error"] += 1
             continue
         evaluated += 1
         # triples come in ascending order, so the first of equal probability is kept
@@ -205,6 +218,7 @@ def weak_lambda_search(
         "origin": {"p": p, "q": q, "s": s}, "best_triple": dict(zip("pqs", best_triple)),
         "geodesic_length": best.detail["geodesic_length"],
         "candidates_requested": candidates, "candidates_evaluated": evaluated,
+        "candidates_dropped": dropped,
     })
 
 

@@ -1,10 +1,12 @@
 """Connectability, geodesic sampling, perturbation search, domain fractions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from alexkit import convexity
 from alexkit.convexity import (
     _ball,
     _connectable_mask,
@@ -267,7 +269,8 @@ def test_corollary_direction_ae_one_implies_lambda_one(full_square, punctured_sq
 def _full_search(space, p, q, s, epsilon, candidates, seed):
     """The search loop before its early exit: every drawn triple, in draw order.
 
-    Returns the best report, its triple and the distinct triples evaluated.
+    Returns the best report, its triple, and the numbers of distinct triples
+    evaluated and of distinct triples dropped for equal endpoints.
     """
     step = _step(space, None)
     slack = _slack(space, None)
@@ -277,9 +280,10 @@ def _full_search(space, p, q, s, epsilon, candidates, seed):
     triples = [(p, q, s)]
     for _ in range(candidates - 1):
         triples.append(tuple(_draw(ball, rng) for ball in balls))
-    evaluated = set()
+    evaluated, equal = set(), set()
     for (pp, qq, ss) in triples:
         if qq == ss:
+            equal.add((pp, qq, ss))
             continue
         try:
             rep = prob_convexity(space, pp, qq, ss, step=step, slack=slack)
@@ -289,7 +293,7 @@ def _full_search(space, p, q, s, epsilon, candidates, seed):
         key = (-rep.probability, pp, qq, ss)
         if best_key is None or key < best_key:
             best_key, best, best_triple = key, rep, (pp, qq, ss)
-    return best, best_triple, len(evaluated)
+    return best, best_triple, len(evaluated), len(equal)
 
 
 def _search_cases(name, sp):
@@ -320,18 +324,24 @@ def test_search_early_exit_matches_the_full_loop(request, name):
     sp = request.getfixturevalue(name)
     for p, q, s, epsilon, candidates in _search_cases(name, sp):
         for seed in (0, 1, 7):
-            oracle, triple, evaluated = _full_search(sp, p, q, s, epsilon, candidates, seed)
+            oracle, triple, evaluated, equal = _full_search(sp, p, q, s, epsilon, candidates,
+                                                            seed)
             rep = weak_lambda_search(sp, p, q, s, epsilon, candidates=candidates, seed=seed)
             assert rep.to_dict() == {**oracle.to_dict(), "detail": {
                 "origin": {"p": p, "q": q, "s": s},
                 "best_triple": dict(zip("pqs", triple)),
                 "geodesic_length": oracle.detail["geodesic_length"],
                 "candidates_requested": candidates,
-                "candidates_evaluated": rep.detail["candidates_evaluated"]}}
+                "candidates_evaluated": rep.detail["candidates_evaluated"],
+                "candidates_dropped": rep.detail["candidates_dropped"]}}
             assert 1 <= rep.detail["candidates_evaluated"] <= evaluated
+            dropped = rep.detail["candidates_dropped"]
+            assert dropped["equal_endpoints"] <= equal
             if oracle.probability < 1.0:
-                # no early exit: each distinct triple is evaluated once
+                # no early exit: each distinct triple is evaluated or dropped once
                 assert rep.detail["candidates_evaluated"] == evaluated
+                assert dropped == {"equal_endpoints": equal, "unreachable": 0,
+                                   "geometry_error": 0}
 
 
 def test_search_stops_at_the_first_triple_of_probability_one(convex_cap):
@@ -346,11 +356,45 @@ def test_search_without_a_triple_of_probability_one_evaluates_every_distinct_tri
         slit_square):
     sp = slit_square
     p, q, s = (_pick_u(sp, x) for x in ([0.15, 0.3], [0.85, 0.1], [0.85, 0.55]))
-    oracle, _, evaluated = _full_search(sp, p, q, s, 2.5 * sp.h, 24, 0)
+    oracle, _, evaluated, _ = _full_search(sp, p, q, s, 2.5 * sp.h, 24, 0)
     rep = weak_lambda_search(sp, p, q, s, 2.5 * sp.h, candidates=24, seed=0)
     assert oracle.probability < 1.0
     assert rep.probability == oracle.probability
     assert rep.detail["candidates_evaluated"] == evaluated > 1
+
+
+def test_search_counts_the_triples_it_drops_by_reason(slit_square, monkeypatch):
+    # s = q: the given triple and some draws have equal endpoints; the estimate
+    # fails for every first and second triple in three, by two reasons
+    sp = slit_square
+    p, q = (_pick_u(sp, x) for x in ([0.15, 0.3], [0.85, 0.1]))
+    s = q
+    epsilon, candidates, seed = 2.5 * sp.h, 24, 0
+    calls = []
+
+    def estimate(space, pp, qq, ss, **options):
+        calls.append((pp, qq, ss))
+        if len(calls) % 3 == 1:
+            raise UnreachableError("no geodesic")
+        if len(calls) % 3 == 2:
+            raise GeometryError("some other reason")
+        # below 1, so that the search evaluates every triple
+        return replace(prob_convexity(space, pp, qq, ss, **options), probability=0.5)
+
+    monkeypatch.setattr(convexity, "prob_convexity", estimate)
+    rep = weak_lambda_search(sp, p, q, s, epsilon, candidates=candidates, seed=seed)
+    rng = np.random.default_rng(seed)
+    balls = [_ball(sp, center, epsilon) for center in (p, q, s)]
+    triples = {(p, q, s)} | {tuple(_draw(ball, rng) for ball in balls)
+                             for _ in range(candidates - 1)}
+    equal = sum(qq == ss for _, qq, ss in triples)
+    assert equal > 0 and len(calls) >= 3
+    assert calls == sorted(t for t in triples if t[1] != t[2])
+    assert rep.detail["candidates_dropped"] == {
+        "equal_endpoints": equal, "unreachable": len(calls[0::3]),
+        "geometry_error": len(calls[1::3])}
+    assert rep.detail["candidates_evaluated"] == len(calls[2::3])
+    assert rep.detail["best_triple"] == dict(zip("pqs", calls[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +413,8 @@ def test_each_estimate_reports_the_fields_it_measured(slit_square):
     search = weak_lambda_search(sp, p, q, s, 2.5 * sp.h, candidates=6, seed=0).to_dict()
     assert search.keys() == prob.keys()
     assert search["detail"].keys() == {"origin", "best_triple", "geodesic_length",
-                                       "candidates_requested", "candidates_evaluated"}
+                                       "candidates_requested", "candidates_evaluated",
+                                       "candidates_dropped"}
     ae = ae_convexity_estimate(sp, p, samples=100, seed=0).to_dict()
     assert ae.keys() == {"probability", "samples", "slack", "margin", "detail"}
     assert ae["detail"] == {"p": p, "mode": "vertex_fraction"}

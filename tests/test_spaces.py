@@ -1,11 +1,13 @@
 """Metric carriers, geodesic walks, quadruple scans, local domain checks."""
 
 import base64
+import gc
 import itertools
 import json
 import math
 import shlex
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from dataclasses import asdict
@@ -643,6 +645,71 @@ def test_binary_graph_file_names_the_first_undecodable_byte(tmp_path):
     with pytest.raises(GeometryError) as info:
         DiscreteLengthSpace.load(path)
     assert str(info.value) == f"{path}: not UTF-8 text at byte 129"
+
+
+# (0, 0) and (3, 4) are 5 apart; (9, 9) is joined to neither
+_XY = [{"in_U": True, "xy": [0.0, 0.0]}, {"in_U": True, "xy": [3.0, 4.0]},
+       {"in_U": True, "xy": [9.0, 9.0]}]
+
+
+# the last two files are both disconnected and mis-embedded: the embedding check
+# comes first, since only the connectivity search needs the symmetric matrix
+@pytest.mark.parametrize("vertices, w, meta, match", [
+    (_XY[:2], 4.0, {}, r"edge weights disagree with embedding by np.float64\(1.0\)"),
+    (_XY[:2], 4.9, {"chord_corrected": True}, "arc weights shorter than chords"),
+    (_XY, 5.0, {}, "reaches 2 of 3 vertices"),
+    (_XY, 4.0, {}, r"edge weights disagree with embedding by np.float64\(1.0\)"),
+    (_XY, 4.9, {"chord_corrected": True}, "arc weights shorter than chords"),
+])
+def test_load_checks_the_embedding_before_the_connectivity(tmp_path, vertices, w, meta,
+                                                           match):
+    path = tmp_path / "bad.json"
+    table = _csr_table([0, 1] + [1] * (len(vertices) - 1), [1], [w])
+    path.write_text(json.dumps({"vertices": vertices, "edges": table, "meta": meta}))
+    with pytest.raises(GeometryError, match=match):
+        DiscreteLengthSpace.load(path)
+
+
+def test_embedding_error_is_the_one_of_summed_squares(punctured_square):
+    # the check sums in place, in the order of sum(squares[1:], squares[0])
+    sp = punctured_square
+    w = sp.weights * (1.0 + 1e-7 * np.sin(np.arange(len(sp.weights))))
+    rows = sp.edges[:, 0]
+    squares = [(x[rows] - x[sp._indices]) ** 2 for x in np.ascontiguousarray(sp.coords.T)]
+    err = np.abs(np.sqrt(sum(squares[1:], squares[0])) - w).max()
+    with pytest.raises(GeometryError) as info:
+        DiscreteLengthSpace(sp.coords, sp.in_U, sp.edges, w, sp.meta)
+    assert str(info.value) == f"edge weights disagree with embedding by {err!r}"
+
+
+def test_load_peak_is_the_space_and_one_transposed_copy(tmp_path):
+    """A load holds at its peak what the space keeps, and the transposed upper triangle.
+
+    ``up + up.T`` needs ``up.T`` as CSR: one more copy of the columns, the
+    weights and the row offsets, freed once the sum is built.  Everything
+    else a load makes (the parsed file, the checks' temporaries) must fit
+    under that peak; the matrix objects and call frames add a few kB,
+    whatever the graph's size.
+    """
+    grid = generate(DomainSpec(kind="punctured", resolution=1 / 32, side=2.0,
+                               stencil_radius=5), seed=1)
+    path = tmp_path / "grid.json"
+    grid.save(path)
+    del grid
+    DiscreteLengthSpace.load(path)  # imports and caches outside the traced window
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sp = DiscreteLengthSpace.load(path)
+        retained, peak = (x - before for x in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    m, n = len(sp.weights), sp.n_points
+    assert m == 154_880
+    transposed = m * (sp._indices.itemsize + sp.weights.itemsize) + (n + 1) * sp._indptr.itemsize
+    assert peak <= retained + transposed + 2**16, (peak, retained, transposed)
 
 
 def test_shortest_path_reuses_a_given_destination_field(punctured_square):
