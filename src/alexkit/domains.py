@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GeometryError, ResolutionError
-from .spaces import DiscreteLengthSpace, SpherePointSet, great_circle
+from .spaces import DiscreteLengthSpace, SpherePointSet, _row_blocks, great_circle
 
 _MIN_U_VERTICES = 100
 
@@ -648,17 +648,6 @@ class CompletionReport:
     def passed(self) -> bool:
         """No matched pair's violation exceeds the budget."""
         return self.matched == 0 or self.max_violation <= self.violation_budget
-
-
-# float64 elements in one block of a broadcast temporary (2 MB)
-_BLOCK_ELEMENTS = 1 << 18
-
-
-def _row_blocks(rows: int, width: int):
-    """Slices of ``rows`` rows whose blocks of ``width`` elements each stay within budget."""
-    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
-    for lo in range(0, rows, step):
-        yield slice(lo, min(lo + step, rows))
 
 
 def _nearest_vertices(xy: np.ndarray, points: np.ndarray) -> np.ndarray:

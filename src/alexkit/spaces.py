@@ -8,6 +8,13 @@ points, quadruple curvature scans with a bisection estimate of the
 largest admissible curvature, and a local domain check that measures
 angles at a small fixed arc scale.
 
+Broadcast temporaries are built in blocks of rows under one budget,
+``_BLOCK_ELEMENTS`` float64 elements (2 MB), by ``_row_blocks``: the
+graph's multi-source Dijkstra rows, cut to the requested columns block by
+block, the closed-form distance blocks, each scan probe's quadruple rows,
+and the completion comparison and cap generator in :mod:`alexkit.domains`.
+Every entry depends only on its own row, so the blocks change no bit.
+
 A graph space is stored as one compact JSON object: a vertex table of
 ``{"in_U": bool, "xy"|"xyz": [...]}`` entries, the generator's ``meta``,
 and an ``edges`` object holding the upper triangle of the weighted
@@ -195,6 +202,17 @@ def _read_graph_file(path):
     return coords, in_u, indptr, indices, weights, meta
 
 
+# float64 elements in one block of a broadcast temporary (2 MB)
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices of ``rows`` rows whose blocks of ``width`` elements each stay within budget."""
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    for lo in range(0, rows, step):
+        yield slice(lo, min(lo + step, rows))
+
+
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """Sums over the last axis, added left to right: the same bits under every kernel."""
     total = a[..., 0]
@@ -212,6 +230,28 @@ def great_circle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     (u0, u1, u2), (v0, v1, v2) = np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0)
     c0, c1, c2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
     return np.arctan2(np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), u0 * v0 + u1 * v1 + u2 * v2)
+
+
+# floats per point pair that great_circle (6) or the norm of a difference (8)
+# holds at its peak
+_PAIR_FLOATS = 8
+
+
+def _closed_form_distances(pts: np.ndarray, exact: str) -> np.ndarray:
+    """The distances among ``pts`` by the closed form ``exact``, in blocks of rows.
+
+    ``"sphere"``: great circles between unit vectors; ``"euclidean"``: the
+    norm of each difference.  Each entry depends only on its own pair, so
+    the blocks give the bits of one broadcast over every pair.
+    """
+    m = len(pts)
+    out = np.empty((m, m))
+    for rows in _row_blocks(m, _PAIR_FLOATS * m):
+        if exact == "sphere":
+            out[rows] = great_circle(pts[rows, None, :], pts[None, :, :])
+        else:
+            out[rows] = np.linalg.norm(pts[rows, None, :] - pts[None, :, :], axis=-1)
+    return out
 
 
 # pairs per tile of the triangle check: its temporary holds rows * cols * n floats
@@ -332,8 +372,7 @@ class SpherePointSet:
 
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
         """The great-circle distances among the points ``idx``, in their order."""
-        p = self.points[idx]
-        return great_circle(p[:, None, :], p[None, :, :])
+        return _closed_form_distances(self.points[idx], "sphere")
 
 
 @dataclass
@@ -461,7 +500,8 @@ class DiscreteLengthSpace:
 
         The table is checked as CSR arrays: offsets rising from 0 to the
         column count, each column above its row and below n and rising
-        strictly within its row, weights positive and finite.  The weights
+        strictly within its row, weights positive and finite.  Coordinates,
+        when present, must be a finite (n, 2) or (n, 3) array, and the weights
         must match the embedding (dominate the chords when
         ``meta["chord_corrected"]``), the segment lengths gathered one
         coordinate at a time and summed in order, in place.  Last, one
@@ -491,6 +531,12 @@ class DiscreteLengthSpace:
         if not np.all((w > 0.0) & (w < np.inf)):
             raise GeometryError("edge weights must be positive and finite")
         if self.coords is not None:
+            xy = self.coords
+            if xy.ndim != 2 or xy.shape[0] != n or xy.shape[1] not in (2, 3):
+                raise GeometryError(f"vertex coordinates must form an ({n}, 2) or ({n}, 3) "
+                                    f"array, got shape {xy.shape}")
+            if not np.isfinite(xy).all():
+                raise GeometryError("vertex coordinates must be finite")
             self._check_embedding(rows)
         # the search builds the symmetric matrix; the rows need not wait for it
         del rows
@@ -527,7 +573,7 @@ class DiscreteLengthSpace:
             seg -= w
             err = np.abs(seg, out=seg).max(initial=0.0)
             if err > 1e-9 * (1.0 + w.max(initial=0.0)):
-                raise GeometryError(f"edge weights disagree with embedding by {err!r}")
+                raise GeometryError(f"edge weights disagree with embedding by {float(err)!r}")
         else:
             # arc-weighted edges must dominate their chords
             seg -= 1e-9
@@ -551,16 +597,20 @@ class DiscreteLengthSpace:
 
         The closed form named by ``exact_metric`` on the coordinates when the
         generator recorded one, else the multi-source graph block, symmetrized.
+        Either is filled in blocks of rows: the Dijkstra rows of a block are
+        cut to the ``idx`` columns before the next block runs.
         """
         exact = self.exact_metric
-        if exact == "sphere":
-            pts = self.coords[idx]
-            return great_circle(pts[:, None, :], pts[None, :, :])
-        if exact == "euclidean":
-            pts = self.coords[idx]
-            return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        dist = self.distance_field(idx)[:, idx]
-        return 0.5 * (dist + dist.T)
+        if exact in ("sphere", "euclidean"):
+            return _closed_form_distances(self.coords[idx], exact)
+        m = len(idx)
+        dist = np.empty((m, m))
+        for rows in _row_blocks(m, self._n):
+            dist[rows] = self.distance_field(idx[rows])[:, idx]
+        # the bits of 0.5 * (dist + dist.T), with one temporary
+        sym = dist + dist.T
+        sym *= 0.5
+        return sym
 
     def shortest_path(self, src: int, dst: int, restrict_to_U: bool = False,
                       dist_to: np.ndarray | None = None) -> GeodesicPath:
@@ -808,6 +858,8 @@ def _perimeter_bound(sides: tuple[np.ndarray, ...]) -> tuple[float, float]:
 _PRUNE_MARGIN = 1e-3
 # rows a probe evaluates before the rest: the worst failures of the last failing probe
 _WITNESSES = 256
+# floats that _quad_defects holds per row at its peak, in batch_angle
+_PROBE_FLOATS = 40
 
 
 class _ActiveSet:
@@ -835,9 +887,14 @@ class _ActiveSet:
         self.last = (np.empty(0), np.empty(0, dtype=bool))
 
     def _holds_on(self, rows: np.ndarray, kappa: float) -> bool:
-        """Evaluate ``rows`` at kappa and store what that proved; true when every one holds."""
+        """Evaluate ``rows`` at kappa and store what that proved; true when every one holds.
+
+        The rows are evaluated in blocks, each within the block budget.
+        """
         self.evaluations += len(rows)
-        defects, vacuous = self.last = _quad_defects(tuple(s[rows] for s in self.sides), kappa)
+        parts = [_quad_defects(tuple(s[rows[b]] for s in self.sides), kappa)
+                 for b in _row_blocks(len(rows), _PROBE_FLOATS)]
+        defects, vacuous = self.last = tuple(map(np.concatenate, zip(*parts)))
         self.holds_to[rows[defects >= -self.tol + _PRUNE_MARGIN]] = kappa
         failing = vacuous | (defects < -self.tol)
         if not failing.any():

@@ -9,6 +9,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -446,6 +447,20 @@ def _graph(offsets, columns, weights, n=3, **members):
 
 # the path 0 - 1 - 2, as row offsets and columns
 _ROWS, _COLS = [0, 1, 2, 2], [1, 2]
+
+
+def _grid_xy(xy):
+    """A small punctured grid's file text with vertex i's "xy" replaced by ``xy(i, point)``."""
+    grid = domains.generate(domains.DomainSpec(kind="punctured", resolution=0.1), seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "grid.json"
+        grid.save(path)
+        data = json.loads(path.read_text())
+    for i, v in enumerate(data["vertices"]):
+        v["xy"] = xy(i, v["xy"])
+    return json.dumps(data)
+
+
 _STRING_FLAG = '{"vertices": [{"in_U": "false"}, {"in_U": true}], "edges": [[0, 1, 1.0]]}'
 _OLD_LIST_FORM = '{"vertices": [{"in_U": true}, {"in_U": true}], "edges": [[0, 1, 1.0]]}'
 # files of the format before this one, which stored the endpoint pairs
@@ -453,6 +468,7 @@ _OLD_IJ_FORM = ('{"vertices": [{"in_U": true}, {"in_U": true}], '
                 '"edges": {"count": 1, "ij": "AAAAAAEAAAA=", "w": "AAAAAAAA8D8="}}')
 _OLD_IJ_SHORT = _OLD_IJ_FORM.replace('"count": 1', '"count": 2')
 _AE = ["convexity", "estimate", "--kind", "ae", "--p", "0"]
+_LOCAL = ["space", "local-check", "--center", "0", "--radius", "1", "--kappa", "0"]
 
 
 @pytest.mark.parametrize("argv, name, content", [
@@ -496,6 +512,9 @@ _AE = ["convexity", "estimate", "--kind", "ae", "--p", "0"]
     (["space", "scan", "--kappa", "1", "--min-defect-tol", "nan"], None, None),
     (["space", "scan", "--kappa", "1", "--min-defect-tol", "-1"], None, None),
     (["space", "scan", "--kappa", "1", "--min-defect-tol", "inf"], None, None),
+    (_LOCAL, "bad.json", _grid_xy(lambda i, xy: [])),
+    (_LOCAL, "bad.json", _grid_xy(lambda i, xy: 1.0)),
+    (_LOCAL, "bad.json", _grid_xy(lambda i, xy: [math.nan, 0.0] if i == 7 else xy)),
 ], ids=["p-past-end", "p-negative", "s-past-end", "q-negative", "center-past-end",
         "empty-json", "truncated-json", "json-list", "vertex-without-flag", "no-vertices",
         "malformed-csv", "duplicate-edge", "string-flag", "scan-negative-samples",
@@ -505,7 +524,7 @@ _AE = ["convexity", "estimate", "--kind", "ae", "--p", "0"]
         "indptr-past-columns", "column-below-row", "negative-id", "id-past-end",
         "nan-weight", "zero-weight", "edges-number", "old-list-form", "old-ij-form",
         "blank-file", "scan-nan-tol", "scan-negative-tol",
-        "scan-infinite-tol"])
+        "scan-infinite-tol", "xy-empty", "xy-scalar", "xy-nan"])
 def test_bad_vertex_ids_and_input_files_exit_2(runner, tmp_path, cap_file, argv, name,
                                                 content):
     path = cap_file

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from alexkit import domains
+from alexkit import domains, spaces
 from alexkit.domains import (
     DomainSpec,
     area_estimate,
@@ -364,7 +364,7 @@ def test_completion_compare_matches_the_per_row_loop(dense_square, pairs, epsilo
 def test_completion_compare_blocks_do_not_change_the_report(dense_square, monkeypatch):
     whole = completion_compare(dense_square, pairs=120, epsilon=0.1, seed=6)
     # blocks of one to a few rows each
-    monkeypatch.setattr(domains, "_BLOCK_ELEMENTS", 3000)
+    monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 3000)
     assert completion_compare(dense_square, pairs=120, epsilon=0.1, seed=6) == whole
 
 

@@ -629,6 +629,16 @@ _PATH = ([0, 1, 2, 2], [1, 2], [1.0, 1.0])
     (_THREE, _csr_table([0, 1, 1, 1], [1], [1.0]), "reaches 2 of 3 vertices"),
     (_THREE, _csr_table(*_PATH[:2], [1.0, -math.inf]), "positive and finite"),
     (_TWO, {"count": 1, "ij": _b64([0, 1], "<i4"), "w": _b64([1.0], "<f8")}, "domain generate"),
+    ([{"in_U": True, "xy": []}] * 2, _csr_table(*_EDGE), r"\(2, 2\) or \(2, 3\) array, got "
+     r"shape \(2, 0\)"),
+    ([{"in_U": True, "xy": 1.0}] * 2, _csr_table(*_EDGE), r"got shape \(2,\)"),
+    ([{"in_U": True, "xy": [0.0, 0.0, 0.0, 1.0]}] * 2, _csr_table(*_EDGE), "got shape"),
+    ([{"in_U": True, "xy": [[0.0, 1.0]]}] * 2, _csr_table(*_EDGE), "got shape"),
+    ([{"in_U": True, "xy": [math.nan, 0.0]}] * 2, _csr_table(*_EDGE), "must be finite"),
+    ([{"in_U": True, "xy": [0.0, 0.0]}, {"in_U": True, "xy": [math.nan, 0.0]}],
+     _csr_table(*_EDGE), "must be finite"),
+    ([{"in_U": True, "xyz": [0.0, 0.0, math.inf]}, {"in_U": True, "xyz": [1.0, 0.0, 0.0]}],
+     _csr_table(*_EDGE), "must be finite"),
 ])
 def test_load_rejects_malformed_values(tmp_path, vertices, edges, match):
     path = tmp_path / "bad.json"
@@ -647,6 +657,16 @@ def test_binary_graph_file_names_the_first_undecodable_byte(tmp_path):
     assert str(info.value) == f"{path}: not UTF-8 text at byte 129"
 
 
+@pytest.mark.parametrize("coords, match", [
+    ([[0.0, 0.0], [1.0, math.nan]], "must be finite"),
+    ([[0.0], [1.0]], r"got shape \(2, 1\)"),
+    ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], r"got shape \(3, 2\)"),
+])
+def test_constructor_rejects_coordinates_that_are_not_a_finite_table(coords, match):
+    with pytest.raises(GeometryError, match=match):
+        DiscreteLengthSpace(coords, [True, True], [(0, 1)], [1.0])
+
+
 # (0, 0) and (3, 4) are 5 apart; (9, 9) is joined to neither
 _XY = [{"in_U": True, "xy": [0.0, 0.0]}, {"in_U": True, "xy": [3.0, 4.0]},
        {"in_U": True, "xy": [9.0, 9.0]}]
@@ -655,10 +675,10 @@ _XY = [{"in_U": True, "xy": [0.0, 0.0]}, {"in_U": True, "xy": [3.0, 4.0]},
 # the last two files are both disconnected and mis-embedded: the embedding check
 # comes first, since only the connectivity search needs the symmetric matrix
 @pytest.mark.parametrize("vertices, w, meta, match", [
-    (_XY[:2], 4.0, {}, r"edge weights disagree with embedding by np.float64\(1.0\)"),
+    (_XY[:2], 4.0, {}, r"edge weights disagree with embedding by 1.0$"),
     (_XY[:2], 4.9, {"chord_corrected": True}, "arc weights shorter than chords"),
     (_XY, 5.0, {}, "reaches 2 of 3 vertices"),
-    (_XY, 4.0, {}, r"edge weights disagree with embedding by np.float64\(1.0\)"),
+    (_XY, 4.0, {}, r"edge weights disagree with embedding by 1.0$"),
     (_XY, 4.9, {"chord_corrected": True}, "arc weights shorter than chords"),
 ])
 def test_load_checks_the_embedding_before_the_connectivity(tmp_path, vertices, w, meta,
@@ -679,7 +699,25 @@ def test_embedding_error_is_the_one_of_summed_squares(punctured_square):
     err = np.abs(np.sqrt(sum(squares[1:], squares[0])) - w).max()
     with pytest.raises(GeometryError) as info:
         DiscreteLengthSpace(sp.coords, sp.in_U, sp.edges, w, sp.meta)
-    assert str(info.value) == f"edge weights disagree with embedding by {err!r}"
+    assert str(info.value) == f"edge weights disagree with embedding by {float(err)!r}"
+
+
+def _traced(f):
+    """``f()``, and the bytes it left traced and its traced peak, both counted from its start.
+
+    A first call outside the traced window takes the imports and caches.
+    """
+    f()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = f()
+        retained, peak = (x - before for x in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return out, retained, peak
 
 
 def test_load_peak_is_the_space_and_one_transposed_copy(tmp_path):
@@ -696,16 +734,7 @@ def test_load_peak_is_the_space_and_one_transposed_copy(tmp_path):
     path = tmp_path / "grid.json"
     grid.save(path)
     del grid
-    DiscreteLengthSpace.load(path)  # imports and caches outside the traced window
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        sp = DiscreteLengthSpace.load(path)
-        retained, peak = (x - before for x in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
+    sp, retained, peak = _traced(lambda: DiscreteLengthSpace.load(path))
     m, n = len(sp.weights), sp.n_points
     assert m == 154_880
     transposed = m * (sp._indices.itemsize + sp.weights.itemsize) + (n + 1) * sp._indptr.itemsize
@@ -862,6 +891,51 @@ def test_scan_wide_cap_completion_violates_unit_curvature(wide_cap, convex_cap):
     rep_convex = scan_quadruples(convex_cap, 1.0, samples=20_000, seed=2)
     assert rep_convex.exact_metric == "sphere"
     assert rep_convex.min_defect >= -1e-6
+
+
+@pytest.mark.parametrize("carrier", ["csv", "wide_cap", "convex_cap", "full_square"])
+def test_scan_blocks_do_not_change_the_report(request, monkeypatch, carrier):
+    # a CSV matrix, the graph metric, and the sphere's and the plane's closed forms
+    if carrier == "csv":
+        space = FiniteMetricSpace(unit_sphere_points(300, seed=5).submatrix(np.arange(300)))
+    else:
+        space = request.getfixturevalue(carrier)
+    kwargs = {"samples": 4_000, "seed": 7, "subset": 200}
+    whole = scan_quadruples(space, 1.0, **kwargs)
+    assert whole.work["probes"] > 1
+    # one Dijkstra row, one closed-form row and 75 probe rows in a block
+    monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 3000)
+    assert scan_quadruples(space, 1.0, **kwargs) == whole
+
+
+@pytest.fixture(scope="module")
+def fine_wide_cap():
+    # 10,191 vertices, against the 2,596 of wide_cap
+    return generate(DomainSpec(kind="cap", resolution=0.06, cap_radius=0.9 * math.pi), seed=0)
+
+
+# bytes a scan holds per sampled row at most: the quadruple's four int64 ids
+# and its six sides (10 words), and at most 6 words more, whether the draw's
+# sorted copy or the search's per-row arrays (holds_to, the active rows, a
+# probe's defects in blocks and joined)
+_SCAN_ROW_BYTES = 16 * 8
+
+
+@pytest.mark.parametrize("samples", [25_000, 100_000])
+@pytest.mark.parametrize("cap", ["wide_cap", "fine_wide_cap"])
+def test_scan_peak_is_the_block_and_the_per_row_arrays(request, cap, samples):
+    """A graph scan's traced peak does not grow with the graph, nor per row past its arrays.
+
+    The subset's m x m distance block, the per-row arrays and two block
+    budgets (a Dijkstra block with its ``idx`` columns, or a probe block of
+    rows) bound it, plus 64 KiB for the objects and frames.
+    """
+    space = request.getfixturevalue(cap)
+    rep, _, peak = _traced(lambda: scan_quadruples(space, 1.0, samples=samples, seed=3))
+    m = rep.subset_size
+    assert m == 600
+    bound = 8 * m * m + _SCAN_ROW_BYTES * samples + 2 * 8 * spaces._BLOCK_ELEMENTS + 2**16
+    assert peak <= bound, (peak, bound)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, 2.0])
