@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import json
 import sys
-from dataclasses import asdict
 
 import click
 import numpy as np
@@ -44,12 +43,12 @@ def _report_command(group, name):
     """Register a report-writing command as ``group name``.
 
     The decorated body takes its own options and ``seed``, and returns
-    ``(config, result, passed, extras)``: the run configuration, the result
-    dict, the report's verdict (``None`` for a report without one) and the
-    envelope's ``tolerances``/``h_err``.  The envelope records ``seed``
-    only when the configuration holds one.  The runner adds ``--seed``,
-    ``-o/--output`` and ``--no-timestamp``, writes or echoes the envelope,
-    and exits 1 exactly when the verdict is false.
+    ``(config, report)``: the run configuration and the report object.  The
+    envelope's result is :func:`reporting.result_of` the report, its
+    ``tolerances`` the report's own, and it records ``seed`` only when the
+    configuration holds one.  The runner adds ``--seed``, ``-o/--output``
+    and ``--no-timestamp``, writes or echoes the envelope, and exits 1
+    exactly when the result's ``passed`` is false.
     """
     command_name = f"{group.name} {name}"
 
@@ -59,15 +58,17 @@ def _report_command(group, name):
         @click.option("--no-timestamp", is_flag=True, default=False)
         def run(output, no_timestamp, **params):
             with _usage_errors():
-                config, result, passed, extras = body(**params)
+                config, report = body(**params)
+                result = reporting.result_of(report)
                 env = reporting.make_envelope(command_name, config, result,
                                               seed=config.get("seed"),
-                                              timestamp=not no_timestamp, **extras)
+                                              tolerances=getattr(report, "tolerances", None),
+                                              timestamp=not no_timestamp)
                 if output is None:
                     click.echo(reporting.dump_canonical(env), nl=False)
                 else:
                     reporting.write_report(output, env)
-            if passed is not None and not passed:
+            if not result.get("passed", True):
                 click.echo("FAIL: assertions violated (report written)", err=True)
                 sys.exit(1)
 
@@ -143,7 +144,7 @@ def lemma_verify(which, trials, scale, kappa_min, kappa_max, a_min, a_max, segme
     _refuse_unread(f"{which} sweep", {o for o, p in _SWEEP_OPTIONS.items() if p not in params})
     rep = sweep(trials, seed=seed, **params)
     config = {"which": which, "trials": trials, "seed": seed, **params, **constants}
-    return config, rep.to_dict(), rep.passed, {"tolerances": rep.tolerances}
+    return config, rep
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +253,7 @@ def space_scan(path, kappa, samples, subset, exhaustive, min_defect_tol, seed):
                                  subset=subset, tol=min_defect_tol, exhaustive=exhaustive)
     config = {"input": str(path), "kappa": kappa, "samples": samples,
               "subset": subset, "exhaustive": exhaustive, "seed": seed}
-    return config, asdict(rep), rep.passed, {
-        "tolerances": {"min_defect_tol": rep.tol}, "h_err": rep.h_err}
+    return config, rep
 
 
 @_report_command(space, "local-check")
@@ -265,15 +265,11 @@ def space_scan(path, kappa, samples, subset, exhaustive, min_defect_tol, seed):
 @click.option("--h-angle", default=3, show_default=True, type=int)
 def space_local_check(path, center, radius, kappa, samples, h_angle, seed):
     """Check the two local comparison conditions inside a ball."""
-    sp = _load_graph(path, center=center)
-    rep = spaces.local_kappa_domain_check(sp, center, radius, kappa, samples=samples,
-                                          h_angle=h_angle, seed=seed)
+    rep = spaces.local_kappa_domain_check(_load_graph(path, center=center), center, radius,
+                                          kappa, samples=samples, h_angle=h_angle, seed=seed)
     config = {"input": str(path), "center": center, "radius": radius,
               "kappa": kappa, "samples": samples, "h_angle": h_angle, "seed": seed}
-    tolerances = {"angle_tol": rep.angle_tol, "split_tol": rep.split_tol,
-                  "stencil_gap": sp.stencil_gap}
-    return config, {**asdict(rep), "passed": rep.passed}, rep.passed, {
-        "tolerances": tolerances, "h_err": sp.h_err}
+    return config, rep
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +311,7 @@ def convexity_estimate(path, kind, p_id, q_id, s_id, step, slack, samples, emit_
                                               seed=seed)
         read = {"samples": samples, "seed": seed}
     config = {"input": str(path), "kind": kind, "p": p_id, "slack": slack, **read}
-    return config, rep.to_dict(), None, {"tolerances": {"slack": rep.slack}, "h_err": sp.h_err}
+    return config, rep
 
 
 @_report_command(convexity_group, "search")
@@ -334,7 +330,7 @@ def convexity_search(path, p_id, q_id, s_id, epsilon, candidates, step, slack, s
                                        step=step, slack=slack, seed=seed)
     config = {"input": str(path), "p": p_id, "q": q_id, "s": s_id, "epsilon": epsilon,
               "candidates": candidates, "step": step, "slack": slack, "seed": seed}
-    return config, rep.to_dict(), None, {"tolerances": {"slack": rep.slack}, "h_err": sp.h_err}
+    return config, rep
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +350,7 @@ def completion_compare_cmd(path, pairs, epsilon, seed):
     """Compare completion distances to in-domain distances after perturbation."""
     rep = domains.completion_compare(_load_graph(path), pairs=pairs, epsilon=epsilon, seed=seed)
     config = {"input": str(path), "pairs": pairs, "epsilon": epsilon, "seed": seed}
-    return config, asdict(rep), rep.passed, {
-        "tolerances": {"violation_budget": rep.violation_budget}, "h_err": rep.h_err}
+    return config, rep
 
 
 @main.group()
@@ -374,7 +369,7 @@ def area_estimate_cmd(delta, num_segments, samples, seed):
                               num_segments=num_segments)
     rep = domains.area_estimate(spec, samples=samples, seed=seed)
     config = {"delta": delta, "segments": num_segments, "samples": samples, "seed": seed}
-    return config, asdict(rep), rep.passed, {}
+    return config, rep
 
 
 # ---------------------------------------------------------------------------

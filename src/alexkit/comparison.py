@@ -268,8 +268,9 @@ class SweepReport:
     trial, or one per trial and curvature for ``alexandrov``.  A vacuous
     comparison is one whose model angle does not exist; a skipped one gives
     no defect for any other reason.  ``budget_violations`` is None for a
-    sweep without a defect budget.  ``tolerances`` holds the constants the
-    verdict reads; the report's envelope carries them.
+    sweep without a defect budget.  ``extra`` counts each audit's failures,
+    by name.  ``tolerances`` holds the constants the verdict reads; the
+    report's envelope carries them.
     """
 
     lemma: str
@@ -286,26 +287,8 @@ class SweepReport:
 
     @property
     def passed(self) -> bool:
-        ok = not self.budget_violations
-        for key, val in self.extra.items():
-            if key.endswith("_failures"):
-                ok = ok and val == 0
-        return ok
-
-    def to_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "trials": self.trials,
-            "evaluated": self.evaluated,
-            "vacuous": self.vacuous,
-            "skipped": self.skipped,
-            "min_signed_defect": self.min_signed_defect,
-            "budget_violations": self.budget_violations,
-            "passed": self.passed,
-            "worst_case": self.worst_case,
-            "work": self.work,
-            **self.extra,
-        }
+        """No budget violation and no audit failure."""
+        return not self.budget_violations and not any(self.extra.values())
 
 
 def _check_range(name: str, bounds: tuple[float, float], positive: bool = False):

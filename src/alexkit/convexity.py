@@ -52,7 +52,7 @@ class ConvexityReport:
     """Outcome of one convexity estimate: the fields it measured, and None for the rest.
 
     Geodesic estimates set ``step`` and, when asked, ``series``; the domain
-    estimate samples vertices and sets ``margin``.  README defines each field.
+    estimate samples vertices and sets ``interval``.  README defines each field.
     """
 
     probability: float
@@ -60,12 +60,8 @@ class ConvexityReport:
     slack: float
     detail: dict
     step: float | None = None
-    margin: float | None = None
+    interval: list | None = None
     series: dict | None = None
-
-    def to_dict(self) -> dict:
-        """The fields that are set, sharing ``series`` rather than copying it."""
-        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def _connectable_mask(space: DiscreteLengthSpace, p: int, xs: np.ndarray,
@@ -222,6 +218,18 @@ def weak_lambda_search(
     })
 
 
+def _wilson(k: int, n: int, population: int) -> list[float]:
+    """Wilson's 95% interval for k hits in n draws without replacement from ``population``.
+
+    The upper end takes the misses' term from d = n + c as the lower end adds
+    the hits', so k = n gives exactly 1, k = 0 exactly 0, and c = 0 exactly k/n.
+    """
+    c = _Z95 * _Z95 * (population - n) / max(population - 1, 1)
+    r = math.sqrt(c * (k * (n - k) / n + c / 4.0))
+    d = n + c
+    return [(k + c / 2.0 - r) / d, (d - (n - k + c / 2.0 - r)) / d]
+
+
 def ae_convexity_estimate(
     space: DiscreteLengthSpace,
     p: int,
@@ -232,10 +240,12 @@ def ae_convexity_estimate(
     """Fraction of the open domain connectable to p (vertex-count measure).
 
     Samples open-domain vertices uniformly without replacement, or counts
-    all of them when there are at most ``samples``: the fraction is then
-    exact and its margin 0.  Comparable against the perturbed-triple
-    estimate on the same domain: almost-everywhere connectability should
-    force the latter toward one.
+    all of them when there are at most ``samples``.  ``interval`` is the
+    95% Wilson (1927) score interval for the fraction over all N open
+    vertices, with the finite-population correction: z² is scaled by
+    (N - n)/(N - 1), so the interval is [p, p] once all n = N are counted.
+    Comparable against the perturbed-triple estimate on the same domain:
+    almost-everywhere connectability should force the latter toward one.
     """
     if not space.in_U[p]:
         raise GeometryError("base point must lie in the open domain")
@@ -244,12 +254,10 @@ def ae_convexity_estimate(
     slack = _slack(space, slack)
     rng = np.random.default_rng(seed)
     ids = np.flatnonzero(space.in_U)
-    sampled = len(ids) > samples
-    if sampled:
+    population = len(ids)
+    if population > samples:
         ids = np.sort(rng.choice(ids, size=samples, replace=False))
-    prob = float(np.mean(_connectable_mask(space, p, ids, slack)))
-    n = len(ids)
-    # half-width of the 95% normal-approximation interval, with continuity term
-    margin = _Z95 * math.sqrt(prob * (1.0 - prob) / n + 0.25 / (n * n)) if sampled else 0.0
-    return ConvexityReport(probability=prob, samples=n, slack=slack,
-                           detail={"p": p, "mode": "vertex_fraction"}, margin=margin)
+    mask = _connectable_mask(space, p, ids, slack)
+    return ConvexityReport(probability=float(np.mean(mask)), samples=len(ids), slack=slack,
+                           detail={"p": p, "mode": "vertex_fraction"},
+                           interval=_wilson(int(mask.sum()), len(ids), population))

@@ -640,14 +640,14 @@ class CompletionReport:
     work: dict = field(default_factory=dict)
 
     @property
-    def violation_budget(self) -> float:
-        """The chain estimate's bound on a violation: 4*epsilon plus twice the mesh distortion."""
-        return 4.0 * self.epsilon + 2.0 * self.h_err
+    def tolerances(self) -> dict:
+        """The chain estimate's ``violation_budget``: 4*epsilon plus twice the mesh distortion."""
+        return {"violation_budget": 4.0 * self.epsilon + 2.0 * self.h_err}
 
     @property
     def passed(self) -> bool:
         """No matched pair's violation exceeds the budget."""
-        return self.matched == 0 or self.max_violation <= self.violation_budget
+        return self.matched == 0 or self.max_violation <= self.tolerances["violation_budget"]
 
 
 def _nearest_vertices(xy: np.ndarray, points: np.ndarray) -> np.ndarray:

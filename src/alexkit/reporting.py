@@ -9,6 +9,7 @@ partial report.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as _dt
 import json
 import os
@@ -38,13 +39,32 @@ def _jsonable(obj):
     return obj
 
 
+def result_of(report) -> dict:
+    """A report's ``result``: its fields that are set, and its verdict when it has one.
+
+    A ``None`` field is left out, and so is ``tolerances``, which the
+    envelope carries; the members of an ``extra`` field sit at the top
+    level.  Values are shared, not copied.
+    """
+    result = {}
+    for f in dataclasses.fields(report):
+        value = getattr(report, f.name)
+        if f.name == "extra":
+            result.update(value)
+        elif value is not None and f.name != "tolerances":
+            result[f.name] = value
+    passed = getattr(report, "passed", None)
+    if passed is not None:
+        result["passed"] = passed
+    return result
+
+
 def make_envelope(
     command: str,
     config: dict,
     result: dict,
     seed: int | None = None,
     tolerances: dict | None = None,
-    h_err: float | None = None,
     timestamp: bool = True,
 ) -> dict:
     env = {
@@ -58,8 +78,6 @@ def make_envelope(
         env["seed"] = int(seed)
     if tolerances:
         env["tolerances"] = _jsonable(tolerances)
-    if h_err is not None:
-        env["h_err"] = float(h_err)
     if timestamp:
         env["timestamp"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
     return env
@@ -108,24 +126,16 @@ def write_csv(path: str, header: list[str], columns: list[list]) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def extract_series(envelope: dict, name: str) -> tuple[list[str], list[list]]:
-    """Pull a named columnar series out of a report for CSV emission."""
-
-    def find(node):
-        if isinstance(node, dict):
-            if name in node and isinstance(node[name], dict):
-                candidate = node[name]
-                if candidate and all(isinstance(v, list) for v in candidate.values()):
-                    return candidate
-            for v in node.values():
-                got = find(v)
-                if got is not None:
-                    return got
-        return None
-
-    series = find(envelope)
-    if series is None:
-        raise GeometryError(f"report contains no columnar series named {name!r}")
+def extract_series(envelope, name: str) -> tuple[list[str], list[list]]:
+    """The columnar series ``result.<name>`` of a report, as a header and columns for CSV."""
+    if not isinstance(envelope, dict):
+        raise GeometryError("a report is a JSON object")
+    result = envelope.get("result")
+    if not isinstance(result, dict):
+        raise GeometryError("the report's result is not a JSON object")
+    series = result.get(name)
+    if not (isinstance(series, dict) and series
+            and all(isinstance(v, list) for v in series.values())):
+        raise GeometryError(f"the report's result holds no columnar series named {name!r}")
     header = sorted(series)
     return header, [series[k] for k in header]
-

@@ -1039,9 +1039,8 @@ class LocalCheckReport:
     evaluated: int
     skipped: int
     vacuous: bool
-    angle_tol: float
-    split_tol: float
     window: float
+    h_err: float
     base_violations: int
     base_worst: float
     split_violations: int
@@ -1049,6 +1048,8 @@ class LocalCheckReport:
     worst_case: dict = field(default_factory=dict)
     skips: dict = field(default_factory=dict)
     work: dict = field(default_factory=dict)
+    # angle_tol, split_tol and the stencil_gap split_tol reads; the envelope carries them
+    tolerances: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -1225,11 +1226,12 @@ def local_kappa_domain_check(
         worst = {"kind": "split", "q": q, "p": p, "s": s, "x": x, "gap": max(split_gaps)}
     return LocalCheckReport(
         kappa=k, center=center, radius=radius, trials=samples, evaluated=len(gaps),
-        skipped=samples - len(gaps), vacuous=not feasible, angle_tol=float(angle_tol),
-        split_tol=float(split_tol), window=w,
+        skipped=samples - len(gaps), vacuous=not feasible, window=w, h_err=space.h_err,
         base_violations=base_violations,
         base_worst=max(base_gaps, default=0.0),
         split_violations=split_violations,
         split_worst=max(split_gaps, default=0.0),
         worst_case=worst, skips=skips, work=work,
+        tolerances={"angle_tol": float(angle_tol), "split_tol": float(split_tol),
+                    "stencil_gap": space.stencil_gap},
     )

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alexkit
-from alexkit import comparison, domains, spaces, trig
+from alexkit import comparison, domains, reporting, spaces, trig
 from alexkit.cli import main
 
 
@@ -89,7 +89,7 @@ def test_sweep_reports_hold_only_measured_fields(runner, tmp_path, which):
     assert math.isfinite(result["min_signed_defect"])
     if which == "alexandrov":
         # no budget: the verdict reads the disagreement audit alone
-        assert result["budget_violations"] is None
+        assert "budget_violations" not in result
         assert "budget" not in result["worst_case"]
         assert result["disagreement_failures"] == 0
     else:
@@ -399,7 +399,9 @@ def test_convexity_ae_and_search(runner, tmp_path, cap_file):
     assert res.exit_code == 0
     rep = json.loads(out.read_text())
     assert rep["result"]["probability"] == 1.0
-    assert sorted(rep["result"]) == ["detail", "margin", "probability", "samples", "slack"]
+    assert sorted(rep["result"]) == ["detail", "interval", "probability", "samples", "slack"]
+    lo, hi = rep["result"]["interval"]
+    assert 0.0 < lo < 1.0 == hi
     assert sorted(rep["config"]) == ["input", "kind", "p", "samples", "seed", "slack"]
     assert rep["seed"] == rep["config"]["seed"] == 0
     out = tmp_path / "search.json"
@@ -770,6 +772,25 @@ def test_bad_parameters_exit_2(runner, tmp_path, dense_file, cap_file, argv):
         assert "the ae estimate does not read --step" in res.output
 
 
+@pytest.mark.parametrize("content", [
+    [{"result": {"series": {"x": [0.5]}}}],
+    {"result": [{"series": {"x": [0.5]}}]},
+    {"result": {"series": {}}},
+    {"result": {"series": {"x": 0.5}}},
+    {"result": {"series": {"x": [0.5], "y": [1, 0]}}},
+    {"result": {"detail": {"series": {"x": [0.5]}}}},
+    {"series": {"x": [0.5]}},
+], ids=["top-level-list", "result-list", "empty-series", "column-not-list", "ragged-columns",
+        "series-below-result", "series-beside-result"])
+def test_plot_emit_reads_only_the_result_series(runner, tmp_path, content):
+    report, out = tmp_path / "rep.json", tmp_path / "out.csv"
+    report.write_text(json.dumps(content))
+    res = _run(runner, ["plot", "emit", "--input", str(report), "-o", str(out)])
+    assert res.exit_code == 2, res.output
+    assert sum(line.startswith("Error:") for line in res.output.splitlines()) == 1, res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["lemma", "verify", "--which", "alexandrov", "--trials", "10"],
     ["area", "estimate", "--delta", "0.2", "--segments", "20", "--samples", "100"],
@@ -851,6 +872,36 @@ def test_reports_byte_identical_across_runs(runner, tmp_path, readme_inputs, arg
     assert reports[0] == reports[1]
 
 
+# the commands whose report carries a verdict
+_VERDICT_COMMANDS = {"lemma verify", "space scan", "space local-check", "completion compare",
+                     "area estimate"}
+_FAILING_SCAN = ["space", "scan", "--input", "SPHERE", "--kappa", "1.5", "--samples", "4000",
+                 "--seed", "7"]
+
+
+@pytest.mark.parametrize("argv", _README_ARGV + [_FAILING_SCAN],
+                         ids=_README_IDS + ["scan-failing"])
+def test_every_result_is_its_report_serialized(runner, tmp_path, monkeypatch, readme_inputs,
+                                               argv):
+    reports = []
+    result_of = reporting.result_of
+    monkeypatch.setattr(reporting, "result_of", lambda rep: reports.append(rep) or result_of(rep))
+    out = tmp_path / "rep.json"
+    res = _run(runner, [readme_inputs.get(a, a) for a in argv] + ["-o", str(out),
+                                                                   "--no-timestamp"])
+    env = json.loads(out.read_text())
+    result = env["result"]
+    [rep] = reports
+    assert result == json.loads(reporting.dump_canonical(result_of(rep)))
+    assert ("passed" in result) == (env["command"] in _VERDICT_COMMANDS)
+    assert res.exit_code == (1 if result.get("passed") is False else 0), res.output
+    assert None not in result.values()
+    assert not result.keys() & env.get("tolerances", {}).keys()
+    assert "h_err" not in env
+    if argv is _FAILING_SCAN:
+        assert result["passed"] is False
+
+
 # small versions of the README's domain generate commands, one per kind
 _GENERATE_ARGV = [
     ["--kind", "cap", "--r", "1.2566", "--h", "0.15"],
@@ -921,6 +972,22 @@ def fuzz_inputs(tmp_path_factory, readme_inputs):
 
 
 _BAD_VALUES = ["0", "-1", "nan", "inf", "abc"]
+_FLOATS = st.one_of(st.floats().map(repr),
+                    st.sampled_from(["1.8e308", "-1.8e308", "5e-324", "-5e-324"]))
+# a mesh size draws an arbitrary float outside [1e-300, 1e300]: the band between
+# builds meshes of up to 2**31 vertices, which no run here should allocate
+_MESH_SIZES = st.one_of(st.floats(max_value=1e-300, exclude_max=True),
+                        st.floats(min_value=1e300, exclude_min=True),
+                        st.just(math.nan)).map(repr)
+# the options that also draw arbitrary values: every float option, and the
+# vertex ids, which may be negative or past the last vertex
+_ARBITRARY = {
+    **dict.fromkeys(["--scale", "--kappa-min", "--kappa-max", "--a-min", "--a-max", "--r",
+                     "--delta", "--kappa", "--min-defect-tol", "--radius", "--step",
+                     "--slack", "--epsilon"], _FLOATS),
+    "--h": _MESH_SIZES, "--side": _MESH_SIZES,
+    **dict.fromkeys(["--p", "--q", "--s", "--center"], st.integers().map(str)),
+}
 _SEED_VALUES = ["0", "1", "5"]
 _IDS = ["0", "300", "900"]
 # command -> (always-passed options, optional options); each option with its
@@ -951,10 +1018,13 @@ _FUZZ_COMMANDS = {
         {"--input": ["grid.json"], "--center": ["544", "0"], "--radius": ["1.5"],
          "--kappa": ["0"], "--samples": ["4"]},
         {"--h-angle": ["3", "4"]}),
-    ("convexity", "estimate"): (
+    # each kind with the options it reads, and one it does not read
+    ("convexity", "estimate", "--kind", "prob"): (
+        {"--input": ["cap.json"], "--p": _IDS, "--q": _IDS, "--s": _IDS},
+        {"--step": ["0.05"], "--slack": ["0.01"], "--emit-samples": [], "--samples": ["50"]}),
+    ("convexity", "estimate", "--kind", "ae"): (
         {"--input": ["cap.json"], "--p": _IDS},
-        {"--kind": ["prob", "ae"], "--q": _IDS, "--s": _IDS, "--step": ["0.05"],
-         "--slack": ["0.01"], "--samples": ["50"], "--emit-samples": []}),
+        {"--samples": ["50"], "--slack": ["0.01"], "--step": ["0.05"]}),
     ("convexity", "search"): (
         {"--input": ["cap.json"], "--p": _IDS, "--q": _IDS, "--s": _IDS, "--epsilon": ["0.3"],
          "--candidates": ["3"]},
@@ -977,14 +1047,20 @@ def _fuzz_argv(draw, inputs):
     argv = list(command)
     for option in chosen:
         valid = _SEED_VALUES if option == "--seed" else optional.get(option, always.get(option))
-        # one value in eight is bad, so that most runs get past the checks
-        bad = draw(st.integers(0, 7)) == 7
+        # one value in eight is bad and two are arbitrary, so that most runs get
+        # past the checks
+        pick = draw(st.integers(0, 7))
+        bad = pick == 7
         if option == "--input":
             argv += [option, inputs[draw(st.sampled_from(sorted(inputs) if bad else valid))]]
         elif valid == []:  # a flag
             argv.append(option)
+        elif bad:
+            argv += [option, draw(st.sampled_from(_BAD_VALUES))]
+        elif pick >= 5 and option in _ARBITRARY:
+            argv += [option, draw(_ARBITRARY[option])]
         else:
-            argv += [option, draw(st.sampled_from(_BAD_VALUES if bad else valid))]
+            argv += [option, draw(st.sampled_from(valid))]
     return argv
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from alexkit import comparison
+from alexkit.reporting import result_of
 from alexkit.comparison import (
     AlternatingConfig,
     HingeConfig,
@@ -306,10 +307,10 @@ def test_extension_sweep_within_budget():
     verify_weighted_pair, verify_weighted_multi, verify_alternating, verify_extension,
 ], ids=["weighted2", "multi", "alternating", "extension"])
 def test_sweep_reports_are_deterministic(verify):
-    a = verify(500, seed=11).to_dict()
-    b = verify(500, seed=11).to_dict()
+    a = result_of(verify(500, seed=11))
+    b = result_of(verify(500, seed=11))
     assert a == b
-    c = verify(500, seed=12).to_dict()
+    c = result_of(verify(500, seed=12))
     assert c != a
 
 
@@ -566,7 +567,7 @@ def test_alexandrov_worst_case_is_the_least_signed_defect(seed):
     assert abs(check.margin_base - mb) <= 1e-12 and abs(check.margin_split - ms) <= 1e-12
     # the sweep has no budget
     assert "budget" not in w and rep.budget_violations is None
-    assert rep.to_dict()["budget_violations"] is None
+    assert "budget_violations" not in result_of(rep)
     assert rep.tolerances == {"tol": 1e-9}
 
 
@@ -611,4 +612,4 @@ def test_sweep_reports_count_their_work():
     alt = verify_alternating(500, seed=3)
     assert alt.work["inverses"] == 0
     assert verify_alexandrov(400, seed=3).work == {"blocks": 1, "hinges": 800, "inverses": 0}
-    assert pair.to_dict()["work"] == pair.work
+    assert result_of(pair)["work"] == pair.work

@@ -5,19 +5,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from alexkit import convexity
 from alexkit.convexity import (
+    _Z95,
     _ball,
     _connectable_mask,
     _draw,
     _slack,
     _step,
+    _wilson,
     ae_convexity_estimate,
     prob_convexity,
     weak_lambda_search,
 )
 from alexkit.errors import GeometryError, ResolutionError, UnreachableError
+from alexkit.reporting import result_of
 from alexkit.spaces import DiscreteLengthSpace
 
 
@@ -129,8 +134,8 @@ def test_prob_convexity_deterministic(full_square):
     a = _pick_u(sp, [0.2, 0.3])
     b = _pick_u(sp, [0.7, 0.1])
     c = _pick_u(sp, [0.5, 0.9])
-    r1 = prob_convexity(sp, a, b, c, keep_series=True).to_dict()
-    r2 = prob_convexity(sp, a, b, c, keep_series=True).to_dict()
+    r1 = result_of(prob_convexity(sp, a, b, c, keep_series=True))
+    r2 = result_of(prob_convexity(sp, a, b, c, keep_series=True))
     assert r1 == r2
 
 
@@ -183,15 +188,40 @@ def test_ae_estimate_slit_strictly_below_one(slit_square):
     assert rep.probability < 1.0
 
 
-def test_ae_margin_is_zero_when_every_open_vertex_is_counted(slit_square):
+def test_ae_interval_is_the_fraction_when_every_open_vertex_is_counted(slit_square):
     sp = slit_square
     p = _pick_u(sp, [0.15, 0.3])
     n_open = int(sp.in_U.sum())
     whole = ae_convexity_estimate(sp, p, samples=n_open, seed=0)
     assert whole.samples == n_open and 0.0 < whole.probability < 1.0
-    assert whole.margin == 0.0
+    assert whole.interval == [whole.probability, whole.probability]
     drawn = ae_convexity_estimate(sp, p, samples=n_open - 1, seed=0)
-    assert drawn.samples == n_open - 1 and drawn.margin > 0.0
+    lo, hi = drawn.interval
+    assert drawn.samples == n_open - 1 and lo < drawn.probability < hi
+
+
+def test_wilson_interval_at_the_benchmark_cap():
+    # every one of 2,000 draws from the 4,018 open vertices connects
+    lo, hi = _wilson(2000, 2000, 4018)
+    # 1 - lo is about twice the 0.00049 that the normal approximation gave
+    assert hi == 1.0 and lo == pytest.approx(0.99904, abs=5e-6)
+    assert _wilson(0, 1, 1) == [0.0, 0.0] and _wilson(1, 1, 1) == [1.0, 1.0]
+    assert _wilson(0, 2000, 4018)[0] == 0.0
+
+
+@given(st.integers(1, 10**6), st.data())
+def test_wilson_interval_matches_the_score_formula(population, data):
+    n = data.draw(st.integers(1, population))
+    k = data.draw(st.integers(0, n))
+    lo, hi = _wilson(k, n, population)
+    p = k / n
+    assert 0.0 <= lo <= p <= hi <= 1.0
+    # the textbook centre and half-width, with z² times (N - n)/(N - 1)
+    z2 = _Z95 ** 2 * (population - n) / (population - 1) if population > 1 else 0.0
+    centre = (p + z2 / (2 * n)) / (1 + z2 / n)
+    half = math.sqrt(z2 * (p * (1 - p) / n + z2 / (4 * n * n))) / (1 + z2 / n)
+    assert lo == pytest.approx(centre - half, abs=1e-12)
+    assert hi == pytest.approx(centre + half, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +274,8 @@ def test_weak_lambda_search_deterministic(punctured_square):
     p = _pick_u(sp, [0.3, 0.3])
     q = _pick_u(sp, [0.8, 0.2])
     s = _pick_u(sp, [0.2, 0.8])
-    r1 = weak_lambda_search(sp, p, q, s, epsilon=0.1, candidates=12, seed=5).to_dict()
-    r2 = weak_lambda_search(sp, p, q, s, epsilon=0.1, candidates=12, seed=5).to_dict()
+    r1 = result_of(weak_lambda_search(sp, p, q, s, epsilon=0.1, candidates=12, seed=5))
+    r2 = result_of(weak_lambda_search(sp, p, q, s, epsilon=0.1, candidates=12, seed=5))
     assert r1 == r2
 
 
@@ -327,7 +357,7 @@ def test_search_early_exit_matches_the_full_loop(request, name):
             oracle, triple, evaluated, equal = _full_search(sp, p, q, s, epsilon, candidates,
                                                             seed)
             rep = weak_lambda_search(sp, p, q, s, epsilon, candidates=candidates, seed=seed)
-            assert rep.to_dict() == {**oracle.to_dict(), "detail": {
+            assert result_of(rep) == {**result_of(oracle), "detail": {
                 "origin": {"p": p, "q": q, "s": s},
                 "best_triple": dict(zip("pqs", triple)),
                 "geodesic_length": oracle.detail["geodesic_length"],
@@ -404,19 +434,19 @@ def test_search_counts_the_triples_it_drops_by_reason(slit_square, monkeypatch):
 def test_each_estimate_reports_the_fields_it_measured(slit_square):
     sp = slit_square
     p, q, s = (_pick_u(sp, x) for x in ([0.15, 0.3], [0.85, 0.1], [0.85, 0.55]))
-    prob = prob_convexity(sp, p, q, s).to_dict()
+    prob = result_of(prob_convexity(sp, p, q, s))
     assert prob.keys() == {"probability", "samples", "step", "slack", "detail"}
     assert prob["detail"].keys() == {"p", "q", "s", "geodesic_length"}
     kept = prob_convexity(sp, p, q, s, keep_series=True)
-    assert kept.to_dict() == {**prob, "series": kept.series}
-    assert kept.to_dict()["series"] is kept.series  # shared, not copied
-    search = weak_lambda_search(sp, p, q, s, 2.5 * sp.h, candidates=6, seed=0).to_dict()
+    assert result_of(kept) == {**prob, "series": kept.series}
+    assert result_of(kept)["series"] is kept.series  # shared, not copied
+    search = result_of(weak_lambda_search(sp, p, q, s, 2.5 * sp.h, candidates=6, seed=0))
     assert search.keys() == prob.keys()
     assert search["detail"].keys() == {"origin", "best_triple", "geodesic_length",
                                        "candidates_requested", "candidates_evaluated",
                                        "candidates_dropped"}
-    ae = ae_convexity_estimate(sp, p, samples=100, seed=0).to_dict()
-    assert ae.keys() == {"probability", "samples", "slack", "margin", "detail"}
+    ae = result_of(ae_convexity_estimate(sp, p, samples=100, seed=0))
+    assert ae.keys() == {"probability", "samples", "slack", "interval", "detail"}
     assert ae["detail"] == {"p": p, "mode": "vertex_fraction"}
 
 

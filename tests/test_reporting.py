@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from alexkit.reporting import (
     dump_canonical,
     extract_series,
     make_envelope,
+    result_of,
     write_csv,
     write_report,
 )
@@ -20,13 +22,41 @@ from alexkit.spaces import DiscreteLengthSpace
 
 def test_envelope_fields_and_canonical_dump():
     env = make_envelope("space scan", {"kappa": 1.0}, {"min_defect": np.float64(0.25)},
-                        seed=3, tolerances={"tol": 1e-6}, h_err=0.03, timestamp=False)
+                        seed=3, tolerances={"tol": 1e-6}, timestamp=False)
     assert env["tool"] == "alexkit"
     assert env["seed"] == 3
+    assert env["tolerances"] == {"tol": 1e-6}
     assert "timestamp" not in env
     text = dump_canonical(env)
     assert json.loads(text)["result"]["min_defect"] == 0.25
     assert dump_canonical(env) == text
+
+
+@dataclass
+class _Report:
+    count: int
+    unset: float | None = None
+    extra: dict = field(default_factory=dict)
+    tolerances: dict = field(default_factory=dict)
+
+    @property
+    def passed(self):
+        return not any(self.extra.values())
+
+
+@dataclass
+class _NoVerdict:
+    count: int
+    series: dict | None = None
+
+
+def test_result_of_holds_the_set_fields_and_the_verdict():
+    rep = _Report(3, extra={"a_failures": 0}, tolerances={"tol": 1.0})
+    assert result_of(rep) == {"count": 3, "a_failures": 0, "passed": True}
+    assert result_of(_Report(3, unset=0.5, extra={"a_failures": 2}))["passed"] is False
+    assert result_of(_NoVerdict(1)) == {"count": 1}
+    series = {"x": [0.0]}
+    assert result_of(_NoVerdict(1, series))["series"] is series  # shared, not copied
 
 
 def test_canonical_dump_refuses_nan():

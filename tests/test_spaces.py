@@ -1480,8 +1480,10 @@ def test_local_check_flat_grid_split_within_stencil_gap(flat_grid_fine):
         flat_grid_fine, center, radius=1.6, kappa=0.0, samples=6, h_angle=8, seed=31
     )
     assert flat_grid_fine.stencil_gap == pytest.approx(math.atan(1.0 / 5.0), abs=1e-15)
-    assert rep.split_tol == 2.0 * rep.angle_tol + flat_grid_fine.stencil_gap
-    assert rep.split_worst > 2.0 * rep.angle_tol
+    tol = rep.tolerances
+    assert tol["stencil_gap"] == flat_grid_fine.stencil_gap
+    assert tol["split_tol"] == 2.0 * tol["angle_tol"] + flat_grid_fine.stencil_gap
+    assert rep.split_worst > 2.0 * tol["angle_tol"]
     assert rep.passed
 
 
@@ -1603,10 +1605,11 @@ def _local_check_reference(space, center, radius, kappa, samples, h_angle, seed)
     def report(evaluated, vacuous, base=(0, 0.0), split=(0, 0.0), worst=None):
         return LocalCheckReport(
             kappa=kappa, center=center, radius=radius, trials=samples, evaluated=evaluated,
-            skipped=samples - evaluated, vacuous=vacuous, angle_tol=angle_tol,
-            split_tol=split_tol, window=w, base_violations=base[0], base_worst=base[1],
-            split_violations=split[0], split_worst=split[1], worst_case=worst or {},
-            skips=skips, work=work)
+            skipped=samples - evaluated, vacuous=vacuous, window=w, h_err=space.h_err,
+            base_violations=base[0], base_worst=base[1], split_violations=split[0],
+            split_worst=split[1], worst_case=worst or {}, skips=skips, work=work,
+            tolerances={"angle_tol": angle_tol, "split_tol": split_tol,
+                        "stencil_gap": space.stencil_gap})
 
     d_center = distance_field(center, restrict_to_U=False)
     ball = np.flatnonzero((d_center <= radius) & space.in_U)
@@ -1741,10 +1744,11 @@ def test_local_check_worst_case_is_the_worst_violation(monkeypatch, base_gaps, s
                                    kappa=0.0, samples=8, h_angle=3, seed=1)
     # seven samples reach both angle calls, one is skipped before them
     assert rep.evaluated == 7 and len(calls) == 14
-    assert rep.split_tol == pytest.approx(1.129, abs=1e-3)
-    assert rep.angle_tol == pytest.approx(0.333, abs=1e-3)
-    assert rep.base_violations == sum(g > rep.angle_tol for g in base_gaps)
-    assert rep.split_violations == sum(g > rep.split_tol for g in split_gaps)
+    angle_tol, split_tol = rep.tolerances["angle_tol"], rep.tolerances["split_tol"]
+    assert split_tol == pytest.approx(1.129, abs=1e-3)
+    assert angle_tol == pytest.approx(0.333, abs=1e-3)
+    assert rep.base_violations == sum(g > angle_tol for g in base_gaps)
+    assert rep.split_violations == sum(g > split_tol for g in split_gaps)
     assert rep.split_worst == pytest.approx(1.5)
     assert rep.worst_case["kind"] == kind
     assert rep.worst_case["gap"] == pytest.approx(gap)
