@@ -135,7 +135,9 @@ def _hinge_weights(lengths) -> np.ndarray:
     total = c.sum(axis=-1, keepdims=True)
     suffix = np.zeros_like(c)
     suffix[..., :-1] = np.cumsum(c[..., ::-1], axis=-1)[..., ::-1][..., 1:]
-    return c * (c + 2.0 * suffix) / (total * total)
+    # a total whose square underflows gives NaN or inf weights, which the sweep skips
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return c * (c + 2.0 * suffix) / (total * total)
 
 
 def kappa_bar_multi(config: HingeConfig) -> tuple[float, float]:
@@ -406,7 +408,9 @@ def _blend_two(a, b, d, k1, k2, live):
     solve = ~np.isnan(kbar) & (k1 != k2)
     a, b, d, k1, k2, f1, f2 = (x[solve] for x in (a, b, d, k1, k2, f1, f2))
     s = b + d
-    y = ((b * b + 2.0 * b * d) * f1 + d * d * f2) / (s * s)
+    # as in _hinge_weights, an underflowing s * s gives a NaN or inf target
+    with np.errstate(invalid="ignore", divide="ignore"):
+        y = ((b * b + 2.0 * b * d) * f1 + d * d * f2) / (s * s)
     lo, hi = np.minimum(k1, k2), np.maximum(k1, k2)
     pad = 1e-9 * (1.0 + hi - lo)
     kbar[solve] = batch_f_inverse(a, y, lo - pad, hi + pad)

@@ -395,7 +395,7 @@ def _subdivide(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     n = len(verts)
     pairs = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    keys = pairs.min(axis=1) * n + pairs.max(axis=1)
+    keys = np.minimum(pairs[:, 0], pairs[:, 1]) * n + np.maximum(pairs[:, 0], pairs[:, 1])
     uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -523,9 +523,10 @@ def _estimate_cap_distortion(space: DiscreteLengthSpace, r: float, seed: int) ->
     rng = np.random.default_rng([seed, 7])
     u_ids = np.flatnonzero(space.in_U)
     sources = rng.choice(u_ids, size=min(24, len(u_ids)), replace=False)
-    fields = space.distance_field(sources)
     targets = np.array([rng.choice(u_ids, size=min(60, len(u_ids)), replace=False)
                         for _ in sources])
+    g = np.concatenate(space.distance_blocks(
+        sources, lambda rows, fields: fields[np.arange(len(fields))[:, None], targets[rows]]))
     a = space.coords[sources][:, None]
     b = space.coords[targets]
     arc = great_circle(a, b)
@@ -539,7 +540,6 @@ def _estimate_cap_distortion(space: DiscreteLengthSpace, r: float, seed: int) ->
     z /= np.sin(theta)
     # leave out the pairs whose ambient arc exits the cap
     far[row, col] = ~np.any(z < math.cos(r) - 1e-9, axis=1)
-    g = fields[np.arange(len(sources))[:, None], targets]
     ok = far & np.isfinite(g) & (arc > 0.0)
     worst = float(np.max(g[ok] / arc[ok] - 1.0, initial=0.0))
     return 1.15 * worst if worst > 0.0 else 0.03
@@ -704,7 +704,8 @@ def completion_compare(
     half are anchored near bundled endpoints so the chain is actually
     exercised at every run.  The nearest vertices, the segment matches and
     the completion distances are each computed for all pairs at once, in
-    blocks of bounded size; ``work`` counts the distinct sources of the
+    blocks of bounded size, the distances as the space's
+    ``distance_blocks``; ``work`` counts the distinct sources of the
     distance fields.
     """
     if space.meta.get("generator") != "dense_square":
@@ -740,11 +741,19 @@ def completion_compare(
     hit = ks >= 0
     q_hit = q_ids[hit]
     sources, which = np.unique(p_ids[hit], return_inverse=True)
+    # the pairs by source: a block of sources reads a run of them
+    order = np.argsort(which, kind="stable")
+    by_source = which[order]
+
+    def keep(rows, fields):
+        lo, hi = np.searchsorted(by_source, (rows.start, rows.stop))
+        pick = order[lo:hi]
+        return fields[which[pick] - rows.start, q_hit[pick]]
+
+    parts = space.distance_blocks(sources, keep)
     d_bar = np.empty(len(which))
-    for rows in _row_blocks(len(sources), n):
-        fields = space.distance_field(sources[rows])
-        picked = (which >= rows.start) & (which < rows.stop)
-        d_bar[picked] = fields[which[picked] - rows.start, q_hit[picked]]
+    if parts:
+        d_bar[order] = np.concatenate(parts)
     p_hit, k_hit = p_ids[hit], ks[hit]
     # fixed-order sums, which round the same under every BLAS kernel
     sx, sy = (ends[k_hit] - starts[k_hit]).T

@@ -10,10 +10,15 @@ angles at a small fixed arc scale.
 
 Broadcast temporaries are built in blocks of rows under one budget,
 ``_BLOCK_ELEMENTS`` float64 elements (2 MB), by ``_row_blocks``: the
-graph's multi-source Dijkstra rows, cut to the requested columns block by
-block, the closed-form distance blocks, each scan probe's quadruple rows,
-and the completion comparison and cap generator in :mod:`alexkit.domains`.
-Every entry depends only on its own row, so the blocks change no bit.
+graph's multi-source Dijkstra rows (``DiscreteLengthSpace.distance_blocks``,
+which the scan's distance block, the completion comparison and the cap
+generator's distortion sample all read), the closed-form distance blocks,
+each scan probe's quadruple rows, the completion comparison's
+nearest-vertex and segment matches, and the cap generator's guard
+sewing.  Every entry depends only on its own
+row, so the blocks change no bit; the Dijkstra blocks run in forked
+workers, one per CPU of the affinity mask, with the same bits for every
+worker count.
 
 A graph space is stored as one compact JSON object: a vertex table of
 ``{"in_U": bool, "xy"|"xyz": [...]}`` entries, the generator's ``meta``,
@@ -41,7 +46,10 @@ import base64
 import io
 import json
 import math
+import os
+import pickle
 import shlex
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
@@ -89,7 +97,7 @@ def _upper_csr(edges, weights, n: int):
         raise GeometryError(f"{len(pairs)} edges need as many weights, got shape {w.shape}")
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise GeometryError("edge endpoint out of range")
-    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
     order = np.argsort(lo * n + hi, kind="stable")
     index = np.int32 if max(n, len(pairs)) < 2**31 else np.int64
     indptr = np.zeros(n + 1, dtype=index)
@@ -211,6 +219,93 @@ def _row_blocks(rows: int, width: int):
     step = max(1, _BLOCK_ELEMENTS // max(width, 1))
     for lo in range(0, rows, step):
         yield slice(lo, min(lo + step, rows))
+
+
+def _workers(blocks: int) -> int:
+    """Processes for ``blocks`` independent blocks: one per CPU of the affinity mask, at most one
+    per block.
+
+    1 where the platform has no mask (not Linux) or another Python thread
+    runs: a forked child inherits only the calling thread, and any lock
+    another one held.
+    """
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return min(blocks, len(os.sched_getaffinity(0)))
+
+
+def _worker(compute, blocks, fd: int):
+    """In a forked child: ``compute`` each block, then write the results to ``fd``; never returns.
+
+    Every block is computed before the first is written, so that the child
+    does not wait on a full pipe while the parent computes its own blocks.
+    An exception is written in place of the results.
+    """
+    code = 1
+    try:
+        try:
+            parts = [compute(rows) for rows in blocks]
+        except BaseException as exc:  # sent to the parent, which raises it
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # an exception that does not survive the trip is named
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            parts = [exc]
+        with os.fdopen(fd, "wb") as pipe:
+            for part in parts:
+                pickle.dump(part, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        # no atexit handler, and no flush of the stdio buffers the parent also holds
+        os._exit(code)
+
+
+def _map_blocks(compute, blocks: list) -> list:
+    """``[compute(rows) for rows in blocks]``, the blocks shared among forked workers.
+
+    With k = :func:`_workers` of the block count, k - 1 children are forked
+    and child w computes blocks w, w + k, ...; the parent computes blocks
+    0, k, ..., then reads each child's results from its pipe, one pickled
+    block at a time.  An exception in a child is raised again in the
+    parent.  Each result depends only on its block, so the list is the
+    same for every k.  Whatever happens, every child is killed and reaped
+    before the call returns.
+    """
+    k = _workers(len(blocks))
+    if k < 2:
+        return [compute(rows) for rows in blocks]
+    # imported here, so that the commands that fork no worker never load it
+    import signal
+
+    out = [None] * len(blocks)
+    children = []  # (pid, read end of its pipe)
+    try:
+        for w in range(1, k):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _worker(compute, blocks[w::k], write)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        for j in range(0, len(blocks), k):
+            out[j] = compute(blocks[j])
+        for w, (_, pipe) in enumerate(children, 1):
+            for j in range(w, len(blocks), k):
+                try:
+                    part = pickle.load(pipe)
+                except EOFError:
+                    raise ChildProcessError("a distance worker ended before sending its "
+                                            "blocks") from None
+                if isinstance(part, BaseException):
+                    raise part
+                out[j] = part
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return out
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -592,21 +687,32 @@ class DiscreteLengthSpace:
         g = self._graph_u if restrict_to_U else self._graph
         return dijkstra(g, directed=True, indices=sources, limit=limit)
 
+    def distance_blocks(self, sources: np.ndarray, keep) -> list:
+        """``keep(rows, fields)`` of each block of the multi-source field from ``sources``.
+
+        The sources are cut into blocks of rows of at most ``_BLOCK_ELEMENTS``
+        distances; ``fields`` holds the graph distances from ``sources[rows]``,
+        and ``keep`` returns the part of them the caller needs, so that one
+        block of fields is held at a time.  The kept parts come back in block
+        order.  The blocks run in forked workers, one per CPU of the affinity
+        mask (see :func:`_map_blocks`); each Dijkstra row depends only on its
+        source, so the parts are the same bits for every worker count.
+        """
+        return _map_blocks(lambda rows: keep(rows, self.distance_field(sources[rows])),
+                           list(_row_blocks(len(sources), self._n)))
+
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
         """The distances among the vertices ``idx``, in their order.
 
         The closed form named by ``exact_metric`` on the coordinates when the
         generator recorded one, else the multi-source graph block, symmetrized.
-        Either is filled in blocks of rows: the Dijkstra rows of a block are
-        cut to the ``idx`` columns before the next block runs.
+        Either is filled in blocks of rows: the graph's are the
+        :meth:`distance_blocks` from ``idx`` cut to the ``idx`` columns.
         """
         exact = self.exact_metric
         if exact in ("sphere", "euclidean"):
             return _closed_form_distances(self.coords[idx], exact)
-        m = len(idx)
-        dist = np.empty((m, m))
-        for rows in _row_blocks(m, self._n):
-            dist[rows] = self.distance_field(idx[rows])[:, idx]
+        dist = np.concatenate(self.distance_blocks(idx, lambda rows, fields: fields[:, idx]))
         # the bits of 0.5 * (dist + dist.T), with one temporary
         sym = dist + dist.T
         sym *= 0.5

@@ -489,7 +489,9 @@ def batch_model_side(kappa, b, c, alpha):
         lim = math.pi / np.sqrt(k)
         ok &= (k <= 0.0) | ((bb < lim) & (cc < lim))
     mb, mc = batch_md(k, bb), batch_md(k, cc)
-    m = mb + mc - k * mb * mc - batch_sn(k, bb) * batch_sn(k, cc) * np.cos(aa)
+    # huge sides overflow md to inf, and inf - inf is a NaN the inverse keeps
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = mb + mc - k * mb * mc - batch_sn(k, bb) * batch_sn(k, cc) * np.cos(aa)
     return np.where(ok, batch_md_inverse(k, np.maximum(m, 0.0)), np.nan)
 
 

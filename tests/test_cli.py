@@ -61,6 +61,28 @@ def test_lemma_verify_other_sweeps(runner, tmp_path, which):
     assert rep["config"].get("scale") == {"extension": 1e-3, "alexandrov": None}.get(which, 1e-2)
 
 
+def test_sweeps_at_extreme_scales_print_nothing_to_stderr(tmp_path):
+    # a fresh interpreter, whose warning registry no other test has filled:
+    # the scales overflow the alternating sweep's model sides and underflow
+    # the multi sweep's squared chain lengths, once numpy RuntimeWarnings
+    child = ("import json, sys\n"
+             "from alexkit.cli import main\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    try:\n"
+             "        main.main(args=argv, prog_name='alexkit', standalone_mode=True)\n"
+             "    except SystemExit as exc:\n"
+             "        assert exc.code == 0, (argv, exc.code)\n")
+    argvs = [["lemma", "verify", "--which", "alternating", "--trials", "20", "--scale",
+              "7.18e16", "--kappa-min", "-1", "-o", "alternating.json"],
+             ["lemma", "verify", "--which", "multi", "--trials", "60", "--scale", "1.38e-173",
+              "--segments", "3", "-o", "multi.json"]]
+    src = str(pathlib.Path(alexkit.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", child, json.dumps(argvs)], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         check=True)
+    assert out.stderr == ""
+
+
 # the constants each sweep's verdict reads, echoed under the envelope's tolerances
 _SWEEP_TOLERANCES = {
     "weighted2": {"budget_exponent": 2.5},
@@ -360,7 +382,7 @@ def test_convexity_estimate_and_series(runner, tmp_path, cap_file):
     rep = json.loads(out.read_text())
     assert rep["result"]["probability"] == 1.0
     assert sorted(rep["result"]) == ["detail", "probability", "samples", "series", "slack",
-                                     "step"]
+                                     "step", "work"]
     assert sorted(rep["config"]) == ["input", "kind", "p", "q", "s", "slack", "step"]
     # the prob estimate reads no seed, so its envelope records none
     assert "seed" not in rep
@@ -399,7 +421,8 @@ def test_convexity_ae_and_search(runner, tmp_path, cap_file):
     assert res.exit_code == 0
     rep = json.loads(out.read_text())
     assert rep["result"]["probability"] == 1.0
-    assert sorted(rep["result"]) == ["detail", "interval", "probability", "samples", "slack"]
+    assert sorted(rep["result"]) == ["detail", "interval", "probability", "samples", "slack",
+                                     "work"]
     lo, hi = rep["result"]["interval"]
     assert 0.0 < lo < 1.0 == hi
     assert sorted(rep["config"]) == ["input", "kind", "p", "samples", "seed", "slack"]
@@ -412,7 +435,7 @@ def test_convexity_ae_and_search(runner, tmp_path, cap_file):
     assert res.exit_code == 0
     result = json.loads(out.read_text())["result"]
     assert result["probability"] == 1.0
-    assert sorted(result) == ["detail", "probability", "samples", "slack", "step"]
+    assert sorted(result) == ["detail", "probability", "samples", "slack", "step", "work"]
 
 
 def test_completion_and_area(runner, tmp_path):
@@ -647,6 +670,49 @@ def test_files_and_reports_do_not_depend_on_the_blas_kernel(tmp_path):
     for lever in ("Haswell", "Nehalem"):
         for name, data in files["native"].items():
             assert files[lever][name] == data, (lever, name)
+
+
+# a wide cap scan whose 300-vertex subset is 3 blocks of Dijkstra sources, and
+# a completion comparison whose sources span 3 blocks too
+_MASK_ARGVS = [
+    ["space", "scan", "--input", "wide_cap.json", "--kappa", "1", "--samples", "2000",
+     "--subset", "300", "--seed", "3", "--no-timestamp", "-o", "scan.json"],
+    ["completion", "compare", "--input", "dense.json", "--pairs", "1000", "--epsilon", "0.05",
+     "--seed", "4", "--no-timestamp", "-o", "completion.json"],
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs in the affinity mask")
+def test_reports_do_not_depend_on_the_cpu_mask(tmp_path, wide_cap, dense_square):
+    # each run in a fresh interpreter pinned to one CPU, then on the whole
+    # mask, where the distance blocks run in forked workers
+    child = ("import json, sys\n"
+             "from alexkit.cli import main\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    try:\n"
+             "        main.main(args=argv, prog_name='alexkit', standalone_mode=True)\n"
+             "    except SystemExit as exc:\n"
+             "        assert exc.code in (0, 1), (argv, exc.code)\n")
+    src = str(pathlib.Path(alexkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    full = os.sched_getaffinity(0)
+    wide_cap.save(tmp_path / "wide_cap.json")
+    dense_square.save(tmp_path / "dense.json")
+    reports = {}
+    for name, mask in (("one", {min(full)}), ("all", full)):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        for f in ("wide_cap.json", "dense.json"):
+            (cwd / f).symlink_to(tmp_path / f)
+        subprocess.run([sys.executable, "-c", child, json.dumps(_MASK_ARGVS)], cwd=cwd,
+                       env=env, capture_output=True, text=True, check=True,
+                       preexec_fn=lambda mask=mask: os.sched_setaffinity(0, mask))
+        reports[name] = {f: (cwd / f).read_bytes() for f in ("scan.json", "completion.json")}
+    assert reports["one"] == reports["all"]
+    sources = json.loads(reports["all"]["completion.json"])["result"]["work"]
+    assert sources["distance_sources"] > 2 * (spaces._BLOCK_ELEMENTS // dense_square.n_points)
+    assert 300 > 2 * (spaces._BLOCK_ELEMENTS // wide_cap.n_points)
 
 
 @pytest.mark.parametrize("kind", ["cap", "dense_square", "punctured"])

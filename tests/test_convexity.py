@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alexkit import convexity
+from alexkit import convexity, spaces
 from alexkit.convexity import (
     _Z95,
     _ball,
@@ -363,7 +363,7 @@ def test_search_early_exit_matches_the_full_loop(request, name):
                 "geodesic_length": oracle.detail["geodesic_length"],
                 "candidates_requested": candidates,
                 "candidates_evaluated": rep.detail["candidates_evaluated"],
-                "candidates_dropped": rep.detail["candidates_dropped"]}}
+                "candidates_dropped": rep.detail["candidates_dropped"]}, "work": rep.work}
             assert 1 <= rep.detail["candidates_evaluated"] <= evaluated
             dropped = rep.detail["candidates_dropped"]
             assert dropped["equal_endpoints"] <= equal
@@ -427,6 +427,41 @@ def test_search_counts_the_triples_it_drops_by_reason(slit_square, monkeypatch):
     assert rep.detail["best_triple"] == dict(zip("pqs", calls[2]))
 
 
+def test_each_estimate_counts_its_dijkstra_calls_and_walks(slit_square, monkeypatch):
+    sp = slit_square
+    seen = {}
+    dijkstra, walk = spaces.dijkstra, DiscreteLengthSpace.shortest_path
+
+    def counted_dijkstra(csgraph, **options):
+        seen["distance_fields"] += 1
+        seen["distance_sources"] += int(np.size(options["indices"]))
+        return dijkstra(csgraph, **options)
+
+    def counted_walk(self, *args, **kwargs):
+        path = walk(self, *args, **kwargs)
+        seen["geodesics"] += 1
+        return path
+
+    monkeypatch.setattr(spaces, "dijkstra", counted_dijkstra)
+    monkeypatch.setattr(DiscreteLengthSpace, "shortest_path", counted_walk)
+    p, q, s = (_pick_u(sp, x) for x in ([0.15, 0.3], [0.85, 0.1], [0.85, 0.55]))
+    # the search passes over the triples with q = s, and evaluates every other one
+    runs = [(lambda: prob_convexity(sp, p, q, s), (3, 3, 1)),
+            (lambda: ae_convexity_estimate(sp, p, samples=100, seed=0), (2, 2, 0)),
+            (lambda: weak_lambda_search(sp, p, q, q, 2.5 * sp.h, candidates=24, seed=0), None)]
+    for run, expected in runs:
+        seen.update(distance_fields=0, distance_sources=0, geodesics=0)
+        rep = run()
+        assert rep.work == seen
+        if expected:
+            assert tuple(seen.values()) == expected
+        else:
+            evaluated = rep.detail["candidates_evaluated"]
+            assert rep.detail["candidates_dropped"]["equal_endpoints"] > 0
+            assert seen == {"distance_fields": 3 + 3 * evaluated,
+                            "distance_sources": 3 + 3 * evaluated, "geodesics": evaluated}
+
+
 # ---------------------------------------------------------------------------
 # what a report holds, and rescaling
 
@@ -435,7 +470,7 @@ def test_each_estimate_reports_the_fields_it_measured(slit_square):
     sp = slit_square
     p, q, s = (_pick_u(sp, x) for x in ([0.15, 0.3], [0.85, 0.1], [0.85, 0.55]))
     prob = result_of(prob_convexity(sp, p, q, s))
-    assert prob.keys() == {"probability", "samples", "step", "slack", "detail"}
+    assert prob.keys() == {"probability", "samples", "step", "slack", "detail", "work"}
     assert prob["detail"].keys() == {"p", "q", "s", "geodesic_length"}
     kept = prob_convexity(sp, p, q, s, keep_series=True)
     assert result_of(kept) == {**prob, "series": kept.series}
@@ -446,7 +481,7 @@ def test_each_estimate_reports_the_fields_it_measured(slit_square):
                                        "candidates_requested", "candidates_evaluated",
                                        "candidates_dropped"}
     ae = result_of(ae_convexity_estimate(sp, p, samples=100, seed=0))
-    assert ae.keys() == {"probability", "samples", "slack", "interval", "detail"}
+    assert ae.keys() == {"probability", "samples", "slack", "interval", "detail", "work"}
     assert ae["detail"] == {"p": p, "mode": "vertex_fraction"}
 
 

@@ -1,6 +1,7 @@
 """Generators: determinism, openness, cap sanity, area and completion checks."""
 
 import math
+import os
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -361,11 +362,27 @@ def test_completion_compare_matches_the_per_row_loop(dense_square, pairs, epsilo
     assert work["distance_sources"] <= rep["matched"]
 
 
+# CPU counts a test may fake: never more than the real affinity mask holds,
+# since that is how many children a distance call forks
+_MASKS = [1] + [2] * (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
+
+
 def test_completion_compare_blocks_do_not_change_the_report(dense_square, monkeypatch):
     whole = completion_compare(dense_square, pairs=120, epsilon=0.1, seed=6)
-    # blocks of one to a few rows each
+    # blocks of one to a few rows each, on one CPU and on two
     monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 3000)
-    assert completion_compare(dense_square, pairs=120, epsilon=0.1, seed=6) == whole
+    for cpus in _MASKS:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        assert completion_compare(dense_square, pairs=120, epsilon=0.1, seed=6) == whole
+
+
+def test_cap_distortion_does_not_depend_on_blocks_or_workers(wide_cap, monkeypatch):
+    whole = domains._estimate_cap_distortion(wide_cap, 0.9 * math.pi, 0)
+    # 24 blocks of one source each
+    monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 3000)
+    for cpus in _MASKS:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        assert domains._estimate_cap_distortion(wide_cap, 0.9 * math.pi, 0) == whole
 
 
 def test_nearest_vertices_match_nearest_vertex(dense_square):

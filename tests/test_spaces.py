@@ -5,6 +5,7 @@ import gc
 import itertools
 import json
 import math
+import os
 import shlex
 import tempfile
 import tracemalloc
@@ -314,7 +315,88 @@ def test_distance_field_batches_single_sources(wide_cap):
     assert wide_cap.distance_field(sources[1]).ndim == 1
 
 
-_FIXTURES = ["convex_cap", "wide_cap", "full_square", "punctured_square", "slit_square",
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+# masks of one and two CPUs: a faked mask never exceeds the real one, whose
+# size is how many children a call forks
+_MASKS = [1] + [2] * (_CPUS >= 2)
+
+
+def _fake_mask(monkeypatch, cpus):
+    monkeypatch.setattr(spaces.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", _MASKS)
+def test_distance_blocks_are_the_fields_cut_block_by_block(wide_cap, monkeypatch, cpus):
+    # 40 sources in blocks of one row: block j holds source j's field, whichever
+    # process computed it
+    _fake_mask(monkeypatch, cpus)
+    monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 3000)
+    sources = np.random.default_rng(2).choice(wide_cap.n_points, 40, replace=False)
+    parts = wide_cap.distance_blocks(sources, lambda rows, fields: (rows, fields))
+    assert [rows for rows, _ in parts] == [slice(j, j + 1) for j in range(40)]
+    assert np.array_equal(np.concatenate([f for _, f in parts]),
+                          wide_cap.distance_field(sources))
+    _no_child_left()
+
+
+class _LocalError(Exception):
+    """Not picklable: a worker sends it as a RuntimeError naming it."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+@pytest.mark.skipif(_CPUS < 2, reason="forks a worker only with two CPUs in the mask")
+@pytest.mark.parametrize("block, raised, expected", [
+    (0, lambda: GeometryError("in the parent's block"), GeometryError),
+    (1, lambda: GeometryError("in a worker's block"), GeometryError),
+    (3, lambda: KeyboardInterrupt(), KeyboardInterrupt),
+    (3, lambda: _LocalError(1, 2), RuntimeError),
+    (1, None, ChildProcessError),
+], ids=["parent", "worker", "worker-interrupt", "worker-unpicklable", "worker-dies"])
+def test_distance_blocks_raise_a_block_error_and_leave_no_child(wide_cap, monkeypatch, block,
+                                                                raised, expected):
+    _fake_mask(monkeypatch, 2)
+    monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 3000)
+    # a serial call would run the worker's exit in this process
+    assert spaces._workers(6) == 2
+
+    def keep(rows, fields):
+        if rows.start == block:
+            if raised is None:
+                os._exit(3)  # a worker killed mid-block sends nothing
+            raise raised()
+        return fields[:, :4]
+
+    with pytest.raises(expected) as err:
+        wide_cap.distance_blocks(np.arange(6), keep)
+    if expected is RuntimeError:
+        assert "_LocalError: 1 2" in str(err.value)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", _MASKS)
+def test_one_cpu_or_one_block_forks_no_worker(wide_cap, monkeypatch, cpus):
+    def fork():
+        raise AssertionError("a worker was forked")
+
+    _fake_mask(monkeypatch, cpus)
+    monkeypatch.setattr(spaces.os, "fork", fork)
+    sources = np.arange(5)
+    # five rows are one block at the budget, and five blocks of one row at 3000
+    whole = wide_cap.distance_blocks(sources, lambda rows, fields: fields)
+    assert len(whole) == 1
+    if cpus == 1:
+        monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 3000)
+        assert len(wide_cap.distance_blocks(sources, lambda rows, fields: fields)) == 5
+
+
+_FIXTURES =["convex_cap", "wide_cap", "full_square", "punctured_square", "slit_square",
              "dense_square"]
 
 
@@ -903,9 +985,12 @@ def test_scan_blocks_do_not_change_the_report(request, monkeypatch, carrier):
     kwargs = {"samples": 4_000, "seed": 7, "subset": 200}
     whole = scan_quadruples(space, 1.0, **kwargs)
     assert whole.work["probes"] > 1
-    # one Dijkstra row, one closed-form row and 75 probe rows in a block
+    # one Dijkstra row, one closed-form row and 75 probe rows in a block, on
+    # one CPU and on two
     monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 3000)
-    assert scan_quadruples(space, 1.0, **kwargs) == whole
+    for cpus in _MASKS:
+        _fake_mask(monkeypatch, cpus)
+        assert scan_quadruples(space, 1.0, **kwargs) == whole
 
 
 @pytest.fixture(scope="module")
