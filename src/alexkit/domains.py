@@ -525,8 +525,8 @@ def _estimate_cap_distortion(space: DiscreteLengthSpace, r: float, seed: int) ->
     sources = rng.choice(u_ids, size=min(24, len(u_ids)), replace=False)
     targets = np.array([rng.choice(u_ids, size=min(60, len(u_ids)), replace=False)
                         for _ in sources])
-    g = np.concatenate(space.distance_blocks(
-        sources, lambda rows, fields: fields[np.arange(len(fields))[:, None], targets[rows]]))
+    g = space.distance_blocks(
+        sources, lambda rows, fields: fields[np.arange(len(fields))[:, None], targets[rows]])
     a = space.coords[sources][:, None]
     b = space.coords[targets]
     arc = great_circle(a, b)
@@ -708,8 +708,9 @@ def completion_compare(
     ``distance_blocks``; ``work`` counts the distinct sources of the
     distance fields.
     """
-    if space.meta.get("generator") != "dense_square":
-        raise GeometryError("completion comparison applies to dense_square domains")
+    if space.meta.get("generator") != "dense_square" or "segments" not in space.meta:
+        raise GeometryError("completion comparison applies to dense_square domains, with "
+                            "their meta.segments")
     if pairs < 1:
         raise GeometryError("completion comparison needs at least one pair")
     if not 0.0 < epsilon < math.inf:
@@ -750,10 +751,8 @@ def completion_compare(
         pick = order[lo:hi]
         return fields[which[pick] - rows.start, q_hit[pick]]
 
-    parts = space.distance_blocks(sources, keep)
     d_bar = np.empty(len(which))
-    if parts:
-        d_bar[order] = np.concatenate(parts)
+    d_bar[order] = space.distance_blocks(sources, keep)
     p_hit, k_hit = p_ids[hit], ks[hit]
     # fixed-order sums, which round the same under every BLAS kernel
     sx, sy = (ends[k_hit] - starts[k_hit]).T

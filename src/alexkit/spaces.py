@@ -18,7 +18,9 @@ nearest-vertex and segment matches, and the cap generator's guard
 sewing.  Every entry depends only on its own
 row, so the blocks change no bit; the Dijkstra blocks run in forked
 workers, one per CPU of the affinity mask, with the same bits for every
-worker count.
+worker count.  A worker that fails sends nothing and leaves its blocks to
+the caller, which computes them itself: an error is raised as the serial
+path raises it.
 
 A graph space is stored as one compact JSON object: a vertex table of
 ``{"in_U": bool, "xy"|"xyz": [...]}`` entries, the generator's ``meta``,
@@ -49,6 +51,7 @@ import math
 import os
 import pickle
 import shlex
+import sys
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -66,6 +69,7 @@ from .reporting import _atomic_write
 from .trig import angle_from_sides, batch_angle, check_curvature, first_missing
 
 _PATH_TOL = 1e-9
+_FLOAT_MAX = sys.float_info.max
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +214,40 @@ def _read_graph_file(path):
     return coords, in_u, indptr, indices, weights, meta
 
 
+def _checked_meta(meta) -> dict:
+    """A copy of a graph's ``meta`` object, the members that alexkit reads checked.
+
+    Each may be absent: ``h``, ``h_err``, ``stencil_gap`` and ``side`` are
+    finite numbers >= 0, not booleans; ``exact_metric`` is ``"sphere"`` or
+    ``"euclidean"``; ``chord_corrected`` is a boolean; ``segments`` is a
+    non-empty table of finite ``(x1, y1, x2, y2)`` rows.  Anything else is a
+    :class:`GeometryError`.
+    """
+    if meta is None:
+        return {}
+    if not isinstance(meta, dict):
+        raise GeometryError(f"meta must be an object, got {type(meta).__name__}")
+    for key in ("h", "h_err", "stencil_gap", "side"):
+        v = meta.get(key, 0.0)
+        # a comparison of an int with a float is exact: no int past the float range passes
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v <= _FLOAT_MAX:
+            raise GeometryError(f"meta.{key} must be a finite number >= 0, got {v!r:.40}")
+    if meta.get("exact_metric", "sphere") not in ("sphere", "euclidean"):
+        raise GeometryError(f'meta.exact_metric must be "sphere" or "euclidean", '
+                            f"got {meta['exact_metric']!r:.40}")
+    if not isinstance(meta.get("chord_corrected", False), bool):
+        raise GeometryError("meta.chord_corrected must be a boolean")
+    if "segments" in meta:
+        try:
+            segs = np.asarray(meta["segments"], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            segs = np.empty(0)
+        if segs.ndim != 2 or segs.shape[1] != 4 or not len(segs) or not np.isfinite(segs).all():
+            raise GeometryError("meta.segments must be a non-empty table of finite "
+                                "(x1, y1, x2, y2) rows")
+    return dict(meta)
+
+
 # float64 elements in one block of a broadcast temporary (2 MB)
 _BLOCK_ELEMENTS = 1 << 18
 
@@ -234,42 +272,15 @@ def _workers(blocks: int) -> int:
     return min(blocks, len(os.sched_getaffinity(0)))
 
 
-def _worker(compute, blocks, fd: int):
-    """In a forked child: ``compute`` each block, then write the results to ``fd``; never returns.
-
-    Every block is computed before the first is written, so that the child
-    does not wait on a full pipe while the parent computes its own blocks.
-    An exception is written in place of the results.
-    """
-    code = 1
-    try:
-        try:
-            parts = [compute(rows) for rows in blocks]
-        except BaseException as exc:  # sent to the parent, which raises it
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:  # an exception that does not survive the trip is named
-                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            parts = [exc]
-        with os.fdopen(fd, "wb") as pipe:
-            for part in parts:
-                pickle.dump(part, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        # no atexit handler, and no flush of the stdio buffers the parent also holds
-        os._exit(code)
-
-
 def _map_blocks(compute, blocks: list) -> list:
     """``[compute(rows) for rows in blocks]``, the blocks shared among forked workers.
 
-    With k = :func:`_workers` of the block count, k - 1 children are forked
-    and child w computes blocks w, w + k, ...; the parent computes blocks
-    0, k, ..., then reads each child's results from its pipe, one pickled
-    block at a time.  An exception in a child is raised again in the
-    parent.  Each result depends only on its block, so the list is the
-    same for every k.  Whatever happens, every child is killed and reaped
-    before the call returns.
+    With k = :func:`_workers` of the block count, k - 1 children are forked:
+    child w sends the list of blocks w, w + k, ... in one pickle, or nothing
+    if it fails.  The parent computes blocks 0, k, ..., then the blocks of
+    each child that sent no whole list, so an error is the serial path's and
+    the list is the same for every k.  Every child is killed and reaped
+    before the call returns or raises.
     """
     k = _workers(len(blocks))
     if k < 2:
@@ -284,22 +295,23 @@ def _map_blocks(compute, blocks: list) -> list:
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
-                os.close(read)
-                _worker(compute, blocks[w::k], write)
+                try:
+                    os.close(read)
+                    parts = [compute(rows) for rows in blocks[w::k]]
+                    # all computed before the write: no wait on a full pipe
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(parts, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                finally:
+                    # no atexit handler, and no flush of the stdio buffers the parent also holds
+                    os._exit(0)
             os.close(write)
             children.append((pid, os.fdopen(read, "rb")))
-        for j in range(0, len(blocks), k):
-            out[j] = compute(blocks[j])
+        out[::k] = [compute(rows) for rows in blocks[::k]]
         for w, (_, pipe) in enumerate(children, 1):
-            for j in range(w, len(blocks), k):
-                try:
-                    part = pickle.load(pipe)
-                except EOFError:
-                    raise ChildProcessError("a distance worker ended before sending its "
-                                            "blocks") from None
-                if isinstance(part, BaseException):
-                    raise part
-                out[j] = part
+            try:
+                out[w::k] = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                out[w::k] = [compute(rows) for rows in blocks[w::k]]
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -532,7 +544,7 @@ class DiscreteLengthSpace:
         """Take the upper-triangle CSR arrays as they are, and validate them."""
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
         self.in_U = np.asarray(in_U, dtype=bool)
-        self.meta = dict(meta or {})
+        self.meta = _checked_meta(meta)
         self._n = self.in_U.shape[0]
         self._indptr, self._indices, self.weights = indptr, indices, weights
         self.validate()
@@ -687,19 +699,22 @@ class DiscreteLengthSpace:
         g = self._graph_u if restrict_to_U else self._graph
         return dijkstra(g, directed=True, indices=sources, limit=limit)
 
-    def distance_blocks(self, sources: np.ndarray, keep) -> list:
+    def distance_blocks(self, sources: np.ndarray, keep) -> np.ndarray:
         """``keep(rows, fields)`` of each block of the multi-source field from ``sources``.
 
         The sources are cut into blocks of rows of at most ``_BLOCK_ELEMENTS``
         distances; ``fields`` holds the graph distances from ``sources[rows]``,
         and ``keep`` returns the part of them the caller needs, so that one
-        block of fields is held at a time.  The kept parts come back in block
-        order.  The blocks run in forked workers, one per CPU of the affinity
-        mask (see :func:`_map_blocks`); each Dijkstra row depends only on its
-        source, so the parts are the same bits for every worker count.
+        block of fields is held at a time.  The kept parts come back
+        concatenated in block order, an empty array when there are no
+        sources.  The blocks run in forked workers, one per CPU of the
+        affinity mask (see :func:`_map_blocks`); each Dijkstra row depends
+        only on its source, so the result is the same bits for every worker
+        count, and an error is raised as the serial call raises it.
         """
-        return _map_blocks(lambda rows: keep(rows, self.distance_field(sources[rows])),
-                           list(_row_blocks(len(sources), self._n)))
+        parts = _map_blocks(lambda rows: keep(rows, self.distance_field(sources[rows])),
+                            list(_row_blocks(len(sources), self._n)))
+        return np.concatenate(parts) if parts else np.empty(0)
 
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
         """The distances among the vertices ``idx``, in their order.
@@ -712,7 +727,7 @@ class DiscreteLengthSpace:
         exact = self.exact_metric
         if exact in ("sphere", "euclidean"):
             return _closed_form_distances(self.coords[idx], exact)
-        dist = np.concatenate(self.distance_blocks(idx, lambda rows, fields: fields[:, idx]))
+        dist = self.distance_blocks(idx, lambda rows, fields: fields[:, idx])
         # the bits of 0.5 * (dist + dist.T), with one temporary
         sym = dist + dist.T
         sym *= 0.5
@@ -891,14 +906,22 @@ class ScanReport:
         return not (math.isfinite(self.min_defect) and self.min_defect < -self.tol)
 
 
-def _scan_distances(space, subset: int, seed: int, samples: int):
-    """The carrier's distance block over a sorted point subset, and quadruple index samples."""
+def _scan_distances(space, subset: int, seed: int, samples: int | None):
+    """The carrier's distance block over a sorted point subset, and quadruple index samples.
+
+    ``samples=None`` asks for every quadruple, of at most 60 points; a larger
+    subset is refused before the block is built, and no sample is drawn.
+    """
     rng = np.random.default_rng(seed)
     n = space.n_points
     idx = np.sort(np.arange(n) if n <= subset else rng.choice(n, size=subset, replace=False))
     m = len(idx)
     if m < 4:
         raise GeometryError("quadruple scan needs at least four points")
+    if samples is None:
+        if m > 60:
+            raise GeometryError("exhaustive scan limited to 60 points")
+        return space.submatrix(idx), idx, _all_quadruples(m)
     dist = space.submatrix(idx)
     quads = rng.integers(0, m, size=(samples, 4))
     # rows of four distinct points
@@ -1089,12 +1112,8 @@ def scan_quadruples(
         raise GeometryError("scan subset must hold at least four points")
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise GeometryError(f"scan tolerance must be finite and nonnegative, got {tol!r}")
-    dist, idx, quads = _scan_distances(space, subset, seed, samples)
+    dist, idx, quads = _scan_distances(space, subset, seed, None if exhaustive else samples)
     m = dist.shape[0]
-    if exhaustive:
-        if m > 60:
-            raise GeometryError("exhaustive scan limited to 60 points")
-        quads = _all_quadruples(m)
     if tol is None:
         tol = 1e-9 if space.exact_metric else max(1e-9, 24.0 * space.h_err)
     sides = _quad_sides(dist, quads)

@@ -1008,6 +1008,53 @@ def test_timestamp_present_by_default(runner, tmp_path):
 # the exit-code contract under fuzzed argv and inputs
 
 
+# malformed graph-file meta: the members a file sets, or the value that
+# replaces the whole object
+_BAD_META = {
+    "meta-string": "x", "meta-list": [1, 2], "h_err-string": {"h_err": "abc"},
+    "h-string": {"h": "abc"}, "h-nan": {"h": math.nan}, "stencil_gap-string": {"stencil_gap": "x"},
+    "segments-string": {"segments": "x"}, "segments-empty": {"segments": []},
+    "segments-three-columns": {"segments": [[0, 0, 1]]}, "side-string": {"side": "x"},
+    "exact_metric-hyperbolic": {"exact_metric": "hyperbolic"},
+}
+
+
+def _with_meta(source, bad, path) -> str:
+    """A copy of the graph file ``source`` at ``path``, its meta made ``bad``."""
+    data = json.loads(pathlib.Path(source).read_text())
+    data["meta"] = {**data["meta"], **bad} if isinstance(bad, dict) else bad
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+# every command that reads a graph file, on an input of the kind it reads
+_GRAPH_ARGV = [
+    ["space", "scan", "--input", "CAP", "--kappa", "1", "--samples", "200"],
+    ["space", "local-check", "--input", "PUNCT", "--center", "CENTER", "--radius", "1.5",
+     "--kappa", "0", "--samples", "4"],
+    ["convexity", "estimate", "--input", "CAP", "--p", "P", "--q", "Q", "--s", "S"],
+    ["convexity", "estimate", "--input", "CAP", "--kind", "ae", "--p", "P", "--samples", "20"],
+    ["convexity", "search", "--input", "CAP", "--p", "P", "--q", "Q", "--s", "S",
+     "--epsilon", "0.1", "--candidates", "2"],
+    ["completion", "compare", "--input", "DENSE", "--pairs", "20"],
+]
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_META))
+def test_a_malformed_meta_exits_2_for_every_graph_command(runner, tmp_path, readme_inputs, bad):
+    out = tmp_path / "out"
+    for argv in _GRAPH_ARGV:
+        source = readme_inputs[argv[argv.index("--input") + 1]]
+        inputs = {**readme_inputs, argv[argv.index("--input") + 1]:
+                  _with_meta(source, _BAD_META[bad], tmp_path / "bad.json")}
+        res = runner.invoke(main, [inputs.get(a, a) for a in argv] + ["-o", str(out)])
+        assert res.exit_code == 2, (argv, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit), (argv, res.exception)
+        errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "meta" in errors[0], (argv, res.output)
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory, readme_inputs):
     """Small valid inputs of every kind, and malformed ones, by name."""
@@ -1034,6 +1081,11 @@ def fuzz_inputs(tmp_path_factory, readme_inputs):
     for name, data in written.items():
         (root / name).write_bytes(data)
         files[name] = str(root / name)
+    # graph files of every kind with a malformed meta
+    for name, source in [("meta-string", "CAP"), ("h_err-string", "CAP"), ("h-nan", "PUNCT"),
+                         ("segments-empty", "DENSE")]:
+        files[f"{name}.json"] = _with_meta(readme_inputs[source], _BAD_META[name],
+                                           root / f"{name}.json")
     return files
 
 

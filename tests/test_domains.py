@@ -277,6 +277,13 @@ def test_completion_compare_budget(dense_square):
     assert rep.max_link_violation <= 1e-9
 
 
+def test_completion_compare_refuses_a_dense_square_without_segments(dense_square, monkeypatch):
+    meta = {k: v for k, v in dense_square.meta.items() if k != "segments"}
+    monkeypatch.setattr(dense_square, "meta", meta)
+    with pytest.raises(GeometryError, match="with their meta.segments"):
+        completion_compare(dense_square, pairs=10, epsilon=0.05, seed=0)
+
+
 def test_completion_compare_single_segment_mostly_misses():
     # with a single bundled segment, uniformly sampled pairs rarely land near
     # its two endpoints: the finite-truncation artifact dominates

@@ -6,6 +6,8 @@ import itertools
 import json
 import math
 import os
+import pickle
+import re
 import shlex
 import tempfile
 import tracemalloc
@@ -330,53 +332,85 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _block_rows(rows, fields):
+    """A block's fields, each row led by its row number and its block's size."""
+    ids = np.arange(rows.start, rows.stop)
+    return np.column_stack([ids, np.full(len(ids), len(ids)), fields])
+
+
 @pytest.mark.parametrize("cpus", _MASKS)
 def test_distance_blocks_are_the_fields_cut_block_by_block(wide_cap, monkeypatch, cpus):
-    # 40 sources in blocks of one row: block j holds source j's field, whichever
+    # 40 sources in blocks of one row: row j holds source j's field, whichever
     # process computed it
     _fake_mask(monkeypatch, cpus)
     monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 3000)
     sources = np.random.default_rng(2).choice(wide_cap.n_points, 40, replace=False)
-    parts = wide_cap.distance_blocks(sources, lambda rows, fields: (rows, fields))
-    assert [rows for rows, _ in parts] == [slice(j, j + 1) for j in range(40)]
-    assert np.array_equal(np.concatenate([f for _, f in parts]),
-                          wide_cap.distance_field(sources))
+    kept = wide_cap.distance_blocks(sources, _block_rows)
+    assert kept[:, 0].tolist() == list(range(40))
+    assert kept[:, 1].tolist() == [1] * 40
+    assert np.array_equal(kept[:, 2:], wide_cap.distance_field(sources))
+    assert wide_cap.distance_blocks(sources[:0], _block_rows).shape == (0,)
     _no_child_left()
 
 
 class _LocalError(Exception):
-    """Not picklable: a worker sends it as a RuntimeError naming it."""
+    """Not picklable: its constructor takes two arguments."""
 
     def __init__(self, a, b):
         super().__init__(f"{a} {b}")
 
 
+def _cut_short(obj, file, protocol=None):
+    """``pickle.dump`` that writes half the bytes, then ends the process."""
+    data = pickle.dumps(obj, protocol=protocol)
+    file.write(data[:len(data) // 2])
+    file.flush()
+    os._exit(0)
+
+
 @pytest.mark.skipif(_CPUS < 2, reason="forks a worker only with two CPUs in the mask")
-@pytest.mark.parametrize("block, raised, expected", [
-    (0, lambda: GeometryError("in the parent's block"), GeometryError),
-    (1, lambda: GeometryError("in a worker's block"), GeometryError),
-    (3, lambda: KeyboardInterrupt(), KeyboardInterrupt),
-    (3, lambda: _LocalError(1, 2), RuntimeError),
-    (1, None, ChildProcessError),
-], ids=["parent", "worker", "worker-interrupt", "worker-unpicklable", "worker-dies"])
+@pytest.mark.parametrize("block, raised", [
+    (0, lambda: GeometryError("in the parent's block")),
+    (1, lambda: GeometryError("in a worker's block")),
+    (3, lambda: KeyboardInterrupt()),
+    (3, lambda: _LocalError(1, 2)),
+    (3, "dies"),
+    (3, "cut-short"),
+], ids=["parent", "worker", "worker-interrupt", "worker-unpicklable", "worker-dies",
+        "worker-cut-short"])
 def test_distance_blocks_raise_a_block_error_and_leave_no_child(wide_cap, monkeypatch, block,
-                                                                raised, expected):
-    _fake_mask(monkeypatch, 2)
+                                                                raised):
+    # a worker that fails sends nothing, and the caller computes its blocks:
+    # a block's error is raised as the serial call raises it, and a worker that
+    # dies or sends a cut-short pickle changes no bit
     monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 3000)
-    # a serial call would run the worker's exit in this process
+    sources = np.arange(6)
+    _fake_mask(monkeypatch, 1)
+    serial = wide_cap.distance_blocks(sources, _block_rows)
+    _fake_mask(monkeypatch, 2)
+    # a serial call would not fork
     assert spaces._workers(6) == 2
+    parent, in_parent = os.getpid(), []
+    error = raised() if callable(raised) else None
 
     def keep(rows, fields):
-        if rows.start == block:
-            if raised is None:
-                os._exit(3)  # a worker killed mid-block sends nothing
-            raise raised()
-        return fields[:, :4]
+        if os.getpid() == parent:
+            in_parent.append(rows.start)
+        elif raised == "dies" and rows.start == block:
+            os._exit(3)  # a worker killed mid-block sends nothing
+        if error is not None and rows.start == block:
+            raise error
+        return _block_rows(rows, fields)
 
-    with pytest.raises(expected) as err:
-        wide_cap.distance_blocks(np.arange(6), keep)
-    if expected is RuntimeError:
-        assert "_LocalError: 1 2" in str(err.value)
+    if raised == "cut-short":
+        monkeypatch.setattr(spaces.pickle, "dump", _cut_short)
+    if error is None:
+        assert wide_cap.distance_blocks(sources, keep).tobytes() == serial.tobytes()
+        assert in_parent == [0, 2, 4, 1, 3, 5]
+    else:
+        with pytest.raises(type(error)) as err:
+            wide_cap.distance_blocks(sources, keep)
+        assert err.value is error
     _no_child_left()
 
 
@@ -389,11 +423,10 @@ def test_one_cpu_or_one_block_forks_no_worker(wide_cap, monkeypatch, cpus):
     monkeypatch.setattr(spaces.os, "fork", fork)
     sources = np.arange(5)
     # five rows are one block at the budget, and five blocks of one row at 3000
-    whole = wide_cap.distance_blocks(sources, lambda rows, fields: fields)
-    assert len(whole) == 1
+    assert wide_cap.distance_blocks(sources, _block_rows)[:, 1].tolist() == [5] * 5
     if cpus == 1:
         monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 3000)
-        assert len(wide_cap.distance_blocks(sources, lambda rows, fields: fields)) == 5
+        assert wide_cap.distance_blocks(sources, _block_rows)[:, 1].tolist() == [1] * 5
 
 
 _FIXTURES =["convex_cap", "wide_cap", "full_square", "punctured_square", "slit_square",
@@ -749,6 +782,43 @@ def test_constructor_rejects_coordinates_that_are_not_a_finite_table(coords, mat
         DiscreteLengthSpace(coords, [True, True], [(0, 1)], [1.0])
 
 
+@pytest.mark.parametrize("meta, match", [
+    ("x", "meta must be an object, got str"),
+    ([1, 2], "meta must be an object, got list"),
+    ({"h_err": "abc"}, "meta.h_err must be a finite number >= 0, got 'abc'"),
+    ({"h": "abc"}, "meta.h must be"),
+    ({"h": math.nan}, "meta.h must be"),
+    ({"h": -0.5}, "meta.h must be"),
+    ({"h": 10**400}, "meta.h must be"),
+    ({"h_err": True}, "meta.h_err must be"),
+    ({"stencil_gap": "x"}, "meta.stencil_gap must be"),
+    ({"side": "x"}, "meta.side must be"),
+    ({"side": math.inf}, "meta.side must be"),
+    ({"exact_metric": "hyperbolic"}, 'meta.exact_metric must be "sphere" or "euclidean"'),
+    ({"chord_corrected": 1}, "meta.chord_corrected must be a boolean"),
+    ({"segments": "x"}, "meta.segments must be"),
+    ({"segments": []}, "meta.segments must be"),
+    ({"segments": [[0, 0, 1]]}, "meta.segments must be"),
+    ({"segments": [[0, 0, 1, "x"]]}, "meta.segments must be"),
+    ({"segments": [[0, 0, 1, math.nan]]}, "meta.segments must be"),
+], ids=["string", "list", "h_err-string", "h-string", "h-nan", "h-negative", "h-huge",
+        "h_err-bool", "stencil_gap-string", "side-string", "side-inf", "exact-hyperbolic",
+        "chord_corrected-int", "segments-string", "segments-empty", "segments-three-columns",
+        "segments-string-entry", "segments-nan"])
+def test_constructor_rejects_a_meta_member_it_cannot_read(meta, match):
+    with pytest.raises(GeometryError, match=re.escape(match)):
+        DiscreteLengthSpace(None, [True, True], [(0, 1)], [1.0], meta)
+
+
+def test_constructor_takes_the_meta_members_it_reads():
+    meta = {"h": 1, "h_err": 0.0, "stencil_gap": 0.5, "side": 2.0, "exact_metric": "euclidean",
+            "chord_corrected": False, "segments": [[0, 0, 1, 1]], "other": "anything"}
+    sp = DiscreteLengthSpace([[0.0, 0.0], [1.0, 0.0]], [True, True], [(0, 1)], [1.0], meta)
+    assert sp.meta == meta and sp.meta is not meta
+    assert (sp.h, sp.h_err, sp.stencil_gap, sp.exact_metric) == (1.0, 0.0, 0.5, "euclidean")
+    assert DiscreteLengthSpace(None, [True, True], [(0, 1)], [1.0]).meta == {}
+
+
 # (0, 0) and (3, 4) are 5 apart; (9, 9) is joined to neither
 _XY = [{"in_U": True, "xy": [0.0, 0.0]}, {"in_U": True, "xy": [3.0, 4.0]},
        {"in_U": True, "xy": [9.0, 9.0]}]
@@ -953,6 +1023,18 @@ def test_scan_exhaustive_small_set():
     # 4 * C(12, 4) oriented quadruples
     assert rep.samples == 4 * math.comb(12, 4)
     assert rep.min_defect >= -1e-9
+
+
+def test_exhaustive_scan_of_more_than_60_points_is_refused_before_the_block(wide_cap,
+                                                                           monkeypatch):
+    def submatrix(idx):
+        raise AssertionError("the distance block was built")
+
+    monkeypatch.setattr(wide_cap, "submatrix", submatrix)
+    assert wide_cap.n_points > 600
+    for subset in (61, 600):
+        with pytest.raises(GeometryError, match="exhaustive scan limited to 60 points"):
+            scan_quadruples(wide_cap, 1.0, samples=10, seed=1, subset=subset, exhaustive=True)
 
 
 def test_scan_deterministic():
