@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GeometryError, ResolutionError, TickBoundError, UnreachableError
-from .spaces import DiscreteLengthSpace
+from .spaces import DiscreteLengthSpace, _work_since
 
 _Z95 = 1.959963984540054
 # the most points a geodesic is sampled at; a finer step is refused
@@ -65,35 +65,6 @@ class ConvexityReport:
     work: dict | None = None
 
 
-class _Counted:
-    """A graph space whose distance fields and geodesics are counted in ``work``.
-
-    ``work`` holds the Dijkstra calls (``distance_fields``), their sources
-    (``distance_sources``) and the geodesics walked (``geodesics``); every
-    other attribute is the space's own.  An estimate reads its space
-    through one, so that its report says what it computed.
-    """
-
-    def __init__(self, space):
-        self._space = space
-        self.work = {"distance_fields": 0, "distance_sources": 0, "geodesics": 0}
-
-    def __getattr__(self, name):
-        return getattr(self._space, name)
-
-    def distance_field(self, sources, restrict_to_U: bool = False) -> np.ndarray:
-        self.work["distance_fields"] += 1
-        self.work["distance_sources"] += int(np.size(sources))
-        return self._space.distance_field(sources, restrict_to_U=restrict_to_U)
-
-    def shortest_path(self, src: int, dst: int, restrict_to_U: bool = False, dist_to=None):
-        if dist_to is None:
-            dist_to = self.distance_field(dst, restrict_to_U)
-        path = self._space.shortest_path(src, dst, restrict_to_U, dist_to)
-        self.work["geodesics"] += 1
-        return path
-
-
 def _connectable_mask(space: DiscreteLengthSpace, p: int, xs: np.ndarray,
                       slack: float) -> np.ndarray:
     """Which of the vertices ``xs`` a surviving in-domain minimizer reaches from p.
@@ -123,13 +94,14 @@ def prob_convexity(
     measure; a step that would need more than ``_MAX_TICKS`` points raises
     :class:`TickBoundError` before they are built.  Deterministic for fixed
     inputs: the geodesic itself is the deterministic shortest-path walk.
-    ``work`` counts its distance fields and its geodesic (see :class:`_Counted`).
+    ``work`` is the growth of the space's ledger (:class:`DiscreteLengthSpace`):
+    three full fields and one geodesic.
     """
     if q == s:
         raise GeometryError("probability needs distinct geodesic endpoints")
     step = _step(space, step)
     slack = _slack(space, slack)
-    space = _Counted(space)
+    before = dict(space.work)
     path = space.shortest_path(q, s, restrict_to_U=False)
     length = path.length
     spans = length / step
@@ -148,7 +120,7 @@ def prob_convexity(
     return ConvexityReport(
         probability=float(np.mean(flags)), samples=n_ticks, slack=slack,
         detail={"p": p, "q": q, "s": s, "geodesic_length": length}, step=step, series=series,
-        work=space.work,
+        work=_work_since(space, before),
     )
 
 
@@ -200,9 +172,9 @@ def weak_lambda_search(
     there; ``candidates_evaluated`` counts the triples evaluated until then,
     and ``candidates_dropped`` the ones passed over on the way, by reason
     (:data:`DROP_REASONS`): q equal to s, no completion geodesic from q to
-    s, or another :class:`GeometryError` of the estimate.  ``work`` counts
-    the distance fields and geodesics of the whole search: the balls', and
-    those of every triple estimated, dropped ones included.
+    s, or another :class:`GeometryError` of the estimate.  ``work`` is the
+    growth of the space's ledger over the whole search: the balls' fields,
+    and the work of every triple estimated, dropped ones included.
     """
     if candidates < 1:
         raise GeometryError(f"search needs at least one candidate, got {candidates}")
@@ -214,7 +186,7 @@ def weak_lambda_search(
             f"epsilon {epsilon!r} below one mesh cell {space.h!r}; nothing to perturb"
         )
     slack = _slack(space, slack)
-    space = _Counted(space)
+    before = dict(space.work)
     rng = np.random.default_rng(seed)
     balls = [_ball(space, center, epsilon) for center in (p, q, s)]
     best: ConvexityReport | None = None
@@ -251,7 +223,7 @@ def weak_lambda_search(
         "geodesic_length": best.detail["geodesic_length"],
         "candidates_requested": candidates, "candidates_evaluated": evaluated,
         "candidates_dropped": dropped,
-    }, work=space.work)
+    }, work=_work_since(space, before))
 
 
 def _wilson(k: int, n: int, population: int) -> list[float]:
@@ -282,20 +254,21 @@ def ae_convexity_estimate(
     (N - n)/(N - 1), so the interval is [p, p] once all n = N are counted.
     Comparable against the perturbed-triple estimate on the same domain:
     almost-everywhere connectability should force the latter toward one.
+    ``work`` is the growth of the space's ledger: two full fields.
     """
     if not space.in_U[p]:
         raise GeometryError("base point must lie in the open domain")
     if samples < 1:
         raise GeometryError(f"estimate needs at least one sample, got {samples}")
     slack = _slack(space, slack)
+    before = dict(space.work)
     rng = np.random.default_rng(seed)
     ids = np.flatnonzero(space.in_U)
     population = len(ids)
     if population > samples:
         ids = np.sort(rng.choice(ids, size=samples, replace=False))
-    space = _Counted(space)
     mask = _connectable_mask(space, p, ids, slack)
     return ConvexityReport(probability=float(np.mean(mask)), samples=len(ids), slack=slack,
                            detail={"p": p, "mode": "vertex_fraction"},
                            interval=_wilson(int(mask.sum()), len(ids), population),
-                           work=space.work)
+                           work=_work_since(space, before))

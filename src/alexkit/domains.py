@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GeometryError, ResolutionError
-from .spaces import DiscreteLengthSpace, SpherePointSet, _row_blocks, great_circle
+from .spaces import DiscreteLengthSpace, SpherePointSet, _row_blocks, _work_since, great_circle
 
 _MIN_U_VERTICES = 100
 
@@ -705,8 +705,8 @@ def completion_compare(
     exercised at every run.  The nearest vertices, the segment matches and
     the completion distances are each computed for all pairs at once, in
     blocks of bounded size, the distances as the space's
-    ``distance_blocks``; ``work`` counts the distinct sources of the
-    distance fields.
+    ``distance_blocks``; ``work`` is the growth of the space's ledger, one
+    full field per distinct source.
     """
     if space.meta.get("generator") != "dense_square" or "segments" not in space.meta:
         raise GeometryError("completion comparison applies to dense_square domains, with "
@@ -715,6 +715,7 @@ def completion_compare(
         raise GeometryError("completion comparison needs at least one pair")
     if not 0.0 < epsilon < math.inf:
         raise GeometryError(f"epsilon must be positive and finite, got {epsilon!r}")
+    before = dict(space.work)
     segs = np.asarray(space.meta["segments"], dtype=float)
     starts = segs[:, :2]
     ends = segs[:, 2:]
@@ -783,5 +784,5 @@ def completion_compare(
         max_link_violation=max_link,
         h_err=space.h_err,
         worst_case=worst,
-        work={"distance_sources": len(sources)},
+        work=_work_since(space, before),
     )

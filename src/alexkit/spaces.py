@@ -56,6 +56,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -402,26 +403,30 @@ class FiniteMetricSpace:
 
     exact_metric = None
     h_err = 0.0
+    # no graph: the work ledger of DiscreteLengthSpace stays empty
+    work = MappingProxyType({})
 
     @property
     def n_points(self) -> int:
         return self.dist.shape[0]
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Raise :class:`GeometryError` unless the matrix is a metric within ``tol``.
 
-        The triangle inequality is checked exactly: ``d[i, j] > d[i, k] +
-        d[k, j] + tol`` for some k if and only if ``d[i, j]`` exceeds the
-        min-plus product ``min_k (d[i, k] + d[k, j])`` plus ``tol``, since
-        adding ``tol`` rounds monotonically.  The product is formed one tile
-        of pairs at a time; when the matrix equals its transpose bit for bit,
-        tile (j, i) repeats tile (i, j) and only the tiles on or above the
-        diagonal run.  A failure names the first failing pair in tile order
-        and the point it fails through.
+        ``tol`` is 1e-9 of the largest |entry|, so that every positive
+        multiple of a matrix gets its verdict.  The triangle inequality is
+        checked exactly: ``d[i, j] > d[i, k] + d[k, j] + tol`` for some k if
+        and only if ``d[i, j]`` exceeds the min-plus product ``min_k (d[i, k]
+        + d[k, j])`` plus ``tol``, since adding ``tol`` rounds monotonically.
+        The product is formed one tile of pairs at a time; when the matrix
+        equals its transpose bit for bit, tile (j, i) repeats tile (i, j) and
+        only the tiles on or above the diagonal run.  A failure names the
+        first failing pair in tile order and the point it fails through.
         """
         d = self.dist
         if not np.all(np.isfinite(d)):
             raise GeometryError("distances must be finite")
+        tol = 1e-9 * float(np.abs(d).max(initial=0.0))
         if np.any(d < -tol):
             raise GeometryError("distances must be nonnegative")
         if np.abs(np.diag(d)).max(initial=0.0) > tol:
@@ -431,8 +436,8 @@ class FiniteMetricSpace:
         bad = _triangle_violation(d, tol)
         if bad is not None:
             i, j, k = bad
-            raise GeometryError(f"triangle inequality fails: d({i}, {j}) > "
-                                f"d({i}, {k}) + d({k}, {j}) + {tol:g}")
+            raise GeometryError(f"triangle inequality fails: d({i}, {j}) > d({i}, {k}) + "
+                                f"d({k}, {j}) + {tol:.3g}, 1e-9 of the largest |d|")
 
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
         """The distances among the points ``idx``, in their order."""
@@ -457,6 +462,7 @@ class SpherePointSet:
 
     exact_metric = "sphere"
     h_err = 0.0
+    work = FiniteMetricSpace.work
 
     def __init__(self, points: np.ndarray):
         p = np.asarray(points, dtype=float)
@@ -534,6 +540,11 @@ class DiscreteLengthSpace:
     holds them once, as the upper triangle of the weighted adjacency matrix
     in CSR form (see the module docstring), which is what a graph file
     stores and what :meth:`load` reads back without a sort.
+
+    ``work`` is the ledger of the space's metric queries: the sources of
+    the distance fields without a ``limit`` (``full_fields``) and with one
+    (``bounded_fields``), and the walks of :meth:`shortest_path`
+    (``geodesics``).  A command reports its growth (:func:`_work_since`).
     """
 
     def __init__(self, coords, in_U, edges, weights, meta=None):
@@ -547,6 +558,7 @@ class DiscreteLengthSpace:
         self.meta = _checked_meta(meta)
         self._n = self.in_U.shape[0]
         self._indptr, self._indices, self.weights = indptr, indices, weights
+        self.work = {"full_fields": 0, "bounded_fields": 0, "geodesics": 0}
         self.validate()
 
     @cached_property
@@ -696,6 +708,7 @@ class DiscreteLengthSpace:
         Both stored matrices are symmetric, so the directed search gives
         the undirected distances without scipy's transposed copy.
         """
+        self.work["full_fields" if limit == np.inf else "bounded_fields"] += int(np.size(sources))
         g = self._graph_u if restrict_to_U else self._graph
         return dijkstra(g, directed=True, indices=sources, limit=limit)
 
@@ -710,10 +723,14 @@ class DiscreteLengthSpace:
         sources.  The blocks run in forked workers, one per CPU of the
         affinity mask (see :func:`_map_blocks`); each Dijkstra row depends
         only on its source, so the result is the same bits for every worker
-        count, and an error is raised as the serial call raises it.
+        count, and an error is raised as the serial call raises it.  The
+        ledger counts the sources here, in the caller, whichever process
+        computed their block.
         """
-        parts = _map_blocks(lambda rows: keep(rows, self.distance_field(sources[rows])),
-                            list(_row_blocks(len(sources), self._n)))
+        parts = _map_blocks(
+            lambda rows: keep(rows, dijkstra(self._graph, directed=True, indices=sources[rows])),
+            list(_row_blocks(len(sources), self._n)))
+        self.work["full_fields"] += len(sources)
         return np.concatenate(parts) if parts else np.empty(0)
 
     def submatrix(self, idx: np.ndarray) -> np.ndarray:
@@ -780,6 +797,7 @@ class DiscreteLengthSpace:
             u = int(nbrs[j])
             verts.append(u)
             steps.append(ws[j])
+        self.work["geodesics"] += 1
         # cumsum adds in order, as a running sum would
         return GeodesicPath(vertices=verts, arc_lengths=np.cumsum(steps), length=total)
 
@@ -839,6 +857,11 @@ class DiscreteLengthSpace:
         if require_in_U:
             d2 = np.where(self.in_U, d2, np.inf)
         return int(np.argmin(d2))
+
+
+def _work_since(space, before: dict) -> dict:
+    """The growth of ``space.work`` since ``before``, a copy of it taken earlier."""
+    return {key: count - before[key] for key, count in space.work.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1102,8 +1125,9 @@ def scan_quadruples(
     at which every quadruple holds: it is not vacuous there and none of its
     defects is below -tol.  ``kappa_max_rule`` names what
     bounded it (see ``_kappa_max``); ``censored`` marks an infinite one.  ``work``
-    counts the probes and the quadruple rows evaluated.  ``tol`` must be
-    finite and nonnegative.  Exhaustive enumeration suits small point sets.
+    counts the probes and the quadruple rows evaluated, beside the growth of
+    a graph's ledger.  ``tol`` must be finite and nonnegative.  Exhaustive
+    enumeration suits small point sets.
     """
     k = check_curvature(kappa)
     if samples < 1:
@@ -1112,6 +1136,7 @@ def scan_quadruples(
         raise GeometryError("scan subset must hold at least four points")
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise GeometryError(f"scan tolerance must be finite and nonnegative, got {tol!r}")
+    before = dict(space.work)
     dist, idx, quads = _scan_distances(space, subset, seed, None if exhaustive else samples)
     m = dist.shape[0]
     if tol is None:
@@ -1140,7 +1165,8 @@ def scan_quadruples(
         min_defect=min_defect, worst_case=worst, kappa_max=kappa_max, tol=float(tol),
         h_err=space.h_err, exact_metric=space.exact_metric, subset_size=m,
         censored=math.isinf(kappa_max), perimeter_bound=bound, kappa_max_rule=rule,
-        work={"probes": search.probes, "quadruple_evaluations": search.evaluations},
+        work={**_work_since(space, before), "probes": search.probes,
+              "quadruple_evaluations": search.evaluations},
     )
 
 
@@ -1216,8 +1242,8 @@ def local_kappa_domain_check(
 
     Every distance and geodesic of a sample is one of U's own graph metric;
     only the ball is measured in the completion, so its centre may lie
-    outside U.  The report counts the distance fields computed (``work``),
-    full and cut off at a limit, and each skipped sample under its reason
+    outside U.  The report counts the growth of the space's ledger
+    (``work``), and each skipped sample under its reason
     (``skips``): ``no_path`` where U separates q, s or p, ``undefined_angle``
     where a model triangle does not exist, ``invalid_triangle`` where the
     sides break the triangle inequality, which one metric's do only by
@@ -1249,16 +1275,13 @@ def local_kappa_domain_check(
     angle_tol = 0.5 / h_angle + 6.0 * space.h_err + 1e-3
     split_tol = 2.0 * angle_tol + space.stencil_gap
     skips = dict.fromkeys(SKIP_REASONS, 0)
-    work = {"full_fields": 0, "bounded_fields": 0}
-
-    def distance_field(source, restrict_to_U=True, limit=np.inf):
-        work["full_fields" if limit == np.inf else "bounded_fields"] += 1
-        return space.distance_field(source, restrict_to_U=restrict_to_U, limit=limit)
+    before = dict(space.work)
 
     def sides(a, b, d_at):
         """Sides ``(|ab|, |ta|, |tb|)`` of the triangle at ``d_at``'s source t."""
         da, db = d_at[a], d_at[b]
-        return distance_field(a, limit=da + db + 1e-9)[b], da, db
+        limit = da + db + 1e-9
+        return space.distance_field(a, restrict_to_U=True, limit=limit)[b], da, db
 
     def angles(*triangles):
         """Comparison angles of ``(opposite, u, v)`` triangles, or None once the skip is counted."""
@@ -1269,7 +1292,7 @@ def local_kappa_domain_check(
             return None
         return angle.tolist()
 
-    d_center = distance_field(center, restrict_to_U=False)
+    d_center = space.distance_field(center)
     ball = np.flatnonzero((d_center <= radius) & space.in_U)
     if len(ball) < 4:
         skips["small_ball"] = samples
@@ -1294,21 +1317,22 @@ def local_kappa_domain_check(
         # a field cut off at a limit is exact up to it: d_q (to 4w) and a
         # field from p (to 3w) decide the other two skips, and d_q and d_x
         # are read only at path vertices within w + longest/2 < 2w of q and x
-        d_q = distance_field(q, limit=4.0 * w)
+        d_q = space.distance_field(q, restrict_to_U=True, limit=4.0 * w)
         if d_q[s] < short_cut:
             skips["short_path"] += 1
             continue
         if component[p] != component[q]:
             skips["no_path"] += 1
             continue
-        near_p = distance_field(p, limit=3.0 * w)
+        near_p = space.distance_field(p, restrict_to_U=True, limit=3.0 * w)
         if min(near_p[q], near_p[s]) < near_cut:
             skips["endpoint_near_p"] += 1
             continue
         feasible = True
-        path = space.shortest_path(q, s, restrict_to_U=True, dist_to=distance_field(s))
+        path = space.shortest_path(q, s, restrict_to_U=True,
+                                   dist_to=space.distance_field(s, restrict_to_U=True))
         slack = 1e-12 * path.length
-        d_p = distance_field(p)
+        d_p = space.distance_field(p, restrict_to_U=True)
         # base condition: measured angle at q between [qp] and [qs], against
         # the comparison angle at q of the triangle pqs
         path_qp = space.shortest_path(q, p, restrict_to_U=True, dist_to=d_p)
@@ -1329,7 +1353,7 @@ def local_kappa_domain_check(
             continue
         j = int(inner[int(rng.integers(0, len(inner)))])
         x = path.vertices[j]
-        d_x = distance_field(x, limit=3.0 * w)
+        d_x = space.distance_field(x, restrict_to_U=True, limit=3.0 * w)
         y_back, y_fwd = path.vertices_at_arcs(np.array([arcs[j] - w, arcs[j] + w]))
         path_xp = space.shortest_path(x, p, restrict_to_U=True, dist_to=d_p)
         y_xp = path_xp.vertex_at_arc(w)
@@ -1356,7 +1380,7 @@ def local_kappa_domain_check(
         base_worst=max(base_gaps, default=0.0),
         split_violations=split_violations,
         split_worst=max(split_gaps, default=0.0),
-        worst_case=worst, skips=skips, work=work,
+        worst_case=worst, skips=skips, work=_work_since(space, before),
         tolerances={"angle_tol": float(angle_tol), "split_tol": float(split_tol),
                     "stencil_gap": space.stencil_gap},
     )

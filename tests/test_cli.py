@@ -601,7 +601,8 @@ def test_csv_breaking_the_triangle_inequality_names_the_triple(runner, tmp_path)
     assert res.exit_code == 2
     assert "Traceback" not in res.output
     errors = [line for line in res.output.splitlines() if line.startswith("Error:")]
-    assert errors == ["Error: triangle inequality fails: d(1, 2) > d(1, 0) + d(0, 2) + 1e-09"]
+    assert errors == ["Error: triangle inequality fails: d(1, 2) > d(1, 0) + d(0, 2) + 3e-09, "
+                      "1e-9 of the largest |d|"]
 
 
 def test_csv_scan_imports_no_scipy(tmp_path):
@@ -711,7 +712,7 @@ def test_reports_do_not_depend_on_the_cpu_mask(tmp_path, wide_cap, dense_square)
         reports[name] = {f: (cwd / f).read_bytes() for f in ("scan.json", "completion.json")}
     assert reports["one"] == reports["all"]
     sources = json.loads(reports["all"]["completion.json"])["result"]["work"]
-    assert sources["distance_sources"] > 2 * (spaces._BLOCK_ELEMENTS // dense_square.n_points)
+    assert sources["full_fields"] > 2 * (spaces._BLOCK_ELEMENTS // dense_square.n_points)
     assert 300 > 2 * (spaces._BLOCK_ELEMENTS // wide_cap.n_points)
 
 

@@ -22,8 +22,9 @@ from alexkit.convexity import (
     weak_lambda_search,
 )
 from alexkit.errors import GeometryError, ResolutionError, UnreachableError
+from alexkit.domains import completion_compare
 from alexkit.reporting import result_of
-from alexkit.spaces import DiscreteLengthSpace
+from alexkit.spaces import DiscreteLengthSpace, local_kappa_domain_check, scan_quadruples
 
 
 def _pick_u(space, point):
@@ -427,14 +428,38 @@ def test_search_counts_the_triples_it_drops_by_reason(slit_square, monkeypatch):
     assert rep.detail["best_triple"] == dict(zip("pqs", calls[2]))
 
 
-def test_each_estimate_counts_its_dijkstra_calls_and_walks(slit_square, monkeypatch):
-    sp = slit_square
+_LEDGER = ("full_fields", "bounded_fields", "geodesics")
+
+
+def _graph_commands(sp):
+    """Each graph command as ``(name, run(space, dense))``; the completion reads ``dense``."""
+    p, q, s = (_pick_u(sp, x) for x in ([0.15, 0.3], [0.85, 0.1], [0.85, 0.55]))
+    center = sp.nearest_vertex((0.5, 0.5))
+    # the search passes over the triples with q = s, and evaluates every other one
+    return [
+        ("prob", lambda space, dense: prob_convexity(space, p, q, s)),
+        ("ae", lambda space, dense: ae_convexity_estimate(space, p, samples=100, seed=0)),
+        ("search", lambda space, dense: weak_lambda_search(space, p, q, q, 2.5 * sp.h,
+                                                           candidates=24, seed=0)),
+        ("local-check", lambda space, dense: local_kappa_domain_check(
+            space, center, 0.5, 0.0, samples=6, h_angle=3, seed=0)),
+        ("scan", lambda space, dense: scan_quadruples(space, 0.0, samples=500, subset=40,
+                                                      seed=1)),
+        ("completion", lambda space, dense: completion_compare(dense, pairs=60, epsilon=0.1,
+                                                               seed=0)),
+    ]
+
+
+def test_every_graph_command_counts_scipys_calls_and_walks(slit_square, dense_square,
+                                                           monkeypatch):
+    # on a one-CPU mask every distance block runs in this process, where the
+    # patched calls see it
     seen = {}
     dijkstra, walk = spaces.dijkstra, DiscreteLengthSpace.shortest_path
 
     def counted_dijkstra(csgraph, **options):
-        seen["distance_fields"] += 1
-        seen["distance_sources"] += int(np.size(options["indices"]))
+        key = "full_fields" if options.get("limit", np.inf) == np.inf else "bounded_fields"
+        seen[key] += int(np.size(options["indices"]))
         return dijkstra(csgraph, **options)
 
     def counted_walk(self, *args, **kwargs):
@@ -442,24 +467,66 @@ def test_each_estimate_counts_its_dijkstra_calls_and_walks(slit_square, monkeypa
         seen["geodesics"] += 1
         return path
 
+    monkeypatch.setattr(spaces.os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(spaces, "dijkstra", counted_dijkstra)
     monkeypatch.setattr(DiscreteLengthSpace, "shortest_path", counted_walk)
+    assert slit_square.exact_metric is None  # the scan reads graph distances
+    reports = {}
+    for name, run in _graph_commands(slit_square):
+        seen.update(dict.fromkeys(_LEDGER, 0))
+        rep = reports[name] = run(slit_square, dense_square)
+        scan_counters = {"probes", "quadruple_evaluations"} if name == "scan" else set()
+        assert set(rep.work) == {*_LEDGER, *scan_counters}, name
+        assert {k: rep.work[k] for k in _LEDGER} == seen, name
+    assert reports["prob"].work == {"full_fields": 3, "bounded_fields": 0, "geodesics": 1}
+    assert reports["ae"].work == {"full_fields": 2, "bounded_fields": 0, "geodesics": 0}
+    search = reports["search"]
+    evaluated = search.detail["candidates_evaluated"]
+    assert search.detail["candidates_dropped"]["equal_endpoints"] > 0
+    assert search.work == {"full_fields": 3 + 3 * evaluated, "bounded_fields": 0,
+                           "geodesics": evaluated}
+    check = reports["local-check"]
+    assert check.evaluated > 0 and check.work["geodesics"] >= 3 * check.evaluated
+    assert check.work["bounded_fields"] >= 5 * check.evaluated
+    assert reports["scan"].work["full_fields"] == 40
+    completion = reports["completion"]
+    assert 0 < completion.work["full_fields"] <= completion.matched
+
+
+def test_commands_on_one_space_report_the_work_of_a_fresh_load(slit_square, dense_square,
+                                                               tmp_path):
+    # the ledger of a shared space grows with every call; each report holds
+    # only its own run's growth
+    paths = tmp_path / "slit.json", tmp_path / "dense.json"
+    slit_square.save(paths[0])
+    dense_square.save(paths[1])
+    shared = [DiscreteLengthSpace.load(path) for path in paths]
+    for name, run in _graph_commands(slit_square):
+        fresh = run(*(DiscreteLengthSpace.load(path) for path in paths)).work
+        assert run(*shared).work == run(*shared).work == fresh, name
+        assert any(fresh[k] for k in _LEDGER), name
+
+
+def test_search_work_is_its_balls_and_its_triples_work(slit_square, monkeypatch):
+    # every first triple in three is dropped after its estimate has done its work
+    sp = slit_square
     p, q, s = (_pick_u(sp, x) for x in ([0.15, 0.3], [0.85, 0.1], [0.85, 0.55]))
-    # the search passes over the triples with q = s, and evaluates every other one
-    runs = [(lambda: prob_convexity(sp, p, q, s), (3, 3, 1)),
-            (lambda: ae_convexity_estimate(sp, p, samples=100, seed=0), (2, 2, 0)),
-            (lambda: weak_lambda_search(sp, p, q, q, 2.5 * sp.h, candidates=24, seed=0), None)]
-    for run, expected in runs:
-        seen.update(distance_fields=0, distance_sources=0, geodesics=0)
-        rep = run()
-        assert rep.work == seen
-        if expected:
-            assert tuple(seen.values()) == expected
-        else:
-            evaluated = rep.detail["candidates_evaluated"]
-            assert rep.detail["candidates_dropped"]["equal_endpoints"] > 0
-            assert seen == {"distance_fields": 3 + 3 * evaluated,
-                            "distance_sources": 3 + 3 * evaluated, "geodesics": evaluated}
+    per_triple = []
+
+    def estimate(space, pp, qq, ss, **options):
+        before = dict(space.work)
+        rep = prob_convexity(space, pp, qq, ss, **options)
+        assert spaces._work_since(space, before) == rep.work
+        per_triple.append(rep.work)
+        if len(per_triple) % 3 == 1:
+            raise UnreachableError("dropped after its work")
+        return replace(rep, probability=0.5)
+
+    monkeypatch.setattr(convexity, "prob_convexity", estimate)
+    rep = weak_lambda_search(sp, p, q, s, 2.5 * sp.h, candidates=24, seed=0)
+    assert rep.detail["candidates_dropped"]["unreachable"] == len(per_triple[0::3]) > 1
+    balls = {"full_fields": 3, "bounded_fields": 0, "geodesics": 0}
+    assert rep.work == {k: balls[k] + sum(w[k] for w in per_triple) for k in _LEDGER}
 
 
 # ---------------------------------------------------------------------------

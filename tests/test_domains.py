@@ -366,7 +366,7 @@ def test_completion_compare_matches_the_per_row_loop(dense_square, pairs, epsilo
     work = rep.pop("work")
     oracle = _completion_by_rows(dense_square, pairs, epsilon, seed)
     assert rep == oracle
-    assert work["distance_sources"] <= rep["matched"]
+    assert work["full_fields"] <= rep["matched"]
 
 
 # CPU counts a test may fake: never more than the real affinity mask holds,

@@ -159,13 +159,33 @@ def test_tiled_triangle_check_with_coincident_points_and_negative_entries(n, see
     _assert_same_verdict(np.minimum(d, d.T), tol)
 
 
+def _equator_distances():
+    """Exact great-circle distances among 30 random points of the equator."""
+    theta = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, 30)
+    pts = np.column_stack([np.cos(theta), np.sin(theta), np.zeros(30)])
+    return SpherePointSet(pts).submatrix(np.arange(30))
+
+
+def test_metric_check_does_not_depend_on_the_scale():
+    # the tolerance is relative to the largest distance: the rounding of the
+    # equator's collinear triples passes at every scale, a triangle that
+    # misses by a third of its longest side fails at every scale
+    equator = _equator_distances()
+    bad = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+    for c in [2.0**k for k in range(-40, 41)] + [1e-10, 1e-6, 0.3, 7.0, 1e7, 1e8, 1e10]:
+        FiniteMetricSpace(equator * c)
+        with pytest.raises(GeometryError, match="triangle inequality fails"):
+            FiniteMetricSpace(bad * c)
+
+
 def test_coincident_points_keep_their_zero_distance():
     # a dense shortest-path closure would read the off-diagonal 0 as no edge
     d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
     assert _assert_same_verdict(d) == (1, 2, 0)
     with pytest.raises(GeometryError) as err:
         FiniteMetricSpace(d)
-    assert str(err.value) == "triangle inequality fails: d(1, 2) > d(1, 0) + d(0, 2) + 1e-09"
+    assert str(err.value) == ("triangle inequality fails: d(1, 2) > d(1, 0) + d(0, 2) + 3e-09, "
+                              "1e-9 of the largest |d|")
     d[1, 2] = d[2, 1] = 1.0
     FiniteMetricSpace(d)
 
@@ -382,11 +402,13 @@ def test_distance_blocks_raise_a_block_error_and_leave_no_child(wide_cap, monkey
                                                                 raised):
     # a worker that fails sends nothing, and the caller computes its blocks:
     # a block's error is raised as the serial call raises it, and a worker that
-    # dies or sends a cut-short pickle changes no bit
+    # dies or sends a cut-short pickle changes no bit and no count of the ledger
     monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 3000)
     sources = np.arange(6)
     _fake_mask(monkeypatch, 1)
+    before = dict(wide_cap.work)
     serial = wide_cap.distance_blocks(sources, _block_rows)
+    assert spaces._work_since(wide_cap, before)["full_fields"] == len(sources)
     _fake_mask(monkeypatch, 2)
     # a serial call would not fork
     assert spaces._workers(6) == 2
@@ -405,8 +427,11 @@ def test_distance_blocks_raise_a_block_error_and_leave_no_child(wide_cap, monkey
     if raised == "cut-short":
         monkeypatch.setattr(spaces.pickle, "dump", _cut_short)
     if error is None:
+        before = dict(wide_cap.work)
         assert wide_cap.distance_blocks(sources, keep).tobytes() == serial.tobytes()
         assert in_parent == [0, 2, 4, 1, 3, 5]
+        assert spaces._work_since(wide_cap, before) == {"full_fields": len(sources),
+                                                        "bounded_fields": 0, "geodesics": 0}
     else:
         with pytest.raises(type(error)) as err:
             wide_cap.distance_blocks(sources, keep)
@@ -1067,6 +1092,10 @@ def test_scan_blocks_do_not_change_the_report(request, monkeypatch, carrier):
     kwargs = {"samples": 4_000, "seed": 7, "subset": 200}
     whole = scan_quadruples(space, 1.0, **kwargs)
     assert whole.work["probes"] > 1
+    # a graph's ledger counts the Dijkstra rows, whichever process computed them
+    ledger = {k: v for k, v in whole.work.items() if k not in ("probes", "quadruple_evaluations")}
+    assert ledger == ({} if carrier == "csv" else {
+        "full_fields": 200 if carrier == "wide_cap" else 0, "bounded_fields": 0, "geodesics": 0})
     # one Dijkstra row, one closed-form row and 75 probe rows in a block, on
     # one CPU and on two
     monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 3000)
@@ -1716,10 +1745,12 @@ def test_local_check_counts_its_fields_and_skips(flat_grid_fine):
         assert rep.work["full_fields"] <= 1 + 2 * rep.trials
         # d_q, d_x and the three angle side fields of each evaluated sample
         assert rep.work["bounded_fields"] >= 5 * rep.evaluated
+        # the walks q-s, q-p and x-p of each evaluated sample
+        assert rep.work["geodesics"] >= 3 * rep.evaluated
     rep = local_kappa_domain_check(flat_grid_fine, 0, radius=1e-9, kappa=0.0, samples=5,
                                    h_angle=8)
     assert rep.skips["small_ball"] == 5
-    assert rep.work == {"full_fields": 1, "bounded_fields": 0}
+    assert rep.work == {"full_fields": 1, "bounded_fields": 0, "geodesics": 0}
 
 
 def test_local_check_without_a_feasible_sample_is_vacuous():
@@ -1750,23 +1781,20 @@ def _local_check_reference(space, center, radius, kappa, samples, h_angle, seed)
     every field but the ball's in U's metric, except that a triangle that
     breaks the triangle inequality raises :class:`InvalidTriangleError`
     instead of being skipped.  It decides the skips after the full fields
-    from s and p, in the order the check keeps, so its ``work`` counts more
-    full fields than the check's.
+    from s and p, in the order the check keeps, so its ``work``, the growth
+    of the space's ledger, counts more full fields than the check's.
     """
     w = h_angle * space.h
     angle_tol = 0.5 / h_angle + 6.0 * space.h_err + 1e-3
     split_tol = 2.0 * angle_tol + space.stencil_gap
     skips = dict.fromkeys(SKIP_REASONS, 0)
-    work = {"full_fields": 0, "bounded_fields": 0}
-
-    def distance_field(source, restrict_to_U=True, limit=np.inf):
-        work["full_fields" if limit == np.inf else "bounded_fields"] += 1
-        return space.distance_field(source, restrict_to_U=restrict_to_U, limit=limit)
+    before = dict(space.work)
 
     def discrete_angle(toward_a, toward_b, d_at):
         da = float(d_at[toward_a])
         db = float(d_at[toward_b])
-        dab = float(distance_field(toward_a, limit=da + db + 1e-9)[toward_b])
+        dab = float(space.distance_field(toward_a, restrict_to_U=True,
+                                         limit=da + db + 1e-9)[toward_b])
         return angle_from_sides(kappa, dab, da, db)
 
     def report(evaluated, vacuous, base=(0, 0.0), split=(0, 0.0), worst=None):
@@ -1774,11 +1802,12 @@ def _local_check_reference(space, center, radius, kappa, samples, h_angle, seed)
             kappa=kappa, center=center, radius=radius, trials=samples, evaluated=evaluated,
             skipped=samples - evaluated, vacuous=vacuous, window=w, h_err=space.h_err,
             base_violations=base[0], base_worst=base[1], split_violations=split[0],
-            split_worst=split[1], worst_case=worst or {}, skips=skips, work=work,
+            split_worst=split[1], worst_case=worst or {}, skips=skips,
+            work={k: v - before[k] for k, v in space.work.items()},
             tolerances={"angle_tol": angle_tol, "split_tol": split_tol,
                         "stencil_gap": space.stencil_gap})
 
-    d_center = distance_field(center, restrict_to_U=False)
+    d_center = space.distance_field(center)
     ball = np.flatnonzero((d_center <= radius) & space.in_U)
     if len(ball) < 4:
         skips["small_ball"] = samples
@@ -1793,7 +1822,8 @@ def _local_check_reference(space, center, radius, kappa, samples, h_angle, seed)
     for _ in range(samples):
         q, s, p = (int(ball[j]) for j in rng.choice(len(ball), size=3, replace=False))
         try:
-            path = space.shortest_path(q, s, restrict_to_U=True, dist_to=distance_field(s))
+            path = space.shortest_path(q, s, restrict_to_U=True,
+                                       dist_to=space.distance_field(s, restrict_to_U=True))
         except UnreachableError:
             skips["no_path"] += 1
             continue
@@ -1801,7 +1831,7 @@ def _local_check_reference(space, center, radius, kappa, samples, h_angle, seed)
         if path.length < 4.0 * w - slack:
             skips["short_path"] += 1
             continue
-        d_p = distance_field(p)
+        d_p = space.distance_field(p, restrict_to_U=True)
         if d_p[q] == np.inf:
             skips["no_path"] += 1
             continue
@@ -1811,7 +1841,7 @@ def _local_check_reference(space, center, radius, kappa, samples, h_angle, seed)
         feasible = True
         try:
             path_qp = space.shortest_path(q, p, restrict_to_U=True, dist_to=d_p)
-            d_q = distance_field(q, limit=near)
+            d_q = space.distance_field(q, restrict_to_U=True, limit=near)
             lhs = discrete_angle(path_qp.vertex_at_arc(w), path.vertex_at_arc(w), d_q)
             rhs = angle_from_sides(kappa, float(d_p[s]), float(d_p[q]), path.length)
             base_gap = rhs - lhs
@@ -1825,7 +1855,7 @@ def _local_check_reference(space, center, radius, kappa, samples, h_angle, seed)
                 continue
             j = int(inner[int(rng.integers(0, len(inner)))])
             x = path.vertices[j]
-            d_x = distance_field(x, limit=near)
+            d_x = space.distance_field(x, restrict_to_U=True, limit=near)
             y_back, y_fwd = path.vertices_at_arcs(np.array([arcs[j] - w, arcs[j] + w]))
             y_xp = space.shortest_path(x, p, restrict_to_U=True, dist_to=d_p).vertex_at_arc(w)
             split_gap = abs(discrete_angle(y_back, y_xp, d_x)
