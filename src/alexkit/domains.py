@@ -702,11 +702,12 @@ def completion_compare(
     Sampling is stratified: half the pairs are uniform over vertices (their
     miss rate measures how sparse the finite bundle is at this epsilon),
     half are anchored near bundled endpoints so the chain is actually
-    exercised at every run.  The nearest vertices, the segment matches and
-    the completion distances are each computed for all pairs at once, in
-    blocks of bounded size, the distances as the space's
-    ``distance_blocks``; ``work`` is the growth of the space's ledger, one
-    full field per distinct source.
+    exercised at every run.  The nearest vertices and the segment matches
+    are each computed for all pairs at once, in blocks of bounded size; the
+    completion distance of each matched pair is the space's
+    ``pair_distances``, which reads no whole field on a complete lattice
+    (every dense square) and forks no worker.  ``work`` is the growth of the
+    space's ledger, one full field per distinct source.
     """
     if space.meta.get("generator") != "dense_square" or "segments" not in space.meta:
         raise GeometryError("completion comparison applies to dense_square domains, with "
@@ -741,20 +742,9 @@ def completion_compare(
     ks = _match_segments(starts, ends, space.coords[p_ids], space.coords[q_ids], epsilon)
     ks[p_ids == q_ids] = -1
     hit = ks >= 0
-    q_hit = q_ids[hit]
-    sources, which = np.unique(p_ids[hit], return_inverse=True)
-    # the pairs by source: a block of sources reads a run of them
-    order = np.argsort(which, kind="stable")
-    by_source = which[order]
-
-    def keep(rows, fields):
-        lo, hi = np.searchsorted(by_source, (rows.start, rows.stop))
-        pick = order[lo:hi]
-        return fields[which[pick] - rows.start, q_hit[pick]]
-
-    d_bar = np.empty(len(which))
-    d_bar[order] = space.distance_blocks(sources, keep)
-    p_hit, k_hit = p_ids[hit], ks[hit]
+    p_hit, q_hit = p_ids[hit], q_ids[hit]
+    d_bar = space.pair_distances(p_hit, q_hit)
+    k_hit = ks[hit]
     # fixed-order sums, which round the same under every BLAS kernel
     sx, sy = (ends[k_hit] - starts[k_hit]).T
     cx, cy = (space.coords[p_hit] - space.coords[q_hit]).T

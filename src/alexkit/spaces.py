@@ -11,16 +11,20 @@ angles at a small fixed arc scale.
 Broadcast temporaries are built in blocks of rows under one budget,
 ``_BLOCK_ELEMENTS`` float64 elements (2 MB), by ``_row_blocks``: the
 graph's multi-source Dijkstra rows (``DiscreteLengthSpace.distance_blocks``,
-which the scan's distance block, the completion comparison and the cap
-generator's distortion sample all read), the closed-form distance blocks,
-each scan probe's quadruple rows, the completion comparison's
-nearest-vertex and segment matches, and the cap generator's guard
-sewing.  Every entry depends only on its own
-row, so the blocks change no bit; the Dijkstra blocks run in forked
-workers, one per CPU of the affinity mask, with the same bits for every
-worker count.  A worker that fails sends nothing and leaves its blocks to
-the caller, which computes them itself: an error is raised as the serial
-path raises it.
+which the scan's distance block and the cap generator's distortion sample
+read, and the Dijkstra fields of ``pair_distances``), the closed-form
+distance blocks, each scan probe's quadruple rows, the completion
+comparison's nearest-vertex and segment matches, and the cap generator's
+guard sewing.  Every entry depends only on its own
+row, so the blocks change no bit; the blocks of ``distance_blocks`` run in
+forked workers, one per CPU of the affinity mask, with the same bits for
+every worker count.  A worker that fails sends nothing and leaves its
+blocks to the caller, which computes them itself: an error is raised as
+the serial path raises it.
+
+On a complete square lattice (see ``DiscreteLengthSpace.validate``) the
+graph metric is a polygonal norm with a closed form, ``_lattice_norms``:
+the space's own distance queries read it instead of running Dijkstra.
 
 A graph space is stored as one compact JSON object: a vertex table of
 ``{"in_U": bool, "xy"|"xyz": [...]}`` entries, the generator's ``meta``,
@@ -321,6 +325,40 @@ def _map_blocks(compute, blocks: list) -> list:
     return out
 
 
+def _lattice_norms(cells: int, spacing: float, radius: int) -> np.ndarray:
+    """The graph distance of each lattice offset ``(x, y)``, ``0 <= x, y <= cells``.
+
+    A complete square lattice of ``cells`` cells per side, with every
+    stencil step of ``radius`` as an edge, has the polygonal norm whose
+    worst overshoot ``stencil_distortion`` names.  The offset, folded
+    into the first octant (``big >= small``), lies between two consecutive
+    steps ``e1 = (a1, b1)`` and ``e2 = (a2, b2)``; their determinant is 1,
+    so ``s = big*b2 - small*a2`` and ``t = small*a1 - big*b1`` are the
+    non-negative integers with ``s*e1 + t*e2`` the offset, and the distance
+    is ``h*(s|e1| + t|e2|)``.  Both steps lie in the offset's quadrant, so a
+    path of them stays in the bounding box of its ends, inside the square.
+    The spacing h multiplies last, once: an offset of x cells along an axis
+    reads ``x*h``, the generator's own coordinate of vertex x.
+    """
+    # the first octant's steps, the Farey fractions b / a of order radius, by slope
+    a, b = np.meshgrid(np.arange(1, radius + 1), np.arange(radius + 1), indexing="ij")
+    keep = (b <= a) & (np.gcd(a, b) == 1)
+    order = np.argsort(b[keep] / a[keep], kind="stable")
+    a, b = a[keep][order], b[keep][order]
+    length = np.hypot(a, b)
+    x = np.arange(cells + 1)
+    big, small = np.maximum.outer(x, x), np.minimum.outer(x, x)
+    # the last step whose slope is at most small / big, compared exactly in integers
+    k = np.zeros(big.shape, dtype=np.intp)
+    for j in range(1, len(a) - 1):
+        k += b[j] * big <= small * a[j]
+    s = big * b[k + 1] - small * a[k + 1]
+    t = small * a[k] - big * b[k]
+    norms = s * length[k] + t * length[k + 1]
+    norms *= spacing
+    return norms
+
+
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """Sums over the last axis, added left to right: the same bits under every kernel."""
     total = a[..., 0]
@@ -545,6 +583,11 @@ class DiscreteLengthSpace:
     the distance fields without a ``limit`` (``full_fields``) and with one
     (``bounded_fields``), and the walks of :meth:`shortest_path`
     (``geodesics``).  A command reports its growth (:func:`_work_since`).
+
+    On a complete square lattice, as :meth:`validate` decides it, the
+    distance queries read the closed form ``_lattice_norms`` instead of
+    running Dijkstra; everywhere else they run Dijkstra.  The ledger counts
+    the same either way.
     """
 
     def __init__(self, coords, in_U, edges, weights, meta=None):
@@ -580,6 +623,22 @@ class DiscreteLengthSpace:
     def _graph_u(self):
         """``_graph`` restricted to the edges between ``in_U`` vertices."""
         return _induced_csr(self._graph, self.in_U)
+
+    @cached_property
+    def _lattice(self):
+        """The ``_lattice_norms`` table of a complete square lattice, else None.
+
+        Built at the first query, from the ``_lattice_cells`` that
+        :meth:`validate` decided.
+        """
+        if not self._lattice_cells:
+            return None
+        return _lattice_norms(self._lattice_cells, self.h, self.meta["stencil_radius"])
+
+    @cached_property
+    def _lattice_u(self):
+        """``_lattice`` for the distances within U: the same table when U is every vertex."""
+        return self._lattice if self.in_U.all() else None
 
     # -- basic facts
 
@@ -623,10 +682,12 @@ class DiscreteLengthSpace:
         when present, must be a finite (n, 2) or (n, 3) array, and the weights
         must match the embedding (dominate the chords when
         ``meta["chord_corrected"]``), the segment lengths gathered one
-        coordinate at a time and summed in order, in place.  Last, one
-        breadth-first search from vertex 0 must reach every vertex: the
-        only check that needs the symmetric matrix, so it is built once the
-        arrays have passed the others.
+        coordinate at a time and summed in order, in place.  Then it decides
+        whether the graph is a complete square lattice (``_lattice_cells``),
+        whose distances have a closed form.  Last, one breadth-first search
+        from vertex 0 must reach every vertex: the only check that needs the
+        symmetric matrix, so it is built once the arrays have passed the
+        others and the lattice test's temporaries are freed.
         """
         n, indptr, cols, w = self._n, self._indptr, self._indices, self.weights
         if n == 0:
@@ -657,6 +718,7 @@ class DiscreteLengthSpace:
             if not np.isfinite(xy).all():
                 raise GeometryError("vertex coordinates must be finite")
             self._check_embedding(rows)
+        self._lattice_cells = self._complete_lattice(rows)
         # the search builds the symmetric matrix; the rows need not wait for it
         del rows
         from scipy.sparse.csgraph import breadth_first_order
@@ -699,23 +761,106 @@ class DiscreteLengthSpace:
             if np.any(w < seg):
                 raise GeometryError("arc weights shorter than chords")
 
+    def _complete_lattice(self, rows: np.ndarray) -> int:
+        """The cells per side when the graph is a complete square lattice, else 0.
+
+        Decided on the arrays, given each column's row, with ``meta``'s
+        ``h`` and ``stencil_radius`` as the claim to test: n is (cells + 1)²;
+        the coordinates are the grid ``arange(cells + 1) * h`` that the
+        generator lays out, bit for bit, x major; the weights are segment
+        lengths, not arcs; every stored edge is a stencil step, with no
+        wrap from one grid row to the next; and the edge count is the
+        stencil's for this grid.  Distinct stored edges that are all steps
+        and as many as the steps are every step.  A removed vertex, a cut
+        or missing edge or a moved vertex leaves the graph to Dijkstra.
+        """
+        n, h, radius = self._n, self.h, self.meta.get("stencil_radius")
+        stride = math.isqrt(n)
+        cells = stride - 1
+        if (stride * stride != n or cells < 1 or not h > 0.0 or self.coords is None
+                or self.coords.shape[1] != 2 or self.meta.get("chord_corrected", False)
+                or type(radius) is not int or not 1 <= radius <= cells):
+            return 0
+        xs = np.arange(stride) * h
+        if not (np.array_equal(self.coords[:, 0], np.repeat(xs, stride))
+                and np.array_equal(self.coords[:, 1], np.tile(xs, stride))):
+            return 0
+        # the upper steps (di, dj): primitive, with di > 0, or di == 0 < dj
+        x, y = np.meshgrid(np.arange(radius + 1), np.arange(-radius, radius + 1), indexing="ij")
+        allowed = (np.gcd(x, y) == 1) & ((x > 0) | (y > 0))
+        if len(self._indices) != int(((stride - x) * (stride - abs(y)))[allowed].sum()):
+            return 0
+        # each edge's step, as an index into the table of allowed steps
+        cols = self._indices
+        di = cols // stride
+        di -= rows // stride
+        dj = cols - rows
+        dj -= di * stride
+        if di.max(initial=0) > radius or dj.min(initial=0) < -radius or dj.max(initial=0) > radius:
+            return 0
+        di *= 2 * radius + 1
+        dj += radius
+        di += dj
+        return cells if allowed.ravel()[di].all() else 0
+
     # -- metric queries
+
+    def _lattice_distances(self, u, v) -> np.ndarray:
+        """The lattice distances between the vertices ``u`` and ``v``, broadcast together.
+
+        The one closed-form kernel of the fields and the pairs: the
+        ``_lattice`` table read at each pair's offset.
+        """
+        ui, uj = np.divmod(u, self._lattice_cells + 1)
+        vi, vj = np.divmod(v, self._lattice_cells + 1)
+        return self._lattice[np.abs(ui - vi), np.abs(uj - vj)]
 
     def distance_field(self, sources, restrict_to_U: bool = False,
                        limit: float = np.inf) -> np.ndarray:
         """Graph distances from one source (1-D) or a sequence of sources (2-D).
 
-        Both stored matrices are symmetric, so the directed search gives
-        the undirected distances without scipy's transposed copy.
+        ``restrict_to_U`` measures in the subgraph of the ``in_U`` vertices;
+        entries beyond ``limit`` read inf.  On a complete square lattice,
+        unrestricted or with every vertex in U, the closed form answers;
+        otherwise scipy's Dijkstra does.  Both stored matrices are
+        symmetric, so the directed search gives the undirected distances
+        without scipy's transposed copy.
         """
         self.work["full_fields" if limit == np.inf else "bounded_fields"] += int(np.size(sources))
+        if (self._lattice_u if restrict_to_U else self._lattice) is not None:
+            ids = np.arange(self._n)
+            # negative ids count from the end, as scipy takes them
+            field = self._lattice_distances(np.asarray(ids[sources])[..., None], ids)
+            field[field > limit] = np.inf
+            return field
         g = self._graph_u if restrict_to_U else self._graph
         return dijkstra(g, directed=True, indices=sources, limit=limit)
+
+    def pair_distances(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The graph distance of each pair ``(p[i], q[i])``, in the completion.
+
+        The closed form on a complete square lattice; otherwise the Dijkstra
+        fields from the distinct sources of ``p``, a block of sources at a
+        time in this process, each read at its pairs.  The ledger counts one
+        full field per distinct source either way.
+        """
+        sources, which = np.unique(p, return_inverse=True)
+        self.work["full_fields"] += len(sources)
+        if self._lattice is not None:
+            return self._lattice_distances(p, q)
+        out = np.empty(len(p))
+        for rows in _row_blocks(len(sources), self._n):
+            fields = dijkstra(self._graph, directed=True, indices=sources[rows])
+            pick = np.flatnonzero((which >= rows.start) & (which < rows.stop))
+            out[pick] = fields[which[pick] - rows.start, q[pick]]
+        return out
 
     def distance_blocks(self, sources: np.ndarray, keep) -> np.ndarray:
         """``keep(rows, fields)`` of each block of the multi-source field from ``sources``.
 
-        The sources are cut into blocks of rows of at most ``_BLOCK_ELEMENTS``
+        The graph's multi-source Dijkstra, for the scan's :meth:`submatrix`
+        and the cap generator's distortion sample.  The sources are cut into
+        blocks of rows of at most ``_BLOCK_ELEMENTS``
         distances; ``fields`` holds the graph distances from ``sources[rows]``,
         and ``keep`` returns the part of them the caller needs, so that one
         block of fields is held at a time.  The kept parts come back
@@ -1280,7 +1425,8 @@ def local_kappa_domain_check(
     def sides(a, b, d_at):
         """Sides ``(|ab|, |ta|, |tb|)`` of the triangle at ``d_at``'s source t."""
         da, db = d_at[a], d_at[b]
-        limit = da + db + 1e-9
+        # |ab| <= da + db up to the rounding of either sum: a relative slack
+        limit = (da + db) * (1.0 + 1e-12)
         return space.distance_field(a, restrict_to_U=True, limit=limit)[b], da, db
 
     def angles(*triangles):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from alexkit.domains import DomainSpec, generate
+from alexkit.spaces import DiscreteLengthSpace
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +47,10 @@ def dense_square():
         DomainSpec(kind="dense_square", resolution=1 / 64, delta=0.2, num_segments=200),
         seed=0,
     )
+
+
+@pytest.fixture(scope="session")
+def dense_square_cut(dense_square):
+    """``dense_square`` with one edge dropped and its ``meta`` kept: no longer a complete lattice."""
+    sp = dense_square
+    return DiscreteLengthSpace(sp.coords, sp.in_U, sp.edges[1:], sp.weights[1:], meta=sp.meta)

@@ -1087,6 +1087,12 @@ def fuzz_inputs(tmp_path_factory, readme_inputs):
                          ("segments-empty", "DENSE")]:
         files[f"{name}.json"] = _with_meta(readme_inputs[source], _BAD_META[name],
                                            root / f"{name}.json")
+    # the dense square with one edge dropped and its meta kept: a graph that
+    # is no complete lattice, whose distances come from Dijkstra
+    dense = spaces.DiscreteLengthSpace.load(readme_inputs["DENSE"])
+    spaces.DiscreteLengthSpace(dense.coords, dense.in_U, dense.edges[1:], dense.weights[1:],
+                               meta=dense.meta).save(root / "dense-cut.json")
+    files["dense-cut.json"] = str(root / "dense-cut.json")
     return files
 
 
@@ -1130,26 +1136,30 @@ _FUZZ_COMMANDS = {
          "--remove-segment": ["0.2,0.2,0.8,0.8"], "--r": ["1.2"]}),
     ("domain", "generate", "--kind", "sphere_points"): ({"--n": ["20"]}, {"--h": ["0.2"]}),
     ("space", "scan"): (
-        {"--input": ["sphere.csv", "cap.json", "grid.json"], "--kappa": ["1", "0", "-1"],
+        {"--input": ["sphere.csv", "cap.json", "grid.json", "dense-cut.json"],
+         "--kappa": ["1", "0", "-1"],
          "--samples": ["200"]},
         {"--subset": ["6", "10"], "--exhaustive": [], "--min-defect-tol": ["1e-6"]}),
     ("space", "local-check"): (
-        {"--input": ["grid.json"], "--center": ["544", "0"], "--radius": ["1.5"],
+        {"--input": ["grid.json", "dense-cut.json"], "--center": ["544", "0"],
+         "--radius": ["1.5"],
          "--kappa": ["0"], "--samples": ["4"]},
         {"--h-angle": ["3", "4"]}),
     # each kind with the options it reads, and one it does not read
     ("convexity", "estimate", "--kind", "prob"): (
-        {"--input": ["cap.json"], "--p": _IDS, "--q": _IDS, "--s": _IDS},
+        {"--input": ["cap.json", "dense-cut.json"], "--p": _IDS, "--q": _IDS, "--s": _IDS},
         {"--step": ["0.05"], "--slack": ["0.01"], "--emit-samples": [], "--samples": ["50"]}),
     ("convexity", "estimate", "--kind", "ae"): (
-        {"--input": ["cap.json"], "--p": _IDS},
+        {"--input": ["cap.json", "dense-cut.json"], "--p": _IDS},
         {"--samples": ["50"], "--slack": ["0.01"], "--step": ["0.05"]}),
     ("convexity", "search"): (
-        {"--input": ["cap.json"], "--p": _IDS, "--q": _IDS, "--s": _IDS, "--epsilon": ["0.3"],
+        {"--input": ["cap.json", "dense-cut.json"], "--p": _IDS, "--q": _IDS, "--s": _IDS,
+         "--epsilon": ["0.3"],
          "--candidates": ["3"]},
         {"--step": ["0.05"], "--slack": ["0.01"]}),
     ("completion", "compare"): (
-        {"--input": ["dense.json"], "--pairs": ["20"]}, {"--epsilon": ["0.05"]}),
+        {"--input": ["dense.json", "dense-cut.json"], "--pairs": ["20"]},
+        {"--epsilon": ["0.05"]}),
     ("area", "estimate"): (
         {"--delta": ["0.2"], "--samples": ["500"]}, {"--segments": ["20"]}),
     ("plot", "emit"): ({"--input": ["series.json"]}, {"--series": ["series", "nope"]}),

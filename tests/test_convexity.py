@@ -451,9 +451,10 @@ def _graph_commands(sp):
 
 
 def test_every_graph_command_counts_scipys_calls_and_walks(slit_square, dense_square,
-                                                           monkeypatch):
+                                                           dense_square_cut, monkeypatch):
     # on a one-CPU mask every distance block runs in this process, where the
-    # patched calls see it
+    # patched calls see it; the dense square is a complete lattice, whose
+    # distances cost no scipy call
     seen = {}
     dijkstra, walk = spaces.dijkstra, DiscreteLengthSpace.shortest_path
 
@@ -477,7 +478,10 @@ def test_every_graph_command_counts_scipys_calls_and_walks(slit_square, dense_sq
         rep = reports[name] = run(slit_square, dense_square)
         scan_counters = {"probes", "quadruple_evaluations"} if name == "scan" else set()
         assert set(rep.work) == {*_LEDGER, *scan_counters}, name
-        assert {k: rep.work[k] for k in _LEDGER} == seen, name
+        if name == "completion":
+            assert seen == dict.fromkeys(_LEDGER, 0)
+        else:
+            assert {k: rep.work[k] for k in _LEDGER} == seen, name
     assert reports["prob"].work == {"full_fields": 3, "bounded_fields": 0, "geodesics": 1}
     assert reports["ae"].work == {"full_fields": 2, "bounded_fields": 0, "geodesics": 0}
     search = reports["search"]
@@ -491,6 +495,11 @@ def test_every_graph_command_counts_scipys_calls_and_walks(slit_square, dense_sq
     assert reports["scan"].work["full_fields"] == 40
     completion = reports["completion"]
     assert 0 < completion.work["full_fields"] <= completion.matched
+    # one full field per distinct source: the fields scipy computes on the
+    # same square with one edge cut, whose pairs match the same segments
+    seen.update(dict.fromkeys(_LEDGER, 0))
+    cut = completion_compare(dense_square_cut, pairs=60, epsilon=0.1, seed=0)
+    assert seen == cut.work == completion.work
 
 
 def test_commands_on_one_space_report_the_work_of_a_fresh_load(slit_square, dense_square,

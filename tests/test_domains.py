@@ -374,13 +374,32 @@ def test_completion_compare_matches_the_per_row_loop(dense_square, pairs, epsilo
 _MASKS = [1] + [2] * (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
 
 
-def test_completion_compare_blocks_do_not_change_the_report(dense_square, monkeypatch):
-    whole = completion_compare(dense_square, pairs=120, epsilon=0.1, seed=6)
-    # blocks of one to a few rows each, on one CPU and on two
-    monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 3000)
-    for cpus in _MASKS:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-        assert completion_compare(dense_square, pairs=120, epsilon=0.1, seed=6) == whole
+def test_completion_compare_blocks_do_not_change_the_report(dense_square, dense_square_cut,
+                                                            monkeypatch):
+    # the cut square, no complete lattice, reads its pairs from Dijkstra fields
+    for sp in (dense_square, dense_square_cut):
+        whole = completion_compare(sp, pairs=120, epsilon=0.1, seed=6)
+        # blocks of one to a few rows each, on one CPU and on two
+        monkeypatch.setattr(spaces, "_BLOCK_ELEMENTS", 3000)
+        for cpus in _MASKS:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            assert completion_compare(sp, pairs=120, epsilon=0.1, seed=6) == whole
+        monkeypatch.undo()
+
+
+def test_completion_compare_forks_no_worker(dense_square, dense_square_cut, monkeypatch):
+    def fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    lattice, cut = (completion_compare(sp, pairs=300, epsilon=0.1, seed=2)
+                    for sp in (dense_square, dense_square_cut))
+    assert lattice.matched > 0
+    # one edge at the corner moves no count, and the distances only by rounding
+    assert (lattice.matched, lattice.worst_case["p"], lattice.worst_case["q"], lattice.work) == \
+        (cut.matched, cut.worst_case["p"], cut.worst_case["q"], cut.work)
+    assert lattice.max_violation == pytest.approx(cut.max_violation, rel=1e-14)
 
 
 def test_cap_distortion_does_not_depend_on_blocks_or_workers(wide_cap, monkeypatch):

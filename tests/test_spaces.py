@@ -258,20 +258,18 @@ def test_unreachable_raises(punctured_square):
 
 
 def _reference_walk(space, adj, src, dst, restrict_to_U):
-    """Adjacency-list walk of the shortest-path DAG over undirected Dijkstra.
+    """Adjacency-list walk of the shortest-path DAG over the space's own field.
 
     Pure-Python reference for ``shortest_path`` with its DAG test and tie
     rule, the chord keys summed by ``math.fsum``: a match also shows that
     the choice does not depend on summation order.  None when unreachable
-    or stalled.
+    or stalled.  The field, which a complete lattice answers in closed form,
+    is first held to undirected Dijkstra on a matrix rebuilt from the edge
+    list, up to the rounding of Dijkstra's sums.
     """
-    edges, weights = space.edges, space.weights
-    if restrict_to_U:
-        keep = space.in_U[edges[:, 0]] & space.in_U[edges[:, 1]]
-        edges, weights = edges[keep], weights[keep]
-    n = space.n_points
-    g = csr_matrix((weights, (edges[:, 0], edges[:, 1])), shape=(n, n))
-    dist_to = dijkstra(g, directed=False, indices=dst)
+    dist_to = space.distance_field(dst, restrict_to_U=restrict_to_U)
+    np.testing.assert_allclose(dist_to, _scipy_fields(space, dst, restrict_to_U),
+                               rtol=1e-14, atol=0.0)
     total = float(dist_to[src])
     if not math.isfinite(total):
         return None
@@ -472,6 +470,130 @@ def test_bounded_distance_field_is_the_full_field_up_to_its_limit(request, name)
                 inside = full <= limit
                 assert np.array_equal(bounded[inside], full[inside])
                 assert np.all(np.isinf(bounded[~inside]))
+
+
+def _scipy_fields(space, sources, restrict_to_U=False):
+    """Undirected scipy Dijkstra from ``sources``, on a matrix rebuilt from the edge list."""
+    edges, weights = space.edges, space.weights
+    if restrict_to_U:
+        keep = space.in_U[edges[:, 0]] & space.in_U[edges[:, 1]]
+        edges, weights = edges[keep], weights[keep]
+    n = space.n_points
+    g = csr_matrix((weights, (edges[:, 0], edges[:, 1])), shape=(n, n))
+    return dijkstra(g, directed=False, indices=sources)
+
+
+def _no_scipy(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy's Dijkstra was called")
+
+    monkeypatch.setattr(spaces, "dijkstra", refuse)
+
+
+def _no_closed_form(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed form was read")
+
+    monkeypatch.setattr(DiscreteLengthSpace, "_lattice_distances", refuse)
+
+
+# complete lattices: punctured grids of side 2 with a removed point (which
+# keeps every vertex) at each h, and dense squares where their tubes hold
+# open vertices (none at h 1/8)
+_LATTICES = [(kind, h, stencil) for stencil in range(1, 6)
+             for kind, hs in (("punctured", (8, 24, 64)), ("dense_square", (24, 64)))
+             for h in hs]
+
+
+@pytest.mark.parametrize("kind, cells, stencil", _LATTICES)
+def test_complete_lattice_distances_are_scipys_on_every_pair_of_a_sample(monkeypatch, kind,
+                                                                         cells, stencil):
+    if kind == "punctured":
+        spec = DomainSpec(kind="punctured", resolution=1 / cells, side=2.0,
+                          stencil_radius=stencil, removed_points=((0.5, 0.5),))
+    else:
+        spec = DomainSpec(kind="dense_square", resolution=1 / cells, delta=0.9,
+                          num_segments=20, stencil_radius=stencil)
+    sp = generate(spec, seed=0)
+    side, n = spec.side, sp.n_points
+    rng = np.random.default_rng(stencil)
+    sources = rng.choice(n, 6, replace=False)
+    want = _scipy_fields(sp, sources)
+    _no_scipy(monkeypatch)
+    got = sp.distance_field(sources)
+    # Dijkstra adds up to 2 * cells * side weights along a path, each sum rounded
+    np.testing.assert_allclose(got, want, rtol=(2 * cells * side + 4) * 2.0**-52, atol=0.0)
+    # a negative id counts from the end, as it does in scipy
+    assert sp.distance_field(-1).tobytes() == sp.distance_field(n - 1).tobytes()
+    # the pairwise query reads the same kernel: the same bits
+    targets = np.tile(np.arange(n), (len(sources), 1))
+    pairs = sp.pair_distances(np.repeat(sources, n), targets.ravel())
+    assert pairs.tobytes() == got.ravel().tobytes()
+    # d_eucl <= d_graph <= d_eucl * (1 + h_err) on every pair, up to the
+    # coordinates' rounding: the two are equal along a stencil direction
+    d_eucl = np.linalg.norm(sp.coords[sources][:, None] - sp.coords[None], axis=-1)
+    slack = 4.0 * np.spacing(side)
+    assert np.all(d_eucl - slack <= got)
+    assert np.all(got <= d_eucl * (1.0 + sp.h_err) + slack)
+    # the walk's length is the closed form, and its edges add up to it
+    for src, dst in rng.choice(n, (4, 2), replace=False):
+        path = sp.shortest_path(int(src), int(dst))
+        assert path.length == sp.distance_field(int(dst))[src]
+        assert path.arc_lengths[-1] == pytest.approx(path.length,
+                                                     rel=len(path.vertices) * 2.0**-52)
+
+
+def test_graphs_that_are_no_complete_lattice_get_scipys_bits(slit_square, punctured_square,
+                                                             dense_square_cut, monkeypatch):
+    _no_closed_form(monkeypatch)
+    rng = np.random.default_rng(2)
+    cases = [(slit_square, False), (slit_square, True), (punctured_square, True),
+             (dense_square_cut, False), (dense_square_cut, True)]
+    for sp, restrict in cases:
+        sources = rng.choice(np.flatnonzero(sp.in_U), 3, replace=False)
+        want = _scipy_fields(sp, sources, restrict)
+        assert sp.distance_field(sources, restrict_to_U=restrict).tobytes() == want.tobytes()
+        if not restrict:
+            targets = rng.choice(sp.n_points, 3)
+            assert (sp.pair_distances(sources, targets).tobytes()
+                    == want[np.arange(3), targets].tobytes())
+
+
+def _regrid(sp, coords=None, edges=None, meta=None):
+    """``sp`` rebuilt from arrays, some replaced; the weights follow the coordinates."""
+    coords = sp.coords if coords is None else coords
+    edges = sp.edges if edges is None else edges
+    weights = np.linalg.norm(coords[edges[:, 0]] - coords[edges[:, 1]], axis=1)
+    return DiscreteLengthSpace(coords, sp.in_U, edges, weights, meta=sp.meta if meta is None
+                               else meta)
+
+
+def test_a_lattice_is_decided_on_the_arrays_not_the_meta(full_square, monkeypatch):
+    sp = full_square
+    moved = sp.coords.copy()
+    moved[sp.n_points // 2] += 0.25 * sp.h
+    # every pair higher id first: the same upper triangle
+    rotated = sp.edges[:, ::-1].copy()
+    wrapped = sp.edges.copy()
+    stride = math.isqrt(sp.n_points)
+    # an edge one column past a grid row's end is a step that wraps the row
+    wrapped[0] = [stride - 1, stride]
+    unchanged = [_regrid(sp), _regrid(sp, edges=rotated)]
+    changed = [_regrid(sp, coords=moved), _regrid(sp, edges=sp.edges[1:]),
+               _regrid(sp, edges=wrapped),
+               _regrid(sp, meta={**sp.meta, "stencil_radius": 3}),
+               _regrid(sp, meta={**sp.meta, "stencil_radius": 1}),
+               _regrid(sp, meta={**sp.meta, "stencil_radius": True}),
+               _regrid(sp, meta={**sp.meta, "h": sp.h * (1.0 + 2.0**-52)}),
+               _regrid(sp, meta={k: v for k, v in sp.meta.items() if k != "stencil_radius"})]
+    source = sp.n_points // 3
+    for space in unchanged:
+        _no_scipy(monkeypatch)
+        assert space.distance_field(source).tobytes() == sp.distance_field(source).tobytes()
+        monkeypatch.undo()
+    _no_closed_form(monkeypatch)
+    for space in changed:
+        assert space.distance_field(source).tobytes() == _scipy_fields(space, source).tobytes()
 
 
 def _coo_symmetric(edges, weights, n):
@@ -1583,6 +1705,24 @@ def test_local_check_is_scale_invariant(stencil3_grid, seed):
                                            else value), (c, key)
         for name in ("base_worst", "split_worst"):
             assert getattr(rep, name) == pytest.approx(getattr(ref, name), abs=1e-6), (c, name)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_local_check_counts_do_not_change_with_the_unit(seed):
+    # on a grid with a removed point, whose restricted fields run Dijkstra:
+    # the cut-off of the sides' fields is relative to their two sides, so no
+    # absolute constant meets the distances at 2**-30 or 2**40
+    counts = set()
+    for k in (-30, -20, 0, 20, 30, 40):
+        c = 2.0**k
+        sp = generate(DomainSpec(kind="punctured", resolution=c / 24, side=2.0 * c,
+                                 stencil_radius=3, removed_points=((1.13 * c, 1.07 * c),)),
+                      seed=0)
+        rep = local_kappa_domain_check(sp, sp.nearest_vertex([c, c]), 1.6 * c, 0.0, samples=8,
+                                       h_angle=4, seed=seed)
+        counts.add((rep.evaluated, tuple(rep.skips.items()), rep.base_violations,
+                    rep.split_violations))
+    assert len(counts) == 1, counts
 
 
 # perfbench's sphere scan at workload seeds 32, 67 and 82: (generator seed,
